@@ -18,9 +18,11 @@ check: check-coalesce check-incr
 	go build ./...
 	go test -race ./...
 
-# Fast assignment-engine equivalence pass: pins the graph arena, the
-# blocked distance kernel, warm-started sweeps and the parallel solve
-# loops to the fresh-graph baseline, under -race. Runs in seconds; CI
+# Fast assignment-engine equivalence pass: pins the k-sink
+# transportation kernel to the bipartite SSP oracle (including the
+# FuzzAssignTransportMatchesSSP seed corpus), the engine to the per-call
+# path, the graph arena, the blocked distance kernel and the parallel
+# solve loops to the serial tables, under -race. Runs in seconds; CI
 # runs it before the full suite so engine regressions fail fast.
 check-assign:
 	go test -short -race -run 'Assign|DistRMatrix' ./internal/flow ./internal/geo ./internal/assign ./internal/experiments

@@ -236,12 +236,10 @@ func BenchmarkStreamResult(b *testing.B) {
 
 // BenchmarkAssignSweep measures capacitated-assignment throughput on the
 // E1-shaped workload (one fixed point set, 25 center sets, an ascending
-// capacity sweep per set) in the three engine modes of DESIGN.md §7:
-// Fresh rebuilds the flow graph and all distances per solve (the
-// historical per-call path), Arena reuses one assign.Solver with
-// warm-start disabled (skeleton + distance block amortized per center
-// set), Warm additionally warm-starts each sweep from the previous
-// capacity's potentials and residual flow.
+// capacity sweep per set) in the two modes of DESIGN.md §7: Fresh calls
+// FractionalCost per solve (distance block and kernel workspace rebuilt
+// every time), Engine reuses one assign.Solver (distance block amortized
+// per center set, workspace across all solves).
 func BenchmarkAssignSweep(b *testing.B) {
 	ps := benchPoints(512)
 	const k = 4
@@ -270,24 +268,7 @@ func BenchmarkAssignSweep(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N*solves)/b.Elapsed().Seconds(), "solves/sec")
 	})
-	b.Run("Arena", func(b *testing.B) {
-		eng := assign.NewSolver()
-		eng.SetWarmStart(false)
-		eng.Bind(ws, 2)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, Z := range zs {
-				eng.SetCenters(Z)
-				for _, t := range caps {
-					if _, ok := eng.Fractional(t); !ok {
-						b.Fatal("infeasible")
-					}
-				}
-			}
-		}
-		b.ReportMetric(float64(b.N*solves)/b.Elapsed().Seconds(), "solves/sec")
-	})
-	b.Run("Warm", func(b *testing.B) {
+	b.Run("Engine", func(b *testing.B) {
 		eng := assign.NewSolver()
 		eng.Bind(ws, 2)
 		b.ResetTimer()

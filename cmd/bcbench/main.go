@@ -621,13 +621,12 @@ func benchExtract(scale float64, seed int64) error {
 
 // benchAssign measures capacitated-assignment throughput on the
 // E1-shaped workload — one fixed point set, many center sets, an
-// ascending capacity sweep per center set — in three modes: fresh (the
-// historical per-call FractionalCost, graph and distances rebuilt every
-// solve), arena (one assign.Solver reused cold: skeleton and distance
-// block amortized per center set) and warm (the same engine with
-// warm-started sweeps). Prints a short report and records it as
-// BENCH_assign.json. Modes are timed round-robin like benchExtract so
-// machine-noise phases spread over all three.
+// ascending capacity sweep per center set — in two modes: fresh (the
+// per-call FractionalCost, distance block and kernel workspace rebuilt
+// every solve) and engine (one assign.Solver: distance block amortized
+// per center set, workspace across all solves). Prints a short report
+// and records it as BENCH_assign.json. Modes are timed round-robin like
+// benchExtract so machine-noise phases spread over both.
 func benchAssign(scale float64, seed int64) error {
 	start := time.Now()
 	n := int(512 * scale)
@@ -656,11 +655,8 @@ func benchAssign(scale float64, seed int64) error {
 		}
 		return sink
 	}
-	arena := assign.NewSolver()
-	arena.SetWarmStart(false)
-	arena.Bind(ws, 2)
-	warm := assign.NewSolver()
-	warm.Bind(ws, 2)
+	eng := assign.NewSolver()
+	eng.Bind(ws, 2)
 	modes := []struct {
 		name string
 		f    func() float64
@@ -671,23 +667,12 @@ func benchAssign(scale float64, seed int64) error {
 				return c
 			})
 		}},
-		{"arena", func() float64 {
+		{"engine", func() float64 {
 			var sink float64
 			for _, Z := range zs {
-				arena.SetCenters(Z)
+				eng.SetCenters(Z)
 				for _, t := range caps {
-					c, _ := arena.Fractional(t)
-					sink += c
-				}
-			}
-			return sink
-		}},
-		{"warm", func() float64 {
-			var sink float64
-			for _, Z := range zs {
-				warm.SetCenters(Z)
-				for _, t := range caps {
-					c, _ := warm.Fractional(t)
+					c, _ := eng.Fractional(t)
 					sink += c
 				}
 			}
@@ -695,7 +680,7 @@ func benchAssign(scale float64, seed int64) error {
 		}},
 	}
 
-	const rounds = 3
+	const rounds = 30
 	elapsed := make([]time.Duration, len(modes))
 	for i := 0; i < rounds; i++ {
 		for m, mode := range modes {
@@ -705,8 +690,7 @@ func benchAssign(scale float64, seed int64) error {
 		}
 	}
 	freshSec := float64(rounds*solves) / elapsed[0].Seconds()
-	arenaSec := float64(rounds*solves) / elapsed[1].Seconds()
-	warmSec := float64(rounds*solves) / elapsed[2].Seconds()
+	engineSec := float64(rounds*solves) / elapsed[1].Seconds()
 
 	rec := map[string]any{
 		"meta":                  runMeta(nil, start),
@@ -718,17 +702,13 @@ func benchAssign(scale float64, seed int64) error {
 		"gomaxprocs":            runtime.GOMAXPROCS(0),
 		"seed":                  seed,
 		"solves_per_sec_fresh":  freshSec,
-		"solves_per_sec_arena":  arenaSec,
-		"solves_per_sec_warm":   warmSec,
-		"arena_speedup":         arenaSec / freshSec,
-		"warm_speedup":          warmSec / freshSec,
-		"warm_speedup_vs_arena": warmSec / arenaSec,
+		"solves_per_sec_engine": engineSec,
+		"engine_speedup":        engineSec / freshSec,
 	}
 	fmt.Printf("assign sweep   (n=%d points, k=%d, %d center sets × %d caps, GOMAXPROCS=%d)\n",
 		n, k, centerSets, len(caps), runtime.GOMAXPROCS(0))
 	fmt.Printf("  fresh   : %12.2f solves/sec\n", freshSec)
-	fmt.Printf("  arena   : %12.2f solves/sec  (%.2fx over fresh)\n", arenaSec, arenaSec/freshSec)
-	fmt.Printf("  warm    : %12.2f solves/sec  (%.2fx over fresh)\n", warmSec, warmSec/freshSec)
+	fmt.Printf("  engine  : %12.2f solves/sec  (%.2fx over fresh)\n", engineSec, engineSec/freshSec)
 	return writeBench("BENCH_assign.json", rec)
 }
 

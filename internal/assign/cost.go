@@ -1,9 +1,10 @@
 // Package assign implements capacitated assignment of (weighted) points
 // to centers: the cost functions cost^{(r)}_t of Section 2, optimal
-// assignments via min-cost flow, the fractional-to-integral rounding of
-// Section 3.3 (cycle elimination leaving at most k−1 split points), the
-// half-space structure of Definitions 2.2/3.7/3.10 with the curved
-// ℓ_r hyperplanes of Section 1.2, and the assignment transfer of
+// integral assignments via min-cost flow, optimal fractional assignments
+// via a k-sink transportation kernel, the fractional-to-integral
+// rounding of Section 3.3 (cycle elimination leaving at most k−1 split
+// points), the half-space structure of Definitions 2.2/3.7/3.10 with the
+// curved ℓ_r hyperplanes of Section 1.2, and the assignment transfer of
 // Definition 3.11.
 package assign
 
@@ -113,44 +114,24 @@ func Optimal(ps geo.PointSet, Z []geo.Point, t float64, r float64) (Result, bool
 // FractionalCost computes the optimal fractional capacitated assignment
 // cost of weighted points (weights may be split across centers), i.e. the
 // LP relaxation of cost^{(r)}_t(Q, Z, w) that Section 3.3 solves by
-// minimum-cost flow. It returns the cost and the flow matrix
-// x[i][j] = weight of point i served by center j. ok is false when
-// t·k < Σw (infeasible).
+// minimum-cost flow — here by the k-sink transportation kernel. It
+// returns the cost and the flow matrix x[i][j] = weight of point i
+// served by center j. ok is false when t·k < Σw (infeasible).
 func FractionalCost(ws []geo.Weighted, Z []geo.Point, t float64, r float64) (float64, [][]float64, bool) {
-	n, k := len(ws), len(Z)
-	if n == 0 {
+	if len(ws) == 0 {
 		return 0, nil, true
 	}
-	total := geo.TotalWeight(ws)
-	if t*float64(k) < total-1e-9 {
+	s := NewSolver()
+	s.Bind(ws, r)
+	s.SetCenters(Z)
+	cost, ok := s.Fractional(t)
+	if !ok {
 		return math.Inf(1), nil, false
 	}
-	g := flow.NewGraph(n + k + 2)
-	src, sink := 0, n+k+1
-	edgeID := make([][]int, n)
-	for i, w := range ws {
-		g.AddEdge(src, 1+i, w.W, 0)
-		edgeID[i] = make([]int, k)
-		for j, z := range Z {
-			edgeID[i][j] = g.AddEdge(1+i, n+1+j, w.W, geo.DistR(w.P, z, r))
-		}
-	}
-	for j := 0; j < k; j++ {
-		g.AddEdge(n+1+j, sink, t, 0)
-	}
-	f, cost := g.MinCostFlow(src, sink, total)
-	if f < total-1e-6*math.Max(1, total) {
-		return math.Inf(1), nil, false
-	}
-	flows := g.FlowsByID()
-	x := make([][]float64, n)
+	k := len(Z)
+	x := make([][]float64, len(ws))
 	for i := range x {
-		x[i] = make([]float64, k)
-		for j := 0; j < k; j++ {
-			if v := flows[edgeID[i][j]]; v > flow.Eps {
-				x[i][j] = v
-			}
-		}
+		x[i] = s.tr.x[i*k : (i+1)*k : (i+1)*k]
 	}
 	return cost, x, true
 }
@@ -162,52 +143,24 @@ func FractionalCost(ws []geo.Weighted, Z []geo.Point, t float64, r float64) (flo
 // most k−1 points with split weight, then assign each remaining split
 // point wholly to its nearest center. The returned size vector therefore
 // exceeds t by at most (k−1)·max w(p), exactly the slack the paper
-// absorbs into the (1+η) capacity violation.
+// absorbs into the (1+η) capacity violation. Loops over many center sets
+// should call Solver.Weighted instead, which reuses its buffers.
 func Weighted(ws []geo.Weighted, Z []geo.Point, t float64, r float64) (Result, bool) {
-	n, k := len(ws), len(Z)
-	if n == 0 {
-		return Result{Sizes: make([]float64, k)}, true
-	}
-	_, x, ok := FractionalCost(ws, Z, t, r)
-	if !ok {
-		return Infeasible, false
-	}
-	eliminateCycles(x, ws, Z, r)
-	res := Result{Assign: make([]int, n), Sizes: make([]float64, k)}
-	for i := range ws {
-		// Count support.
-		support := -1
-		split := false
-		for j := 0; j < k; j++ {
-			if x[i][j] > flow.Eps {
-				if support >= 0 {
-					split = true
-					break
-				}
-				support = j
-			}
-		}
-		if split || support < 0 {
-			// Split (or numerically lost) point → nearest center, per §3.3.
-			_, support = geo.DistToSet(ws[i].P, Z)
-		}
-		res.Assign[i] = support
-		res.Sizes[support] += ws[i].W
-	}
-	res.Cost = CostOfAssignment(ws, Z, res.Assign, r)
-	return res, true
+	s := NewSolver()
+	s.Bind(ws, r)
+	s.SetCenters(Z)
+	return s.Weighted(t)
 }
 
 // eliminateCycles removes cycles from the bipartite point–center support
-// graph of a fractional assignment x by shifting flow around each cycle
-// in its cost-nonincreasing direction until the support is a forest
-// (Section 3.3 steps 1–4). x is modified in place.
-func eliminateCycles(x [][]float64, ws []geo.Weighted, Z []geo.Point, r float64) {
-	n, k := len(x), len(Z)
+// graph of a fractional assignment — x and c are its row-major n×k flow
+// and cost blocks — by shifting flow around each cycle in its
+// cost-nonincreasing direction until the support is a forest (Section
+// 3.3 steps 1–4). x is modified in place.
+func eliminateCycles(x, c []float64, n, k int) {
 	if n == 0 {
 		return
 	}
-	costOf := func(i, j int) float64 { return geo.DistR(ws[i].P, Z[j], r) }
 	for {
 		cyc := findSupportCycle(x, n, k)
 		if cyc == nil {
@@ -220,13 +173,14 @@ func eliminateCycles(x [][]float64, ws []geo.Weighted, Z []geo.Point, r float64)
 		delta := 0.0
 		min := math.Inf(1)
 		for idx, e := range cyc {
+			a := e[0]*k + e[1]
 			if idx%2 == 0 {
-				delta -= costOf(e[0], e[1]) // flow decreases on even edges
-				if x[e[0]][e[1]] < min {
-					min = x[e[0]][e[1]]
+				delta -= c[a] // flow decreases on even edges
+				if x[a] < min {
+					min = x[a]
 				}
 			} else {
-				delta += costOf(e[0], e[1])
+				delta += c[a]
 			}
 		}
 		// At a fractional optimum every cycle is cost-neutral (delta ≈ 0);
@@ -236,52 +190,71 @@ func eliminateCycles(x [][]float64, ws []geo.Weighted, Z []geo.Point, r float64)
 			// Reverse orientation: decrease odd edges instead.
 			min = math.Inf(1)
 			for idx, e := range cyc {
-				if idx%2 == 1 && x[e[0]][e[1]] < min {
-					min = x[e[0]][e[1]]
+				if a := e[0]*k + e[1]; idx%2 == 1 && x[a] < min {
+					min = x[a]
 				}
 			}
 			for idx, e := range cyc {
 				if idx%2 == 1 {
-					x[e[0]][e[1]] -= min
+					x[e[0]*k+e[1]] -= min
 				} else {
-					x[e[0]][e[1]] += min
+					x[e[0]*k+e[1]] += min
 				}
 			}
 		} else {
 			for idx, e := range cyc {
 				if idx%2 == 0 {
-					x[e[0]][e[1]] -= min
+					x[e[0]*k+e[1]] -= min
 				} else {
-					x[e[0]][e[1]] += min
+					x[e[0]*k+e[1]] += min
 				}
 			}
 		}
 		// Clean numerical dust so the support strictly shrinks.
 		for _, e := range cyc {
-			if x[e[0]][e[1]] < flow.Eps {
-				x[e[0]][e[1]] = 0
+			if a := e[0]*k + e[1]; x[a] < flow.Eps {
+				x[a] = 0
 			}
 		}
 	}
 }
 
-// findSupportCycle returns a cycle in the bipartite support graph as an
-// alternating edge list [(p,c),(p',c),(p',c'),...] or nil if the support
-// is a forest. Even-indexed and odd-indexed edges alternate orientation
-// around the cycle.
-func findSupportCycle(x [][]float64, n, k int) [][2]int {
-	// Nodes: 0..n−1 points, n..n+k−1 centers.
-	adj := make([][]int, n+k)
+// findSupportCycle returns a cycle in the bipartite support graph of the
+// row-major n×k flow block x as an alternating edge list
+// [(p,c),(p',c),(p',c'),...] or nil if the support is a forest.
+// Even-indexed and odd-indexed edges alternate orientation around the
+// cycle.
+func findSupportCycle(x []float64, n, k int) [][2]int {
+	// A point served by a single center is a leaf of the support graph
+	// and lies on no cycle, so only split points become nodes: 0..m−1
+	// the split points in index order, m..m+k−1 the centers.
+	var split []int
 	for i := 0; i < n; i++ {
+		deg := 0
+		for _, v := range x[i*k : (i+1)*k] {
+			if v > flow.Eps {
+				deg++
+			}
+		}
+		if deg >= 2 {
+			split = append(split, i)
+		}
+	}
+	m := len(split)
+	if m < 2 {
+		return nil // a cycle passes through at least two points
+	}
+	adj := make([][]int, m+k)
+	for a, i := range split {
 		for j := 0; j < k; j++ {
-			if x[i][j] > flow.Eps {
-				adj[i] = append(adj[i], n+j)
-				adj[n+j] = append(adj[n+j], i)
+			if x[i*k+j] > flow.Eps {
+				adj[a] = append(adj[a], m+j)
+				adj[m+j] = append(adj[m+j], a)
 			}
 		}
 	}
-	state := make([]int, n+k) // 0 unvisited, 1 in stack, 2 done
-	parent := make([]int, n+k)
+	state := make([]int, m+k) // 0 unvisited, 1 in stack, 2 done
+	parent := make([]int, m+k)
 	for i := range parent {
 		parent[i] = -1
 	}
@@ -312,7 +285,7 @@ func findSupportCycle(x [][]float64, n, k int) [][2]int {
 		state[u] = 2
 		return false
 	}
-	for s := 0; s < n+k; s++ {
+	for s := 0; s < m+k; s++ {
 		if state[s] == 0 && dfs(s, -1) {
 			break
 		}
@@ -320,17 +293,17 @@ func findSupportCycle(x [][]float64, n, k int) [][2]int {
 	if cycleNodes == nil {
 		return nil
 	}
-	// cycleNodes is a closed walk v, u_m, ..., u_1 with u_1 adjacent to v.
+	// cycleNodes is a closed walk v, u_l, ..., u_1 with u_1 adjacent to v.
 	// Convert node cycle to edge list in order, normalizing each edge to
 	// (point, center).
-	m := len(cycleNodes)
-	edges := make([][2]int, 0, m)
-	for i := 0; i < m; i++ {
-		a, b := cycleNodes[i], cycleNodes[(i+1)%m]
-		if a < n {
-			edges = append(edges, [2]int{a, b - n})
+	l := len(cycleNodes)
+	edges := make([][2]int, 0, l)
+	for i := 0; i < l; i++ {
+		a, b := cycleNodes[i], cycleNodes[(i+1)%l]
+		if a < m {
+			edges = append(edges, [2]int{split[a], b - m})
 		} else {
-			edges = append(edges, [2]int{b, a - n})
+			edges = append(edges, [2]int{split[b], a - m})
 		}
 	}
 	return edges

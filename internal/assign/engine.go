@@ -8,106 +8,89 @@ import (
 	"streambalance/internal/obs"
 )
 
-// Telemetry handles (internal/obs). The warm/cold split is the
-// headline number: warm ÷ (warm + cold) is the warm-restart reuse
-// ratio of a capacity sweep, and E1's speedup tracks it directly.
+// Telemetry handles (internal/obs).
 var (
 	mSolves     = obs.C("assign_solves_total")
-	mWarmSolves = obs.C("assign_warm_solves_total")
-	mColdSolves = obs.C("assign_cold_solves_total")
 	mCenterSets = obs.C("assign_center_sets_total")
 	mSkeletons  = obs.C("assign_skeleton_builds_total")
 	mSolveNS    = obs.H("assign_solve_ns")
 )
 
 // Solver is a reusable capacitated-assignment engine for the
-// many-solves-one-dataset pattern of the evaluation suite: hundreds of
-// near-identical min-cost-flow solves over one point set with varying
-// center sets and capacities. It amortizes the three per-call costs of
-// FractionalCost/Optimal (DESIGN.md §7):
+// many-solves-one-dataset pattern of the evaluation suite and the
+// capacitated solvers: hundreds of solves over one point set with
+// varying center sets and capacities. It is the one weighted solve path
+// — FractionalCost and Weighted are a fresh Solver per call — and
+// amortizes the per-call costs (DESIGN.md §7):
 //
-//   - the bipartite flow skeleton (source→point arcs, per-point arc
-//     slabs to every center, sink arcs) is built once per bound point
-//     set and kept in a graph arena; a new center set only rewrites arc
-//     costs, a new capacity only rewrites sink capacities;
 //   - the point×center cost block is computed by the blocked
 //     geo.DistRMatrix kernel once per center set and shared by every
 //     capacity solve on it;
-//   - the flow.Solver workspace (potentials, Dijkstra arrays, heap
-//     backing array) survives across solves, and monotone capacity
-//     sweeps on a fixed center set warm-start from the previous solve's
-//     potentials and residual flow instead of re-augmenting from cold.
+//   - weighted solves run the transportation kernel on that block in a
+//     workspace (flows, loads, heaps) that survives across solves;
+//   - unit-weight solves keep the bipartite flow skeleton (source→point
+//     arcs, per-point arc slabs to every center, sink arcs) in a graph
+//     arena, built once per bound point set; a new center set only
+//     rewrites arc costs, a new capacity only rewrites sink capacities.
 //
-// Cold solves run the exact historical algorithm over the same arc
-// order, so their costs, flows and sizes are bit-identical to the
-// per-call FractionalCost/Optimal path. Warm-started solves reach the
-// same optimum along a different augmentation history; their cost is
-// therefore reported as flow.Graph.CostOfFlows — a deterministic
-// function of the final flows — rather than an accumulation whose float
-// rounding depends on that history.
+// Every solve is cold and runs the per-call algorithm over the same cost
+// block, so costs, flows, assignments and sizes are bit-identical to
+// FractionalCost/Weighted/Optimal.
 //
 // A Solver must not be shared between goroutines; parallel harnesses
 // keep one per worker.
 type Solver struct {
-	ws    []geo.Weighted // weighted mode (Fractional)
+	ws    []geo.Weighted // weighted mode (Fractional, Weighted)
 	ps    geo.PointSet   // unit-weight mode (Optimal)
+	bound bool
 	unit  bool
 	r     float64
 	total float64 // Σw in weighted mode
 	n, k  int
+	costs []float64   // n×k DistR block for the current centers
+	lastZ []geo.Point // current centers (general-r Unconstrained fallback)
+	haveZ bool
 
+	tr transport // weighted-mode workspace
+
+	// Unit-weight mode: the bipartite network in a graph arena.
 	g         *flow.Graph
 	fs        flow.Solver
-	costs     []float64 // n×k DistR block for the current centers
 	src, sink int
 	arcID     []int // n×k point→center arc ids
 	sinkID    []int // k sink arc ids
-
-	skeleton bool        // arena holds arcs for the current (points, k)
-	lastZ    []geo.Point // current centers (general-r Unconstrained fallback)
-	haveZ    bool
-	warmOff  bool // SetWarmStart(false): always solve cold
-	canWarm  bool // last solve completed feasibly on the current centers
-	lastT    float64
+	skeleton  bool  // arena holds arcs for the current (points, k)
 }
 
 // NewSolver returns an empty engine; Bind a point set before solving.
-func NewSolver() *Solver {
-	return &Solver{g: flow.NewGraph(0)}
-}
-
-// SetWarmStart toggles the warm-started capacity sweep (on by default).
-// With it off every solve runs cold on the arena — useful for isolating
-// the arena's contribution in benchmarks.
-func (s *Solver) SetWarmStart(on bool) { s.warmOff = !on }
+func NewSolver() *Solver { return &Solver{} }
 
 // Bind fixes the weighted point set and cost exponent for subsequent
-// Fractional solves. The skeleton is rebuilt on the next SetCenters; the
-// arena retains its storage. The slice is referenced, not copied.
+// Fractional and Weighted solves. The slice is referenced, not copied.
 func (s *Solver) Bind(ws []geo.Weighted, r float64) {
-	s.ws, s.ps, s.unit = ws, nil, false
+	s.ws, s.ps, s.bound, s.unit = ws, nil, true, false
 	s.r = r
 	s.n = len(ws)
 	s.total = geo.TotalWeight(ws)
-	s.skeleton, s.haveZ, s.canWarm = false, false, false
+	s.haveZ = false
 }
 
 // BindPoints fixes a unit-weight point set for subsequent Optimal
-// solves. The slice is referenced, not copied.
+// solves. The skeleton is rebuilt on the next SetCenters; the arena
+// retains its storage. The slice is referenced, not copied.
 func (s *Solver) BindPoints(ps geo.PointSet, r float64) {
-	s.ps, s.ws, s.unit = ps, nil, true
+	s.ps, s.ws, s.bound, s.unit = ps, nil, true, true
 	s.r = r
 	s.n = len(ps)
 	s.total = float64(len(ps))
-	s.skeleton, s.haveZ, s.canWarm = false, false, false
+	s.skeleton, s.haveZ = false, false
 }
 
 // SetCenters installs a center set: the cost block is recomputed with
-// the blocked kernel and written onto the arena's point→center arcs.
-// Flows from any previous solve are invalidated (a cost change voids
-// both the optimum and the warm-start potentials).
+// the blocked kernel and, for unit-weight points, written onto the
+// arena's point→center arcs.
 func (s *Solver) SetCenters(Z []geo.Point) {
-	if s.ws == nil && s.ps == nil {
+	if !s.bound {
 		panic("assign: SetCenters before Bind")
 	}
 	mCenterSets.Inc()
@@ -122,8 +105,7 @@ func (s *Solver) SetCenters(Z []geo.Point) {
 	}
 	s.lastZ = Z
 	s.haveZ = true
-	s.canWarm = false
-	if s.n == 0 {
+	if s.n == 0 || !s.unit {
 		return
 	}
 	if !s.skeleton {
@@ -132,16 +114,18 @@ func (s *Solver) SetCenters(Z []geo.Point) {
 		for a, c := range s.costs {
 			s.g.SetCost(s.arcID[a], c)
 		}
-		s.g.ClearFlows()
 	}
 }
 
-// buildSkeleton (re)builds the bipartite network in the arena, in the
-// exact arc order of the historical per-call path: per point one source
-// arc then its k center arcs, then the k sink arcs. Sink capacities are
-// installed per solve.
+// buildSkeleton (re)builds the bipartite unit-weight network in the
+// arena, in the exact arc order of the per-call Optimal: per point one
+// source arc then its k center arcs, then the k sink arcs. Sink
+// capacities are installed per solve.
 func (s *Solver) buildSkeleton() {
 	n, k := s.n, s.k
+	if s.g == nil {
+		s.g = flow.NewGraph(0)
+	}
 	s.g.Reset(n + k + 2)
 	s.src, s.sink = 0, n+k+1
 	if cap(s.arcID) < n*k {
@@ -153,13 +137,9 @@ func (s *Solver) buildSkeleton() {
 	}
 	s.sinkID = s.sinkID[:k]
 	for i := 0; i < n; i++ {
-		w := 1.0
-		if !s.unit {
-			w = s.ws[i].W
-		}
-		s.g.AddEdge(s.src, 1+i, w, 0)
+		s.g.AddEdge(s.src, 1+i, 1, 0)
 		for j := 0; j < k; j++ {
-			s.arcID[i*k+j] = s.g.AddEdge(1+i, n+1+j, w, s.costs[i*k+j])
+			s.arcID[i*k+j] = s.g.AddEdge(1+i, n+1+j, 1, s.costs[i*k+j])
 		}
 	}
 	for j := 0; j < k; j++ {
@@ -171,11 +151,9 @@ func (s *Solver) buildSkeleton() {
 
 // Fractional computes the optimal fractional capacitated assignment
 // cost of the bound weighted points to the current centers under
-// per-center capacity t — the same LP relaxation as FractionalCost,
-// without rebuilding the graph or the distance block. ok is false when
-// t·k < Σw (infeasible). Successive calls with non-decreasing t on the
-// same centers warm-start from the previous solve (E1's capacity-sweep
-// shape); a decreased t or a fresh center set solves cold.
+// per-center capacity t — the same LP relaxation and kernel as
+// FractionalCost, without recomputing the distance block. ok is false
+// when t·k < Σw (infeasible).
 func (s *Solver) Fractional(t float64) (float64, bool) {
 	if !s.haveZ {
 		panic("assign: Fractional before SetCenters")
@@ -192,40 +170,56 @@ func (s *Solver) Fractional(t float64) (float64, bool) {
 	mSolves.Inc()
 	t0 := obs.NowNano()
 	defer mSolveNS.ObserveSince(t0)
-	if !s.warmOff && s.canWarm && t >= s.lastT {
-		for _, id := range s.sinkID {
-			s.g.SetCap(id, t)
-		}
-		if _, ok := s.fs.ReoptimizeGrownCaps(s.g, s.sink, s.sinkID); ok {
-			s.lastT = t
-			mWarmSolves.Inc()
-			return s.g.CostOfFlows(), true
-		}
-		// Round budget exhausted (numerical dust): fall through cold.
-	}
-	for _, id := range s.sinkID {
-		s.g.SetCap(id, t)
-	}
-	s.g.ClearFlows()
-	mColdSolves.Inc()
-	f, cost := s.fs.MinCostFlow(s.g, s.src, s.sink, s.total)
-	if f < s.total-1e-6*math.Max(1, s.total) {
-		s.canWarm = false
+	cost, routed := s.tr.solve(s.ws, s.costs, s.k, t)
+	if routed < s.total-1e-6*math.Max(1, s.total) {
 		return math.Inf(1), false
 	}
-	s.canWarm = true
-	s.lastT = t
 	return cost, true
+}
+
+// Weighted computes the integral capacitated assignment of the bound
+// weighted points to the current centers by the Section 3.3 rounding of
+// the Fractional optimum (see the package-level Weighted). ok is false
+// when t·k < Σw (infeasible).
+func (s *Solver) Weighted(t float64) (Result, bool) {
+	if _, ok := s.Fractional(t); !ok {
+		return Infeasible, false
+	}
+	if s.n == 0 {
+		return Result{Sizes: make([]float64, s.k)}, true
+	}
+	n, k, x := s.n, s.k, s.tr.x
+	eliminateCycles(x, s.costs, n, k)
+	res := Result{Assign: make([]int, n), Sizes: make([]float64, k)}
+	for i, w := range s.ws {
+		// Count support.
+		support := -1
+		split := false
+		for j, v := range x[i*k : (i+1)*k] {
+			if v > flow.Eps {
+				if support >= 0 {
+					split = true
+					break
+				}
+				support = j
+			}
+		}
+		if split || support < 0 {
+			// Split (or numerically lost) point → nearest center, per §3.3.
+			_, support = geo.DistToSet(w.P, s.lastZ)
+		}
+		res.Assign[i] = support
+		res.Sizes[support] += w.W
+	}
+	res.Cost = CostOfAssignment(s.ws, s.lastZ, res.Assign, s.r)
+	return res, true
 }
 
 // Optimal computes the optimal integral capacitated assignment of the
 // bound unit-weight points to the current centers under per-center
-// capacity t (in points) — the same transportation solve as the
-// package-level Optimal, reusing the arena and the distance block. Every
-// call solves cold: warm-started flows can land on a different optimal
-// vertex when the optimum is degenerate, and integral callers consume
-// the assignment itself, not just its cost. ok is false when
-// ⌊t⌋·k < |ps| (no feasible partition).
+// capacity t (in points) — the same min-cost-flow solve as the
+// package-level Optimal, reusing the arena and the distance block. ok is
+// false when ⌊t⌋·k < |ps| (no feasible partition).
 func (s *Solver) Optimal(t float64) (Result, bool) {
 	if !s.haveZ {
 		panic("assign: Optimal before SetCenters")
@@ -242,14 +236,12 @@ func (s *Solver) Optimal(t float64) (Result, bool) {
 		return Infeasible, false
 	}
 	mSolves.Inc()
-	mColdSolves.Inc()
 	t0 := obs.NowNano()
 	defer mSolveNS.ObserveSince(t0)
 	for _, id := range s.sinkID {
 		s.g.SetCap(id, capPer)
 	}
 	s.g.ClearFlows()
-	s.canWarm = false
 	f, cost := s.fs.MinCostFlow(s.g, s.src, s.sink, float64(n))
 	if f < float64(n)-1e-6 {
 		return Infeasible, false
@@ -315,11 +307,3 @@ func (s *Solver) Unconstrained() float64 {
 	}
 	return c
 }
-
-// FlowsByID exposes the per-arc flows of the last solve (indexed by the
-// arena's arc ids, point-major then sink arcs) for equivalence tests.
-func (s *Solver) FlowsByID() []float64 { return s.g.FlowsByID() }
-
-// CostOfFlows re-evaluates the last solve's cost as a deterministic
-// function of its final flows (Σ flow·cost in arc-id order).
-func (s *Solver) CostOfFlows() float64 { return s.g.CostOfFlows() }

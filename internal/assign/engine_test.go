@@ -41,7 +41,6 @@ func TestAssignEngineColdMatchesFresh(t *testing.T) {
 	for _, r := range []float64{1, 2, 1.5} {
 		ws := randWeighted(rng, 40, 2, 64)
 		eng := NewSolver()
-		eng.SetWarmStart(false) // cold-only: every solve must be bitwise legacy
 		eng.Bind(ws, r)
 		total := geo.TotalWeight(ws)
 		for trial := 0; trial < 12; trial++ {
@@ -61,10 +60,10 @@ func TestAssignEngineColdMatchesFresh(t *testing.T) {
 				if got != want {
 					t.Fatalf("r=%g trial %d t=%g: cost %v != fresh %v (Δ=%g)", r, trial, tCap, got, want, got-want)
 				}
-				flows := eng.FlowsByID()
+				flows := eng.tr.x
 				for i := range ws {
 					for j := range Z {
-						f := flows[eng.arcID[i*k+j]]
+						f := flows[i*k+j]
 						want := x[i][j]
 						// FractionalCost zeroes sub-Eps dust in x.
 						if f <= 1e-9 && want == 0 {
@@ -80,66 +79,9 @@ func TestAssignEngineColdMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestAssignEngineWarmMatchesCold runs E1-shaped monotone capacity sweeps
-// and checks the warm-started solve lands on the same optimum as a cold
-// solve: identical cost through the flow-determined CostOfFlows lens, and
-// identical total assigned mass per center (the optimum's cost is unique;
-// individual arc flows may differ only across exactly-tied optima, which
-// the random instances here avoid in cost).
-func TestAssignEngineWarmMatchesCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for _, r := range []float64{1, 2} {
-		ws := randWeighted(rng, 36, 2, 128)
-		total := geo.TotalWeight(ws)
-		warm := NewSolver()
-		warm.Bind(ws, r)
-		cold := NewSolver()
-		cold.SetWarmStart(false)
-		cold.Bind(ws, r)
-		for trial := 0; trial < 10; trial++ {
-			k := 3 + rng.Intn(3)
-			Z := randCenters(rng, k, 2, 128)
-			warm.SetCenters(Z)
-			cold.SetCenters(Z)
-			b := total / float64(k)
-			for _, mult := range []float64{1.01, 1.05, 1.3, 2, 4} { // monotone sweep
-				tCap := b * mult
-				wCost, wOK := warm.Fractional(tCap)
-				cCost, cOK := cold.Fractional(tCap)
-				if wOK != cOK {
-					t.Fatalf("r=%g trial %d t=%g: warm ok %v, cold ok %v", r, trial, tCap, wOK, cOK)
-				}
-				if !wOK {
-					continue
-				}
-				// Compare both through the same deterministic lens.
-				cRecost := cold.CostOfFlows()
-				if math.Abs(wCost-cRecost) > 1e-9*(1+math.Abs(cRecost)) {
-					t.Fatalf("r=%g trial %d t=%g: warm cost %v != cold %v (Δ=%g)", r, trial, tCap, wCost, cRecost, wCost-cRecost)
-				}
-				if math.Abs(cCost-cRecost) > 1e-9*(1+math.Abs(cRecost)) {
-					t.Fatalf("r=%g trial %d t=%g: cold incremental %v vs recost %v", r, trial, tCap, cCost, cRecost)
-				}
-				// Per-center assigned mass must agree to float tolerance.
-				wf, cf := warm.FlowsByID(), cold.FlowsByID()
-				n := len(ws)
-				for j := 0; j < k; j++ {
-					var wm, cm float64
-					for i := 0; i < n; i++ {
-						wm += wf[warm.arcID[i*k+j]]
-						cm += cf[cold.arcID[i*k+j]]
-					}
-					if math.Abs(wm-cm) > 1e-6*(1+total) {
-						t.Fatalf("r=%g trial %d t=%g: center %d mass warm %v cold %v", r, trial, tCap, j, wm, cm)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestAssignEngineWarmAfterShrink checks a capacity decrease mid-sweep
-// silently falls back to a cold solve and still matches the fresh path.
+// TestAssignEngineWarmAfterShrink checks a non-monotone capacity sequence
+// on one center set: every solve reuses the workspace of the previous
+// one and must still match the fresh path.
 func TestAssignEngineWarmAfterShrink(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	ws := randWeighted(rng, 30, 2, 64)
@@ -161,6 +103,42 @@ func TestAssignEngineWarmAfterShrink(t *testing.T) {
 		}
 		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 			t.Fatalf("t=%g: cost %v != fresh %v (Δ=%g)", tCap, got, want, got-want)
+		}
+	}
+}
+
+// TestAssignEngineWeightedMatchesFresh pins the rounded assignment of a
+// reused engine — workspace carried across center sets of varying k and
+// capacities, as in capacitated Lloyd — to a fresh per-call Weighted.
+func TestAssignEngineWeightedMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	ws := randWeighted(rng, 45, 2, 64)
+	total := geo.TotalWeight(ws)
+	eng := NewSolver()
+	eng.Bind(ws, 2)
+	for trial := 0; trial < 12; trial++ {
+		k := 2 + rng.Intn(5)
+		Z := randCenters(rng, k, 2, 64)
+		eng.SetCenters(Z)
+		for _, tCap := range []float64{total / float64(k) * 0.95, total / float64(k) * 1.02, total / float64(k) * 3} {
+			got, gotOK := eng.Weighted(tCap)
+			want, wantOK := Weighted(ws, Z, tCap, 2)
+			if gotOK != wantOK {
+				t.Fatalf("trial %d t=%g: ok %v, fresh %v", trial, tCap, gotOK, wantOK)
+			}
+			if got.Cost != want.Cost && !(math.IsInf(got.Cost, 1) && math.IsInf(want.Cost, 1)) {
+				t.Fatalf("trial %d t=%g: cost %v != fresh %v", trial, tCap, got.Cost, want.Cost)
+			}
+			for i := range want.Assign {
+				if got.Assign[i] != want.Assign[i] {
+					t.Fatalf("trial %d t=%g: assign[%d] %d != fresh %d", trial, tCap, i, got.Assign[i], want.Assign[i])
+				}
+			}
+			for j := range want.Sizes {
+				if got.Sizes[j] != want.Sizes[j] {
+					t.Fatalf("trial %d t=%g: sizes[%d] %v != fresh %v", trial, tCap, j, got.Sizes[j], want.Sizes[j])
+				}
+			}
 		}
 	}
 }

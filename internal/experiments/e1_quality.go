@@ -19,15 +19,14 @@ import (
 // For several center sets Z and capacities t the table reports both
 // ratios; the theorem bounds each by 1+ε (up to sampling noise beyond
 // the configured ε). Costs are optimal fractional capacitated
-// assignments computed by min-cost flow on both sides.
+// assignments computed by the transportation kernel on both sides.
 //
 // This is the flagship workload of the assignment engine (DESIGN.md §7):
 // each center set needs seven capacitated solves over the same two point
-// sets, so every worker keeps one engine per side — skeleton and
-// distance block built once per (worker, Z) — and the ascending
-// capacities within a side warm-start from the previous solve. Center
-// sets are evaluated across the worker pool; rows are assembled in
-// center-set order, byte-identical at any worker count.
+// sets, so every worker keeps one engine per side — distance block
+// built once per (worker, Z), kernel workspace reused across every
+// solve. Center sets are evaluated across the worker pool; rows are
+// assembled in center-set order, byte-identical at any worker count.
 func E1CoresetQuality(c Cfg) *metrics.Table {
 	c = c.withDefaults()
 	const k = 4
@@ -74,9 +73,6 @@ func E1CoresetQuality(c Cfg) *metrics.Table {
 		rows := make([]e1Row, 0, len(tfs)+1)
 		for _, tf := range tfs {
 			t := tf * float64(n) / k
-			// Full-set capacities interleave t and (1+η)²t, so only the
-			// cross-tf steps warm-start; the coreset side is a clean
-			// ascending sweep and stays warm throughout.
 			full, _ := eng.full.Fractional(t)
 			core, _ := eng.core.Fractional((1 + eta) * t)
 			fullRelaxed, _ := eng.full.Fractional((1 + eta) * (1 + eta) * t)

@@ -30,7 +30,7 @@ func tableEqual(t *testing.T, a, b *metrics.Table, what string) {
 // TestE1AssignParallelMatchesSerial mirrors the extraction pipeline's
 // TestExtractParallelMatchesSerial for the assignment engine harness:
 // the parallel (center set × capacity) evaluation with per-worker solver
-// arenas and warm-started sweeps must reproduce the one-worker tables
+// engines must reproduce the one-worker tables
 // byte-identically. E9/E13 cover the integral engine on their own pools.
 func TestE1AssignParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {

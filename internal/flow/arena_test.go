@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -118,39 +117,4 @@ func TestAssignNegativeCostArcNamed(t *testing.T) {
 	check("SetCost negative cost", func() { g.SetCost(id, -1) })
 	check("AddEdge negative capacity", func() { g.AddEdge(0, 1, -1, 0) })
 	check("SetCap negative capacity", func() { g.SetCap(id, -3) })
-}
-
-// TestAssignReoptimizeGrownCaps sweeps capacities upward on one network
-// and checks the warm restart tracks cold re-solves to float tolerance at
-// every step, including steps that change nothing.
-func TestAssignReoptimizeGrownCaps(t *testing.T) {
-	costs := [][]float64{
-		{0, 6, 9}, {1, 5, 8}, {2, 4, 7}, {3, 3, 6}, {4, 2, 5}, {5, 1, 4},
-	}
-	g := NewGraph(0)
-	src, sink, sinkIDs := buildTransport(g, costs, 2.0)
-	var s Solver
-	f, _ := s.MinCostFlow(g, src, sink, 6)
-	if f < 6-Eps {
-		t.Fatalf("initial solve incomplete: f=%v", f)
-	}
-	for _, tc := range []float64{2.5, 2.5, 3, 4.5, 6} {
-		for _, id := range sinkIDs {
-			g.SetCap(id, tc)
-		}
-		if _, ok := s.ReoptimizeGrownCaps(g, sink, sinkIDs); !ok {
-			t.Fatalf("t=%g: round budget exhausted", tc)
-		}
-		warm := g.CostOfFlows()
-
-		cg := NewGraph(0)
-		csrc, csink, _ := buildTransport(cg, costs, tc)
-		cf, cCost := cg.MinCostFlow(csrc, csink, 6)
-		if cf < 6-Eps {
-			t.Fatalf("t=%g: cold solve incomplete", tc)
-		}
-		if math.Abs(warm-cCost) > 1e-9*(1+math.Abs(cCost)) {
-			t.Fatalf("t=%g: warm cost %v != cold %v", tc, warm, cCost)
-		}
-	}
 }

@@ -1,16 +1,20 @@
 // Package flow implements min-cost max-flow via successive shortest
 // paths with Johnson potentials (Dijkstra augmentation). It is the
-// optimization substrate behind capacitated assignment (Section 3.3 uses
-// minimum-cost flow both to solve the fractional weighted assignment and
-// to canonicalize integral assignments before the half-space switching
-// argument).
+// optimization substrate behind the integral capacitated assignments
+// (Section 3.3 uses minimum-cost flow to canonicalize integral
+// assignments before the half-space switching argument) and the
+// bottleneck assignment; the weighted fractional assignment runs the
+// k-sink transportation kernel in internal/assign instead.
 //
 // Capacities and costs are float64. On transportation-shaped networks —
-// source → points → centers → sink, which is the only shape the rest of
-// the repository builds — every augmentation permanently saturates a
-// source or sink arc, so the number of augmentations is at most
-// #points + #centers and real-valued capacities terminate exactly like
-// integral ones.
+// source → points → centers → sink — an augmentation need not saturate a
+// source or sink arc: a path that reroutes earlier points can be cut
+// short by the flow on one of their point→center arcs. The number of
+// augmentations is therefore not bounded by #points + #centers: on 40
+// solves over weighted coresets of the distributed protocol (k = 4,
+// k-means++ centers) every one exceeded it, by up to 1.5×. With unit
+// capacities every augmentation moves one whole unit, so the integral
+// solves take exactly #points.
 //
 // The many-solves-one-dataset pattern of the evaluation suite is served
 // by two reuse mechanisms (DESIGN.md §7):
@@ -21,8 +25,7 @@
 //     (new center set) or sink capacities (new capacity) change between
 //     solves;
 //   - a Solver workspace holding the potentials, Dijkstra arrays and the
-//     heap backing array across solves, including a warm restart
-//     (ReoptimizeGrownCaps) for sweeps that only ever raise capacities.
+//     heap backing array across solves.
 package flow
 
 import (
@@ -32,15 +35,12 @@ import (
 	"streambalance/internal/obs"
 )
 
-// Telemetry handles (internal/obs). Pivot and round counts are
-// accumulated locally inside each solve and published with one atomic
-// Add at the end, so the augmentation loop itself stays untouched.
+// Telemetry handles (internal/obs). Pivot counts are accumulated
+// locally inside each solve and published with one atomic Add at the
+// end, so the augmentation loop itself stays untouched.
 var (
 	mFlowSolves  = obs.C("flow_solves_total")
 	mFlowPivots  = obs.C("flow_pivots_total")
-	mFlowReopts  = obs.C("flow_reopt_total")
-	mFlowRounds  = obs.C("flow_cancel_rounds_total")
-	mFlowExhaust = obs.C("flow_reopt_exhausted_total")
 	mFlowSolveNS = obs.H("flow_solve_ns")
 )
 
@@ -157,8 +157,7 @@ func (g *Graph) SetCost(id int, cost float64) {
 
 // SetCap rewrites the capacity of an existing arc. Lowering a capacity
 // below the arc's current flow leaves an over-full arc; callers that
-// shrink capacities must ClearFlows and re-solve (the warm-restart path
-// only ever raises them).
+// shrink capacities must ClearFlows and re-solve.
 func (g *Graph) SetCap(id int, capacity float64) {
 	if capacity < 0 {
 		e := g.arc(id)
@@ -191,19 +190,6 @@ func (g *Graph) FlowsByID() []float64 {
 		out[id] = g.adj[g.loc[id].from][g.loc[id].idx].flow
 	}
 	return out
-}
-
-// CostOfFlows evaluates Σ flow(a)·cost(a) over the external arcs in
-// ascending id order — a deterministic function of the final flows, so
-// any two solves that end in the same flows report the identical float
-// regardless of the augmentation path that produced them.
-func (g *Graph) CostOfFlows() float64 {
-	var c float64
-	for id := range g.loc {
-		e := &g.adj[g.loc[id].from][g.loc[id].idx]
-		c += e.flow * e.cost
-	}
-	return c
 }
 
 // pqItem is a Dijkstra priority-queue entry.
@@ -296,9 +282,7 @@ func (s *Solver) grow(n int) {
 // (accumulated augmentation by augmentation, exactly like the historical
 // per-call implementation — a cold arena solve is therefore bit-identical
 // to a fresh-graph solve). Pass math.Inf(1) as maxFlow for a max-flow
-// computation. Potentials are zeroed at entry; on return they are the
-// shortest-path potentials of the final residual graph, which
-// ReoptimizeGrownCaps relies on.
+// computation. Potentials are zeroed at entry.
 func (s *Solver) MinCostFlow(g *Graph, src, t int, maxFlow float64) (flow, cost float64) {
 	if src == t {
 		return 0, 0
@@ -379,120 +363,6 @@ func (s *Solver) MinCostFlow(g *Graph, src, t int, maxFlow float64) (flow, cost 
 	mFlowPivots.Add(pivots)
 	mFlowSolveNS.ObserveSince(t0)
 	return flow, cost
-}
-
-// ReoptimizeGrownCaps restores min-cost optimality after the capacities
-// of the arcs listed in grownIDs (all pointing into sink) were raised —
-// never lowered — on a graph whose previous solve with this same Solver
-// completed. The flow value is unchanged: raising capacities only opens
-// cheaper routings for the flow already placed, which materialize as
-// negative-cost residual cycles through the relaxed arcs; each round
-// runs one Dijkstra from sink (over reduced costs, which the retained
-// potentials keep non-negative away from the relaxed arcs), picks the
-// most negative relaxed arc, and cancels its cycle. See DESIGN.md §7 for
-// the validity argument, which needs every Dijkstra round of the
-// previous solve to have visited all nodes — true for the transportation
-// networks the assignment layer builds.
-//
-// Returns the total cost change (≤ 0) and ok=false if the round budget
-// was exhausted before optimality was restored (callers then fall back
-// to a cold re-solve; this is a numerical-dust safety net, not an
-// expected path).
-func (s *Solver) ReoptimizeGrownCaps(g *Graph, sink int, grownIDs []int) (costDelta float64, ok bool) {
-	s.grow(g.n)
-	pot, dist, visited := s.pot, s.dist, s.visited
-	prevNode, prevEdge := s.prevNode, s.prevEdge
-	q := s.q
-	defer func() { s.q = q[:0] }()
-
-	mFlowReopts.Inc()
-	var rounds int64
-	defer func() {
-		mFlowRounds.Add(rounds)
-		if !ok {
-			mFlowExhaust.Inc()
-		}
-	}()
-	maxRounds := 4*g.n + 16
-	for round := 0; round < maxRounds; round++ {
-		rounds++
-		// Dijkstra from sink on reduced costs over residual arcs,
-		// skipping arcs into sink (the relaxed arcs are the only ones
-		// that may carry negative reduced cost, and any negative cycle
-		// must close through one of them).
-		for i := range dist {
-			dist[i] = math.Inf(1)
-			visited[i] = false
-		}
-		dist[sink] = 0
-		q = append(q[:0], pqItem{node: sink, dist: 0})
-		for len(q) > 0 {
-			it := q.pop()
-			u := it.node
-			if visited[u] {
-				continue
-			}
-			visited[u] = true
-			for i := range g.adj[u] {
-				e := &g.adj[u][i]
-				if e.to == sink || e.cap-e.flow <= Eps || visited[e.to] {
-					continue
-				}
-				nd := dist[u] + e.cost + pot[u] - pot[e.to]
-				if nd < dist[e.to]-1e-15 {
-					dist[e.to] = nd
-					prevNode[e.to] = u
-					prevEdge[e.to] = i
-					q.push(pqItem{node: e.to, dist: nd})
-				}
-			}
-		}
-		for i := range pot {
-			if visited[i] {
-				pot[i] += dist[i]
-			}
-		}
-		// Most negative relaxed arc (deterministic tie-break: first in
-		// grownIDs order).
-		bestID := -1
-		bestRed := -Eps
-		for _, id := range grownIDs {
-			e := g.arc(id)
-			u := g.loc[id].from
-			if e.cap-e.flow <= Eps || !visited[u] {
-				continue
-			}
-			if red := e.cost + pot[u] - pot[sink]; red < bestRed {
-				bestRed = red
-				bestID = id
-			}
-		}
-		if bestID < 0 {
-			return costDelta, true // optimal: no negative residual cycle left
-		}
-		// Cancel the cycle sink ⇝ u → sink.
-		e := g.arc(bestID)
-		u := g.loc[bestID].from
-		push := e.cap - e.flow
-		for v := u; v != sink; v = prevNode[v] {
-			pe := &g.adj[prevNode[v]][prevEdge[v]]
-			if r := pe.cap - pe.flow; r < push {
-				push = r
-			}
-		}
-		if push <= Eps {
-			return costDelta, true // numerically saturated cycle: nothing cancellable
-		}
-		for v := u; v != sink; v = prevNode[v] {
-			pe := &g.adj[prevNode[v]][prevEdge[v]]
-			pe.flow += push
-			g.adj[pe.to][pe.rev].flow -= push
-		}
-		e.flow += push
-		g.adj[e.to][e.rev].flow -= push
-		costDelta += push * bestRed
-	}
-	return costDelta, false
 }
 
 // MinCostFlow pushes up to maxFlow units from s to t along successive

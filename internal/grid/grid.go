@@ -165,7 +165,13 @@ func (g *Grid) ParentKeys4(k0, k1, k2, k3 []uint64, i0, i1, i2, i3 []int64, leve
 // CellKey returns a 64-bit fingerprint key identifying the level-i cell
 // containing p. Keys are unique across levels (the level is folded into
 // the fingerprint) up to the fingerprint collision bound.
+// Up to 8 dimensions the index lives in a stack buffer, so the call
+// allocates nothing.
 func (g *Grid) CellKey(p geo.Point, level int) uint64 {
+	if g.Dim <= 8 {
+		var buf [8]int64
+		return g.KeyOf(level, g.CellIndexInto(buf[:0], p, level))
+	}
 	return g.KeyOf(level, g.CellIndex(p, level))
 }
 

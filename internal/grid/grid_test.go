@@ -287,6 +287,31 @@ func TestCellKeyPipelineAllocFree(t *testing.T) {
 	}
 }
 
+func TestCellKeyMatchesKeyOfAllocFree(t *testing.T) {
+	// CellKey is hit per op per level by the streaming cost bound and per
+	// point by partition lookups; up to 8 dimensions it must equal the
+	// allocating KeyOf(CellIndex(...)) spelling without allocating.
+	rng := rand.New(rand.NewSource(27))
+	for _, dim := range []int{1, 2, 3, 8, 9} {
+		g := newTestGrid(t, 1<<10, dim, int64(dim))
+		for i := 0; i < 100; i++ {
+			p := randPoint(rng, dim, 1<<10)
+			level := rng.Intn(g.L+2) - 1
+			if got, want := g.CellKey(p, level), g.KeyOf(level, g.CellIndex(p, level)); got != want {
+				t.Fatalf("dim %d level %d: CellKey %d, KeyOf(CellIndex) %d", dim, level, got, want)
+			}
+		}
+		if dim > 8 {
+			continue
+		}
+		p := randPoint(rng, dim, 1<<10)
+		var sink uint64
+		if allocs := testing.AllocsPerRun(100, func() { sink += g.CellKey(p, g.L) }); allocs != 0 {
+			t.Fatalf("dim %d: CellKey allocates %.1f objects/op, want 0", dim, allocs)
+		}
+	}
+}
+
 func TestParentKeys4MatchesScalar(t *testing.T) {
 	// The 4-lane key column kernel must be bit-identical to four scalar
 	// ParentKeys walks, including the consumed-index postcondition.

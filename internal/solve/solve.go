@@ -205,10 +205,11 @@ func EstimateOPT(rng *rand.Rand, ws []geo.Weighted, k int, r float64, delta int6
 	return best
 }
 
-// CapacitatedLloyd alternates optimal capacitated assignment (min-cost
-// flow) with recentering, starting from k-means++ seeds; the best of
-// `restarts` runs is returned. ok is false when the capacity t is
-// infeasible (t·k < total weight).
+// CapacitatedLloyd alternates optimal capacitated assignment (the
+// transportation kernel, through one assign.Solver reused across every
+// iteration and restart) with recentering, starting from k-means++
+// seeds; the best of `restarts` runs is returned. ok is false when the
+// capacity t is infeasible (t·k < total weight).
 func CapacitatedLloyd(rng *rand.Rand, ws []geo.Weighted, k int, t float64, r float64,
 	delta int64, iters, restarts int) (Solution, bool) {
 
@@ -217,12 +218,15 @@ func CapacitatedLloyd(rng *rand.Rand, ws []geo.Weighted, k int, t float64, r flo
 	}
 	best := Solution{Cost: math.Inf(1)}
 	found := false
+	eng := assign.NewSolver()
+	eng.Bind(ws, r)
 	for run := 0; run < restarts; run++ {
 		centers := SeedKMeansPP(rng, ws, k, r)
 		var cur Solution
 		okRun := false
 		for it := 0; it < iters; it++ {
-			res, ok := assign.Weighted(ws, centers, t, r)
+			eng.SetCenters(centers)
+			res, ok := eng.Weighted(t)
 			if !ok {
 				break
 			}
@@ -260,6 +264,8 @@ func LocalSearchCapacitated(rng *rand.Rand, ws []geo.Weighted, start Solution, t
 
 	cur := start
 	k := len(cur.Centers)
+	eng := assign.NewSolver()
+	eng.Bind(ws, r)
 	for swaps := 0; swaps < maxSwaps; swaps++ {
 		improved := false
 		for c := 0; c < candidates && !improved; c++ {
@@ -268,7 +274,8 @@ func LocalSearchCapacitated(rng *rand.Rand, ws []geo.Weighted, start Solution, t
 				trial := make([]geo.Point, k)
 				copy(trial, cur.Centers)
 				trial[j] = cand
-				res, ok := assign.Weighted(ws, trial, t, r)
+				eng.SetCenters(trial)
+				res, ok := eng.Weighted(t)
 				if ok && res.Cost < cur.Cost*(1-1e-6) {
 					cur = Solution{Centers: trial, Assign: res.Assign, Cost: res.Cost, Sizes: res.Sizes}
 					improved = true
