@@ -41,13 +41,15 @@ check-coalesce:
 
 # Fast distributed-protocol pass: vet the protocol packages and pin the
 # wire codec, both transports, the pipelined driver's bit-identity with
-# the serial reference and the seeding optimization, under -race. Runs in
-# seconds; CI runs it before the full suite so protocol regressions fail
-# fast.
+# the serial reference, round 2's bit-identity with the map-and-sort
+# oracle (oracle_test.go) and the seeding optimization, under -race, then
+# fuzz the oracle comparison for 15 s. Runs in about a minute; CI runs it
+# before the full suite so protocol regressions fail fast.
 check-dist:
 	go vet ./internal/dist ./internal/streamfmt ./internal/solve
 	go test -short -race ./internal/dist ./internal/streamfmt
 	go test -short -race -run 'SeedKMeansPP|EstimateOPT' ./internal/solve
+	go test -run '^$$' -fuzz FuzzRound2MatchesOracle -fuzztime 15s ./internal/dist
 
 # Fast incremental-extraction pass: vet the decode stack, pin the
 # differential (spliced) decode to the cold full peel bit-for-bit —

@@ -288,43 +288,44 @@ func BenchmarkAssignSweep(b *testing.B) {
 
 // BenchmarkDistProtocol measures the distributed coreset protocol on a
 // fixed 8-machine split: the serial reference driver against the
-// pipelined concurrent driver at 1, 4 and 8 workers. Wire bytes are
-// reported per op; on multi-core hosts the pipelined modes overlap the
-// machines' per-level scans and should approach a workers-fold speedup.
+// pipelined concurrent driver at 1, 2, 4 and 8 workers, plus a case shaped
+// like the end-to-end benchmark's place_dist workload (4,096 points, 8
+// machines, 2 workers, SamplesPerPart 32). Wire bytes and allocations
+// are reported per op.
 func BenchmarkDistProtocol(b *testing.B) {
-	ps := benchPoints(16384)
 	const s = 8
-	machines := make([]assigngeo.PointSet, s)
-	for i, p := range ps {
-		machines[i%s] = append(machines[i%s], p)
-	}
-	cfg := dist.Config{Dim: 2, Delta: 1 << 12, Params: coreset.Params{K: 4, Seed: 1}}
-	report := func(b *testing.B, rep *dist.Report) {
-		b.ReportMetric(float64(rep.Bits)/8, "wire-bytes/op")
-		b.ReportMetric(float64(rep.FormulaBits)/8, "formula-bytes/op")
-	}
-	b.Run("Serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rep, err := dist.RunSerial(machines, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			report(b, rep)
+	split := func(ps []streambalance.Point) []assigngeo.PointSet {
+		machines := make([]assigngeo.PointSet, s)
+		for i, p := range ps {
+			machines[i%s] = append(machines[i%s], p)
 		}
-	})
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("Workers%d", workers), func(b *testing.B) {
-			c := cfg
-			c.Workers = workers
+		return machines
+	}
+	machines := split(benchPoints(16384))
+	cfg := dist.Config{Dim: 2, Delta: 1 << 12, Params: coreset.Params{K: 4, Seed: 1}}
+	run := func(name string, machines []assigngeo.PointSet, cfg dist.Config, f func([]assigngeo.PointSet, dist.Config) (*dist.Report, error)) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep, err := dist.Run(machines, c)
+				rep, err := f(machines, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				report(b, rep)
+				b.ReportMetric(float64(rep.Bits)/8, "wire-bytes/op")
+				b.ReportMetric(float64(rep.FormulaBits)/8, "formula-bytes/op")
 			}
 		})
 	}
+	run("Serial", machines, cfg, dist.RunSerial)
+	for _, workers := range []int{1, 2, 4, 8} {
+		c := cfg
+		c.Workers = workers
+		run(fmt.Sprintf("Workers%d", workers), machines, c, dist.Run)
+	}
+	place := cfg
+	place.Workers = 2
+	place.Params.SamplesPerPart = 32
+	run("PlaceDist", split(benchPoints(4096)), place, dist.Run)
 }
 
 // BenchmarkCapacitatedAssign measures the min-cost-flow assignment oracle

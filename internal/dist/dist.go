@@ -37,7 +37,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"streambalance/internal/coreset"
@@ -244,103 +244,162 @@ func machineSample(j int, m geo.PointSet, cfg Config) sampleMsg {
 	return sampleMsg{LocalN: int64(len(m)), Pts: pts}
 }
 
-// machineCtx is one machine's round-2 compute state: its points, their
-// fingerprint keys (evaluated once and shared across all 3(L+1)
-// substreams), and the reconstructed shared randomness.
+// machineCtx is one machine's round-2 compute state. Its points are
+// sorted once and collapsed to distinct points with multiplicities, so
+// every ĥ payload comes out in canonical order with duplicates already
+// summed — no map and no per-level sort. Each level's cell indices and
+// keys are computed once and shared by that level's h and h′ messages,
+// and every message is built in reused scratch buffers: a message is
+// encoded before the next one is built.
 type machineCtx struct {
 	cfg  Config
 	env  *shared
-	pts  geo.PointSet
-	keys []uint64
+	pts  []geo.Point // distinct points, strictly increasing
+	mult []int64     // multiplicity of pts[t]
+	keys []uint64    // fingerprint of pts[t], the samplers' input
+
+	level   int
+	cellIdx []int64  // level's cell index of pts[t] at [t·Dim, (t+1)·Dim)
+	cellKey []uint64 // level's cell key of pts[t]
+
+	mask  []bool           // sampler verdict per distinct point
+	slot  map[uint64]int32 // cell key → position in cells
+	cells []wireCell
+	hat   []wirePoint
 }
 
 func newMachineCtx(cfg Config, env *shared, pts geo.PointSet) *machineCtx {
-	mc := &machineCtx{cfg: cfg, env: env, pts: pts, keys: make([]uint64, len(pts))}
-	for i, q := range pts {
-		mc.keys[i] = env.fp.Key(q)
+	sorted := slices.Clone(pts)
+	slices.SortFunc(sorted, geo.Point.Compare)
+	mc := &machineCtx{cfg: cfg, env: env, mult: make([]int64, 0, len(sorted)), slot: map[uint64]int32{}}
+	uniq := sorted[:0]
+	for _, q := range sorted {
+		if n := len(uniq); n > 0 && uniq[n-1].Equal(q) {
+			mc.mult[n-1]++
+			continue
+		}
+		uniq = append(uniq, q)
+		mc.mult = append(mc.mult, 1)
 	}
+	n := len(uniq)
+	mc.pts = uniq
+	mc.keys = make([]uint64, n)
+	for t, q := range uniq {
+		mc.keys[t] = env.fp.Key(q)
+	}
+	mc.cellIdx = make([]int64, n*env.g.Dim)
+	mc.cellKey = make([]uint64, n)
+	mc.mask = make([]bool, n)
 	return mc
 }
 
-// cellsAt computes the machine's level-i non-empty-cell counts under the
-// given sampler, FAILing when the distinct-cell cap is exceeded.
-func (mc *machineCtx) cellsAt(level int, samp *hashing.Bernoulli) cellsMsg {
-	g := mc.env.g
-	pos := map[uint64]int{}
-	var list []wireCell
-	idx := make([]int64, 0, g.Dim)
-	for i, q := range mc.pts {
-		if !samp.Sample(mc.keys[i]) {
-			continue
+// round2 builds every round-2 message of the machine level by level — h
+// (levels 0..L−1), h′ and ĥ — and hands each encoded frame to send,
+// stopping at the first send error.
+func (mc *machineCtx) round2(send func(frame []byte) error) error {
+	env := mc.env
+	for level := 0; level <= env.g.L; level++ {
+		mc.setLevel(level)
+		if level < env.g.L {
+			if err := send(encodeCells(frameCellsH, mc.cellsAt(env.hSamp[level]))); err != nil {
+				return err
+			}
 		}
-		idx = g.CellIndexInto(idx[:0], q, level)
-		key := g.KeyOf(level, idx)
-		if at, ok := pos[key]; ok {
-			list[at].Count++
-			continue
+		if err := send(encodeCells(frameCellsHP, mc.cellsAt(env.hpSamp[level]))); err != nil {
+			return err
 		}
-		if len(list) >= mc.cfg.CellCap {
-			return cellsMsg{Level: level, Fail: true}
+		if err := send(encodeHat(mc.hatAt())); err != nil {
+			return err
 		}
-		pos[key] = len(list)
-		list = append(list, wireCell{Idx: append([]int64(nil), idx...), Count: 1})
 	}
-	return cellsMsg{Level: level, Cells: list}
+	return nil
 }
 
-// hatAt computes the machine's level-i ĥ point payload (distinct points
-// with multiplicities), FAILing when total sampled occurrences exceed the
-// point cap.
-func (mc *machineCtx) hatAt(level int) hatMsg {
-	samp := mc.env.hatSamp[level]
-	pos := map[uint64]int{}
-	var list []wirePoint
-	occ := 0
-	for i, q := range mc.pts {
-		if !samp.Sample(mc.keys[i]) {
-			continue
-		}
-		occ++
-		if occ > mc.cfg.PointCap {
-			return hatMsg{Level: level, Fail: true}
-		}
-		if at, ok := pos[mc.keys[i]]; ok {
-			list[at].Mult++
-			continue
-		}
-		pos[mc.keys[i]] = len(list)
-		list = append(list, wirePoint{P: q, Mult: 1})
+// setLevel computes every distinct point's cell index and cell key at
+// the given level.
+func (mc *machineCtx) setLevel(level int) {
+	g := mc.env.g
+	d := g.Dim
+	mc.level = level
+	g.CellIndexN(mc.cellIdx, mc.pts, level)
+	for t := range mc.cellKey {
+		mc.cellKey[t] = g.KeyOf(level, mc.cellIdx[t*d:(t+1)*d])
 	}
-	return hatMsg{Level: level, Pts: list}
+}
+
+// cellsAt computes the machine's non-empty-cell counts at the current
+// level under the given sampler, FAILing when the distinct-cell cap is
+// exceeded. The cells alias the level's index buffer; encodeCells sorts
+// them.
+func (mc *machineCtx) cellsAt(samp *hashing.Bernoulli) cellsMsg {
+	d := mc.env.g.Dim
+	samp.SampleN(mc.mask, mc.keys)
+	clear(mc.slot)
+	cells := mc.cells[:0]
+	defer func() { mc.cells = cells }()
+	for t, in := range mc.mask {
+		if !in {
+			continue
+		}
+		key := mc.cellKey[t]
+		if at, ok := mc.slot[key]; ok {
+			cells[at].Count += mc.mult[t]
+			continue
+		}
+		if len(cells) >= mc.cfg.CellCap {
+			return cellsMsg{Level: mc.level, Fail: true}
+		}
+		mc.slot[key] = int32(len(cells))
+		cells = append(cells, wireCell{Idx: mc.cellIdx[t*d : (t+1)*d], Count: mc.mult[t]})
+	}
+	return cellsMsg{Level: mc.level, Cells: cells}
+}
+
+// hatAt computes the machine's ĥ point payload at the current level —
+// distinct sampled points in canonical order with their multiplicities —
+// FAILing when total sampled occurrences exceed the point cap.
+func (mc *machineCtx) hatAt() hatMsg {
+	mc.env.hatSamp[mc.level].SampleN(mc.mask, mc.keys)
+	pts := mc.hat[:0]
+	defer func() { mc.hat = pts }()
+	var occ int64
+	for t, in := range mc.mask {
+		if !in {
+			continue
+		}
+		occ += mc.mult[t]
+		if occ > int64(mc.cfg.PointCap) {
+			return hatMsg{Level: mc.level, Fail: true}
+		}
+		pts = append(pts, wirePoint{P: mc.pts[t], Mult: mc.mult[t]})
+	}
+	return hatMsg{Level: mc.level, Pts: pts}
 }
 
 // ---- coordinator side ----
 
-// mcell and mpoint are merged round-2 state: exact integer counts, so the
+// levelAgg is one level's merged h or h′ counts. Each distinct cell key
+// owns a slot of the flat value slices; counts are exact integers, so the
 // merge is order-independent and the pipelined driver's arrival-order
 // merging is bit-identical to the serial machine-major merge.
-type mcell struct {
-	idx   []int64
-	count int64
-}
-
-type mpoint struct {
-	p    geo.Point
-	mult int64
-}
-
 type levelAgg struct {
 	reported int
 	failed   bool
-	cells    map[uint64]*mcell
+	slot     map[uint64]int32 // cell key → slot
+	keys     []uint64         // cell key of each slot
+	idx      []int64          // slot t's index vector at [t·Dim, (t+1)·Dim)
+	count    []int64
 	final    map[uint64]partition.CellTau // built once, on first consult
 }
 
+// hatAgg is one level's ĥ payloads, kept as each machine sent them —
+// sorted runs, indexed by machine — until assembly consults the level
+// and merges them (mergeHat).
 type hatAgg struct {
-	reported      int
-	failed        bool
-	failedMachine int
-	pts           map[uint64]*mpoint
+	reported   int
+	failed     int // machines that sent FAIL
+	lowestFail int // lowest FAILing machine index, or -1
+	runs       [][]wirePoint
 }
 
 // coordinator holds the coordinator's merge state, shared by the serial
@@ -472,9 +531,9 @@ func (co *coordinator) finishRound1() ([]byte, error) {
 	co.hpAgg = make([]*levelAgg, L+1)
 	co.hatAgg = make([]*hatAgg, L+1)
 	for i := 0; i <= L; i++ {
-		co.hAgg[i] = &levelAgg{cells: map[uint64]*mcell{}}
-		co.hpAgg[i] = &levelAgg{cells: map[uint64]*mcell{}}
-		co.hatAgg[i] = &hatAgg{pts: map[uint64]*mpoint{}, failedMachine: -1}
+		co.hAgg[i] = &levelAgg{slot: map[uint64]int32{}}
+		co.hpAgg[i] = &levelAgg{slot: map[uint64]int32{}}
+		co.hatAgg[i] = &hatAgg{lowestFail: -1, runs: make([][]wirePoint, co.s)}
 	}
 
 	// Formula accounting for the broadcast (shift + 3(L+1) hash seeds of λ
@@ -539,11 +598,14 @@ func (co *coordinator) addCells(aggs []*levelAgg, phase string, m cellsMsg, fram
 		co.formulaLocked(phase, int64(len(m.Cells))*cellBits(co.cfg.Dim, co.cfg.Delta)+1)
 		for _, c := range m.Cells {
 			key := g.KeyOf(m.Level, c.Idx)
-			if cur, ok := agg.cells[key]; ok {
-				cur.count += c.Count
-			} else {
-				agg.cells[key] = &mcell{idx: c.Idx, count: c.Count}
+			if t, ok := agg.slot[key]; ok {
+				agg.count[t] += c.Count
+				continue
 			}
+			agg.slot[key] = int32(len(agg.keys))
+			agg.keys = append(agg.keys, key)
+			agg.idx = append(agg.idx, c.Idx...)
+			agg.count = append(agg.count, c.Count)
 		}
 	}
 	agg.reported++
@@ -553,6 +615,8 @@ func (co *coordinator) addCells(aggs []*levelAgg, phase string, m cellsMsg, fram
 	return nil
 }
 
+// addHat meters machine j's ĥ frame and keeps its payload for the lazy
+// merge.
 func (co *coordinator) addHat(j int, m hatMsg, frameBytes int) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -565,25 +629,20 @@ func (co *coordinator) addHat(j int, m hatMsg, frameBytes int) error {
 		co.formulaLocked("round2-hat", 1)
 		co.failFrames++
 		mFailPoints.Inc()
-		if !agg.failed {
-			agg.failed = true
-			agg.failedMachine = j
+		agg.failed++
+		if agg.lowestFail < 0 || j < agg.lowestFail {
+			agg.lowestFail = j
 		}
 	} else {
 		var occ int64
 		for _, wp := range m.Pts {
 			occ += wp.Mult
-			key := co.env.fp.Key(wp.P)
-			if cur, ok := agg.pts[key]; ok {
-				cur.mult += wp.Mult
-			} else {
-				agg.pts[key] = &mpoint{p: wp.P, mult: wp.Mult}
-			}
 		}
 		co.formulaLocked("round2-hat", occ*pointBits(co.cfg.Dim, co.cfg.Delta)+1)
+		agg.runs[j] = m.Pts
 	}
 	agg.reported++
-	if agg.reported == co.s || agg.failed {
+	if agg.reported == co.s {
 		co.cond.Broadcast()
 	}
 	return nil
@@ -605,9 +664,11 @@ func (co *coordinator) waitCells(aggs []*levelAgg, level int, rate float64) (map
 		return nil, false
 	}
 	if agg.final == nil {
-		agg.final = make(map[uint64]partition.CellTau, len(agg.cells))
-		for key, c := range agg.cells {
-			agg.final[key] = partition.CellTau{Index: c.idx, Tau: float64(c.count) / rate}
+		d := co.cfg.Dim
+		agg.final = make(map[uint64]partition.CellTau, len(agg.keys))
+		for t, key := range agg.keys {
+			idx := agg.idx[t*d : (t+1)*d : (t+1)*d]
+			agg.final[key] = partition.CellTau{Index: idx, Tau: float64(agg.count[t]) / rate}
 		}
 	}
 	return agg.final, true
@@ -629,27 +690,85 @@ func (co *coordinator) partCounts(level int) (map[uint64]partition.CellTau, bool
 	return co.waitCells(co.hpAgg, level, rate)
 }
 
-// waitHat blocks until level's ĥ payloads are fully merged, returning the
-// merged multiplicity map (nil + machine index on FAIL, nil + -1 on
-// abort).
-func (co *coordinator) waitHat(level int) (map[uint64]*mpoint, int, bool) {
+// waitHat blocks until all s of level's ĥ frames are in (machines always
+// send every level) or the run aborts, then returns the machines'
+// payloads. A FAIL is reported only once the level is complete, naming
+// the lowest FAILing machine, so the error text does not depend on
+// arrival order.
+func (co *coordinator) waitHat(level int) ([][]wirePoint, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	agg := co.hatAgg[level]
-	for agg.reported < co.s && !agg.failed && co.err == nil {
+	for agg.reported < co.s && co.err == nil {
 		co.cond.Wait()
 	}
-	if agg.failed {
-		return nil, agg.failedMachine, false
-	}
 	if co.err != nil {
-		return nil, -1, false
+		return nil, co.err
 	}
-	return agg.pts, -1, true
+	if agg.failed > 0 {
+		return nil, fmt.Errorf("dist: machine %d exceeded point cap at level %d (%d of %d machines failed)",
+			agg.lowestFail, level, agg.failed, co.s)
+	}
+	return agg.runs, nil
+}
+
+// mergeHat merges one level's per-machine ĥ payloads into alphabetical
+// order, summing the multiplicities of a point several machines sent, and
+// hands each distinct point to yield. Every payload is strictly
+// increasing (decodeHat rejects any other), so a min-heap over the s run
+// heads yields exactly the sorted distinct points — the same order at
+// any worker count and frame arrival order.
+func mergeHat(runs [][]wirePoint, yield func(p geo.Point, mult int64)) {
+	head := make([]int, len(runs))
+	heap := make([]int, 0, len(runs)) // runs with points left, by head point
+	less := func(a, b int) bool { return runs[a][head[a]].P.Compare(runs[b][head[b]].P) < 0 }
+	down := func(i int) {
+		for {
+			m := i
+			if l := 2*i + 1; l < len(heap) && less(heap[l], heap[m]) {
+				m = l
+			}
+			if r := 2*i + 2; r < len(heap) && less(heap[r], heap[m]) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
+		}
+	}
+	for j, run := range runs {
+		if len(run) > 0 {
+			heap = append(heap, j)
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(heap) > 0 {
+		p := runs[heap[0]][head[heap[0]]].P
+		var mult int64
+		for len(heap) > 0 {
+			j := heap[0]
+			if wp := runs[j][head[j]]; !wp.P.Equal(p) {
+				break
+			} else {
+				mult += wp.Mult
+			}
+			if head[j]++; head[j] == len(runs[j]) {
+				heap[0] = heap[len(heap)-1]
+				heap = heap[:len(heap)-1]
+			}
+			down(0)
+		}
+		yield(p, mult)
+	}
 }
 
 // buildCoreset runs Algorithms 1–2 over the (possibly still streaming)
-// merged counts and assembles the coreset in deterministic point order.
+// merged counts and assembles the coreset in deterministic point order:
+// needed levels ascending, each level's merged points alphabetically.
 func (co *coordinator) buildCoreset() (*coreset.Coreset, error) {
 	p := co.cfg.Params
 	part, err := partition.BuildLazy(co.env.g, p.R, co.o, co.counts, co.partCounts)
@@ -674,29 +793,26 @@ func (co *coordinator) buildCoreset() (*coreset.Coreset, error) {
 		if !needLevel[i] {
 			continue
 		}
-		agg, failedMachine, ok := co.waitHat(i)
-		if !ok {
-			if ce := co.firstErr(); ce != nil {
-				return nil, ce
+		runs, err := co.waitHat(i)
+		if err != nil {
+			return nil, err
+		}
+		mergeHat(runs, func(q geo.Point, mult int64) {
+			if id, ok := part.PartAt(q, i); ok && pl.Included[id] {
+				cs.Points = append(cs.Points, geo.Weighted{P: q, W: float64(mult) / co.env.phi[i]})
+				cs.Levels = append(cs.Levels, i)
 			}
-			return nil, fmt.Errorf("dist: machine %d exceeded point cap at level %d", failedMachine, i)
-		}
-		// Deterministic assembly: merged points visited in alphabetical
-		// order, so the coreset's point order (and every downstream float
-		// sum over it) is identical at any worker count.
-		pts := make([]*mpoint, 0, len(agg))
-		for _, e := range agg {
-			pts = append(pts, e)
-		}
-		sort.Slice(pts, func(a, b int) bool { return pts[a].p.Less(pts[b].p) })
-		for _, e := range pts {
-			id, ok := part.PartOf(e.p)
-			if !ok || id.Level != i || !pl.Included[id] {
-				continue
-			}
-			cs.Points = append(cs.Points, geo.Weighted{P: e.p, W: float64(e.mult) / co.env.phi[i]})
-			cs.Levels = append(cs.Levels, i)
-		}
+		})
+	}
+	// The kept points still alias their decoded frames; copy them into
+	// one compact array so a retained Report does not pin every frame of
+	// the consulted levels.
+	d := co.cfg.Dim
+	coords := make([]int64, len(cs.Points)*d)
+	for t := range cs.Points {
+		c := coords[t*d : (t+1)*d : (t+1)*d]
+		copy(c, cs.Points[t].P)
+		cs.Points[t].P = c
 	}
 	return cs, nil
 }

@@ -8,9 +8,10 @@ package dist
 // a count source blocks only until the specific level it consults is
 // complete. RunSerial is the single-goroutine reference: the same frames,
 // metered and merged machine-major, with no concurrency anywhere. Both
-// produce bit-identical Reports (see dist_test.go), because machine
+// produce bit-identical Reports (see driver_test.go), because machine
 // compute is deterministic, merges sum exact integers (arrival-order
-// independent), and assembly sorts merged points.
+// independent), and assembly merges each level's sorted ĥ payloads in
+// machine order.
 
 import (
 	"errors"
@@ -259,20 +260,9 @@ func runMachine(c Conn, j int, pts geo.PointSet, cfg Config, sem chan struct{}) 
 	if !shiftEqual(env.g.Shift, bc.Shift) {
 		return // shared-randomness reconstruction mismatch
 	}
-	mc := newMachineCtx(cfg, env, pts)
-	for level := 0; level <= env.g.L; level++ {
-		if level < env.g.L {
-			if c.Send(attachTrace(encodeCells(frameCellsH, mc.cellsAt(level, env.hSamp[level])), mtc)) != nil {
-				return
-			}
-		}
-		if c.Send(attachTrace(encodeCells(frameCellsHP, mc.cellsAt(level, env.hpSamp[level])), mtc)) != nil {
-			return
-		}
-		if c.Send(attachTrace(encodeHat(mc.hatAt(level)), mtc)) != nil {
-			return
-		}
-	}
+	newMachineCtx(cfg, env, pts).round2(func(frame []byte) error {
+		return c.Send(attachTrace(frame, mtc))
+	})
 }
 
 // RunSerial executes the identical protocol with no goroutines: every
@@ -325,24 +315,13 @@ func RunSerial(machines []geo.PointSet, cfg Config) (*Report, error) {
 		msp := obs.Trace.StartChild(ptc, "dist.machine")
 		msp.AttrInt("machine", int64(j))
 		mtc := msp.Context()
-		mc := newMachineCtx(cfg, env, m)
-		for level := 0; level <= env.g.L; level++ {
-			if level < env.g.L {
-				if err := co.handleFrame(j, attachTrace(encodeCells(frameCellsH, mc.cellsAt(level, env.hSamp[level])), mtc)); err != nil {
-					msp.End()
-					return nil, err
-				}
-			}
-			if err := co.handleFrame(j, attachTrace(encodeCells(frameCellsHP, mc.cellsAt(level, env.hpSamp[level])), mtc)); err != nil {
-				msp.End()
-				return nil, err
-			}
-			if err := co.handleFrame(j, attachTrace(encodeHat(mc.hatAt(level)), mtc)); err != nil {
-				msp.End()
-				return nil, err
-			}
-		}
+		err = newMachineCtx(cfg, env, m).round2(func(frame []byte) error {
+			return co.handleFrame(j, attachTrace(frame, mtc))
+		})
 		msp.End()
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	cs, err := co.buildCoreset()

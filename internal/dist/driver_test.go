@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,28 +16,42 @@ import (
 // point, weight for weight.
 func reportEqual(t *testing.T, tag string, a, b *Report) {
 	t.Helper()
+	if d := reportDiff(a, b); d != "" {
+		t.Fatalf("%s: %s", tag, d)
+	}
+}
+
+// reportDiff describes the first difference between two Reports, or
+// returns "" when they are bit-identical: O, measured and formula bits
+// in total and per phase, and the coreset's points, weights (as float64
+// bits) and levels.
+func reportDiff(a, b *Report) string {
 	if a.O != b.O {
-		t.Fatalf("%s: O %v vs %v", tag, a.O, b.O)
+		return fmt.Sprintf("O %v vs %v", a.O, b.O)
+	}
+	if a.Rounds != b.Rounds {
+		return fmt.Sprintf("rounds %d vs %d", a.Rounds, b.Rounds)
 	}
 	if a.Bits != b.Bits || !reflect.DeepEqual(a.ByPhase, b.ByPhase) {
-		t.Fatalf("%s: measured bits %d %v vs %d %v", tag, a.Bits, a.ByPhase, b.Bits, b.ByPhase)
+		return fmt.Sprintf("measured bits %d %v vs %d %v", a.Bits, a.ByPhase, b.Bits, b.ByPhase)
 	}
 	if a.FormulaBits != b.FormulaBits || !reflect.DeepEqual(a.FormulaByPhase, b.FormulaByPhase) {
-		t.Fatalf("%s: formula bits %d vs %d", tag, a.FormulaBits, b.FormulaBits)
+		return fmt.Sprintf("formula bits %d %v vs %d %v", a.FormulaBits, a.FormulaByPhase, b.FormulaBits, b.FormulaByPhase)
 	}
 	ca, cb := a.Coreset, b.Coreset
 	if ca.Size() != cb.Size() {
-		t.Fatalf("%s: coreset size %d vs %d", tag, ca.Size(), cb.Size())
+		return fmt.Sprintf("coreset size %d vs %d", ca.Size(), cb.Size())
 	}
 	if !reflect.DeepEqual(ca.Levels, cb.Levels) {
-		t.Fatalf("%s: coreset levels differ", tag)
+		return "coreset levels differ"
 	}
 	for i := range ca.Points {
-		if !ca.Points[i].P.Equal(cb.Points[i].P) || ca.Points[i].W != cb.Points[i].W {
-			t.Fatalf("%s: coreset point %d: %v w=%v vs %v w=%v",
-				tag, i, ca.Points[i].P, ca.Points[i].W, cb.Points[i].P, cb.Points[i].W)
+		pa, pb := ca.Points[i], cb.Points[i]
+		if !pa.P.Equal(pb.P) || math.Float64bits(pa.W) != math.Float64bits(pb.W) {
+			return fmt.Sprintf("coreset point %d: %v w=%v vs %v w=%v", i, pa.P, pa.W, pb.P, pb.W)
 		}
 	}
+	return ""
 }
 
 // The pipelined driver must be bit-identical to the serial reference at
@@ -134,6 +150,50 @@ func TestMeasuredBitsBeatFormula(t *testing.T) {
 		}
 		if rep.Bits >= rep.FormulaBits {
 			t.Fatalf("s=%d: measured %d bits >= formula %d bits", s, rep.Bits, rep.FormulaBits)
+		}
+	}
+}
+
+// A point-cap FAIL must read the same however the frames arrive: the
+// pipelined driver waits for all of the level's ĥ frames and names the
+// lowest failing machine and the failure count, exactly as RunSerial
+// does. Several machines fail here, so an arrival-order answer would
+// vary from run to run.
+func TestPointCapFailDeterministic(t *testing.T) {
+	// Machine j holds a (j+1)/36 share of the input, so a cap between the
+	// shares fails the larger machines only, and not machine 0.
+	ps, _ := testMixture(23, 4000)
+	rng := rand.New(rand.NewSource(24))
+	machines := make([]geo.PointSet, 8)
+	for _, p := range ps {
+		u := rng.Intn(36)
+		j := 0
+		for u >= j+1 {
+			u -= j + 1
+			j++
+		}
+		machines[j] = append(machines[j], p)
+	}
+	cfg := Config{Dim: 2, Delta: testDelta, Params: coreset.Params{K: 3, Seed: 25}, PointCap: 400}
+	_, err := RunSerial(machines, cfg)
+	if err == nil {
+		t.Fatal("tight point cap must FAIL")
+	}
+	want := err.Error()
+	var lowest, level, failed, s int
+	if _, scanErr := fmt.Sscanf(want, "dist: machine %d exceeded point cap at level %d (%d of %d machines failed)",
+		&lowest, &level, &failed, &s); scanErr != nil || lowest == 0 || failed < 2 || failed == s {
+		t.Fatalf("want a point-cap FAIL of several but not all machines, got %q", want)
+	}
+	for _, tr := range []Transport{ChanTransport{}, PipeTransport{}} {
+		for _, workers := range []int{0, 2, 8} {
+			c := cfg
+			c.Transport, c.Workers = tr, workers
+			for i := 0; i < 20; i++ {
+				if _, err := Run(machines, c); err == nil || err.Error() != want {
+					t.Fatalf("%T workers=%d run %d: error %v, want %q", tr, workers, i, err, want)
+				}
+			}
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"streambalance/internal/geo"
@@ -17,6 +19,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(encodeBroadcast(broadcastMsg{O: 8, Seed: 7, Shift: []int64{1, -2}}))
 	f.Add(encodeCells(frameCellsH, cellsMsg{Level: 1, Cells: []wireCell{{Idx: []int64{0, 1}, Count: 2}}}))
 	f.Add(encodeHat(hatMsg{Level: 0, Pts: []wirePoint{{P: geo.Point{5, 6}, Mult: 1}}}))
+	f.Add([]byte{frameHat, 0, 0, 2, 4, 4, 1, 1, 6, 1}) // out of order
+	f.Add([]byte{frameCellsHP, 0x80, 0x00, 1})         // padded varint
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// (a) structured round trip: derive a message from the bytes.
@@ -50,6 +54,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatal("sample round trip mismatch")
 		}
 
+		slices.SortFunc(pts, geo.Point.Compare) // encodeHat's precondition
 		cm := cellsMsg{Level: int(sm.LocalN % 8)}
 		hm := hatMsg{Level: cm.Level}
 		for i, p := range pts {
@@ -71,10 +76,19 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatal("hat round trip mismatch")
 		}
 
-		// (b) raw decode: must never panic on arbitrary frames.
-		decodeSample(data, dim)
-		decodeBroadcast(data, dim)
-		decodeCells(data, dim, 16)
-		decodeHat(data, dim, 16)
+		// (b) raw decode: must never panic on arbitrary frames, and every
+		// frame a decoder accepts is canonical — it re-encodes to itself.
+		if m, err := decodeSample(data, dim); err == nil && !bytes.Equal(encodeSample(m), data) {
+			t.Fatalf("accepted sample frame %x does not re-encode to itself", data)
+		}
+		if m, err := decodeBroadcast(data, dim); err == nil && !bytes.Equal(encodeBroadcast(m), data) {
+			t.Fatalf("accepted broadcast frame %x does not re-encode to itself", data)
+		}
+		if m, err := decodeCells(data, dim, 16); err == nil && !bytes.Equal(encodeCells(data[0], m), data) {
+			t.Fatalf("accepted cells frame %x does not re-encode to itself", data)
+		}
+		if m, err := decodeHat(data, dim, 16); err == nil && !bytes.Equal(encodeHat(m), data) {
+			t.Fatalf("accepted hat frame %x does not re-encode to itself", data)
+		}
 	})
 }

@@ -11,12 +11,18 @@ package dist
 // lexicographically and delta-encoded coordinate-wise against the
 // previous vector, so dense level summaries cost ~1 byte per coordinate
 // instead of the log₂(2Δ)-bit fixed width of the formula accounting.
+//
+// Every frame has exactly one encoding, and the decoders accept nothing
+// else: varints must be minimal, flag bytes 0 or 1, sample points
+// non-decreasing, and round-2 cells and ĥ points strictly increasing.
+// The coordinator's s-way merge of ĥ payloads relies on the last rule;
+// together they make every accepted frame re-encode to itself.
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"streambalance/internal/geo"
 	"streambalance/internal/obs"
@@ -46,7 +52,10 @@ const (
 // traceHeaderLen is the full prefix length: tag + version + ids.
 const traceHeaderLen = 2 + 16 + 8
 
-var errTruncated = errors.New("dist: truncated or malformed frame")
+var (
+	errTruncated = errors.New("dist: truncated or malformed frame")
+	errUnsorted  = errors.New("dist: frame entries out of canonical order")
+)
 
 // attachTrace prefixes frame with tc's trace-context header. An invalid
 // (zero) context — tracing disabled, or an untraced span — returns the
@@ -118,14 +127,14 @@ type broadcastMsg struct {
 type cellsMsg struct {
 	Level int
 	Fail  bool
-	Cells []wireCell // sorted by Idx, unique
+	Cells []wireCell // unique Idx; sorted by encodeCells, and as decoded
 }
 
 // hatMsg is one machine's per-level ĥ point payload.
 type hatMsg struct {
 	Level int
 	Fail  bool
-	Pts   []wirePoint // sorted by P, unique, Mult >= 1
+	Pts   []wirePoint // strictly increasing P, Mult >= 1
 }
 
 // frameType returns the type tag of a frame (0 if empty).
@@ -160,6 +169,35 @@ func (r *reader) deltaVec(prev []int64) {
 		return
 	}
 	r.off += n
+}
+
+// level reads a level tag in [0, maxLevel].
+func (r *reader) level(maxLevel int) int {
+	v := r.uvarint()
+	if maxLevel < 0 || v > uint64(maxLevel) {
+		r.bad = true
+		return 0
+	}
+	return int(v)
+}
+
+// count reads a positive multiplicity or cell count.
+func (r *reader) count() int64 {
+	v := r.uvarint()
+	if v < 1 || v > math.MaxInt64 {
+		r.bad = true
+		return 0
+	}
+	return int64(v)
+}
+
+// flag reads a FAIL byte, which must be 0 or 1.
+func (r *reader) flag() bool {
+	b := r.byte()
+	if b > 1 {
+		r.bad = true
+	}
+	return b == 1
 }
 
 func (r *reader) fixed64() uint64 {
@@ -202,24 +240,9 @@ func appendFixed64(dst []byte, v uint64) []byte {
 	return dst
 }
 
-// sortPoints orders a point multiset lexicographically in place — the
-// canonical frame order the delta coder needs.
-func sortPoints(pts []geo.Point) {
-	sort.Slice(pts, func(a, b int) bool { return pts[a].Less(pts[b]) })
-}
-
-func lessVec(a, b []int64) bool {
-	for j := range a {
-		if a[j] != b[j] {
-			return a[j] < b[j]
-		}
-	}
-	return false
-}
-
 // encodeSample frames a round-1 sample message, sorting Pts in place.
 func encodeSample(m sampleMsg) []byte {
-	sortPoints(m.Pts)
+	slices.SortFunc(m.Pts, geo.Point.Compare)
 	dim := 0
 	if len(m.Pts) > 0 {
 		dim = len(m.Pts[0])
@@ -253,7 +276,11 @@ func decodeSample(frame []byte, dim int) (sampleMsg, error) {
 		if r.bad {
 			return sampleMsg{}, errTruncated
 		}
-		m.Pts = append(m.Pts, geo.Point(append([]int64(nil), prev...)))
+		p := geo.Point(append([]int64(nil), prev...))
+		if i > 0 && p.Compare(m.Pts[i-1]) < 0 {
+			return sampleMsg{}, errUnsorted
+		}
+		m.Pts = append(m.Pts, p)
 	}
 	if err := r.done(); err != nil {
 		return sampleMsg{}, err
@@ -293,7 +320,7 @@ func decodeBroadcast(frame []byte, dim int) (broadcastMsg, error) {
 // encodeCells frames a round-2 count message (typ selects h vs h′),
 // sorting Cells in place.
 func encodeCells(typ byte, m cellsMsg) []byte {
-	sort.Slice(m.Cells, func(a, b int) bool { return lessVec(m.Cells[a].Idx, m.Cells[b].Idx) })
+	slices.SortFunc(m.Cells, func(a, b wireCell) int { return slices.Compare(a.Idx, b.Idx) })
 	dim := 0
 	if len(m.Cells) > 0 {
 		dim = len(m.Cells[0].Idx)
@@ -313,17 +340,15 @@ func encodeCells(typ byte, m cellsMsg) []byte {
 	return dst
 }
 
+// decodeCells decodes a round-2 count frame. All cell indices share one
+// flat coordinate array; they must be strictly increasing.
 func decodeCells(frame []byte, dim, maxLevel int) (cellsMsg, error) {
 	if t := frameType(frame); t != frameCellsH && t != frameCellsHP {
 		return cellsMsg{}, fmt.Errorf("dist: expected cells frame, got type %d", t)
 	}
 	r := &reader{b: frame, off: 1}
-	m := cellsMsg{Level: int(r.uvarint())}
-	if r.bad || m.Level > maxLevel {
-		return cellsMsg{}, errTruncated
-	}
-	if r.byte() != 0 {
-		m.Fail = true
+	m := cellsMsg{Level: r.level(maxLevel)}
+	if m.Fail = r.flag(); m.Fail || r.bad {
 		if err := r.done(); err != nil {
 			return cellsMsg{}, err
 		}
@@ -333,17 +358,23 @@ func decodeCells(frame []byte, dim, maxLevel int) (cellsMsg, error) {
 	if r.bad || n > uint64(len(frame))/uint64(dim+1) {
 		return cellsMsg{}, errTruncated
 	}
-	prev := make([]int64, dim)
 	if n > 0 {
-		m.Cells = make([]wireCell, 0, n)
+		m.Cells = make([]wireCell, n)
 	}
-	for i := uint64(0); i < n; i++ {
-		r.deltaVec(prev)
-		count := r.uvarint()
-		if r.bad || count < 1 {
+	flat := make([]int64, int(n)*dim)
+	for i := range m.Cells {
+		idx := flat[i*dim : (i+1)*dim]
+		if i > 0 {
+			copy(idx, m.Cells[i-1].Idx)
+		}
+		r.deltaVec(idx)
+		m.Cells[i] = wireCell{Idx: idx, Count: r.count()}
+		if r.bad {
 			return cellsMsg{}, errTruncated
 		}
-		m.Cells = append(m.Cells, wireCell{Idx: append([]int64(nil), prev...), Count: int64(count)})
+		if i > 0 && slices.Compare(m.Cells[i-1].Idx, idx) >= 0 {
+			return cellsMsg{}, errUnsorted
+		}
 	}
 	if err := r.done(); err != nil {
 		return cellsMsg{}, err
@@ -351,9 +382,9 @@ func decodeCells(frame []byte, dim, maxLevel int) (cellsMsg, error) {
 	return m, nil
 }
 
-// encodeHat frames a round-2 ĥ point payload, sorting Pts in place.
+// encodeHat frames a round-2 ĥ point payload. Pts must already be in
+// canonical order — strictly increasing — as machines build them.
 func encodeHat(m hatMsg) []byte {
-	sort.Slice(m.Pts, func(a, b int) bool { return m.Pts[a].P.Less(m.Pts[b].P) })
 	dim := 0
 	if len(m.Pts) > 0 {
 		dim = len(m.Pts[0].P)
@@ -373,17 +404,15 @@ func encodeHat(m hatMsg) []byte {
 	return dst
 }
 
+// decodeHat decodes a round-2 ĥ frame. All points share one flat
+// coordinate array; they must be strictly increasing.
 func decodeHat(frame []byte, dim, maxLevel int) (hatMsg, error) {
 	if frameType(frame) != frameHat {
 		return hatMsg{}, fmt.Errorf("dist: expected hat frame, got type %d", frameType(frame))
 	}
 	r := &reader{b: frame, off: 1}
-	m := hatMsg{Level: int(r.uvarint())}
-	if r.bad || m.Level > maxLevel {
-		return hatMsg{}, errTruncated
-	}
-	if r.byte() != 0 {
-		m.Fail = true
+	m := hatMsg{Level: r.level(maxLevel)}
+	if m.Fail = r.flag(); m.Fail || r.bad {
 		if err := r.done(); err != nil {
 			return hatMsg{}, err
 		}
@@ -393,17 +422,23 @@ func decodeHat(frame []byte, dim, maxLevel int) (hatMsg, error) {
 	if r.bad || n > uint64(len(frame))/uint64(dim+1) {
 		return hatMsg{}, errTruncated
 	}
-	prev := make([]int64, dim)
 	if n > 0 {
-		m.Pts = make([]wirePoint, 0, n)
+		m.Pts = make([]wirePoint, n)
 	}
-	for i := uint64(0); i < n; i++ {
-		r.deltaVec(prev)
-		mult := r.uvarint()
-		if r.bad || mult < 1 {
+	flat := make([]int64, int(n)*dim)
+	for i := range m.Pts {
+		p := geo.Point(flat[i*dim : (i+1)*dim])
+		if i > 0 {
+			copy(p, m.Pts[i-1].P)
+		}
+		r.deltaVec(p)
+		m.Pts[i] = wirePoint{P: p, Mult: r.count()}
+		if r.bad {
 			return hatMsg{}, errTruncated
 		}
-		m.Pts = append(m.Pts, wirePoint{P: geo.Point(append([]int64(nil), prev...)), Mult: int64(mult)})
+		if i > 0 && m.Pts[i-1].P.Compare(p) >= 0 {
+			return hatMsg{}, errUnsorted
+		}
 	}
 	if err := r.done(); err != nil {
 		return hatMsg{}, err

@@ -3,6 +3,7 @@ package dist
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"streambalance/internal/geo"
@@ -93,6 +94,7 @@ func TestHatRoundTrip(t *testing.T) {
 			m.Pts = append(m.Pts, wirePoint{P: p, Mult: rng.Int63n(9) + 1})
 		}
 	}
+	slices.SortFunc(m.Pts, func(a, b wirePoint) int { return a.P.Compare(b.P) }) // encodeHat's precondition
 	got, err := decodeHat(encodeHat(m), 3, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +120,20 @@ func TestDecodersRejectMalformed(t *testing.T) {
 		{frameHat, 0, 0, 5},
 		append(encodeSample(sampleMsg{LocalN: 1}), 0xee), // trailing byte
 		{frameCellsH, 0, 0, 1, 0, 0, 0},                  // count 0 cell
+
+		// Non-canonical frames. Coordinates are zigzag deltas: 4 = +2,
+		// 1 = −1, 6 = +3, so (2,2) then (1,5) is out of order.
+		{frameSample, 2, 2, 4, 4, 1, 6},           // sample points decreasing
+		{frameCellsH, 0, 0, 2, 4, 4, 1, 1, 6, 1},  // cells out of order
+		{frameCellsHP, 0, 0, 2, 4, 4, 1, 0, 0, 1}, // duplicate cell
+		{frameHat, 0, 0, 2, 4, 4, 1, 1, 6, 1},     // points out of order
+		{frameHat, 0, 0, 2, 4, 4, 1, 0, 0, 1},     // duplicate point
+		{frameHat, 0x80, 0x00, 1},                 // padded (non-minimal) level varint
+		{frameHat, 0, 0, 1, 0x84, 0x00, 4, 1},     // padded coordinate varint
+		{frameHat, 0, 2},                          // FAIL flag neither 0 nor 1
+		{frameCellsH, 0, 2},                       // FAIL flag neither 0 nor 1
+		{frameCellsH, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1},          // level 2⁶⁴−1
+		{frameHat, 0, 0, 1, 4, 4, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // mult ≥ 2⁶³
 	}
 	for i, frame := range cases {
 		if _, err := decodeSample(frame, 2); err == nil && frameType(frame) == frameSample {
@@ -131,6 +147,26 @@ func TestDecodersRejectMalformed(t *testing.T) {
 		}
 		if _, err := decodeHat(frame, 2, 10); err == nil && frameType(frame) == frameHat {
 			t.Fatalf("case %d: hat decode accepted garbage", i)
+		}
+	}
+	// Controls: the canonical neighbours of the out-of-order cases decode.
+	for i, frame := range [][]byte{
+		{frameSample, 2, 2, 4, 4, 0, 6},
+		{frameCellsH, 0, 0, 2, 4, 4, 1, 0, 6, 1},
+		{frameHat, 0, 0, 2, 4, 4, 1, 0, 6, 1},
+		{frameHat, 0, 1},
+	} {
+		var err error
+		switch frameType(frame) {
+		case frameSample:
+			_, err = decodeSample(frame, 2)
+		case frameCellsH:
+			_, err = decodeCells(frame, 2, 10)
+		default:
+			_, err = decodeHat(frame, 2, 10)
+		}
+		if err != nil {
+			t.Fatalf("control %d rejected: %v", i, err)
 		}
 	}
 }

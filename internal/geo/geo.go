@@ -9,8 +9,10 @@
 package geo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -57,13 +59,10 @@ func (p Point) Less(q Point) bool {
 // Compare returns -1, 0, or +1 as p is alphabetically before, equal to, or
 // after q.
 func (p Point) Compare(q Point) int {
-	if p.Less(q) {
-		return -1
+	if c := cmp.Compare(len(p), len(q)); c != 0 {
+		return c
 	}
-	if q.Less(p) {
-		return 1
-	}
-	return 0
+	return slices.Compare(p, q)
 }
 
 // String renders the point as "(x1,x2,...)".

@@ -247,6 +247,28 @@ func (p *Partition) PartOf(q geo.Point) (PartID, bool) {
 	return PartID{}, false // unreachable
 }
 
+// PartAt answers PartOf for callers that already know the level they
+// want: it returns q's part if that part lies at the given level, and ok
+// = false otherwise. Two lookups suffice — q's level-(i−1) cell is heavy
+// and its level-i cell is not — because BuildLazy marks a cell heavy only
+// under a heavy parent, so a heavy level-(i−1) cell implies every
+// ancestor up to the root is heavy too. Equal to PartOf filtered by
+// id.Level == level, at two cell keys instead of up to L+2.
+func (p *Partition) PartAt(q geo.Point, level int) (PartID, bool) {
+	g := p.Grid
+	if level < 0 || level > g.L {
+		return PartID{}, false
+	}
+	parent := g.CellKey(q, level-1)
+	if !p.heavy[level][parent] {
+		return PartID{}, false
+	}
+	if level < g.L && p.heavy[level+1][g.CellKey(q, level)] {
+		return PartID{}, false
+	}
+	return PartID{Level: level, Parent: parent}, true
+}
+
 // LevelCount returns the number of parts at each level (diagnostics).
 func (p *Partition) LevelCount() []int {
 	out := make([]int, p.Grid.L+1)

@@ -244,3 +244,71 @@ func TestTrivialUpperBoundO(t *testing.T) {
 		t.Fatalf("TrivialUpperBoundO = %v", got)
 	}
 }
+
+// PartAt must equal PartOf filtered by level, for every level (out-of-
+// range ones included) and every query point — input points, fresh
+// points of the domain, and points outside the root cell — over random
+// BuildLazy partitions whose guesses run from "every level heavy" to "the
+// root is light", with part masses from an independent subsample as in
+// the streaming h′-substream.
+func TestPartAtMatchesPartOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	levelsHit := map[int]bool{}
+	outside := 0
+	for trial := 0; trial < 40; trial++ {
+		delta := int64(1) << (4 + rng.Intn(6))
+		dim := 1 + rng.Intn(3)
+		g := setup(t, delta, dim, int64(trial))
+		ps := make(geo.PointSet, 50+rng.Intn(400))
+		for i := range ps {
+			p := make(geo.Point, dim)
+			for j := range p {
+				p[j] = 1 + rng.Int63n(delta)
+			}
+			if i > 0 && rng.Intn(3) == 0 {
+				p = ps[rng.Intn(i)].Clone() // duplicates
+			}
+			ps[i] = p
+		}
+		counts := ExactCounts(g, ps)
+		partCounts := ExactCounts(g, ps[:len(ps)/2])
+		o := TrivialUpperBoundO(len(ps), g, 2) * math.Pow(2, -float64(rng.Intn(40)))
+		part, err := BuildLazy(g, 2, o,
+			func(level int) (map[uint64]CellTau, bool) { return counts[level+1], true },
+			func(level int) (map[uint64]CellTau, bool) { return partCounts[level+1], true },
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := append(geo.PointSet(nil), ps...)
+		for i := 0; i < 100; i++ {
+			q := make(geo.Point, dim)
+			for j := range q {
+				q[j] = 1 + rng.Int63n(delta)
+				if i%4 == 0 {
+					q[j] += 4 * delta // outside the heavy root
+				}
+			}
+			queries = append(queries, q)
+		}
+		for _, q := range queries {
+			want, wantOK := part.PartOf(q)
+			if wantOK {
+				levelsHit[want.Level] = true
+			} else {
+				outside++
+			}
+			for level := -2; level <= g.L+1; level++ {
+				got, ok := part.PartAt(q, level)
+				match := wantOK && want.Level == level
+				if ok != match || (ok && got != want) {
+					t.Fatalf("trial %d: q=%v level %d: PartAt=(%v,%v), PartOf=(%v,%v)",
+						trial, q, level, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+	if len(levelsHit) < 4 || outside == 0 {
+		t.Fatalf("weak coverage: parts found at levels %v, %d queries outside every part", levelsHit, outside)
+	}
+}

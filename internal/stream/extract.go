@@ -246,8 +246,8 @@ func (s *Stream) assemble(part *partition.Partition, pl *coreset.Plan, needLevel
 			return nil, fmt.Errorf("%w: ĥ-substream level %d", ErrSketchFail, i)
 		}
 		for _, pc := range res.Points {
-			id, ok := part.PartOf(pc.P)
-			if !ok || id.Level != i || !pl.Included[id] {
+			id, ok := part.PartAt(pc.P, i)
+			if !ok || !pl.Included[id] {
 				continue
 			}
 			cs.Points = append(cs.Points, geo.Weighted{

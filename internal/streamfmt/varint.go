@@ -19,9 +19,16 @@ func AppendUvarint(dst []byte, v uint64) []byte {
 
 // Uvarint decodes a LEB128 value from the front of b, returning the value
 // and the number of bytes consumed. n <= 0 signals a truncated (n == 0)
-// or overlong (n < 0) encoding, exactly as encoding/binary reports it.
+// or overlong (n < 0) encoding as encoding/binary reports it; a padded
+// encoding — more than one byte, the last of them zero — is rejected as
+// overlong too, so every value has exactly one accepted encoding, the
+// one AppendUvarint writes.
 func Uvarint(b []byte) (uint64, int) {
-	return binary.Uvarint(b)
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -n
+	}
+	return v, n
 }
 
 // ZigzagEncode folds a signed value into an unsigned one with small
@@ -43,7 +50,7 @@ func AppendZigzag(dst []byte, v int64) []byte {
 // Zigzag decodes a zigzag-folded varint from the front of b; n follows
 // the Uvarint convention.
 func Zigzag(b []byte) (int64, int) {
-	u, n := binary.Uvarint(b)
+	u, n := Uvarint(b)
 	return ZigzagDecode(u), n
 }
 
@@ -61,7 +68,8 @@ func AppendDeltaVec(dst []byte, prev, vec []int64) []byte {
 
 // DeltaVec decodes len(prev) zigzag deltas from the front of b, adding
 // them into prev (which then holds the reconstructed vector), and returns
-// the bytes consumed. ok is false on a truncated or overlong encoding.
+// the bytes consumed. ok is false on a truncated, overlong or padded
+// encoding.
 func DeltaVec(b []byte, prev []int64) (n int, ok bool) {
 	for j := range prev {
 		d, m := Zigzag(b[n:])

@@ -52,6 +52,15 @@ func TestVarintTruncated(t *testing.T) {
 	if _, n := Zigzag(nil); n > 0 {
 		t.Fatal("empty zigzag must not decode")
 	}
+	// Padded encodings of 0 and 4: each value has one accepted encoding.
+	for _, b := range [][]byte{{0x80, 0x00}, {0x84, 0x80, 0x00}} {
+		if _, n := Uvarint(b); n > 0 {
+			t.Fatalf("padded varint %x must not decode", b)
+		}
+		if _, ok := DeltaVec(b, make([]int64, 1)); ok {
+			t.Fatalf("padded delta %x must not decode", b)
+		}
+	}
 }
 
 func TestDeltaVecRoundTrip(t *testing.T) {
