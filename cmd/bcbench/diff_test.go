@@ -131,18 +131,18 @@ func TestDiffSchemaDrift(t *testing.T) {
 
 func TestMetricDirection(t *testing.T) {
 	cases := map[string]int{
-		"ops_per_sec_batched":            1,
-		"extracts_per_sec_cold":          1,
-		"speedup_workers8":               1,
-		"grid.0.ops_per_sec_by_shards.4": 1,
-		"hash.0.ns_per_op_scalar":        -1,
-		"decode.1.ns_per_decode_ref":     -1,
-		"sec_serial":                     -1,
-		"wire_bits":                      -1,
-		"n_ops":                          0,
-		"seed":                           0,
-		"coalesce_ratio.h":               0,
-		"dirty_level_ratio":              0,
+		"ops_per_sec_batched":        1,
+		"extracts_per_sec_cold":      1,
+		"speedup_workers8":           1,
+		"hash.2.speedup":             1,
+		"hash.0.ns_per_op_scalar":    -1,
+		"decode.1.ns_per_decode_ref": -1,
+		"sec_serial":                 -1,
+		"wire_bits":                  -1,
+		"n_ops":                      0,
+		"seed":                       0,
+		"coalesce_ratio.h":           0,
+		"dirty_level_ratio":          0,
 	}
 	for key, want := range cases {
 		if got := metricDirection(key); got != want {

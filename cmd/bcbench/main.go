@@ -14,23 +14,21 @@
 // record files so a fresh run can be diffed against the committed ones.
 // -bench skips the experiment suite and instead measures the field-kernel
 // and decoder hot paths (scalar vs 4-lane batched hashing, reference vs
-// worklist peeling decode), dynamic-stream
-// ingest throughput (batched shared-key pipeline vs per-op replay),
-// coreset-extraction throughput (cold parallel decode vs serial vs
-// epoch-cache warm), capacitated-assignment throughput (per-call
-// fresh-graph vs arena-reuse vs warm-started capacity sweeps) and
+// worklist peeling decode), dynamic-stream ingest throughput (batched
+// shared-key pipeline over the guess × level-range worker pool vs per-op
+// replay), coreset-extraction throughput (cold parallel decode vs serial
+// vs epoch-cache warm vs incremental), capacitated-assignment throughput
+// (per-call fresh solve vs the reusable assign.Solver engine) and
 // distributed-protocol throughput (serial reference vs the pipelined
 // driver at 1/4/8 workers, plus measured wire bytes vs the closed-form
-// accounting) and sharded multicore ingest (the worker×GOMAXPROCS grid
-// of the Sharded front-end, re-run at each setting of the -procs
-// matrix), writing the numbers to BENCH_hash.json, BENCH_ingest.json,
-// BENCH_extract.json, BENCH_assign.json, BENCH_dist.json and
-// BENCH_shard.json for trajectory tracking.
+// accounting), writing the numbers to BENCH_hash.json, BENCH_ingest.json,
+// BENCH_extract.json, BENCH_assign.json and BENCH_dist.json for
+// trajectory tracking. Every record's meta block stamps the revision,
+// GOMAXPROCS and NumCPU it ran with.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -57,19 +55,6 @@ import (
 	"streambalance/internal/workload"
 )
 
-// runMeta identifies the run that produced a BENCH_*.json: without the
-// machine and revision a throughput number cannot be compared against a
-// past one. The git revision comes from the binary's embedded build info
-// (present when built inside a work tree with VCS stamping; "unknown"
-// under -buildvcs=false or `go run` from a tarball).
-//
-// procsMatrix lists every GOMAXPROCS setting the bench exercised (nil
-// means just the current one). The meta block refuses to stamp a run as
-// "parallel" unless it both ran with GOMAXPROCS > 1 AND had more than
-// one CPU to run on — the historical trajectory files were all recorded
-// in a 1-CPU container, where worker-pool speedups read ~1.0× no matter
-// what the code does, and a consumer comparing files must be able to
-// tell those runs apart from real multicore ones.
 // buildRevision and buildDirty are stamped by the Makefile bench/bcbench
 // targets via -ldflags "-X main.buildRevision=... -X main.buildDirty=...".
 // `go build` embeds vcs.* build settings only for package main of the
@@ -123,7 +108,18 @@ func gcMeta() (int, int64) {
 	return gcPercent, gcMemLimit
 }
 
-func runMeta(procsMatrix []int, wallStart time.Time) map[string]any {
+// runMeta identifies the run that produced a BENCH_*.json: without the
+// machine and revision a throughput number cannot be compared against a
+// past one. The git revision comes from the stamped build flags, else the
+// binary's embedded build info ("unknown" under -buildvcs=false or `go
+// run` from a tarball).
+//
+// The meta block refuses to stamp a run as "parallel" unless it both ran
+// with GOMAXPROCS > 1 AND had more than one CPU to run on — records made
+// on a single CPU show worker-pool speedups of ~1.0× no matter what the
+// code does, and a consumer comparing files must be able to tell those
+// runs apart from real multicore ones.
+func runMeta(wallStart time.Time) map[string]any {
 	rev, dirty := "unknown", false
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -141,16 +137,7 @@ func runMeta(procsMatrix []int, wallStart time.Time) map[string]any {
 	if buildDirty != "" {
 		dirty = buildDirty == "true"
 	}
-	if len(procsMatrix) == 0 {
-		procsMatrix = []int{runtime.GOMAXPROCS(0)}
-	}
-	maxProcs := 0
-	for _, p := range procsMatrix {
-		if p > maxProcs {
-			maxProcs = p
-		}
-	}
-	parallel := maxProcs > 1 && runtime.NumCPU() > 1
+	parallel := runtime.GOMAXPROCS(0) > 1 && runtime.NumCPU() > 1
 	gogc, memLimit := gcMeta()
 	m := map[string]any{
 		"git_revision":     rev,
@@ -164,7 +151,6 @@ func runMeta(procsMatrix []int, wallStart time.Time) map[string]any {
 		"gomemlimit_bytes": memLimit,
 		"timestamp":        time.Now().UTC().Format(time.RFC3339),
 		"wall_clock_sec":   time.Since(wallStart).Seconds(),
-		"procs_matrix":     procsMatrix,
 		"parallel":         parallel,
 	}
 	if !parallel {
@@ -291,7 +277,7 @@ func benchHash(seed int64) error {
 	}
 
 	rec := map[string]any{
-		"meta":       runMeta(nil, start),
+		"meta":       runMeta(start),
 		"bench":      "hash_decode",
 		"column_len": cols,
 		"lambda":     lambda,
@@ -396,7 +382,7 @@ func benchIngest(scale float64, seed int64) error {
 	scatterSec, orderedSec := benchSketchUpdateN(seed)
 
 	rec := map[string]any{
-		"meta":                            runMeta(nil, start),
+		"meta":                            runMeta(start),
 		"bench":                           "stream_ingest",
 		"n_ops":                           n,
 		"guesses":                         len(serial.Guesses()),
@@ -593,7 +579,7 @@ func benchExtract(scale float64, seed int64) error {
 	dirtyRatio := float64(dirtySum) / float64(totalSum)
 
 	rec := map[string]any{
-		"meta":                     runMeta(nil, start),
+		"meta":                     runMeta(start),
 		"bench":                    "stream_extract",
 		"n_points":                 n,
 		"guesses":                  len(a.Guesses()),
@@ -693,7 +679,7 @@ func benchAssign(scale float64, seed int64) error {
 	engineSec := float64(rounds*solves) / elapsed[1].Seconds()
 
 	rec := map[string]any{
-		"meta":                  runMeta(nil, start),
+		"meta":                  runMeta(start),
 		"bench":                 "assign_sweep",
 		"n_points":              n,
 		"k":                     k,
@@ -781,7 +767,7 @@ func benchDist(scale float64, seed int64) error {
 	}
 
 	rec := map[string]any{
-		"meta":              runMeta(nil, start),
+		"meta":              runMeta(start),
 		"bench":             "dist_protocol",
 		"n_points":          n,
 		"machines":          s,
@@ -807,155 +793,11 @@ func benchDist(scale float64, seed int64) error {
 	return writeBench("BENCH_dist.json", rec)
 }
 
-// benchShard measures the sharded multicore ingest front-end: for every
-// GOMAXPROCS setting in the -procs matrix it re-runs the ingest ladder —
-// the unsharded batched pipeline as the baseline, then the Sharded
-// front-end at 1/2/4/8 workers — and records the worker×proc ops/sec
-// grid in BENCH_shard.json. Every configuration is digest-checked
-// against a serial reference: sharded ingest followed by merge must be
-// bit-identical to serial Apply of the same ops (the timed window covers
-// Apply+Flush; the merge runs inside the untimed digest check, its
-// latency captured by the stream_shard_merge_ns histogram).
-func benchShard(scale float64, seed int64, procs []int) error {
-	start := time.Now()
-	n := int(16384 * scale)
-	if n < 1024 {
-		n = 1024
-	}
-	rng := rand.New(rand.NewSource(seed))
-	ps, _ := workload.Mixture{N: n, D: 2, Delta: 1 << 12, K: 4, Spread: 20, Skew: 2, NoiseFrac: 0.05}.Generate(rng)
-	cfg := streambalance.StreamConfig{
-		Dim: 2, Delta: 1 << 12,
-		Params:       streambalance.Params{K: 4, Seed: seed},
-		CellSparsity: 512, PointSparsity: 2048,
-	}
-	ops := make([]streambalance.Op, n)
-	for i, p := range ps {
-		ops[i] = streambalance.Op{P: p}
-	}
-	const batchSize = 4096
-	newAuto := func() *streambalance.AutoStream {
-		a, err := streambalance.NewAutoStream(cfg, 4)
-		if err != nil {
-			panic(err)
-		}
-		return a
-	}
-	applyBatches := func(apply func([]streambalance.Op)) {
-		for i := 0; i < n; i += batchSize {
-			end := i + batchSize
-			if end > n {
-				end = n
-			}
-			apply(ops[i:end])
-		}
-	}
-
-	// Serial reference digest, computed once: every grid cell must
-	// recombine to exactly this state.
-	ref := newAuto()
-	applyBatches(ref.Apply)
-	refDigest := ref.StateDigest()
-	guesses := len(ref.Guesses())
-	ref = nil
-
-	workersLadder := []int{1, 2, 4, 8}
-	origProcs := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(origProcs)
-
-	fmt.Printf("sharded ingest (n=%d ops, %d guesses, NumCPU=%d)\n", n, guesses, runtime.NumCPU())
-	type cell struct{ procs, workers int }
-	grid := make(map[cell]float64)
-	var rows []map[string]any
-	for _, p := range procs {
-		runtime.GOMAXPROCS(p)
-
-		batched := newAuto()
-		t0 := time.Now()
-		applyBatches(batched.Apply)
-		batchedSec := float64(n) / time.Since(t0).Seconds()
-		if batched.StateDigest() != refDigest {
-			return fmt.Errorf("procs=%d: batched pipeline diverged from the serial reference", p)
-		}
-		batched = nil
-
-		shardCols := map[string]any{}
-		for _, w := range workersLadder {
-			sh := streambalance.ShardAutoStream(newAuto(), w)
-			t0 := time.Now()
-			applyBatches(sh.Apply)
-			sh.Flush()
-			sec := float64(n) / time.Since(t0).Seconds()
-			if sh.StateDigest() != refDigest {
-				return fmt.Errorf("procs=%d workers=%d: sharded ingest diverged from the serial reference", p, w)
-			}
-			sh.Close()
-			grid[cell{p, w}] = sec
-			shardCols[fmt.Sprintf("%d", w)] = sec
-		}
-		rows = append(rows, map[string]any{
-			"procs":                 p,
-			"ops_per_sec_batched":   batchedSec,
-			"ops_per_sec_by_shards": shardCols,
-		})
-		fmt.Printf("  procs=%d  batched: %9.0f ops/sec   shards:", p, batchedSec)
-		for _, w := range workersLadder {
-			fmt.Printf("  %dw %9.0f", w, grid[cell{p, w}])
-		}
-		fmt.Println()
-	}
-	runtime.GOMAXPROCS(origProcs)
-
-	maxP := procs[len(procs)-1]
-	baseline := grid[cell{procs[0], 1}]
-	best := grid[cell{maxP, workersLadder[len(workersLadder)-1]}]
-	rec := map[string]any{
-		"meta":    runMeta(procs, start),
-		"bench":   "stream_shard",
-		"n_ops":   n,
-		"guesses": guesses,
-		"seed":    seed,
-		"workers": workersLadder,
-		"procs":   procs,
-		"grid":    rows,
-		"aggregate_speedup_8w_maxprocs_over_1w_minprocs": best / baseline,
-	}
-	fmt.Printf("  aggregate: %dw@%dprocs %.2fx over 1w@%dprocs\n", workersLadder[len(workersLadder)-1], maxP, best/baseline, procs[0])
-	return writeBench("BENCH_shard.json", rec)
-}
-
-// parseProcs parses the -procs flag: a comma-separated ascending list of
-// GOMAXPROCS settings for the shard matrix.
-func parseProcs(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		var p int
-		if _, err := fmt.Sscanf(f, "%d", &p); err != nil || p < 1 {
-			return nil, fmt.Errorf("bad -procs entry %q", f)
-		}
-		out = append(out, p)
-	}
-	if len(out) == 0 {
-		return nil, errors.New("-procs is empty")
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i] < out[i-1] {
-			return nil, fmt.Errorf("-procs must be ascending, got %v", out)
-		}
-	}
-	return out, nil
-}
-
 func main() {
 	scale := flag.Float64("scale", 1.0, "instance size multiplier")
 	seed := flag.Int64("seed", 1, "random seed")
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,E5); empty = all")
-	bench := flag.Bool("bench", false, "measure ingest and extraction throughput, writing BENCH_ingest.json and BENCH_extract.json")
-	procs := flag.String("procs", "1,2,4,8", "comma-separated ascending GOMAXPROCS matrix for the sharded-ingest bench")
+	bench := flag.Bool("bench", false, "measure kernel, ingest, extraction, assignment and dist-protocol throughput, writing the BENCH_*.json records")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/pprof/ and /debug/vars on this address (e.g. :6060) while running")
 	metricsDump := flag.String("metrics", "", "dump a final telemetry snapshot to stderr: text (Prometheus exposition) or json")
 	diffMode := flag.Bool("diff", false, "compare two BENCH_*.json records (bcbench -diff old.json new.json) and exit 1 on regression")
@@ -1030,15 +872,6 @@ func main() {
 			os.Exit(1)
 		}
 		if err := benchDist(*scale, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		procsMatrix, err := parseProcs(*procs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := benchShard(*scale, *seed, procsMatrix); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

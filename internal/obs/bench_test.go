@@ -8,7 +8,7 @@ import (
 // The disabled fast path is the contract that lets hot loops carry
 // unconditional instrumentation: DESIGN.md §9 budgets it at <2 ns/op
 // (one atomic flag load + a predictable branch). BenchmarkDisabled*
-// measure it; TestDisabledOverheadBudget gates it in `make check-obs`
+// measure it; TestDisabledOverheadBudget gates it in `make check`
 // with a deliberately loose ceiling so a loaded CI machine does not
 // flake while a regression to, say, a mutex or a map lookup still
 // fails loudly.
@@ -86,7 +86,7 @@ func BenchmarkEnabledCounter(b *testing.B) {
 	benchSink = benchCounter.Load()
 }
 
-// TestDisabledOverheadBudget is the check-obs gate for the disabled
+// TestDisabledOverheadBudget is the `make check` gate for the disabled
 // fast path. The ceiling (25 ns/op) is ~10× the expected cost so shared
 // CI hardware does not flake; a regression that adds a lock, a map
 // lookup or an unconditional time.Now blows well past it. Run without

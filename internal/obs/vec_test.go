@@ -120,8 +120,8 @@ func TestVecDisabledDoesNotIntern(t *testing.T) {
 }
 
 // Concurrent first-use of overlapping label tuples exercises the
-// lock-free read path against miss-path table swaps; run under -race via
-// check-obs.
+// lock-free read path against miss-path table swaps; run under -race by
+// `make check`.
 func TestVecConcurrent(t *testing.T) {
 	r := NewRegistry()
 	prev := Enabled()

@@ -101,7 +101,7 @@ func TestStoringSplicedDecodeMatchesCold(t *testing.T) {
 // (negative-count FAILs) and over-full states — and asserts after every
 // extraction that digest, Bytes and Result (success payloads and FAIL
 // verdicts alike) are identical between the incremental instance and a
-// cold full peel of a mirrored sibling. Run under -race by check-incr.
+// cold full peel of a mirrored sibling. Run under -race by `make check`.
 func FuzzIncrementalDecodeMatchesCold(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 0, 3, 0, 1, 3, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3})
 	f.Add(int64(2), []byte{0, 3, 4, 0, 3, 1, 1, 1, 3, 2, 2, 3, 0, 4, 3})

@@ -600,8 +600,8 @@ func (sr *SparseRecovery) pureAt(b []int64) (Item, bool) {
 // rescan rounds over a cloned working copy, one purity probe per bucket
 // per round. It is the equivalence baseline the worklist decoder
 // (decode.go) is pinned against — bit-identical items, ok-flag and FAIL
-// cases — and is exercised by the check-hash suite and the decode bench;
-// production paths use Decode.
+// cases — and is exercised by the worklist equivalence tests and the
+// decode bench; production paths use Decode.
 func (sr *SparseRecovery) DecodeReference() (items []Item, ok bool) {
 	w := sr.clone()
 	for {

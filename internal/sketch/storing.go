@@ -124,9 +124,8 @@ type sideBase struct {
 // the epoch past a cached entry (the invalidation count), Drops counts
 // DropCache calls that actually discarded a cached decode (including
 // Merge's internal drop). MergeDrops is the subset of Drops caused by
-// Merge — the cache churn a sharded-ingest recombination inflicts on the
-// query snapshot (DESIGN.md §10); each MergeDrop is also counted in
-// Drops.
+// Merge — the cache churn a Fork/Merge recombination inflicts on the
+// query snapshot; each MergeDrop is also counted in Drops.
 //
 // The incremental-decode counters (DESIGN.md §13): Splices counts stale
 // re-decodes answered differentially (residual peel + merge onto the
@@ -667,25 +666,6 @@ func (st *Storing) invalidateForMerge() {
 		mCacheMergeDrops.Inc()
 	}
 	st.cache, st.cacheOK, st.cacheEpoch, st.cacheValid = StoringResult{}, false, 0, false
-}
-
-// Reset zeroes the sketch in place — slabs, net-update counter, epoch and
-// decode cache — keeping the hash functions and allocations: after Reset
-// the instance is state-identical to a newborn CloneEmpty sibling (equal
-// Digest, Epoch 0) but reuses its memory. The sharded ingest front-end
-// resets worker shards after folding them into the query snapshot instead
-// of reallocating fresh forks every merge cycle. Cache stats survive
-// (discarding a live cached decode counts as a drop).
-func (st *Storing) Reset() {
-	st.DropCache()
-	if st.cells != nil {
-		st.cells.Reset()
-	}
-	if st.points != nil {
-		st.points.Reset()
-	}
-	st.netUpdates = 0
-	st.epoch = 0
 }
 
 // CloneEmpty returns a zeroed Storing sharing st's hash functions, so the

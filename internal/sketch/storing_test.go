@@ -495,41 +495,3 @@ func TestStoringMergeDropCounter(t *testing.T) {
 		t.Fatalf("DropCache moved the merge-drop counter: %d -> %d", before+1, got)
 	}
 }
-
-// TestStoringReset: a Reset instance is state-identical to a newborn
-// CloneEmpty sibling — equal digest, zero epoch and net updates, no
-// cached decode — and sketches a fresh shard exactly like one.
-func TestStoringReset(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	g := buildGrid(t, 1024, 2, 13)
-	st := NewStoring(rng, g, 4, 256, 8, 0.01)
-	virgin := st.CloneEmpty()
-
-	for i := 0; i < 20; i++ {
-		st.Insert(geo.Point{1 + rng.Int63n(1024), 1 + rng.Int63n(1024)})
-	}
-	st.Result() // populate the cache so Reset must discard it
-	if st.Digest() == virgin.Digest() {
-		t.Fatal("updates left no trace")
-	}
-
-	st.Reset()
-	if st.Digest() != virgin.Digest() {
-		t.Fatal("Reset digest differs from a newborn sibling")
-	}
-	if st.Epoch() != 0 || st.NetUpdates() != 0 {
-		t.Fatalf("Reset left epoch=%d netUpdates=%d", st.Epoch(), st.NetUpdates())
-	}
-	if st.CacheFresh() {
-		t.Fatal("Reset must discard the cached decode")
-	}
-
-	// Re-sketching after Reset matches a fresh sibling sketching the same
-	// stream (the worker-shard recycling contract of the sharded ingest).
-	p := geo.Point{5, 6}
-	st.Insert(p)
-	virgin.Insert(p)
-	if st.Digest() != virgin.Digest() {
-		t.Fatal("post-Reset sketching diverged from a fresh sibling")
-	}
-}

@@ -15,9 +15,8 @@ import (
 // the per-op serial replay and the batched pipeline with coalescing OFF:
 // same StateDigest, same Bytes, and the same Result including the FAIL
 // side (the tiny sketch budgets make over-full decodes common here, and
-// coalescing must FAIL exactly when the serial path does). The seed
-// corpus doubles as the check-coalesce regression suite (plain
-// `go test -race -run FuzzCoalescedIngestMatchesSerial` replays it).
+// coalescing must FAIL exactly when the serial path does). Plain
+// `go test` replays the seed corpus.
 func FuzzCoalescedIngestMatchesSerial(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(30), uint8(64), uint8(0))
 	f.Add(int64(2), uint16(700), uint8(0), uint8(255), uint8(7))

@@ -109,41 +109,6 @@ func TestCoalescedAutoApplyMatchesUncoalesced(t *testing.T) {
 	sameCoreset(t, ca, cb, errA, errB)
 }
 
-// TestCoalescedShardedMatchesSerial: the Sharded front-end's workers call
-// applyLevels on private forks, so coalescing must flow through the
-// multicore path unchanged.
-func TestCoalescedShardedMatchesSerial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	ops := dupHeavyOps(304, 50, 16)
-	cfg := Config{Dim: 2, Delta: testDelta, O: 1 << 11, Params: coreset.Params{K: 3, Seed: 63}}
-
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Apply(ops)
-
-	for _, shards := range []int{1, 3} {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := ShardStream(s, shards)
-		const chunk = 128
-		for i := 0; i < len(ops); i += chunk {
-			end := i + chunk
-			if end > len(ops) {
-				end = len(ops)
-			}
-			sh.Apply(ops[i:end])
-		}
-		if sh.StateDigest() != ref.StateDigest() {
-			t.Fatalf("shards=%d: coalesced sharded state diverged from serial", shards)
-		}
-		sh.Close()
-	}
-}
-
 // TestCoalesceCounters: with telemetry enabled, a duplicate-heavy apply
 // must report more sampled ops in than distinct keys out on the h
 // substream (the level-0 cell batch collapses), and the counters must

@@ -8,18 +8,25 @@ import (
 	"streambalance/internal/geo"
 )
 
-// FuzzShardMerge: random op sequences — interleaved insertions and
-// deletions of previously-inserted points — split across random shard
-// counts through the Sharded front-end must recombine to sketch state
-// and extraction results bit-identical to a serial Apply of the same
-// ops. The seed corpus doubles as the check-shard regression suite
-// (plain `go test -run FuzzShardMerge` replays it).
-func FuzzShardMerge(f *testing.F) {
+// FuzzForkMerge: random op sequences — interleaved insertions and
+// deletions of previously-inserted points — split round-robin across
+// Fork siblings, applied per fork in chunks and Merged back must
+// recombine to sketch state and extraction results bit-identical to a
+// serial Apply of the same ops. Round-robin routing lets a point's
+// deletion land on a different fork than its insertion, so a fork's own
+// state (and N) may be "negative" until the merge; linearity makes that
+// irrelevant to the merged result. Plain `go test` replays the seed
+// corpus.
+func FuzzForkMerge(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(3), uint8(30), uint8(64))
 	f.Add(int64(2), uint16(700), uint8(1), uint8(0), uint8(255))
 	f.Add(int64(3), uint16(400), uint8(8), uint8(80), uint8(16))
 	f.Add(int64(4), uint16(64), uint8(5), uint8(50), uint8(1))
 	f.Add(int64(5), uint16(1000), uint8(2), uint8(10), uint8(128))
+	// Nearly every insert is followed at once by its delete, so with two
+	// forks one fork holds the inserts and the other the deletes (its N
+	// is about −150 before the merge).
+	f.Add(int64(6), uint16(300), uint8(1), uint8(255), uint8(7))
 
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, shardsRaw, delPct, chunkRaw uint8) {
 		n := int(nRaw)%1024 + 1
@@ -59,27 +66,29 @@ func FuzzShardMerge(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh := ShardStream(s, shards)
-		defer sh.Close()
-		for i := 0; i < len(ops); i += chunk {
-			end := i + chunk
-			if end > len(ops) {
-				end = len(ops)
+		parts := make([][]Op, shards)
+		for i, op := range ops {
+			parts[i%shards] = append(parts[i%shards], op)
+		}
+		for _, part := range parts {
+			fork := s.Fork()
+			for i := 0; i < len(part); i += chunk {
+				fork.Apply(part[i:min(i+chunk, len(part))])
 			}
-			sh.Apply(ops[i:end])
+			s.Merge(fork)
 		}
 
-		if sh.N() != ref.N() {
-			t.Fatalf("N %d vs %d (shards=%d chunk=%d)", sh.N(), ref.N(), shards, chunk)
+		if s.N() != ref.N() {
+			t.Fatalf("N %d vs %d (shards=%d chunk=%d)", s.N(), ref.N(), shards, chunk)
 		}
-		if sh.StateDigest() != ref.StateDigest() {
-			t.Fatalf("sharded state diverged from serial Apply (shards=%d chunk=%d)", shards, chunk)
+		if s.StateDigest() != ref.StateDigest() {
+			t.Fatalf("merged state diverged from serial Apply (shards=%d chunk=%d)", shards, chunk)
 		}
 		// Result equality including the FAIL side: the tiny sketch budgets
-		// make over-full decodes common in fuzzed inputs, and the sharded
+		// make over-full decodes common in fuzzed inputs, and the merged
 		// path must FAIL exactly when the serial one does.
 		ca, errA := ref.Result()
-		cb, errB := sh.Result()
+		cb, errB := s.Result()
 		sameCoreset(t, ca, cb, errA, errB)
 	})
 }

@@ -58,8 +58,8 @@ var (
 // coalesceOn gates the key-coalescing stage of applyLevels (on by
 // default). Coalesced and un-coalesced application are bit-identical —
 // the sketches are exact linear sums — so the knob exists only for perf
-// A/B runs and the equivalence/fuzz suites. Do not flip it while a
-// Sharded front-end has in-flight batches.
+// A/B runs and the equivalence/fuzz suites. Do not flip it while an
+// Apply is in flight.
 var coalesceOn = func() *atomic.Bool {
 	var b atomic.Bool
 	b.Store(true)
@@ -182,7 +182,7 @@ var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
 // is an exact linear sum, so both the coalescing and the bucket-ordered
 // write schedule behind UpdateScaledN are bit-identical to the per-op
 // path (TestApplyMatchesPerOp, FuzzCoalescedIngestMatchesSerial,
-// FuzzShardMerge).
+// FuzzForkMerge).
 func (s *Stream) applyLevels(b *batch, lo, hi int) {
 	g := s.g
 	L, dim := g.L, g.Dim

@@ -100,14 +100,6 @@ type Config struct {
 	PartRate  float64
 
 	FailProb float64 // δ for the sketches (default 0.01)
-
-	// Shards is the worker count of the sharded multicore ingest
-	// front-end (shard.go): NewSharded hash-partitions each Apply batch
-	// across this many ingest workers, each owning a private clone of
-	// every sketch, recombined lazily at extraction time. 0 sizes the
-	// pool to GOMAXPROCS. Ignored by New/NewAuto, whose Apply stays the
-	// single-dispatcher batched pipeline.
-	Shards int
 }
 
 func (c Config) withDefaults() (Config, error) {

@@ -429,8 +429,8 @@ func TestForkMergeEquivalentToSinglePass(t *testing.T) {
 	}
 }
 
-func TestParallelShardedIngestion(t *testing.T) {
-	// The intended Fork use: shard a huge stream across goroutines.
+func TestParallelForkMergeIngestion(t *testing.T) {
+	// The intended Fork use: split a huge stream across goroutines.
 	ps, truec := testMixture(22, 3000)
 	o := goodGuess(ps, 3)
 	main, err := New(Config{Dim: 2, Delta: testDelta, O: o, Params: coreset.Params{K: 3, Seed: 23}})
@@ -464,7 +464,7 @@ func TestParallelShardedIngestion(t *testing.T) {
 	full := assign.UnconstrainedCost(ws, truec, 2)
 	core := assign.UnconstrainedCost(cs.Points, truec, 2)
 	if r := core / full; r < 0.7 || r > 1.3 {
-		t.Fatalf("sharded ingestion cost ratio %v", r)
+		t.Fatalf("fork/merge ingestion cost ratio %v", r)
 	}
 }
 

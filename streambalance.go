@@ -69,13 +69,6 @@ type AutoStream = stream.Auto
 // Op is a dynamic stream update.
 type Op = stream.Op
 
-// ShardedStream is the multicore sharded ingest front-end: one logical
-// op stream hash-partitioned across P ingest workers, each owning a
-// private clone of every sketch, recombined exactly at extraction time
-// (sketch linearity makes the result bit-identical to a serial pass at
-// any shard count). Close it to release the workers.
-type ShardedStream = stream.Sharded
-
 // DistConfig configures the distributed protocol (Theorem 4.7).
 type DistConfig = dist.Config
 
@@ -101,21 +94,6 @@ func NewStream(cfg StreamConfig) (*Stream, error) { return stream.New(cfg) }
 func NewAutoStream(cfg StreamConfig, oFactor float64) (*AutoStream, error) {
 	return stream.NewAuto(cfg, oFactor)
 }
-
-// NewShardedStream creates the guess-enumeration ensemble of
-// NewAutoStream behind a sharded multicore ingest front-end with
-// cfg.Shards workers (0 sizes the pool to GOMAXPROCS).
-func NewShardedStream(cfg StreamConfig, oFactor float64) (*ShardedStream, error) {
-	return stream.NewSharded(cfg, oFactor)
-}
-
-// ShardStream wraps an existing single-guess Stream in a sharded ingest
-// front-end with the given worker count.
-func ShardStream(s *Stream, shards int) *ShardedStream { return stream.ShardStream(s, shards) }
-
-// ShardAutoStream wraps an existing guess-enumeration ensemble in a
-// sharded ingest front-end with the given worker count.
-func ShardAutoStream(a *AutoStream, shards int) *ShardedStream { return stream.ShardAuto(a, shards) }
 
 // DistributedCoreset runs the coordinator protocol of Theorem 4.7 over
 // the machines' local point sets, using the concurrent pipelined driver
