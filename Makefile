@@ -23,13 +23,15 @@ check-fast:
 # something with -race on. Then three plain-build steps: the
 # disabled-telemetry overhead budget and its bench smoke (both meaningless
 # under -race, which inflates atomic loads by design; see
-# internal/obs/bench_test.go), and a 15 s fuzz of round 2 of the dist
-# protocol against its map-and-sort oracle.
+# internal/obs/bench_test.go), and two 15 s fuzz smokes: round 2 of the
+# dist protocol against its map-and-sort oracle, and batched Apply
+# ingest against per-op Insert/Delete replay.
 check:
 	go test -race ./...
 	go test -run OverheadBudget ./internal/obs
 	go test -run xxx -bench 'Disabled' -benchtime 100000x ./internal/obs
 	go test -run '^$$' -fuzz FuzzRound2MatchesOracle -fuzztime 15s ./internal/dist
+	go test -run '^$$' -fuzz FuzzCoalescedIngestMatchesSerial -fuzztime 15s ./internal/stream
 
 test:
 	go build ./... && go test ./...

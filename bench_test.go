@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -148,8 +149,8 @@ func BenchmarkStreamIngestPerOp(b *testing.B) {
 // (DESIGN.md §6). Cold drops the decode caches every iteration, so each
 // extraction re-peels every consulted sketch (in parallel when
 // GOMAXPROCS > 1); Warm re-extracts with unchanged sketches, where every
-// decode is an epoch-cache hit; ColdSerial is the pre-pipeline lazy
-// single-worker baseline.
+// decode is an epoch-cache hit; ColdSerial is Cold at GOMAXPROCS 1,
+// where extraction runs the lazy single-worker path.
 func BenchmarkStreamExtract(b *testing.B) {
 	ps := benchPoints(4096)
 	newEnsemble := func() *streambalance.AutoStream {
@@ -184,10 +185,11 @@ func BenchmarkStreamExtract(b *testing.B) {
 	})
 	b.Run("ColdSerial", func(b *testing.B) {
 		a := newEnsemble()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			a.DropDecodeCache()
-			if _, err := a.ResultSerial(); err != nil {
+			if _, err := a.Result(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -287,8 +289,9 @@ func BenchmarkAssignSweep(b *testing.B) {
 }
 
 // BenchmarkDistProtocol measures the distributed coreset protocol on a
-// fixed 8-machine split: the serial reference driver against the
-// pipelined concurrent driver at 1, 2, 4 and 8 workers, plus a case shaped
+// fixed 8-machine split: the pipelined concurrent driver at 1, 2, 4 and
+// 8 workers (its single-goroutine oracle has its own benchmark,
+// internal/dist BenchmarkRunSerial), plus a case shaped
 // like the end-to-end benchmark's place_dist workload (4,096 points, 8
 // machines, 2 workers, SamplesPerPart 32). Wire bytes and allocations
 // are reported per op.
@@ -316,7 +319,6 @@ func BenchmarkDistProtocol(b *testing.B) {
 			}
 		})
 	}
-	run("Serial", machines, cfg, dist.RunSerial)
 	for _, workers := range []int{1, 2, 4, 8} {
 		c := cfg
 		c.Workers = workers

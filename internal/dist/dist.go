@@ -25,11 +25,11 @@
 // Since the wire-codec rewrite the subsystem is a real message-passing
 // system: machines and the coordinator exchange framed, compactly encoded
 // messages over a Transport (transport.go), the codec lives in wire.go,
-// and the concurrent pipelined driver plus the single-goroutine reference
-// RunSerial live in driver.go. Report.Bits is the measured length of the
-// encoded frames; Report.FormulaBits retains the closed-form
-// pointBits/cellBits accounting the package used before the codec, so the
-// two can be compared rather than silently swapped.
+// and the concurrent pipelined driver lives in driver.go (its
+// single-goroutine oracle RunSerial in oracle_test.go). Report.Bits is
+// the measured length of the encoded frames; Report.FormulaBits retains
+// the closed-form pointBits/cellBits accounting the package used before
+// the codec, so the two can be compared rather than silently swapped.
 package dist
 
 import (
@@ -94,7 +94,7 @@ type Config struct {
 
 	// Workers bounds how many machines compute concurrently in Run
 	// (0 = one goroutine per machine, fully concurrent). The assembled
-	// coreset is bit-identical at every worker count and to RunSerial.
+	// coreset is bit-identical at every worker count.
 	Workers int
 
 	// Transport carries the protocol's framed messages; nil selects the
@@ -402,10 +402,10 @@ type hatAgg struct {
 	runs       [][]wirePoint
 }
 
-// coordinator holds the coordinator's merge state, shared by the serial
-// and pipelined drivers. All mutation goes through the mutex; count
-// sources and assembly wait on cond until the levels they consult are
-// complete (trivially so in RunSerial, streamingly in Run).
+// coordinator holds the coordinator's merge state, shared by Run and the
+// serial test oracle. All mutation goes through the mutex; count sources
+// and assembly wait on cond until the levels they consult are complete
+// (streamingly in Run, trivially so in the serial oracle).
 type coordinator struct {
 	cfg Config
 	s   int

@@ -6,12 +6,12 @@ package dist
 // merge counts as they arrive and the coordinator's partition build
 // (Algorithms 1–2) runs pipelined against the still-incoming levels —
 // a count source blocks only until the specific level it consults is
-// complete. RunSerial is the single-goroutine reference: the same frames,
-// metered and merged machine-major, with no concurrency anywhere. Both
-// produce bit-identical Reports (see driver_test.go), because machine
-// compute is deterministic, merges sum exact integers (arrival-order
-// independent), and assembly merges each level's sorted ĥ payloads in
-// machine order.
+// complete. The single-goroutine oracle RunSerial (oracle_test.go) runs
+// the same frames, metered and merged machine-major, with no concurrency
+// anywhere. Both produce bit-identical Reports (see driver_test.go),
+// because machine compute is deterministic, merges sum exact integers
+// (arrival-order independent), and assembly merges each level's sorted
+// ĥ payloads in machine order.
 
 import (
 	"errors"
@@ -263,71 +263,4 @@ func runMachine(c Conn, j int, pts geo.PointSet, cfg Config, sem chan struct{}) 
 	newMachineCtx(cfg, env, pts).round2(func(frame []byte) error {
 		return c.Send(attachTrace(frame, mtc))
 	})
-}
-
-// RunSerial executes the identical protocol with no goroutines: every
-// frame is encoded, metered and decoded machine-major in a single thread.
-// It is the reference Run is pinned against — same Report bits, same
-// coreset, bit for bit.
-func RunSerial(machines []geo.PointSet, cfg Config) (*Report, error) {
-	cfg, err := validate(machines, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := len(machines)
-	co := newCoordinator(cfg, s)
-
-	mRuns.Inc()
-	sp := obs.Trace.StartRoot("dist.run_serial")
-	sp.AttrInt("machines", int64(s))
-	defer co.finishSpan(&sp)
-
-	for j, m := range machines {
-		co.addSample(j, encodeSample(machineSample(j, m, cfg)))
-	}
-	if err := co.firstErr(); err != nil {
-		return nil, err
-	}
-	bframe, err := co.finishRound1()
-	if err != nil {
-		return nil, err
-	}
-
-	for j, m := range machines {
-		co.chargeBroadcast(len(bframe))
-		// Same frame choreography as the pipelined driver, inline: the
-		// broadcast carries the run context, the machine span's context
-		// rides every round-2 frame, handleFrame strips it before
-		// metering — so serial and pipelined Reports stay bit-identical
-		// with tracing on or off.
-		ptc, pbf, err := detachTrace(attachTrace(bframe, sp.Context()))
-		if err != nil {
-			return nil, err
-		}
-		bc, err := decodeBroadcast(pbf, cfg.Dim)
-		if err != nil {
-			return nil, err
-		}
-		env := newShared(cfg, bc.O, bc.Seed)
-		if !shiftEqual(env.g.Shift, bc.Shift) {
-			return nil, fmt.Errorf("dist: machine %d shared-randomness mismatch", j)
-		}
-		msp := obs.Trace.StartChild(ptc, "dist.machine")
-		msp.AttrInt("machine", int64(j))
-		mtc := msp.Context()
-		err = newMachineCtx(cfg, env, m).round2(func(frame []byte) error {
-			return co.handleFrame(j, attachTrace(frame, mtc))
-		})
-		msp.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	cs, err := co.buildCoreset()
-	if err != nil {
-		return nil, err
-	}
-	co.rep.Coreset = cs
-	return co.rep, nil
 }

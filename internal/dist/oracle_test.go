@@ -22,6 +22,7 @@ import (
 	"streambalance/internal/coreset"
 	"streambalance/internal/geo"
 	"streambalance/internal/hashing"
+	"streambalance/internal/obs"
 	"streambalance/internal/partition"
 )
 
@@ -477,4 +478,95 @@ func FuzzRound2MatchesOracle(f *testing.F) {
 		checkRound2(t, tag, round2Input(seed, nn, ss, dup), round2Config(seed, nn, ss, spp, caps),
 			[]round2Driver{drivers[0], d})
 	})
+}
+
+// RunSerial executes the production protocol with no goroutines: every
+// frame is encoded, metered and decoded machine-major in a single thread.
+// It is the driver oracle Run is pinned against — same Report bits, same
+// coreset, same error texts, bit for bit, at any worker count and over
+// either transport.
+func RunSerial(machines []geo.PointSet, cfg Config) (*Report, error) {
+	cfg, err := validate(machines, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := len(machines)
+	co := newCoordinator(cfg, s)
+
+	mRuns.Inc()
+	sp := obs.Trace.StartRoot("dist.run_serial")
+	sp.AttrInt("machines", int64(s))
+	defer co.finishSpan(&sp)
+
+	for j, m := range machines {
+		co.addSample(j, encodeSample(machineSample(j, m, cfg)))
+	}
+	if err := co.firstErr(); err != nil {
+		return nil, err
+	}
+	bframe, err := co.finishRound1()
+	if err != nil {
+		return nil, err
+	}
+
+	for j, m := range machines {
+		co.chargeBroadcast(len(bframe))
+		// Same frame choreography as the pipelined driver, inline: the
+		// broadcast carries the run context, the machine span's context
+		// rides every round-2 frame, handleFrame strips it before
+		// metering — so serial and pipelined Reports stay bit-identical
+		// with tracing on or off.
+		ptc, pbf, err := detachTrace(attachTrace(bframe, sp.Context()))
+		if err != nil {
+			return nil, err
+		}
+		bc, err := decodeBroadcast(pbf, cfg.Dim)
+		if err != nil {
+			return nil, err
+		}
+		env := newShared(cfg, bc.O, bc.Seed)
+		if !shiftEqual(env.g.Shift, bc.Shift) {
+			return nil, fmt.Errorf("dist: machine %d shared-randomness mismatch", j)
+		}
+		msp := obs.Trace.StartChild(ptc, "dist.machine")
+		msp.AttrInt("machine", int64(j))
+		mtc := msp.Context()
+		err = newMachineCtx(cfg, env, m).round2(func(frame []byte) error {
+			return co.handleFrame(j, attachTrace(frame, mtc))
+		})
+		msp.End()
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	cs, err := co.buildCoreset()
+	if err != nil {
+		return nil, err
+	}
+	co.rep.Coreset = cs
+	return co.rep, nil
+}
+
+// BenchmarkRunSerial A/Bs the pipelined driver at one worker against its
+// serial oracle on an 8-machine split of 16,384 mixture points.
+func BenchmarkRunSerial(b *testing.B) {
+	ps, _ := testMixture(1, 16384)
+	machines := splitAcross(ps, 8, rand.New(rand.NewSource(2)))
+	cfg := Config{Dim: 2, Delta: testDelta, Params: coreset.Params{K: 4, Seed: 1}}
+	for _, d := range []round2Driver{
+		{"serial", RunSerial},
+		{"workers1", func(m []geo.PointSet, cfg Config) (*Report, error) {
+			cfg.Workers = 1
+			return Run(m, cfg)
+		}},
+	} {
+		b.Run(d.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := d.run(machines, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

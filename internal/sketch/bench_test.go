@@ -34,7 +34,7 @@ func BenchmarkSparseUpdate(b *testing.B) {
 				if rem := b.N - i; rem < n {
 					n = rem
 				}
-				sr.UpdateN(keys[:n], payload[:n*2], deltas[:n])
+				sr.UpdateScaledN(keys[:n], payload[:n*2], deltas[:n])
 			}
 		})
 	}
@@ -65,9 +65,9 @@ func BenchmarkSparseDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseDecodeReference times the retained round-based scan
-// decoder — the baseline the worklist decoder's speedup is measured
-// against.
+// BenchmarkSparseDecodeReference times the round-based rescan oracle
+// (reference_test.go) — the baseline the worklist decoder's speedup is
+// measured against.
 func BenchmarkSparseDecodeReference(b *testing.B) {
 	for _, s := range []int{64, 1024} {
 		b.Run(testutil.BenchName("s", s), func(b *testing.B) {
@@ -78,6 +78,48 @@ func BenchmarkSparseDecodeReference(b *testing.B) {
 					b.Fatal("decode failed")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkSparseUpdateSchedule A/Bs the two write schedules of the
+// UpdateScaledN kernel on the shape bcbench records: 64 s=2048 dim-2
+// sketches (the ingest point-sketch shape) fed 4096-row batches
+// round-robin, so every slab visit starts cold as in the real ingest
+// fan-out. Both schedules are bit-identical; the delta is slab cache
+// locality. The kernel itself picks ordered at this size.
+func BenchmarkSparseUpdateSchedule(b *testing.B) {
+	const s, pd, n, sketches = 2048, 2, 4096, 64
+	rng := rand.New(rand.NewSource(1))
+	ens := make([]*SparseRecovery, sketches)
+	for i := range ens {
+		ens[i] = NewSparseRecovery(rng, s, 0.01, pd)
+	}
+	keys := make([]uint64, n)
+	scaled := make([]int64, n*pd)
+	deltas := make([]int64, n)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+		deltas[i] = 1
+		scaled[i*pd] = rng.Int63n(1 << 12)
+		scaled[i*pd+1] = rng.Int63n(1 << 12)
+	}
+	for _, sched := range []struct {
+		name  string
+		apply func(*SparseRecovery)
+	}{
+		{"ordered", func(sr *SparseRecovery) { sr.updateOrderedN(keys, scaled, deltas) }},
+		{"scatter", func(sr *SparseRecovery) { sr.updateLanesN(keys, scaled, deltas) }},
+	} {
+		b.Run(sched.name, func(b *testing.B) {
+			for _, sr := range ens {
+				sched.apply(sr) // warm page tables and scratch
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sched.apply(ens[i%sketches])
+			}
+			b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "upd/sec")
 		})
 	}
 }

@@ -1,24 +1,24 @@
 // Worklist peeling decoder for SparseRecovery.
 //
-// The reference decoder (DecodeReference) repeatedly rescans the whole
-// rows×width slab until a round extracts nothing — O(rows·width) bucket
-// probes per peeled item in the worst case, with a full slab clone and a
-// payload allocation per candidate on top. The decoder here is the
-// standard IBLT worklist formulation: a FIFO of candidate buckets seeded
-// with every non-empty bucket, where peeling an item enqueues only the
-// ≤ rows buckets its removal touched. Each bucket is probed O(1) times
-// per state change, the ~120-multiply InvMod of every purity test is
-// replaced by a precomputed small-integer inverse table (net counts are
-// almost always tiny), and all scratch — working slab, queue, queued
-// marks — lives in a reusable DecodeArena so repeated decodes allocate
-// only the items they return.
+// The decoder is the standard IBLT worklist formulation: a FIFO of
+// candidate buckets seeded with every non-empty bucket, where peeling an
+// item enqueues only the ≤ rows buckets its removal touched. Each bucket
+// is probed O(1) times per state change — a round-based rescan of the
+// whole rows×width slab costs O(rows·width) probes per peeled item in
+// the worst case, plus a slab clone and a payload allocation per
+// candidate. The ~120-multiply InvMod of every purity test is replaced
+// by a precomputed small-integer inverse table (net counts are almost
+// always tiny), and all scratch — working slab, queue, queued marks —
+// lives in a reusable DecodeArena so repeated decodes allocate only the
+// items they return.
 //
 // Peeling is confluent: the set of peelable items does not depend on the
 // order buckets are processed (the unpeelable remainder is the unique
 // 2-core of the bucket hypergraph), so the worklist decoder returns the
-// same items, ok-flag and FAIL cases as the reference on every input.
-// FuzzDecodeWorklistMatchesReference and TestDecodeWorklistMatchesReference
-// pin that equivalence under -race.
+// same items, ok-flag and FAIL cases as the round-based rescan on every
+// input. That rescan is kept as the test oracle DecodeReference
+// (reference_test.go); FuzzDecodeWorklistMatchesReference and
+// TestDecodeWorklistMatchesReference pin the equivalence under -race.
 package sketch
 
 import (

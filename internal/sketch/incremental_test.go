@@ -245,17 +245,4 @@ func TestCacheBytesIncludesBase(t *testing.T) {
 	if cb := st.CacheBytes(); cb != 0 {
 		t.Fatalf("DropCache left CacheBytes = %d, want 0", cb)
 	}
-
-	// With incremental decode off no snapshots are retained: the gauge
-	// holds only the decoded lists, strictly below the slab footprint.
-	prev := SetIncremental(false)
-	defer SetIncremental(prev)
-	st.Result()
-	if cb := st.CacheBytes(); cb == 0 || cb >= bytes0 {
-		t.Fatalf("CacheBytes with incremental off = %d, want in (0, %d)", cb, bytes0)
-	}
-	st.DropCache()
-	if st.CacheBytes() != 0 {
-		t.Fatal("DropCache (incremental off) left CacheBytes nonzero")
-	}
 }

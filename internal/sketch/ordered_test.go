@@ -28,49 +28,47 @@ func randBatch(rng *rand.Rand, n, nKeys, pd int) (keys []uint64, payload []int64
 	return
 }
 
-// TestUpdateNOrderedMatchesScatter pins the bucket-ordered kernel against
-// the per-op and 4-lane scatter paths: for batch sizes on both sides of
-// the orderedMinRows threshold, payload dims 0 and 2, and deltas spanning
-// negative and zero, all three write schedules must leave bit-identical
-// slabs.
+// TestUpdateNOrderedMatchesScatter pins both write schedules of the
+// UpdateScaledN kernel — bucket-ordered (updateOrderedN) and 4-lane
+// scatter (updateLanesN), called directly so each runs at every batch
+// size — and the size-based dispatch between them against row-at-a-time
+// scalar writes: for batch sizes on both sides of the orderedMinRows
+// threshold, payload dims 0 and 2, and deltas spanning negative and
+// zero, all must leave bit-identical slabs.
 func TestUpdateNOrderedMatchesScatter(t *testing.T) {
 	for _, pd := range []int{0, 2} {
 		for _, n := range []int{1, 3, orderedMinRows - 1, orderedMinRows, 257, 1024} {
 			rng := rand.New(rand.NewSource(int64(1000*pd + n)))
 			base := NewSparseRecovery(rand.New(rand.NewSource(7)), 32, 0.01, pd)
 			keys, payload, deltas := randBatch(rng, n, 5+rng.Intn(n+1), pd)
+			scaled := scaleRows(payload, deltas, pd)
 
 			perOp := base.CloneEmpty()
-			for i := 0; i < n; i++ {
-				var row []int64
-				if pd > 0 {
-					row = payload[i*pd : (i+1)*pd]
-				}
-				perOp.Update(keys[i], row, deltas[i])
-			}
+			scalarUpdateN(perOp, keys, payload, deltas)
 
 			ordered := base.CloneEmpty()
-			prev := SetBucketOrder(true)
-			ordered.UpdateN(keys, payload, deltas)
-			SetBucketOrder(false)
+			ordered.updateOrderedN(keys, scaled, deltas)
 			lanes := base.CloneEmpty()
-			lanes.UpdateN(keys, payload, deltas)
-			SetBucketOrder(prev)
+			lanes.updateLanesN(keys, scaled, deltas)
+			kernel := base.CloneEmpty()
+			kernel.UpdateScaledN(keys, scaled, deltas)
 
-			if d1, d2 := perOp.Digest(), ordered.Digest(); d1 != d2 {
-				t.Fatalf("pd=%d n=%d: ordered digest %x != per-op %x", pd, n, d2, d1)
-			}
-			if d1, d2 := perOp.Digest(), lanes.Digest(); d1 != d2 {
-				t.Fatalf("pd=%d n=%d: lanes digest %x != per-op %x", pd, n, d2, d1)
+			for _, tc := range []struct {
+				name string
+				sr   *SparseRecovery
+			}{{"ordered", ordered}, {"lanes", lanes}, {"UpdateScaledN", kernel}} {
+				if d1, d2 := perOp.Digest(), tc.sr.Digest(); d1 != d2 {
+					t.Fatalf("pd=%d n=%d: %s digest %x != scalar %x", pd, n, tc.name, d2, d1)
+				}
 			}
 		}
 	}
 }
 
-// TestUpdateScaledNMatchesUpdateN verifies the pre-aggregated entry
-// point: manually coalescing a batch by key (summing deltas and
-// delta-scaled payload rows) and feeding the sums through UpdateScaledN
-// must be bit-identical to the raw batch through UpdateN — including
+// TestUpdateScaledNMatchesUpdateN verifies the pre-aggregated contract:
+// manually coalescing a batch by key (summing deltas and delta-scaled
+// payload rows) and feeding the sums through either write schedule must
+// be bit-identical to the raw batch written row at a time — including
 // coalesced rows whose delta sum cancels to zero while the payload sum
 // does not, the case a naive zero-delta skip would drop.
 func TestUpdateScaledNMatchesUpdateN(t *testing.T) {
@@ -86,7 +84,7 @@ func TestUpdateScaledNMatchesUpdateN(t *testing.T) {
 		deltas = append(deltas, 1, -1)
 
 		raw := base.CloneEmpty()
-		raw.UpdateN(keys, payload, deltas)
+		scalarUpdateN(raw, keys, payload, deltas)
 
 		// Coalesce by key in first-occurrence order, exactly as the ingest
 		// coalescer does.
@@ -108,13 +106,13 @@ func TestUpdateScaledNMatchesUpdateN(t *testing.T) {
 			}
 		}
 
-		for _, ordered := range []bool{true, false} {
-			co := base.CloneEmpty()
-			prev := SetBucketOrder(ordered)
-			co.UpdateScaledN(cKeys, cScaled, cDeltas)
-			SetBucketOrder(prev)
+		ordered := base.CloneEmpty()
+		ordered.updateOrderedN(cKeys, cScaled, cDeltas)
+		lanes := base.CloneEmpty()
+		lanes.updateLanesN(cKeys, cScaled, cDeltas)
+		for _, co := range []*SparseRecovery{ordered, lanes} {
 			if d1, d2 := raw.Digest(), co.Digest(); d1 != d2 {
-				t.Fatalf("n=%d ordered=%v: coalesced digest %x != raw %x", n, ordered, d2, d1)
+				t.Fatalf("n=%d ordered=%v: coalesced digest %x != raw %x", n, co == ordered, d2, d1)
 			}
 		}
 	}
@@ -123,8 +121,8 @@ func TestUpdateScaledNMatchesUpdateN(t *testing.T) {
 // TestUpdateNDuplicateHeavyBatch is the dedicated duplicate-heavy
 // equivalence case: a large batch concentrated on a handful of keys (the
 // coarse-grid-level shape that motivates coalescing) must decode to the
-// same items whether applied per-op, bucket-ordered, or via the scatter
-// lanes — and the slabs must be bit-identical.
+// same items whether written row at a time, bucket-ordered, or via the
+// scatter lanes — and the slabs must be bit-identical.
 func TestUpdateNDuplicateHeavyBatch(t *testing.T) {
 	const n, nKeys, pd = 4096, 7, 2
 	rng := rand.New(rand.NewSource(99))
@@ -136,18 +134,19 @@ func TestUpdateNDuplicateHeavyBatch(t *testing.T) {
 		payload = append(payload, int64(i), int64(-i))
 		deltas = append(deltas, int64(100+i))
 	}
+	scaled := scaleRows(payload, deltas, pd)
 
 	perOp := base.CloneEmpty()
-	for i := range keys {
-		perOp.Update(keys[i], payload[i*pd:(i+1)*pd], deltas[i])
-	}
+	scalarUpdateN(perOp, keys, payload, deltas)
 	wantItems, wantOK := perOp.Decode()
 
 	for _, ordered := range []bool{true, false} {
 		got := base.CloneEmpty()
-		prev := SetBucketOrder(ordered)
-		got.UpdateN(keys, payload, deltas)
-		SetBucketOrder(prev)
+		if ordered {
+			got.updateOrderedN(keys, scaled, deltas)
+		} else {
+			got.updateLanesN(keys, scaled, deltas)
+		}
 		if d1, d2 := perOp.Digest(), got.Digest(); d1 != d2 {
 			t.Fatalf("ordered=%v: digest %x != per-op %x", ordered, d2, d1)
 		}
@@ -170,16 +169,12 @@ func TestUpdateNReusedScratchIndependent(t *testing.T) {
 	k2, p2, d2 := randBatch(rng, orderedMinRows+5, 3, pd)
 
 	seq := base.CloneEmpty()
-	seq.UpdateN(k1, p1, d1)
-	seq.UpdateN(k2, p2, d2)
+	seq.UpdateScaledN(k1, scaleRows(p1, d1, pd), d1)
+	seq.UpdateScaledN(k2, scaleRows(p2, d2, pd), d2)
 
 	perOp := base.CloneEmpty()
-	for i := range k1 {
-		perOp.Update(k1[i], p1[i*pd:(i+1)*pd], d1[i])
-	}
-	for i := range k2 {
-		perOp.Update(k2[i], p2[i*pd:(i+1)*pd], d2[i])
-	}
+	scalarUpdateN(perOp, k1, p1, d1)
+	scalarUpdateN(perOp, k2, p2, d2)
 	if a, b := seq.Digest(), perOp.Digest(); a != b {
 		t.Fatalf("sequential batches digest %x != per-op %x", a, b)
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"streambalance/internal/geo"
 	"streambalance/internal/grid"
@@ -31,21 +30,6 @@ var (
 	vDecodeFail           = obs.CV("sketch_decode_fail_total", "level")
 	mDecodeNS             = obs.H("sketch_decode_ns")
 )
-
-// incrementalOn gates the differential decode path of ResultArena (on by
-// default). Both settings produce identical reported results — the
-// spliced decode falls back to a cold peel whenever it cannot prove
-// exactness — so the knob is a perf A/B switch for benchmarks and the
-// incremental-vs-cold equivalence suite (DESIGN.md §13).
-var incrementalOn = func() *atomic.Bool {
-	var b atomic.Bool
-	b.Store(true)
-	return &b
-}()
-
-// SetIncremental enables or disables differential (spliced) decoding,
-// returning the previous setting. Safe to call between queries.
-func SetIncremental(on bool) bool { return incrementalOn.Swap(on) }
 
 // Storing is the dynamic-streaming subroutine Storing(G_i, α, β, δ) of
 // Lemma 4.2: over a stream of point insertions and deletions it maintains,
@@ -79,7 +63,7 @@ type Storing struct {
 
 	netUpdates int64 // net insertions − deletions, for sanity checks
 
-	// epoch counts state mutations (Update/UpdateKeyed/Merge). Result
+	// epoch counts state mutations (updates and Merge). Result
 	// caches its decode tagged with the epoch it decoded at, so repeated
 	// extraction over an unchanged sketch skips the slab peel entirely,
 	// and a stale cache re-decodes differentially: the base below holds a
@@ -98,7 +82,7 @@ type Storing struct {
 	stats      CacheStats // guarded by mu; always counted (query path only)
 
 	// Differential-decode base: valid only after a fully successful
-	// decode with incremental mode on. Each enabled side keeps the slab
+	// decode. Each enabled side keeps the slab
 	// snapshot taken at that decode and its exact sorted item list; a
 	// later query peels only cur − snapshot and merges the delta in.
 	baseValid  bool
@@ -220,66 +204,24 @@ func (st *Storing) update(p geo.Point, delta int64) {
 	st.epoch++
 }
 
-// UpdateKeyed applies one update with every derivable key supplied by the
-// caller: cellKey/cellIdx must equal g.KeyOf(level, g.CellIndex(p, level))
-// and pointKey must equal PointKey(p). The batched ingestion pipeline
-// computes these once per op and reuses them across the h/h′/ĥ sketches of
-// every level and guess instance; because the values are identical to what
-// update would compute, the resulting sketch state is bit-identical to the
-// per-op path.
-func (st *Storing) UpdateKeyed(cellKey uint64, cellIdx []int64, pointKey uint64, p geo.Point, delta int64) {
-	if st.cells != nil {
-		st.cells.Update(cellKey, cellIdx, delta)
-	}
-	if st.points != nil {
-		st.points.Update(pointKey, p, delta)
-	}
-	st.netUpdates += delta
-	st.epoch++
-}
-
-// UpdateKeyedN is the columnar form of UpdateKeyed: it applies a batch
-// of keyed updates through the 4-lane sketch kernels
-// (SparseRecovery.UpdateN). cellKeys/cellIdx feed the cell sketch
-// (cellIdx flat, Dim words per update); pointKeys/points feed the point
-// sketch (flat, Dim words per update). A disabled side's columns may be
-// nil; an enabled side's columns must be supplied — single-sided
-// instances (the h/h′/ĥ substreams) pass nil for the other side. All
-// supplied columns must have len(deltas) rows. Exactly-summed sketch
-// state makes the result bit-identical to len(deltas) UpdateKeyed
-// calls; the epoch advances once per non-empty batch.
-func (st *Storing) UpdateKeyedN(cellKeys []uint64, cellIdx []int64, pointKeys []uint64, points []int64, deltas []int64) {
-	if len(deltas) == 0 {
-		return
-	}
-	if st.cells != nil {
-		if cellKeys == nil {
-			panic("sketch: UpdateKeyedN missing cell columns for a cell-recovery instance")
-		}
-		st.cells.UpdateN(cellKeys, cellIdx, deltas)
-	}
-	if st.points != nil {
-		if pointKeys == nil {
-			panic("sketch: UpdateKeyedN missing point columns for a point-recovery instance")
-		}
-		st.points.UpdateN(pointKeys, points, deltas)
-	}
-	for _, d := range deltas {
-		st.netUpdates += d
-	}
-	st.epoch++
-}
-
-// UpdateKeyedScaledN is UpdateKeyedN for key-coalesced input: each row
-// is one distinct key with its summed delta (Σ dᵢ) and delta-scaled
-// payload sum (Σ dᵢ·payloadᵢ), as produced by the ingest coalescer.
-// The columns route to SparseRecovery.UpdateScaledN, whose exact
-// linear sums make the sketch state bit-identical to applying the
-// constituent per-op updates individually — including zero-delta rows
-// (an op and its deletion coalesced away), which must still be applied
-// because their payload sums need not vanish when two distinct inputs
-// share a fingerprint key. netUpdates advances by the delta sum and the
-// epoch once per non-empty batch, exactly like UpdateKeyedN.
+// UpdateKeyedScaledN is the columnar keyed entry point of the batched
+// ingestion pipeline: it applies a batch of key-coalesced updates with
+// every derivable key supplied by the caller, which computes them once
+// per op and reuses them across the h/h′/ĥ sketches of every level and
+// guess instance. Each row is one distinct key with its summed delta
+// (Σ dᵢ) and delta-scaled payload sum (Σ dᵢ·payloadᵢ). cellKeys must
+// hold g.KeyOf(level, idx) and cellScaled the matching index sums (Dim
+// words per row); pointKeys must hold PointKey(p) and pointScaled the
+// coordinate sums. A disabled side's columns may be nil; an enabled
+// side's columns must be supplied — single-sided instances (the h/h′/ĥ
+// substreams) pass nil for the other side. The columns route to
+// SparseRecovery.UpdateScaledN, whose exact linear sums make the sketch
+// state bit-identical to Insert/Delete of the constituent ops one at a
+// time — including zero-delta rows (an op and its deletion coalesced
+// away), which must still be applied because their payload sums need
+// not vanish when two distinct inputs share a fingerprint key.
+// netUpdates advances by the delta sum and the epoch once per non-empty
+// batch.
 func (st *Storing) UpdateKeyedScaledN(cellKeys []uint64, cellScaled []int64, pointKeys []uint64, pointScaled []int64, deltas []int64) {
 	if len(deltas) == 0 {
 		return
@@ -302,7 +244,7 @@ func (st *Storing) UpdateKeyedScaledN(cellKeys []uint64, cellScaled []int64, poi
 	st.epoch++
 }
 
-// PointKey returns the key UpdateKeyed expects for p — st's point
+// PointKey returns the key UpdateKeyedScaledN expects for p — st's point
 // fingerprint, shared across instances built with NewStoringShared.
 func (st *Storing) PointKey(p geo.Point) uint64 { return st.fp.Key(p) }
 
@@ -374,7 +316,7 @@ func (st *Storing) ResultArena(a *DecodeArena) (StoringResult, bool) {
 // mismatch, both of which only occur under fingerprint collisions or
 // genuinely large deltas).
 func (st *Storing) decode(a *DecodeArena) (StoringResult, bool) {
-	if incrementalOn.Load() && st.baseValid {
+	if st.baseValid {
 		res, ok, done := st.splice(a)
 		if done {
 			st.stats.Splices++
@@ -410,9 +352,9 @@ func (st *Storing) decodeCold(a *DecodeArena) (StoringResult, bool) {
 		pointItems = items
 	}
 	res, ok := st.buildResult(cellItems, pointItems)
-	if ok && incrementalOn.Load() {
+	if ok {
 		st.setBase(cellItems, pointItems)
-	} else if !ok {
+	} else {
 		st.clearBase()
 	}
 	return res, ok
@@ -611,7 +553,7 @@ func mergeDecodedItems(prev, delta []Item) ([]Item, bool) {
 // mismatch. Linearity makes the merged sketch equivalent to one that saw
 // both streams interleaved.
 //
-// A pristine sibling (epoch 0: never updated since birth or Reset) has
+// A pristine sibling (epoch 0: never updated since birth) has
 // an identically zero slab, so merging it is arithmetically a no-op —
 // Merge skips the state mutation entirely and a fresh decode cache
 // stays fresh. This is what keeps a fork that touched k levels from
@@ -645,16 +587,15 @@ func (st *Storing) Merge(other *Storing) {
 // merge. With a valid differential base the cache is merely left stale:
 // the epoch moved, but by linearity the next query's residual
 // cur − snapshot simply includes the merged-in state, so it splices
-// instead of re-peeling from scratch (MergeKeeps). Without a base —
-// incremental mode off, or the last decode FAILed — the cached decode is
-// discarded as before; the discard counts both as a generic drop and
+// instead of re-peeling from scratch (MergeKeeps). Without a base — the
+// last decode FAILed — the cached decode is discarded; the discard counts both as a generic drop and
 // under the merge-specific counters, so the cache churn of
 // merge-at-extraction recombination stays separable from explicit
 // DropCache calls.
 func (st *Storing) invalidateForMerge() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if incrementalOn.Load() && st.baseValid {
+	if st.baseValid {
 		st.stats.MergeKeeps++
 		mCacheMergeKeeps.Inc()
 		return
@@ -695,8 +636,9 @@ func (st *Storing) Bytes() int64 {
 }
 
 // Epoch returns the update epoch: a counter bumped by every
-// state-mutating operation (Update, UpdateKeyed, Merge). Result caches
-// are tagged with it, so equal epochs mean the cached decode is current.
+// state-mutating operation (Insert, Delete, UpdateKeyedScaledN, Merge).
+// Result caches are tagged with it, so equal epochs mean the cached
+// decode is current.
 func (st *Storing) Epoch() uint64 { return st.epoch }
 
 // CacheFresh reports whether a decode cached at the current epoch exists

@@ -195,9 +195,9 @@ func TestStoringBytesIndependentOfStreamLength(t *testing.T) {
 }
 
 func TestUpdateKeyedMatchesUpdate(t *testing.T) {
-	// UpdateKeyed with caller-precomputed keys must leave bit-identical
-	// state to the per-op Insert/Delete path — the contract the batched
-	// ingestion pipeline depends on.
+	// The keyed entry point with caller-precomputed keys, fed one op per
+	// call, must leave bit-identical state to the per-op Insert/Delete
+	// path — the contract the batched ingestion pipeline depends on.
 	g := buildGrid(t, 1<<8, 2, 61)
 	mk := func() (*Storing, *Storing) {
 		rngA := rand.New(rand.NewSource(62))
@@ -224,10 +224,11 @@ func TestUpdateKeyedMatchesUpdate(t *testing.T) {
 			perOp.Delete(p)
 		}
 		idx := g.CellIndex(p, 3)
-		keyed.UpdateKeyed(g.KeyOf(3, idx), idx, keyed.PointKey(p), p, delta)
+		keyed.UpdateKeyedScaledN([]uint64{g.KeyOf(3, idx)}, []int64{delta * idx[0], delta * idx[1]},
+			[]uint64{keyed.PointKey(p)}, []int64{delta * p[0], delta * p[1]}, []int64{delta})
 	}
 	if perOp.Digest() != keyed.Digest() {
-		t.Fatal("UpdateKeyed state diverged from per-op Update")
+		t.Fatal("keyed state diverged from per-op Insert/Delete")
 	}
 	if perOp.NetUpdates() != keyed.NetUpdates() {
 		t.Fatalf("net updates %d vs %d", perOp.NetUpdates(), keyed.NetUpdates())
@@ -430,11 +431,12 @@ func TestStoringCacheStats(t *testing.T) {
 }
 
 // TestStoringMergeDropCounter pins the obs counters behind CacheStats's
-// merge fields: with incremental decode on, a Merge over a live base
-// moves sketch_cache_merge_keeps_total and leaves the merge-drop counter
-// alone; with incremental decode off, it discards the cached decode and
-// moves sketch_cache_merge_drops_total exactly once — not on merges into
-// an undecoded receiver, and not on explicit DropCache calls.
+// merge fields: a Merge over a live base moves
+// sketch_cache_merge_keeps_total and leaves the merge-drop counter
+// alone; a Merge over a cached FAIL (no base) discards the cached
+// verdict and moves sketch_cache_merge_drops_total exactly once — not
+// on merges into an undecoded receiver, and not on explicit DropCache
+// calls.
 func TestStoringMergeDropCounter(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -456,7 +458,7 @@ func TestStoringMergeDropCounter(t *testing.T) {
 		t.Fatalf("merge into undecoded receiver moved the counter: %d -> %d", before, got)
 	}
 
-	// A live base with incremental decode on: kept, not dropped.
+	// A live base: kept, not dropped.
 	st.Result()
 	keepsBefore := keeps.Load()
 	fork2 := st.CloneEmpty()
@@ -472,20 +474,24 @@ func TestStoringMergeDropCounter(t *testing.T) {
 		t.Fatalf("CacheStats = %+v, want MergeKeeps 1, MergeDrops 0", s)
 	}
 
-	// Incremental decode off: the PR-2 behaviour — a live cached decode
-	// is discarded and counted as exactly one merge drop.
-	prev := SetIncremental(false)
-	defer SetIncremental(prev)
-	st.DropCache()
-	st.Result()
-	fork3 := st.CloneEmpty()
-	fork3.Insert(geo.Point{11, 11})
-	st.Merge(fork3)
-	if got := drops.Load(); got != before+1 {
-		t.Fatalf("merge over a cached decode (incremental off): counter %d -> %d, want +1", before, got)
+	// A cached FAIL has no base to splice from: the merge discards the
+	// verdict and counts exactly one merge drop. Four distinct cells
+	// overflow an alpha=2 cell sketch.
+	full := NewStoring(rng, g, 4, 2, 0, 0.01)
+	for _, p := range []geo.Point{{3, 3}, {300, 3}, {3, 300}, {300, 300}} {
+		full.Insert(p)
 	}
-	if s := st.CacheStats(); s.MergeDrops != 1 {
-		t.Fatalf("CacheStats.MergeDrops = %d, want 1", s.MergeDrops)
+	if _, ok := full.Result(); ok {
+		t.Fatal("over-full sketch must FAIL")
+	}
+	fork3 := full.CloneEmpty()
+	fork3.Insert(geo.Point{11, 11})
+	full.Merge(fork3)
+	if got := drops.Load(); got != before+1 {
+		t.Fatalf("merge over a cached FAIL: counter %d -> %d, want +1", before, got)
+	}
+	if s := full.CacheStats(); s.MergeDrops != 1 || s.MergeKeeps != 0 {
+		t.Fatalf("CacheStats = %+v, want MergeDrops 1, MergeKeeps 0", s)
 	}
 
 	// An explicit DropCache is a plain drop, never a merge drop.

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"streambalance/internal/geo"
 	"streambalance/internal/hashing"
 )
 
@@ -198,14 +199,16 @@ func TestPureAtNoAllocOnImpureCandidate(t *testing.T) {
 	}
 }
 
-// TestUpdateNMatchesScalar pins the 4-lane batched sketch update to the
-// scalar path: same keys/payloads/deltas, bit-identical slab digests,
-// across ragged tails and zero deltas.
+// TestUpdateNMatchesScalar pins the UpdateScaledN kernel and the
+// one-row Update wrapper to row-at-a-time scalar writes: same
+// keys/payloads/deltas, bit-identical slab digests, across ragged tails
+// and zero deltas.
 func TestUpdateNMatchesScalar(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 4, 5, 8, 127} {
 		rng := rand.New(rand.NewSource(int64(n) + 1))
 		ref := NewSparseRecovery(rng, 16, 0.01, 2)
 		bat := ref.CloneEmpty()
+		one := ref.CloneEmpty()
 		keys := make([]uint64, n)
 		payload := make([]int64, 2*n)
 		deltas := make([]int64, n)
@@ -215,19 +218,24 @@ func TestUpdateNMatchesScalar(t *testing.T) {
 			payload[2*i+1] = rng.Int63n(100) - 50
 			deltas[i] = int64(rng.Intn(7) - 3) // includes zeros
 		}
+		scalarUpdateN(ref, keys, payload, deltas)
+		bat.UpdateScaledN(keys, scaleRows(payload, deltas, 2), deltas)
 		for i := 0; i < n; i++ {
-			ref.Update(keys[i], payload[2*i:2*i+2], deltas[i])
+			one.Update(keys[i], payload[2*i:2*i+2], deltas[i])
 		}
-		bat.UpdateN(keys, payload, deltas)
 		if ref.Digest() != bat.Digest() {
-			t.Fatalf("n=%d: UpdateN digest %x != scalar %x", n, bat.Digest(), ref.Digest())
+			t.Fatalf("n=%d: UpdateScaledN digest %x != scalar %x", n, bat.Digest(), ref.Digest())
+		}
+		if ref.Digest() != one.Digest() {
+			t.Fatalf("n=%d: Update digest %x != scalar %x", n, one.Digest(), ref.Digest())
 		}
 	}
 }
 
 // TestStoringUpdateKeyedNMatchesScalar drives both a cell-recovery and
-// a point-recovery Storing through the columnar entry point and checks
-// digest equality with per-op UpdateKeyed.
+// a point-recovery Storing through the columnar keyed entry point
+// (UpdateKeyedScaledN, one row per op) and checks digest equality with
+// per-op Insert/Delete.
 func TestStoringUpdateKeyedNMatchesScalar(t *testing.T) {
 	g := buildGrid(t, 64, 2, 11)
 	mk := func(seed int64, alpha, beta int) (*Storing, *Storing) {
@@ -238,40 +246,45 @@ func TestStoringUpdateKeyedNMatchesScalar(t *testing.T) {
 	const n = 33
 	rng := rand.New(rand.NewSource(12))
 	cellKeys := make([]uint64, n)
-	cellIdx := make([]int64, n*g.Dim)
+	cellScaled := make([]int64, n*g.Dim)
 	pointKeys := make([]uint64, n)
-	points := make([]int64, n*g.Dim)
+	pointScaled := make([]int64, n*g.Dim)
 	deltas := make([]int64, n)
-	pts := make([][]int64, n)
-	idxs := make([][]int64, n)
+	pts := make([]geo.Point, n)
 	for i := 0; i < n; i++ {
-		p := []int64{rng.Int63n(64), rng.Int63n(64)}
+		p := geo.Point{rng.Int63n(64), rng.Int63n(64)}
 		pts[i] = p
-		copy(points[i*g.Dim:], p)
-		idx := g.CellIndex(p, 2)
-		idxs[i] = idx
-		copy(cellIdx[i*g.Dim:], idx)
-		cellKeys[i] = g.KeyOf(2, idx)
 		if i%5 == 0 {
 			deltas[i] = -1
 		} else {
 			deltas[i] = 1
+		}
+		idx := g.CellIndex(p, 2)
+		cellKeys[i] = g.KeyOf(2, idx)
+		for j := 0; j < g.Dim; j++ {
+			cellScaled[i*g.Dim+j] = deltas[i] * idx[j]
+			pointScaled[i*g.Dim+j] = deltas[i] * p[j]
 		}
 	}
 	cellsRef, cellsBat := mk(1, 32, 0)
 	ptsRef, ptsBat := mk(2, 0, 32)
 	for i := 0; i < n; i++ {
 		pointKeys[i] = ptsRef.PointKey(pts[i])
-		cellsRef.UpdateKeyed(cellKeys[i], idxs[i], 0, pts[i], deltas[i])
-		ptsRef.UpdateKeyed(0, idxs[i], pointKeys[i], pts[i], deltas[i])
+		if deltas[i] > 0 {
+			cellsRef.Insert(pts[i])
+			ptsRef.Insert(pts[i])
+		} else {
+			cellsRef.Delete(pts[i])
+			ptsRef.Delete(pts[i])
+		}
 	}
-	cellsBat.UpdateKeyedN(cellKeys, cellIdx, nil, nil, deltas)
-	ptsBat.UpdateKeyedN(nil, nil, pointKeys, points, deltas)
+	cellsBat.UpdateKeyedScaledN(cellKeys, cellScaled, nil, nil, deltas)
+	ptsBat.UpdateKeyedScaledN(nil, nil, pointKeys, pointScaled, deltas)
 	if cellsRef.Digest() != cellsBat.Digest() {
-		t.Fatal("cell-side UpdateKeyedN digest mismatch")
+		t.Fatal("cell-side UpdateKeyedScaledN digest mismatch")
 	}
 	if ptsRef.Digest() != ptsBat.Digest() {
-		t.Fatal("point-side UpdateKeyedN digest mismatch")
+		t.Fatal("point-side UpdateKeyedScaledN digest mismatch")
 	}
 	if cellsRef.NetUpdates() != cellsBat.NetUpdates() {
 		t.Fatalf("netUpdates %d vs %d", cellsBat.NetUpdates(), cellsRef.NetUpdates())

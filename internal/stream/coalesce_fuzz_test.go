@@ -11,12 +11,12 @@ import (
 // FuzzCoalescedIngestMatchesSerial: random dynamic streams — interleaved
 // insertions and deletions of live points, with a duplication knob that
 // replays each op up to 8× to stress the coalescer — applied through the
-// batched pipeline with key-coalescing ON must be bit-identical to both
-// the per-op serial replay and the batched pipeline with coalescing OFF:
-// same StateDigest, same Bytes, and the same Result including the FAIL
-// side (the tiny sketch budgets make over-full decodes common here, and
-// coalescing must FAIL exactly when the serial path does). Plain
-// `go test` replays the seed corpus.
+// key-coalescing batched pipeline must be bit-identical to the per-op
+// Insert/Delete replay: same N, same StateDigest, same Bytes, and the
+// same Result including the FAIL side (the tiny sketch budgets make
+// over-full decodes common here, and coalescing must FAIL exactly when
+// the per-op path does). Plain `go test` replays the seed corpus;
+// `make check` fuzzes it for 15 s.
 func FuzzCoalescedIngestMatchesSerial(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(30), uint8(64), uint8(0))
 	f.Add(int64(2), uint16(700), uint8(0), uint8(255), uint8(7))
@@ -71,41 +71,28 @@ func FuzzCoalescedIngestMatchesSerial(f *testing.F) {
 			}
 		}
 
-		apply := func(coalesce bool) *Stream {
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prev := SetCoalesce(coalesce)
-			defer SetCoalesce(prev)
-			for i := 0; i < len(ops); i += chunk {
-				end := i + chunk
-				if end > len(ops) {
-					end = len(ops)
-				}
-				s.Apply(ops[i:end])
-			}
-			return s
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		on := apply(true)
-		off := apply(false)
-
-		for _, tc := range []struct {
-			name string
-			s    *Stream
-		}{{"coalesced", on}, {"uncoalesced", off}} {
-			if tc.s.N() != ref.N() {
-				t.Fatalf("%s: N %d vs %d (chunk=%d dup=%d)", tc.name, tc.s.N(), ref.N(), chunk, dup)
+		for i := 0; i < len(ops); i += chunk {
+			end := i + chunk
+			if end > len(ops) {
+				end = len(ops)
 			}
-			if tc.s.Bytes() != ref.Bytes() {
-				t.Fatalf("%s: Bytes %d vs %d", tc.name, tc.s.Bytes(), ref.Bytes())
-			}
-			if tc.s.StateDigest() != ref.StateDigest() {
-				t.Fatalf("%s: state diverged from per-op replay (chunk=%d dup=%d)", tc.name, chunk, dup)
-			}
-			ca, errA := ref.Result()
-			cb, errB := tc.s.Result()
-			sameCoreset(t, ca, cb, errA, errB)
+			s.Apply(ops[i:end])
 		}
+		if s.N() != ref.N() {
+			t.Fatalf("N %d vs %d (chunk=%d dup=%d)", s.N(), ref.N(), chunk, dup)
+		}
+		if s.Bytes() != ref.Bytes() {
+			t.Fatalf("Bytes %d vs %d", s.Bytes(), ref.Bytes())
+		}
+		if s.StateDigest() != ref.StateDigest() {
+			t.Fatalf("state diverged from per-op replay (chunk=%d dup=%d)", chunk, dup)
+		}
+		ca, errA := ref.Result()
+		cb, errB := s.Result()
+		sameCoreset(t, ca, cb, errA, errB)
 	})
 }

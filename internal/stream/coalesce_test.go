@@ -24,10 +24,11 @@ func dupHeavyOps(seed int64, n, rep int) []Op {
 	return ops
 }
 
-// TestCoalescedApplyMatchesUncoalesced: key-coalescing must leave sketch
-// state bit-identical to both the uncoalesced batched path and the per-op
-// replay, for every chunk size — including a duplicate-heavy stream where
-// the coalescer collapses nearly every batch.
+// TestCoalescedApplyMatchesUncoalesced: key-coalesced batched ingest
+// must leave sketch state bit-identical to the uncoalesced per-op
+// Insert/Delete replay, for every chunk size — including a
+// duplicate-heavy stream where the coalescer collapses nearly every
+// batch.
 func TestCoalescedApplyMatchesUncoalesced(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -44,28 +45,24 @@ func TestCoalescedApplyMatchesUncoalesced(t *testing.T) {
 			}
 			replayPerOp(t, ref, tc.ops)
 
-			for _, coalesce := range []bool{true, false} {
-				for _, chunk := range []int{1, 7, 64, len(tc.ops)} {
-					s, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					prev := SetCoalesce(coalesce)
-					for i := 0; i < len(tc.ops); i += chunk {
-						end := i + chunk
-						if end > len(tc.ops) {
-							end = len(tc.ops)
-						}
-						s.Apply(tc.ops[i:end])
-					}
-					SetCoalesce(prev)
-					if s.StateDigest() != ref.StateDigest() {
-						t.Fatalf("coalesce=%v chunk=%d: state diverged from per-op replay", coalesce, chunk)
-					}
-					ca, errA := ref.Result()
-					cb, errB := s.Result()
-					sameCoreset(t, ca, cb, errA, errB)
+			for _, chunk := range []int{1, 7, 64, len(tc.ops)} {
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
+				for i := 0; i < len(tc.ops); i += chunk {
+					end := i + chunk
+					if end > len(tc.ops) {
+						end = len(tc.ops)
+					}
+					s.Apply(tc.ops[i:end])
+				}
+				if s.StateDigest() != ref.StateDigest() {
+					t.Fatalf("chunk=%d: state diverged from per-op replay", chunk)
+				}
+				ca, errA := ref.Result()
+				cb, errB := s.Result()
+				sameCoreset(t, ca, cb, errA, errB)
 			}
 		})
 	}
@@ -75,44 +72,48 @@ func TestCoalescedApplyMatchesUncoalesced(t *testing.T) {
 // guess-enumerating Auto front-end, whose Apply shards (guess ×
 // level-range) units across the worker pool — under -race this also
 // checks the pooled applyScratch/coalescer never crosses goroutines.
+// The reference replays every op through Auto.Insert/Delete.
 func TestCoalescedAutoApplyMatchesUncoalesced(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	ops := dupHeavyOps(303, 55, 16)
 	cfg := Config{Dim: 2, Delta: testDelta, Params: coreset.Params{K: 3, Seed: 62},
 		CellSparsity: 512, PointSparsity: 2048}
 
-	digest := func(coalesce bool) (uint64, *Auto) {
-		a, err := NewAuto(cfg, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev := SetCoalesce(coalesce)
-		defer SetCoalesce(prev)
-		const chunk = 192
-		for i := 0; i < len(ops); i += chunk {
-			end := i + chunk
-			if end > len(ops) {
-				end = len(ops)
-			}
-			a.Apply(ops[i:end])
-		}
-		return a.StateDigest(), a
+	ref, err := NewAuto(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	don, aOn := digest(true)
-	doff, aOff := digest(false)
-	if don != doff {
-		t.Fatal("coalesced Auto state diverged from uncoalesced")
+	for _, op := range ops {
+		if op.Delete {
+			ref.Delete(op.P)
+		} else {
+			ref.Insert(op.P)
+		}
 	}
-	ca, errA := aOn.Result()
-	cb, errB := aOff.Result()
+	a, err := NewAuto(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 192
+	for i := 0; i < len(ops); i += chunk {
+		end := i + chunk
+		if end > len(ops) {
+			end = len(ops)
+		}
+		a.Apply(ops[i:end])
+	}
+	if a.StateDigest() != ref.StateDigest() {
+		t.Fatal("coalesced Auto.Apply state diverged from per-op replay")
+	}
+	ca, errA := a.Result()
+	cb, errB := ref.Result()
 	sameCoreset(t, ca, cb, errA, errB)
 }
 
 // TestCoalesceCounters: with telemetry enabled, a duplicate-heavy apply
 // must report more sampled ops in than distinct keys out on the h
 // substream (the level-0 cell batch collapses), and the counters must
-// stay silent when coalescing is off.
+// stay silent with telemetry disabled.
 func TestCoalesceCounters(t *testing.T) {
 	ops := dupHeavyOps(305, 40, 16)
 	cfg := Config{Dim: 2, Delta: testDelta, O: 1 << 11, Params: coreset.Params{K: 3, Seed: 64}}
@@ -147,17 +148,16 @@ func TestCoalesceCounters(t *testing.T) {
 		t.Fatalf("h substream coalesce ratio %v < 1", r)
 	}
 
-	// Off: the counters must not move.
+	// Telemetry off: the counters must not move.
+	obs.Disable()
 	in1 := mCoalesceIn[0].Load()
 	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := SetCoalesce(false)
 	s2.Apply(ops)
-	SetCoalesce(prev)
 	if mCoalesceIn[0].Load() != in1 {
-		t.Fatal("coalesce counters advanced with coalescing disabled")
+		t.Fatal("coalesce counters advanced with telemetry disabled")
 	}
 }
 

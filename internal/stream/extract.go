@@ -123,11 +123,8 @@ func (s *Stream) planTargets(dst []*sketch.Storing) []*sketch.Storing {
 // changed since the previous extraction, not to total sketch state.
 func (s *Stream) Result() (*coreset.Coreset, error) { return s.resultWith(extractWorkers()) }
 
-// ResultSerial is Result restricted to one worker: the lazy serial
-// decode path, kept as the equivalence baseline for tests and benches.
-// (It still reads and warms the epoch cache.)
-func (s *Stream) ResultSerial() (*coreset.Coreset, error) { return s.resultWith(1) }
-
+// resultWith is Result with an explicit decode-pool size; one worker
+// decodes lazily in the calling goroutine.
 func (s *Stream) resultWith(workers int) (*coreset.Coreset, error) {
 	if s.n < 0 {
 		return nil, errors.New("stream: more deletions than insertions")
@@ -370,12 +367,8 @@ func addCacheStats(a, b sketch.CacheStats) sketch.CacheStats {
 // With more than one worker the candidate guesses' cell sketches are
 // decoded speculatively across the pool before the scan; the scan itself
 // runs the serial selection rule against the warmed caches, so the
-// selected guess and its coreset are identical to ResultSerial's.
+// selected guess and its coreset are identical to the one-worker path's.
 func (a *Auto) Result() (*coreset.Coreset, error) { return a.resultWith(extractWorkers()) }
-
-// ResultSerial is Result restricted to one worker — the fully serial
-// lazy selection/extraction path (equivalence baseline).
-func (a *Auto) ResultSerial() (*coreset.Coreset, error) { return a.resultWith(1) }
 
 func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
 	if a.n < 0 {

@@ -50,7 +50,7 @@ func BenchmarkExtractAutoColdSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.DropDecodeCache()
-		if _, err := a.ResultSerial(); err != nil {
+		if _, err := a.resultWith(1); err != nil {
 			b.Fatal(err)
 		}
 	}

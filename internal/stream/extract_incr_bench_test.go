@@ -10,13 +10,12 @@ import (
 // small-batch-ingest / extract serving loop: the batch and the
 // between-query pre-warm run with the timer stopped, so the measured
 // cost is one extraction over a slightly dirty, otherwise warm
-// ensemble — the case the differential decode targets. Toggling the
-// incremental knob A/Bs the splice path against full re-peels of the
-// dirty levels.
-func benchIncrementalExtract(b *testing.B, incremental bool) {
+// ensemble — the case the differential decode targets. With cold set,
+// the untimed prelude also drops the decode cache of every dirtied
+// sketch, so the query re-peels exactly those levels from scratch: the
+// cold-decode oracle the splice path is pinned against, as an A/B.
+func benchIncrementalExtract(b *testing.B, cold bool) {
 	b.Helper()
-	prev := sketch.SetIncremental(incremental)
-	defer sketch.SetIncremental(prev)
 	a := benchExtractAuto(b)
 	ops := benchIngestOps(4096)
 	const batch = 16
@@ -30,6 +29,15 @@ func benchIncrementalExtract(b *testing.B, incremental bool) {
 			hi = len(ops)
 		}
 		a.Apply(ops[lo:hi])
+		if cold {
+			for _, s := range a.streams {
+				s.eachStoring(func(st *sketch.Storing) {
+					if !st.CacheFresh() {
+						st.DropCache()
+					}
+				})
+			}
+		}
 		b.StartTimer()
 		if _, err := a.Result(); err != nil {
 			b.Fatal(err)
@@ -40,6 +48,6 @@ func benchIncrementalExtract(b *testing.B, incremental bool) {
 	}
 }
 
-func BenchmarkExtractAutoIncremental(b *testing.B) { benchIncrementalExtract(b, true) }
+func BenchmarkExtractAutoIncremental(b *testing.B) { benchIncrementalExtract(b, false) }
 
-func BenchmarkExtractAutoIncrementalOff(b *testing.B) { benchIncrementalExtract(b, false) }
+func BenchmarkExtractAutoIncrementalOff(b *testing.B) { benchIncrementalExtract(b, true) }

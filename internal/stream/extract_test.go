@@ -126,8 +126,8 @@ func TestExtractParallelMatchesSerial(t *testing.T) {
 		t.Fatal("identically-seeded instances disagree before extraction")
 	}
 
-	csP, errP := par.resultWith(4)  // cold, parallel decode
-	csS, errS := ser.ResultSerial() // cold, serial decode
+	csP, errP := par.resultWith(4) // cold, parallel decode
+	csS, errS := ser.resultWith(1) // cold, serial decode
 	if errP != nil || errS != nil {
 		t.Fatalf("results: %v / %v", errP, errS)
 	}
@@ -138,13 +138,13 @@ func TestExtractParallelMatchesSerial(t *testing.T) {
 
 	// Warm repeats on both paths still agree.
 	csP2, _ := par.resultWith(4)
-	csS2, _ := ser.ResultSerial()
+	csS2, _ := ser.resultWith(1)
 	equalExtraction(t, csP2, csS2, "warm parallel vs warm serial")
 
 	// Cross-check: dropping the cache and re-extracting with the other
 	// path still matches.
 	par.DropDecodeCache()
-	csP3, err := par.ResultSerial()
+	csP3, err := par.resultWith(1)
 	if err != nil {
 		t.Fatal(err)
 	}

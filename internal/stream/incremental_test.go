@@ -132,7 +132,7 @@ func TestMergeFineGrainedInvalidation(t *testing.T) {
 	}
 	ca, errA := s.Result()
 	ref.DropDecodeCache()
-	cb, errB := ref.ResultSerial()
+	cb, errB := ref.resultWith(1)
 	sameCoreset(t, ca, cb, errA, errB)
 }
 
@@ -165,7 +165,7 @@ func TestIncrementalExtractMatchesCold(t *testing.T) {
 
 		ci, errI := inc.Result() // incremental: splices dirty levels
 		cold.DropDecodeCache()   // force full peels on every unit
-		cc, errC := cold.ResultSerial()
+		cc, errC := cold.resultWith(1)
 		sameCoreset(t, ci, cc, errI, errC)
 		if inc.StateDigest() != cold.StateDigest() {
 			t.Fatalf("state digests diverged after %d ops", end)

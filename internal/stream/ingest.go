@@ -55,21 +55,6 @@ var (
 	}
 )
 
-// coalesceOn gates the key-coalescing stage of applyLevels (on by
-// default). Coalesced and un-coalesced application are bit-identical —
-// the sketches are exact linear sums — so the knob exists only for perf
-// A/B runs and the equivalence/fuzz suites. Do not flip it while an
-// Apply is in flight.
-var coalesceOn = func() *atomic.Bool {
-	var b atomic.Bool
-	b.Store(true)
-	return &b
-}()
-
-// SetCoalesce enables or disables ingest key-coalescing, returning the
-// previous setting.
-func SetCoalesce(on bool) bool { return coalesceOn.Swap(on) }
-
 // batch holds the columnar precomputation for a slice of ops against one
 // grid + fingerprint pair. Buffers are reused across builds.
 type batch struct {
@@ -152,16 +137,13 @@ func growPts(s []geo.Point, n int) []geo.Point {
 }
 
 // applyScratch is the per-call working set of applyLevels: selection
-// masks, gather columns and the key-coalescer. applyLevels runs
+// masks and the key-coalescer. applyLevels runs
 // concurrently on disjoint level ranges of the same Stream, so scratch
 // cannot live on s; a sync.Pool keeps the allocations off the per-batch
 // path instead.
 type applyScratch struct {
-	sel     []bool
-	keys    []uint64
-	payload []int64
-	deltas  []int64
-	co      coalescer
+	sel []bool
+	co  coalescer
 }
 
 var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
@@ -179,9 +161,9 @@ var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
 // Storing.UpdateKeyedScaledN. At coarse levels a whole batch collapses
 // to a handful of cell rows, so the sketch pays one slab visit and one
 // row-hash evaluation per distinct cell instead of per op. Sketch state
-// is an exact linear sum, so both the coalescing and the bucket-ordered
-// write schedule behind UpdateScaledN are bit-identical to the per-op
-// path (TestApplyMatchesPerOp, FuzzCoalescedIngestMatchesSerial,
+// is an exact linear sum, so both the coalescing and the write schedule
+// UpdateScaledN picks are bit-identical to the per-op Insert/Delete
+// replay (TestApplyMatchesPerOp, FuzzCoalescedIngestMatchesSerial,
 // FuzzForkMerge).
 func (s *Stream) applyLevels(b *batch, lo, hi int) {
 	g := s.g
@@ -192,53 +174,29 @@ func (s *Stream) applyLevels(b *batch, lo, hi int) {
 	sel := growBool(sc.sel, 3*n)
 	sc.sel = sel
 	selH, selHp, selHat := sel[0:n], sel[n:2*n], sel[2*n:3*n]
-	coalesce := coalesceOn.Load()
-	var nSel int64           // sampled sketch updates; one atomic add per shard
-	var coIn, coOut [3]int64 // coalesce tallies per substream (h, hp, hat)
+	// Coalesce tallies per substream (h, hp, hat); the ops-in sum is the
+	// sampled sketch update count, added once per shard.
+	var coIn, coOut [3]int64
 	for i := lo; i <= hi; i++ {
 		sh := uint(L - i)
 		if i <= L-1 {
 			s.hSamp[i].SampleN(selH, b.fkey)
-			if coalesce {
-				in := sc.co.coalesceCells(b, selH, i, L, dim, sh)
-				s.hStore[i].UpdateKeyedScaledN(sc.co.keys, sc.co.scaled, nil, nil, sc.co.deltas)
-				nSel += in
-				coIn[0] += in
-				coOut[0] += int64(len(sc.co.deltas))
-			} else {
-				sc.keys, sc.payload, sc.deltas = gatherCells(b, selH, i, L, dim, sh, sc.keys[:0], sc.payload[:0], sc.deltas[:0])
-				s.hStore[i].UpdateKeyedN(sc.keys, sc.payload, nil, nil, sc.deltas)
-				nSel += int64(len(sc.deltas))
-			}
+			coIn[0] += sc.co.coalesceCells(b, selH, i, L, dim, sh)
+			s.hStore[i].UpdateKeyedScaledN(sc.co.keys, sc.co.scaled, nil, nil, sc.co.deltas)
+			coOut[0] += int64(len(sc.co.deltas))
 		}
 		s.hpSamp[i].SampleN(selHp, b.fkey)
-		if coalesce {
-			in := sc.co.coalesceCells(b, selHp, i, L, dim, sh)
-			s.hpStore[i].UpdateKeyedScaledN(sc.co.keys, sc.co.scaled, nil, nil, sc.co.deltas)
-			nSel += in
-			coIn[1] += in
-			coOut[1] += int64(len(sc.co.deltas))
-		} else {
-			sc.keys, sc.payload, sc.deltas = gatherCells(b, selHp, i, L, dim, sh, sc.keys[:0], sc.payload[:0], sc.deltas[:0])
-			s.hpStore[i].UpdateKeyedN(sc.keys, sc.payload, nil, nil, sc.deltas)
-			nSel += int64(len(sc.deltas))
-		}
+		coIn[1] += sc.co.coalesceCells(b, selHp, i, L, dim, sh)
+		s.hpStore[i].UpdateKeyedScaledN(sc.co.keys, sc.co.scaled, nil, nil, sc.co.deltas)
+		coOut[1] += int64(len(sc.co.deltas))
 
 		s.hatSamp[i].SampleN(selHat, b.fkey)
-		if coalesce {
-			in := sc.co.coalescePoints(b, selHat, dim)
-			s.hatStore[i].UpdateKeyedScaledN(nil, nil, sc.co.keys, sc.co.scaled, sc.co.deltas)
-			nSel += in
-			coIn[2] += in
-			coOut[2] += int64(len(sc.co.deltas))
-		} else {
-			sc.keys, sc.payload, sc.deltas = gatherPoints(b, selHat, sc.keys[:0], sc.payload[:0], sc.deltas[:0])
-			s.hatStore[i].UpdateKeyedN(nil, nil, sc.keys, sc.payload, sc.deltas)
-			nSel += int64(len(sc.deltas))
-		}
+		coIn[2] += sc.co.coalescePoints(b, selHat, dim)
+		s.hatStore[i].UpdateKeyedScaledN(nil, nil, sc.co.keys, sc.co.scaled, sc.co.deltas)
+		coOut[2] += int64(len(sc.co.deltas))
 	}
-	mSketchUpdates.Add(nSel)
-	if coalesce && obs.Enabled() {
+	mSketchUpdates.Add(coIn[0] + coIn[1] + coIn[2])
+	if obs.Enabled() {
 		for k := 0; k < 3; k++ {
 			mCoalesceIn[k].Add(coIn[k])
 			mCoalesceOut[k].Add(coOut[k])
@@ -373,38 +331,6 @@ func (c *coalescer) coalescePoints(b *batch, sel []bool, dim int) int64 {
 		}
 	}
 	return in
-}
-
-// gatherCells packs the cell-sketch update columns for one level out of
-// the sampler's selection mask: the precomputed level-i cell key, the
-// level-i index (base index shifted down), and the op sign.
-func gatherCells(b *batch, sel []bool, level, L, dim int, sh uint, keys []uint64, payload []int64, deltas []int64) ([]uint64, []int64, []int64) {
-	for t := range b.ops {
-		if !sel[t] {
-			continue
-		}
-		keys = append(keys, b.cellKey[t*(L+1)+level])
-		base := b.baseIdx[t*dim : (t+1)*dim]
-		for j := 0; j < dim; j++ {
-			payload = append(payload, base[j]>>sh)
-		}
-		deltas = append(deltas, b.sign[t])
-	}
-	return keys, payload, deltas
-}
-
-// gatherPoints packs the point-sketch update columns: fingerprint key,
-// flattened coordinates, sign.
-func gatherPoints(b *batch, sel []bool, keys []uint64, payload []int64, deltas []int64) ([]uint64, []int64, []int64) {
-	for t := range b.ops {
-		if !sel[t] {
-			continue
-		}
-		keys = append(keys, b.fkey[t])
-		payload = append(payload, b.ops[t].P...)
-		deltas = append(deltas, b.sign[t])
-	}
-	return keys, payload, deltas
 }
 
 // shard is one unit of parallel batch application: a level range of one

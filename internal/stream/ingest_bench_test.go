@@ -66,26 +66,6 @@ func BenchmarkIngestAutoApply(b *testing.B) {
 	reportOpsPerSec(b)
 }
 
-// BenchmarkIngestAutoApplyUncoalesced is the same batched pipeline with
-// the key-coalescing stage disabled — the A/B partner quantifying what
-// coalescing buys on the Auto ensemble (bcbench records the same pair
-// in BENCH_ingest.json).
-func BenchmarkIngestAutoApplyUncoalesced(b *testing.B) {
-	ops := benchIngestOps(4096)
-	a := benchAuto(b)
-	prev := SetCoalesce(false)
-	defer SetCoalesce(prev)
-	b.ResetTimer()
-	for done := 0; done < b.N; done += len(ops) {
-		n := b.N - done
-		if n > len(ops) {
-			n = len(ops)
-		}
-		a.Apply(ops[:n])
-	}
-	reportOpsPerSec(b)
-}
-
 func benchStream(b *testing.B) *Stream {
 	b.Helper()
 	s, err := New(Config{Dim: 2, Delta: 1 << 12, O: 1 << 16, Params: coreset.Params{K: 4, Seed: 1},

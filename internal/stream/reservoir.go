@@ -30,9 +30,13 @@ func NewReservoir(size int, seed int64) *Reservoir {
 	return &Reservoir{size: size, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Insert offers a point.
+// Insert offers a point. A dirty reservoir only counts it: its sample is
+// never read again.
 func (rv *Reservoir) Insert(p geo.Point) {
 	rv.seen++
+	if rv.dirty {
+		return
+	}
 	if len(rv.items) < rv.size {
 		rv.items = append(rv.items, p.Clone())
 		return
@@ -42,17 +46,12 @@ func (rv *Reservoir) Insert(p geo.Point) {
 	}
 }
 
-// Delete marks the reservoir dirty (and removes the point if it happens
-// to be present, limiting the bias for light churn).
-func (rv *Reservoir) Delete(p geo.Point) {
+// Delete marks the reservoir dirty and releases its sample: a dirty
+// reservoir is never consulted again (Auto selects by estimate only
+// while Clean), so there is nothing left to keep in sync.
+func (rv *Reservoir) Delete(geo.Point) {
 	rv.dirty = true
-	for i, q := range rv.items {
-		if q.Equal(p) {
-			rv.items[i] = rv.items[len(rv.items)-1]
-			rv.items = rv.items[:len(rv.items)-1]
-			return
-		}
-	}
+	rv.items = nil
 }
 
 // Clean reports whether the sample is an unbiased uniform sample (no
@@ -60,7 +59,7 @@ func (rv *Reservoir) Delete(p geo.Point) {
 func (rv *Reservoir) Clean() bool { return !rv.dirty }
 
 // Sample returns the current sample (shared backing; callers must not
-// mutate).
+// mutate); empty once dirty.
 func (rv *Reservoir) Sample() geo.PointSet { return rv.items }
 
 // Seen returns the number of insertions offered.

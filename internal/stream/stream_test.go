@@ -480,6 +480,20 @@ func TestReservoirBasics(t *testing.T) {
 	if rv.Clean() {
 		t.Fatal("deletion must dirty the reservoir")
 	}
+	// A dirty reservoir is never consulted again: the first delete
+	// releases the sample, and later inserts are counted but neither
+	// sampled nor cloned.
+	if len(rv.Sample()) != 0 {
+		t.Fatalf("dirty reservoir kept %d sampled points", len(rv.Sample()))
+	}
+	for i := 0; i < 50; i++ {
+		rv.Insert(geo.Point{int64(i + 1), 2})
+		rv.Delete(geo.Point{int64(i + 1), 2})
+	}
+	if rv.Clean() || rv.Seen() != 1050 || len(rv.Sample()) != 0 {
+		t.Fatalf("after churn: clean=%v seen=%d sample=%d, want false/1050/0",
+			rv.Clean(), rv.Seen(), len(rv.Sample()))
+	}
 }
 
 func TestReservoirUniformish(t *testing.T) {
