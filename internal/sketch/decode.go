@@ -72,15 +72,16 @@ func invCountField(count int64) uint64 {
 }
 
 // DecodeArena holds the reusable scratch of the worklist decoder: the
-// working slab copy, the candidate-bucket queue and its membership
-// marks. Buffers grow to the largest sketch decoded and are reused
-// across calls; one arena serves sketches of any shape. An arena must
-// not be used from two goroutines at once — the extraction pipeline
-// keeps one per decode worker.
+// working slab copy, the candidate-bucket queue, its membership marks
+// and the slab peeled payloads are written into. Buffers grow to the
+// largest sketch decoded and are reused across calls; one arena serves
+// sketches of any shape. An arena must not be used from two goroutines
+// at once — the extraction pipeline keeps one per decode worker.
 type DecodeArena struct {
-	slab  []int64
-	queue []int32
-	mark  []bool
+	slab    []int64
+	queue   []int32
+	mark    []bool
+	payload []int64 // drain's payload scratch, (itemCap+1)·payloadDim words
 
 	// Scratch of the sparse differential peel (peelSparse): a second
 	// slab and mark buffer kept ALL-ZERO between uses — the sparse path
@@ -113,6 +114,15 @@ func (a *DecodeArena) grab(slabLen, buckets int) (slab []int64, mark []bool) {
 	mark = a.mark[:buckets]
 	clear(mark)
 	return slab, mark
+}
+
+// grabPayload returns n words of payload scratch. drain overwrites every
+// word it hands out before reading it, so no clearing is needed.
+func (a *DecodeArena) grabPayload(n int) []int64 {
+	if cap(a.payload) < n {
+		a.payload = make([]int64, n)
+	}
+	return a.payload[:n]
 }
 
 // grabSparse returns the zero-invariant buffers of the sparse
@@ -230,7 +240,7 @@ func (sr *SparseRecovery) peel(a *DecodeArena, snap []int64, itemCap int) (items
 		}
 	}
 
-	items, queue, _, ok = sr.drain(slab, mark, queue, itemCap, nil)
+	items, queue, _, ok = sr.drain(a, slab, mark, queue, itemCap, nil)
 	a.queue = queue[:0] // keep any growth for the next decode
 	if !ok {
 		return nil, false
@@ -259,14 +269,18 @@ func (sr *SparseRecovery) peel(a *DecodeArena, snap []int64, itemCap int) (items
 // verify and re-zero its zero-invariant slab, and the queue alone does
 // not cover it (a subtraction that cancels a bucket's count to zero is
 // written but never enqueued).
-func (sr *SparseRecovery) drain(slab []int64, mark []bool, queue []int32, itemCap int, touched []int32) (items []Item, q, touchedOut []int32, ok bool) {
+//
+// Peeled payloads are written into the arena's payload slab — room for
+// the itemCap+1 items materialized before the over-full bail — and
+// copied out into one exact-size allocation on success. A per-decode
+// slab sized for the cap would otherwise be pinned by every item a
+// caller retains: one spliced point from an s=4096, dim-2 sketch kept
+// a (2s+1)·2·8 B ≈ 128 KiB slab alive in the decode cache.
+func (sr *SparseRecovery) drain(a *DecodeArena, slab []int64, mark []bool, queue []int32, itemCap int, touched []int32) (items []Item, q, touchedOut []int32, ok bool) {
 	stride := sr.stride
-	// One payload slab for every item this decode can return: at most
-	// itemCap+1 items are materialized before the over-full bail, so a
-	// single allocation replaces the per-item make of the reference path.
 	var payloadBuf []int64
 	if sr.payloadDim > 0 {
-		payloadBuf = make([]int64, (itemCap+1)*sr.payloadDim)
+		payloadBuf = a.grabPayload((itemCap + 1) * sr.payloadDim)
 	}
 
 	for qi := 0; qi < len(queue); qi++ {
@@ -324,6 +338,14 @@ func (sr *SparseRecovery) drain(slab []int64, mark []bool, queue []int32, itemCa
 			}
 		}
 	}
+	if sr.payloadDim > 0 {
+		out := make([]int64, len(items)*sr.payloadDim)
+		for i := range items {
+			p := out[i*sr.payloadDim : (i+1)*sr.payloadDim : (i+1)*sr.payloadDim]
+			copy(p, items[i].Payload)
+			items[i].Payload = p
+		}
+	}
 	return items, queue, touched, true
 }
 
@@ -371,7 +393,7 @@ func (sr *SparseRecovery) peelSparse(a *DecodeArena, snap []int64, itemCap int) 
 		a.touch = make([]int32, 0, 64)
 	}
 	var touched []int32
-	items, queue, touched, ok = sr.drain(slab, mark, queue, itemCap, a.touch[:0])
+	items, queue, touched, ok = sr.drain(a, slab, mark, queue, itemCap, a.touch[:0])
 	a.touch = touched[:0] // keep any growth for the next decode
 	if ok {
 		// Verify over journal ∪ write set: every other bucket is zero by

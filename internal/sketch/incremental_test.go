@@ -3,6 +3,7 @@ package sketch
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"streambalance/internal/geo"
@@ -245,4 +246,48 @@ func TestCacheBytesIncludesBase(t *testing.T) {
 	if cb := st.CacheBytes(); cb != 0 {
 		t.Fatalf("DropCache left CacheBytes = %d, want 0", cb)
 	}
+}
+
+// TestSplicedItemsDoNotPinDecodeSlabs: the decode cache retains every
+// spliced item, so an item's payload must not alias a payload slab sized
+// for the decode's item cap — one single-op splice on an s=4096, dim-2
+// point sketch would then keep a (2s+1)·2·8 B ≈ 128 KiB slab alive. After
+// ~200 such splices the heap the sketch retains must stay within twice
+// what it accounts for: its slabs (Bytes) plus its cache (CacheBytes).
+func TestSplicedItemsDoNotPinDecodeSlabs(t *testing.T) {
+	const s, splices = 4096, 200
+	rng := rand.New(rand.NewSource(41))
+	g := buildGrid(t, 1<<12, 2, 41)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	st := NewStoring(rng, g, 6, 0, s, 0.01)
+	for i := 0; i < 64; i++ {
+		st.Insert(geo.Point{int64(i), int64(i)})
+	}
+	if _, ok := st.Result(); !ok {
+		t.Fatal("base decode failed")
+	}
+	for i := 0; i < splices; i++ {
+		st.Insert(geo.Point{int64(i), int64(1000 + i)})
+		if _, ok := st.Result(); !ok {
+			t.Fatalf("splice %d failed", i)
+		}
+	}
+	if got := st.CacheStats().Splices; got != splices {
+		t.Fatalf("%d spliced decodes, want %d", got, splices)
+	}
+
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	accounted := st.Bytes() + st.CacheBytes()
+	t.Logf("retained %d B, slab+cache %d B", retained, accounted)
+	if retained > 2*accounted {
+		t.Fatalf("sketch retains %d heap bytes after %d splices, more than twice its %d slab+cache bytes",
+			retained, splices, accounted)
+	}
+	runtime.KeepAlive(st)
 }

@@ -20,6 +20,7 @@ var (
 	mCacheHits            = obs.C("sketch_cache_hits_total")
 	mCacheMiss            = obs.C("sketch_cache_misses_total")
 	mCacheStale           = obs.C("sketch_cache_stale_total")
+	mCacheStaleCold       = obs.C("sketch_cache_stale_cold_total")
 	mCacheDrops           = obs.C("sketch_cache_drops_total")
 	mCacheMergeDrops      = obs.C("sketch_cache_merge_drops_total")
 	mCacheSplices         = obs.C("sketch_cache_splices_total")
@@ -115,7 +116,10 @@ type sideBase struct {
 // re-decodes answered differentially (residual peel + merge onto the
 // cached base, including deterministic FAIL verdicts reached that way);
 // SpliceFallbacks counts differential attempts that could not prove
-// exactness and fell back to a cold peel. MergeSkips counts Merge calls
+// exactness and fell back to a cold peel. StaleCold counts the Stale
+// decodes that had no base to splice from — the last decode FAILed, so
+// the re-decode is a full cold peel; a ratio of Splices to Misses plus
+// SpliceFallbacks alone hides them. MergeSkips counts Merge calls
 // skipped entirely because the incoming sibling was pristine (zero
 // slab), leaving a fresh cache fresh; MergeKeeps counts merges of real
 // state that kept the base for the next differential decode instead of
@@ -125,8 +129,8 @@ type sideBase struct {
 // so it is always on, independent of the obs.Enabled flag; the same
 // events also feed the global sketch_cache_* counters.
 type CacheStats struct {
-	Hits, Misses, Stale, Drops, MergeDrops           int64
-	Splices, SpliceFallbacks, MergeKeeps, MergeSkips int64
+	Hits, Misses, Stale, StaleCold, Drops, MergeDrops int64
+	Splices, SpliceFallbacks, MergeKeeps, MergeSkips  int64
 }
 
 // CellCount is one recovered non-empty cell.
@@ -292,6 +296,10 @@ func (st *Storing) ResultArena(a *DecodeArena) (StoringResult, bool) {
 	if st.cacheValid {
 		st.stats.Stale++
 		mCacheStale.Inc()
+		if !st.baseValid {
+			st.stats.StaleCold++
+			mCacheStaleCold.Inc()
+		}
 	} else {
 		st.stats.Misses++
 		mCacheMiss.Inc()

@@ -375,7 +375,8 @@ func TestStoringCachesFailedDecode(t *testing.T) {
 // answered differentially (a splice) when a base exists — DropCache
 // counts as a drop (and a drop on an already-empty cache does not), a
 // pristine-fork Merge is skipped outright, and a real Merge over a live
-// base keeps it for the next splice instead of dropping.
+// base keeps it for the next splice instead of dropping, and a stale
+// re-decode of a cached FAIL counts as StaleCold.
 func TestStoringCacheStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := buildGrid(t, 1024, 2, 11)
@@ -428,6 +429,21 @@ func TestStoringCacheStats(t *testing.T) {
 	}
 	st.Result()
 	want(CacheStats{Hits: 2, Misses: 2, Stale: 2, Drops: 1, Splices: 2, MergeKeeps: 1, MergeSkips: 1})
+
+	// A cached FAIL keeps no base, so its stale re-decode is a full cold
+	// peel: Stale and StaleCold both move, Splices does not.
+	over := NewStoring(rng, g, 4, 4, 0, 0.01)
+	for i := int64(0); i < 16; i++ {
+		over.Insert(geo.Point{1 + 64*i, 1 + 64*i})
+	}
+	if _, ok := over.Result(); ok {
+		t.Fatal("16 cells in a 4-cell sketch must FAIL")
+	}
+	over.Insert(geo.Point{3, 3})
+	over.Result()
+	if got, w := over.CacheStats(), (CacheStats{Misses: 1, Stale: 1, StaleCold: 1}); got != w {
+		t.Fatalf("over-full CacheStats = %+v, want %+v", got, w)
+	}
 }
 
 // TestStoringMergeDropCounter pins the obs counters behind CacheStats's

@@ -6,15 +6,22 @@
 // assembly: every (guess × level × substream) Storing sketch peels on its
 // own state only, mirroring the sparse-recovery query structure of
 // Braverman et al. (arXiv:1706.03887), which is embarrassingly parallel.
-// The pipeline here exploits that twice:
+// The pipeline here exploits that independence:
 //
-//   - Parallel decode: before the serial assembly runs, the sketches it
-//     will consult are decoded across a GOMAXPROCS-sized worker pool
-//     (the shard-pool shape of ingest.go). Decoding only warms each
-//     sketch's epoch-tagged cache — the assembly then executes the exact
-//     serial logic against free cache hits, so results are bit-identical
-//     to the serial path by construction. With one worker the pool is
-//     skipped entirely and the original lazy path runs unchanged.
+//   - Parallel guess scan: Auto.Result's ascending scan over guesses
+//     runs on a GOMAXPROCS-sized pool that claims guesses in ascending
+//     order (the shard-pool shape of ingest.go). Each worker extracts
+//     its guesses lazily — decoding only the sketches that guess's plan
+//     consults — out of one worker-owned decode arena, and no worker
+//     claims a guess above the smallest success found so far. The
+//     winner is then picked in ascending order, so the result is
+//     bit-identical to the one-worker scan.
+//
+//   - Parallel decode within one instance: Stream.Result first decodes
+//     the sketches its assembly may consult across the same kind of
+//     pool. Decoding only warms each sketch's epoch-tagged cache — the
+//     assembly then executes the exact serial logic against free cache
+//     hits. With one worker the pool is skipped and the lazy path runs.
 //
 //   - Epoch cache + differential decode: each Storing tags its decode
 //     with an update epoch (sketch.Storing); a repeated Result during a
@@ -27,10 +34,8 @@
 //     splice. Cache memory is derived state, excluded from Bytes
 //     (DESIGN.md §6) and released by DropDecodeCache.
 //
-// Auto.Result decodes candidate guesses speculatively — the estimate
-// guess first, then the ascending-scan prefix up to the cost-bound cap —
-// while the selection rule itself (smallest weight-sane surviving guess)
-// stays the serial one, applied in order after the decodes land.
+// The reservoir-estimate guess, when Auto.Result tries one, runs alone
+// before the scan with Stream.Result's own decode pool.
 package stream
 
 import (
@@ -126,6 +131,14 @@ func (s *Stream) Result() (*coreset.Coreset, error) { return s.resultWith(extrac
 // resultWith is Result with an explicit decode-pool size; one worker
 // decodes lazily in the calling goroutine.
 func (s *Stream) resultWith(workers int) (*coreset.Coreset, error) {
+	return s.extract(workers, sketch.NewDecodeArena())
+}
+
+// extract is resultWith running every lazy (cache-miss) decode out of
+// arena, so a caller extracting many instances in one goroutine — a
+// guess-scan worker — reuses one arena across all of them. The warm
+// pools of workers > 1 bring their own per-worker arenas.
+func (s *Stream) extract(workers int, arena *sketch.DecodeArena) (*coreset.Coreset, error) {
 	if s.n < 0 {
 		return nil, errors.New("stream: more deletions than insertions")
 	}
@@ -144,10 +157,6 @@ func (s *Stream) resultWith(workers int) (*coreset.Coreset, error) {
 		}
 		sp.End()
 	}()
-	// One decode arena serves every lazy (cache-miss) decode of this
-	// extraction; the warm pools above and below bring their own
-	// per-worker arenas.
-	arena := sketch.NewDecodeArena()
 	// Stage 1: decode every cell sketch the partition stage may consult,
 	// in parallel. The serial assembly below decides lazily which levels
 	// matter; pre-decoding the rest only wastes a bounded peel per sketch
@@ -347,6 +356,7 @@ func addCacheStats(a, b sketch.CacheStats) sketch.CacheStats {
 	a.Hits += b.Hits
 	a.Misses += b.Misses
 	a.Stale += b.Stale
+	a.StaleCold += b.StaleCold
 	a.Drops += b.Drops
 	a.MergeDrops += b.MergeDrops
 	a.Splices += b.Splices
@@ -364,10 +374,14 @@ func addCacheStats(a, b sketch.CacheStats) sketch.CacheStats {
 // within 30% of the exact point count (both far-off-OPT failure modes
 // break this: sketch FAIL below, lost mass above).
 //
-// With more than one worker the candidate guesses' cell sketches are
-// decoded speculatively across the pool before the scan; the scan itself
-// runs the serial selection rule against the warmed caches, so the
-// selected guess and its coreset are identical to the one-worker path's.
+// The fallback scan runs its guesses in parallel: a pool of
+// min(GOMAXPROCS, guesses) workers claims guesses in ascending order,
+// each extracting lazily — decoding only the sketches that guess's plan
+// consults — and none claims a guess above the smallest weight-sane
+// success found so far. The selected guess, its coreset and the error
+// text are those of the one-worker scan; the only extra work is the
+// guesses above the winner that other workers claimed before the
+// winner's extraction finished, which count as attempts.
 func (a *Auto) Result() (*coreset.Coreset, error) { return a.resultWith(extractWorkers()) }
 
 func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
@@ -403,53 +417,109 @@ func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
 	if upper, ok := a.costBound.UpperBound(a.params.K, 0); ok && upper > 0 {
 		guessCap = upper / 4
 	}
-	if workers > 1 {
-		// Speculative decode of the whole scan prefix: the scan stops at
-		// the first success, but which candidate that is cannot be known
-		// without decoding, and the units are independent — so all of
-		// them go through the pool at once.
-		var units []*sketch.Storing
-		for i, s := range a.streams {
-			if a.guesses[i] > guessCap {
-				break
-			}
-			units = s.planTargets(units)
-		}
-		warmStorings(units, workers)
+	n := 0
+	for n < len(a.guesses) && a.guesses[n] <= guessCap {
+		n++
 	}
-	var firstErr error
-	for i, s := range a.streams {
-		if a.guesses[i] > guessCap {
-			break
-		}
-		mGuessAttempts.Inc()
-		markGuess(a.guesses[i], "attempt")
-		cs, err := s.resultWith(workers)
-		if err != nil {
-			mGuessFails.Inc()
-			markGuess(a.guesses[i], "fail")
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		w := cs.TotalWeight()
-		if math.Abs(w-float64(a.n)) > 0.3*float64(a.n)+1 {
-			mGuessRejects.Inc()
-			markGuess(a.guesses[i], "reject")
-			continue
-		}
+	cs, err := a.scan(n, workers)
+	if cs != nil {
 		sp.Attr("via", "scan")
 		sp.AttrFloat("o", cs.O)
 		mGuessSelected.Set(cs.O)
-		markGuess(a.guesses[i], "selected")
+		markGuess(cs.O, "selected")
 		return cs, nil
 	}
 	sp.Attr("via", "none")
-	if firstErr != nil {
-		return nil, fmt.Errorf("%w (first failure: %v)", ErrNoGuessSucceeded, firstErr)
+	if err != nil {
+		return nil, fmt.Errorf("%w (first failure: %v)", ErrNoGuessSucceeded, err)
 	}
 	return nil, ErrNoGuessSucceeded
+}
+
+// scan runs the ascending guess scan over the first n guesses on a pool
+// of min(workers, n) goroutines and returns the smallest weight-sane
+// success or, when there is none, the error of the lowest guess that
+// FAILed (nil if every guess was weight-rejected).
+//
+// Workers claim guess indices in ascending order from one counter, and
+// best holds the smallest success index so far; a claim at or above it
+// stops the worker. best only falls, so every index below its final
+// value was claimed and ran to completion, and the pass after the pool
+// reads exactly the outcomes the one-worker scan would have produced.
+// Each worker extracts lazily out of one arena it owns for all its
+// guesses.
+func (a *Auto) scan(n, workers int) (*coreset.Coreset, error) {
+	type outcome struct {
+		cs  *coreset.Coreset
+		err error
+	}
+	out := make([]outcome, n)
+	var next, best atomic.Int64
+	best.Store(int64(n))
+	run := func() {
+		arena := sketch.NewDecodeArena()
+		for {
+			i := next.Add(1) - 1
+			if i >= best.Load() {
+				return
+			}
+			cs, err := a.attempt(int(i), 1, arena)
+			out[i] = outcome{cs, err}
+			if cs != nil {
+				for b := best.Load(); i < b && !best.CompareAndSwap(b, i); b = best.Load() {
+				}
+			}
+		}
+	}
+	if workers = min(workers, n); workers <= 1 {
+		run()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
+		}
+		wg.Wait()
+	}
+	if b := best.Load(); b < int64(n) {
+		return out[b].cs, nil
+	}
+	for _, o := range out {
+		if o.err != nil {
+			return nil, o.err
+		}
+	}
+	return nil, nil
+}
+
+// attempt extracts guess i's coreset and records the attempt and its
+// outcome. It returns the coreset only when it is weight-sane; a FAIL
+// returns its error, and a weight reject returns neither.
+func (a *Auto) attempt(i, workers int, arena *sketch.DecodeArena) (*coreset.Coreset, error) {
+	o := a.guesses[i]
+	mGuessAttempts.Inc()
+	markGuess(o, "attempt")
+	cs, err := a.streams[i].extract(workers, arena)
+	if err != nil {
+		mGuessFails.Inc()
+		markGuess(o, "fail")
+		return nil, err
+	}
+	if !weightSane(cs.TotalWeight(), a.n) {
+		mGuessRejects.Inc()
+		markGuess(o, "reject")
+		return nil, nil
+	}
+	return cs, nil
+}
+
+// weightSane reports whether a coreset's total weight w is within 30%
+// (plus one) of the live point count n.
+func weightSane(w float64, n int64) bool {
+	return math.Abs(w-float64(n)) <= 0.3*float64(n)+1
 }
 
 // tryEstimateGuess picks the guess from the reservoir's OPT estimate and
@@ -469,19 +539,9 @@ func (a *Auto) tryEstimateGuess(workers int) *coreset.Coreset {
 	if best < 0 {
 		return nil
 	}
-	mGuessAttempts.Inc()
-	markGuess(a.guesses[best], "attempt")
-	cs, err := a.streams[best].resultWith(workers)
-	if err != nil {
-		mGuessFails.Inc()
-		markGuess(a.guesses[best], "fail")
-		return nil
-	}
-	if w := cs.TotalWeight(); math.Abs(w-float64(a.n)) > 0.3*float64(a.n)+1 {
-		mGuessRejects.Inc()
-		markGuess(a.guesses[best], "reject")
-		return nil
-	}
+	// A FAIL or weight reject hands selection to the scan, which reports
+	// failures itself.
+	cs, _ := a.attempt(best, workers, sketch.NewDecodeArena())
 	return cs
 }
 
