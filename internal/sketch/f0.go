@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"streambalance/internal/hashing"
 )
@@ -21,6 +22,16 @@ type F0 struct {
 	s       int // per-level sparsity
 	maxKeys float64
 }
+
+// f0Scratch holds UpdateN's reusable columns. It is pooled rather than
+// kept per F0: a ladder set holds one F0 per grid level, and at most one
+// UpdateN per worker runs at a time.
+type f0Scratch struct {
+	rk, sk, he []uint64 // reduced keys, a ladder level's selected keys, hash values
+	dl, sd     []int64  // nonzero deltas, a ladder level's selected deltas
+}
+
+var f0ScratchPool = sync.Pool{New: func() any { return new(f0Scratch) }}
 
 // NewF0 creates an estimator able to handle up to maxKeys distinct keys
 // with relative error ≈ 1/√s per ladder level.
@@ -56,6 +67,49 @@ func (f *F0) Update(key uint64, delta int64) {
 	}
 }
 
+// UpdateN applies a column of key-count deltas — bit-identical to Update
+// of every row, in any order, because each ladder level's state is an
+// exact linear sum. Rows with a zero delta change nothing (there is no
+// payload) and are dropped; each ladder level then evaluates its
+// level-assignment hash over the whole column through the 4-lane kernel
+// (KWise.EvalN) and writes its survivors with one UpdateScaledN.
+func (f *F0) UpdateN(keys []uint64, deltas []int64) {
+	if len(deltas) != len(keys) {
+		panic("sketch: F0.UpdateN column length mismatch")
+	}
+	s := f0ScratchPool.Get().(*f0Scratch)
+	defer f0ScratchPool.Put(s)
+	rk, dl := s.rk[:0], s.dl[:0]
+	for t, d := range deltas {
+		if d != 0 {
+			rk = append(rk, hashing.Reduce64(keys[t]))
+			dl = append(dl, d)
+		}
+	}
+	s.rk, s.dl = rk, dl
+	if len(rk) == 0 {
+		return
+	}
+	f.levels[0].UpdateScaledN(rk, nil, dl)
+	if cap(s.he) < len(rk) {
+		s.he = make([]uint64, len(rk))
+	}
+	he := s.he[:len(rk)]
+	for j := 1; j < len(f.levels); j++ {
+		f.samp[j].EvalN(he, rk)
+		band := hashing.MersennePrime61 >> uint(j)
+		sk, sd := s.sk[:0], s.sd[:0]
+		for t, h := range he {
+			if h < band {
+				sk = append(sk, rk[t])
+				sd = append(sd, dl[t])
+			}
+		}
+		s.sk, s.sd = sk, sd
+		f.levels[j].UpdateScaledN(sk, nil, sd)
+	}
+}
+
 // Estimate returns the estimated distinct-key count. ok is false when
 // even the sparsest ladder level is over-full (maxKeys undersized).
 func (f *F0) Estimate() (float64, bool) {
@@ -76,6 +130,16 @@ func (f *F0) Estimate() (float64, bool) {
 		return float64(live) * math.Exp2(float64(j)), true
 	}
 	return 0, false
+}
+
+// Digest folds every ladder level's state into one 64-bit value (see
+// SparseRecovery.Digest).
+func (f *F0) Digest() uint64 {
+	var d uint64
+	for _, l := range f.levels {
+		d = hashing.Mix64(d ^ l.Digest())
+	}
+	return d
 }
 
 // Bytes reports the ladder's memory footprint.

@@ -80,3 +80,26 @@ func TestF0BytesBounded(t *testing.T) {
 		t.Fatalf("bytes = %d", f.Bytes())
 	}
 }
+
+// TestF0UpdateNMatchesUpdate: the columnar UpdateN — zero rows dropped,
+// each ladder level sampled over the whole column — must leave the same
+// state as Update of every row, for columns on both sides of the
+// bucket-ordered write threshold and with zero-delta rows mixed in.
+func TestF0UpdateNMatchesUpdate(t *testing.T) {
+	ref := NewF0(rand.New(rand.NewSource(3)), 1<<20, 64, 0.01)
+	f := NewF0(rand.New(rand.NewSource(3)), 1<<20, 64, 0.01)
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{0, 1, 5, 63, 64, 65, 2000} {
+		keys := make([]uint64, n)
+		deltas := make([]int64, n)
+		for i := range keys {
+			keys[i] = rng.Uint64() >> 3
+			deltas[i] = int64(rng.Intn(5)) - 2
+			ref.Update(keys[i], deltas[i])
+		}
+		f.UpdateN(keys, deltas)
+		if f.Digest() != ref.Digest() {
+			t.Fatalf("n=%d: UpdateN state diverged from per-row Update", n)
+		}
+	}
+}

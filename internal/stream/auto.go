@@ -89,6 +89,7 @@ func (a *Auto) Guesses() []float64 { return a.guesses }
 
 // Insert feeds (p, +) to every guess instance.
 func (a *Auto) Insert(p geo.Point) {
+	checkDim(p, a.g.Dim)
 	mOps.Inc()
 	a.n++
 	a.reservoir.Insert(p)
@@ -102,6 +103,7 @@ func (a *Auto) Insert(p geo.Point) {
 
 // Delete feeds (p, −) to every guess instance.
 func (a *Auto) Delete(p geo.Point) {
+	checkDim(p, a.g.Dim)
 	mOps.Inc()
 	mDeletes.Inc()
 	a.n--
@@ -116,23 +118,25 @@ func (a *Auto) Delete(p geo.Point) {
 // shared-key ingestion pipeline (ingest.go): the per-op key columns are
 // computed once — not once per guess — and the sketch work is sharded
 // over (guess × level-range) units across a worker pool sized to the
-// machine. Linearity of all sketch state makes the result bit-identical
-// to feeding the ops one at a time through Insert/Delete.
+// machine. The cost bound's F₀ ladders are level units in the same pool,
+// queued ahead of the guess shards; only the reservoir and the net counts
+// stay on the caller. Linearity of all sketch state makes the
+// result bit-identical to feeding the ops one at a time through
+// Insert/Delete. A malformed op panics before anything changes.
 func (a *Auto) Apply(ops []Op) {
 	if len(ops) == 0 {
 		return
 	}
+	checkDims(ops, a.g.Dim)
 	countBatch(ops)
 	var net int64
 	for i := range ops {
 		if ops[i].Delete {
 			net--
 			a.reservoir.Delete(ops[i].P)
-			a.costBound.Delete(ops[i].P)
 		} else {
 			net++
 			a.reservoir.Insert(ops[i].P)
-			a.costBound.Insert(ops[i].P)
 		}
 	}
 	a.n += net
@@ -140,24 +144,25 @@ func (a *Auto) Apply(ops []Op) {
 		a.b = new(batch)
 	}
 	a.b.build(a.g, a.fp, ops)
+	a.costBound.keyBatch(a.b)
 	// Chunk each instance's L+1 levels into a few shards so the pool can
 	// balance load even when the instance count is near the core count.
-	chunk := (a.g.L + 4) / 4
-	if chunk < 1 {
-		chunk = 1
-	}
-	shards := make([]shard, 0, len(a.streams)*4)
+	L := a.g.L
+	chunk := max((L+4)/4, 1)
+	shards := make([]shard, 0, (len(a.streams)+1)*4)
+	shards = levelShards(shards, a.costBound, a.costBound.g.L, chunk)
 	for _, s := range a.streams {
 		s.n += net
-		shards = levelShards(shards, s, chunk)
+		shards = levelShards(shards, s, L, chunk)
 	}
 	applyShards(a.b, shards)
 }
 
-// StateDigest folds every guess instance's sketch state into one 64-bit
-// value (see Stream.StateDigest).
+// StateDigest folds every guess instance's sketch state and the cost
+// bound's into one 64-bit value (see Stream.StateDigest).
 func (a *Auto) StateDigest() uint64 {
 	d := hashing.Mix64(uint64(a.n))
+	d = hashing.Mix64(d ^ a.costBound.Digest())
 	for _, s := range a.streams {
 		d = hashing.Mix64(d ^ s.StateDigest())
 	}

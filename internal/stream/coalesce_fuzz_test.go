@@ -15,16 +15,20 @@ import (
 // Insert/Delete replay: same N, same StateDigest, same Bytes, and the
 // same Result including the FAIL side (the tiny sketch budgets make
 // over-full decodes common here, and coalescing must FAIL exactly when
-// the per-op path does). Plain `go test` replays the seed corpus;
-// `make check` fuzzes it for 15 s.
+// the per-op path does). The guess o = 2^(9 + oShift mod 16) sets the
+// sampling rates: at 2^9 every sampler has rate 1 and the batch's shared
+// rate-1 columns carry all of ingest; from 2^18 up some levels mix
+// rate-1 and fractional samplers. Plain `go test` replays the seed
+// corpus; `make check` fuzzes it for 15 s.
 func FuzzCoalescedIngestMatchesSerial(f *testing.F) {
-	f.Add(int64(1), uint16(200), uint8(30), uint8(64), uint8(0))
-	f.Add(int64(2), uint16(700), uint8(0), uint8(255), uint8(7))
-	f.Add(int64(3), uint16(400), uint8(80), uint8(16), uint8(3))
-	f.Add(int64(4), uint16(64), uint8(50), uint8(1), uint8(1))
-	f.Add(int64(5), uint16(900), uint8(10), uint8(128), uint8(5))
+	f.Add(int64(1), uint16(200), uint8(30), uint8(64), uint8(0), uint8(0))
+	f.Add(int64(2), uint16(700), uint8(0), uint8(255), uint8(7), uint8(0))
+	f.Add(int64(3), uint16(400), uint8(80), uint8(16), uint8(3), uint8(0))
+	f.Add(int64(4), uint16(64), uint8(50), uint8(1), uint8(1), uint8(0))
+	f.Add(int64(5), uint16(900), uint8(10), uint8(128), uint8(5), uint8(0))
+	f.Add(int64(6), uint16(600), uint8(40), uint8(64), uint8(2), uint8(12))
 
-	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, delPct, chunkRaw, dupRaw uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, delPct, chunkRaw, dupRaw, oShift uint8) {
 		n := int(nRaw)%1024 + 1
 		chunk := int(chunkRaw) + 1
 		dup := int(dupRaw)%8 + 1
@@ -55,7 +59,7 @@ func FuzzCoalescedIngestMatchesSerial(f *testing.F) {
 		// dup deletes of a point that was inserted dup times keep every
 		// prefix a valid stream: net multiplicity stays in [0, dup].
 
-		cfg := Config{Dim: 2, Delta: delta, O: 1 << 9,
+		cfg := Config{Dim: 2, Delta: delta, O: float64(int64(1) << (9 + oShift%16)),
 			Params:       coreset.Params{K: 2, Seed: seed ^ 0x3c},
 			CellSparsity: 64, PointSparsity: 128}
 

@@ -6,6 +6,7 @@ import (
 
 	"streambalance/internal/geo"
 	"streambalance/internal/grid"
+	"streambalance/internal/hashing"
 	"streambalance/internal/sketch"
 )
 
@@ -26,6 +27,11 @@ type CostBound struct {
 	r  float64
 	f0 []*sketch.F0
 	n  int64
+
+	// Batch columns on g, filled on the caller by keyBatch and read by the
+	// level units of Auto.Apply's pool (applyLevels).
+	base []int64  // level-L cell index per op
+	keys []uint64 // cell key per op per level, L+1 entries each
 }
 
 // NewCostBound creates the estimator. s controls each F₀ ladder's
@@ -42,13 +48,6 @@ func NewCostBound(rng *rand.Rand, g *grid.Grid, r float64, s int) *CostBound {
 	return cb
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Insert observes (p, +).
 func (cb *CostBound) Insert(p geo.Point) { cb.update(p, 1) }
 
@@ -59,6 +58,38 @@ func (cb *CostBound) update(p geo.Point, delta int64) {
 	cb.n += delta
 	for i := 0; i <= cb.g.L; i++ {
 		cb.f0[i].Update(cb.g.CellKey(p, i), delta)
+	}
+}
+
+// keyBatch quantizes a batch's points once on the cost bound's own grid
+// and derives every level's cell key (cellKeyColumns), ready for the
+// level units of applyLevels; it also advances n by the batch's net
+// count. It runs on the caller, before the pool starts.
+func (cb *CostBound) keyBatch(b *batch) {
+	cb.base, cb.keys = cellKeyColumns(cb.g, cb.base, cb.keys, b.pts)
+	for _, sg := range b.sign {
+		cb.n += sg
+	}
+}
+
+// applyLevels applies the batch keyed by keyBatch to the F₀ ladders of
+// levels lo..hi: per level the ops are coalesced by cell key (signs
+// summed) and the distinct keys go to F0.UpdateN, which samples each
+// ladder level over the whole column. Each level owns its ladder, so
+// distinct level ranges may run concurrently in Auto.Apply's pool. F₀
+// state is an exact linear sum, so the result is bit-identical to
+// Insert/Delete of every op in stream order (TestCostBoundApplyMatchesPerOp).
+func (cb *CostBound) applyLevels(b *batch, lo, hi int) {
+	L := cb.g.L
+	sc := applyScratchPool.Get().(*applyScratch)
+	defer applyScratchPool.Put(sc)
+	co := &sc.co
+	for i := lo; i <= hi; i++ {
+		co.reset(len(b.sign))
+		for t, sg := range b.sign {
+			co.deltas[co.slotOf(cb.keys[t*(L+1)+i], 0)] += sg
+		}
+		cb.f0[i].UpdateN(co.keys, co.deltas)
 	}
 }
 
@@ -114,6 +145,17 @@ func (cb *CostBound) Bytes() int64 {
 		b += f.Bytes()
 	}
 	return b
+}
+
+// Digest folds n and every F₀ ladder's state into one 64-bit value;
+// equal digests on cost bounds built from the same seed mean
+// bit-identical state.
+func (cb *CostBound) Digest() uint64 {
+	d := hashing.Mix64(uint64(cb.n))
+	for _, f := range cb.f0 {
+		d = hashing.Mix64(d ^ f.Digest())
+	}
+	return d
 }
 
 // N returns the exact surviving-point count.

@@ -6,6 +6,7 @@ import (
 
 	"streambalance/internal/geo"
 	"streambalance/internal/grid"
+	"streambalance/internal/hashing"
 	"streambalance/internal/workload"
 )
 
@@ -123,5 +124,43 @@ func TestCostBoundBytesIndependentOfN(t *testing.T) {
 	}
 	if cb.N() != 20000 {
 		t.Fatalf("N = %d", cb.N())
+	}
+}
+
+// TestCostBoundApplyMatchesPerOp: the columnar batch update Auto.Apply
+// runs in its pool — keys derived once per batch, ops coalesced per
+// level, each F₀ ladder level sampled over the whole column — must leave
+// the state bit-identical to Insert/Delete of every op, for batches that
+// carry duplicates and +1/−1 pairs (zero-delta rows), whatever the level
+// split.
+func TestCostBoundApplyMatchesPerOp(t *testing.T) {
+	newCB := func() *CostBound {
+		rng := rand.New(rand.NewSource(11))
+		return NewCostBound(rng, grid.New(1<<10, 2, rng), 2, 64)
+	}
+	ref, cb := newCB(), newCB()
+	gb := grid.New(1<<10, 2, rand.New(rand.NewSource(12)))
+	fp := hashing.NewFingerprint(rand.New(rand.NewSource(13)))
+	var b batch
+	for _, ops := range rateOneBatches(rand.New(rand.NewSource(14)), []int{1, 5, 64, 300, 1000}) {
+		for _, op := range ops {
+			if op.Delete {
+				ref.Delete(op.P)
+			} else {
+				ref.Insert(op.P)
+			}
+		}
+		b.build(gb, fp, ops)
+		cb.keyBatch(&b)
+		cb.applyLevels(&b, 0, 3)
+		cb.applyLevels(&b, 4, cb.g.L)
+		if cb.N() != ref.N() || cb.Digest() != ref.Digest() {
+			t.Fatalf("batch of %d: state diverged from per-op replay (N %d vs %d)", len(ops), cb.N(), ref.N())
+		}
+	}
+	u, okU := cb.UpperBound(3, 0)
+	v, okV := ref.UpperBound(3, 0)
+	if u != v || okU != okV {
+		t.Fatalf("UpperBound %v/%v vs %v/%v", u, okU, v, okV)
 	}
 }

@@ -17,7 +17,9 @@
 //
 // Coarser cell indices are reconstructed from baseIdx by a bit shift at
 // application time, only when a sampler actually selects the op, so the
-// batch stores one index vector per op rather than L+1.
+// batch stores one index vector per op rather than L+1. Samplers at rate
+// φ = 1 select every op; they all read one coalesced column per level
+// (and one for points) that the batch builds on first use.
 //
 // Because every sketch is linear over GF(p) and int64 counters — both
 // exact, commutative, associative — applying a batch level-by-level, or
@@ -27,6 +29,7 @@
 package stream
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -59,11 +62,20 @@ var (
 // grid + fingerprint pair. Buffers are reused across builds.
 type batch struct {
 	ops     []Op
+	L, dim  int         // the grid's finest level and dimension
 	pts     []geo.Point // point column (ops[t].P), input to grid.CellIndexN
 	sign    []int64     // +1 insert, −1 delete, per op
 	fkey    []uint64    // fingerprint key per op
 	baseIdx []int64     // level-L cell index per op, Dim entries each
 	cellKey []uint64    // cell key per op per level, L+1 entries each
+
+	// Shared rate-1 columns: rate1[i] for i ≤ L is the whole batch
+	// coalesced by level-i cell key, rate1[L+1] the whole batch coalesced
+	// by point key. A sampler with φ = 1 selects every op, so all rate-1
+	// consumers of one column receive the same rows; the first shard that
+	// needs a column builds it (rate1Once) and every other one reads it.
+	rate1     []coalescer
+	rate1Once []sync.Once
 }
 
 // build fills the batch's columns for ops. The grid and fingerprint must
@@ -77,13 +89,11 @@ type batch struct {
 // scalar path; both paths are bit-identical, so batch boundaries cannot
 // change any key.
 func (b *batch) build(g *grid.Grid, fp *hashing.Fingerprint, ops []Op) {
-	n, dim, L := len(ops), g.Dim, g.L
-	b.ops = ops
+	n, L := len(ops), g.L
+	b.ops, b.L, b.dim = ops, L, g.Dim
 	b.pts = growPts(b.pts, n)
 	b.sign = growInt64(b.sign, n)
 	b.fkey = growUint64(b.fkey, n)
-	b.baseIdx = growInt64(b.baseIdx, n*dim)
-	b.cellKey = growUint64(b.cellKey, n*(L+1))
 	for t := range ops {
 		if ops[t].Delete {
 			b.sign[t] = -1
@@ -92,26 +102,75 @@ func (b *batch) build(g *grid.Grid, fp *hashing.Fingerprint, ops []Op) {
 		}
 		b.pts[t] = ops[t].P
 	}
-	// Columnar cell indexing: level and destination bounds validated once
-	// for the whole batch (grid.CellIndexN), not once per op.
-	g.CellIndexN(b.baseIdx, b.pts, L)
-	scratch := make([]int64, 4*dim)
-	s0, s1, s2, s3 := scratch[0*dim:1*dim], scratch[1*dim:2*dim], scratch[2*dim:3*dim], scratch[3*dim:4*dim]
-	ck := func(t int) []uint64 { return b.cellKey[t*(L+1) : (t+1)*(L+1)] }
 	t := 0
 	for ; t+4 <= n; t += 4 {
 		b.fkey[t], b.fkey[t+1], b.fkey[t+2], b.fkey[t+3] =
 			fp.Key4(ops[t].P, ops[t+1].P, ops[t+2].P, ops[t+3].P)
-		copy(s0, b.baseIdx[(t+0)*dim:])
-		copy(s1, b.baseIdx[(t+1)*dim:])
-		copy(s2, b.baseIdx[(t+2)*dim:])
-		copy(s3, b.baseIdx[(t+3)*dim:])
-		g.ParentKeys4(ck(t), ck(t+1), ck(t+2), ck(t+3), s0, s1, s2, s3, L)
 	}
 	for ; t < n; t++ {
 		b.fkey[t] = fp.Key(ops[t].P)
-		copy(s0, b.baseIdx[t*dim:(t+1)*dim])
+	}
+	b.baseIdx, b.cellKey = cellKeyColumns(g, b.baseIdx, b.cellKey, b.pts)
+	if len(b.rate1) != L+2 {
+		b.rate1 = make([]coalescer, L+2)
+		b.rate1Once = make([]sync.Once, L+2)
+	} else {
+		clear(b.rate1Once)
+	}
+}
+
+// cellKeyColumns quantizes pts once on g — base[t·d : (t+1)·d] is the
+// level-L cell index of pts[t] — and derives every level's cell key from
+// it: keys[t·(L+1)+i] is the level-i key, each coarser index a one-bit
+// shift of the finer one (grid.ParentKeys4), so all L+1 keys cost one
+// fingerprint per level. base and keys are grown as needed and returned.
+func cellKeyColumns(g *grid.Grid, base []int64, keys []uint64, pts []geo.Point) ([]int64, []uint64) {
+	n, dim, L := len(pts), g.Dim, g.L
+	base = growInt64(base, n*dim)
+	keys = growUint64(keys, n*(L+1))
+	// Columnar cell indexing: level and destination bounds validated once
+	// for the whole batch (grid.CellIndexN), not once per op.
+	g.CellIndexN(base, pts, L)
+	scratch := make([]int64, 4*dim)
+	s0, s1, s2, s3 := scratch[0*dim:1*dim], scratch[1*dim:2*dim], scratch[2*dim:3*dim], scratch[3*dim:4*dim]
+	ck := func(t int) []uint64 { return keys[t*(L+1) : (t+1)*(L+1)] }
+	t := 0
+	for ; t+4 <= n; t += 4 {
+		copy(s0, base[(t+0)*dim:])
+		copy(s1, base[(t+1)*dim:])
+		copy(s2, base[(t+2)*dim:])
+		copy(s3, base[(t+3)*dim:])
+		g.ParentKeys4(ck(t), ck(t+1), ck(t+2), ck(t+3), s0, s1, s2, s3, L)
+	}
+	for ; t < n; t++ {
+		copy(s0, base[t*dim:(t+1)*dim])
 		g.ParentKeys(ck(t), s0, L)
+	}
+	return base, keys
+}
+
+// rateOne returns shared column c (a level ≤ L, or L+1 for points),
+// coalescing the whole batch into it on first use.
+func (b *batch) rateOne(c int) *coalescer {
+	co := &b.rate1[c]
+	b.rate1Once[c].Do(func() { co.coalesce(b, nil, c) })
+	return co
+}
+
+// checkDims panics, before any state is touched, if an op's point does
+// not have dim coordinates. Apply validates the whole batch up front so
+// a malformed op leaves every sketch, counter and selector as it was —
+// and so the panic happens on the caller's goroutine, not in a pool
+// worker.
+func checkDims(ops []Op, dim int) {
+	for i := range ops {
+		checkDim(ops[i].P, dim)
+	}
+}
+
+func checkDim(p geo.Point, dim int) {
+	if len(p) != dim {
+		panic(fmt.Sprintf("stream: point dim %d != %d", len(p), dim))
 	}
 }
 
@@ -136,8 +195,8 @@ func growPts(s []geo.Point, n int) []geo.Point {
 	return s[:n]
 }
 
-// applyScratch is the per-call working set of applyLevels: selection
-// masks and the key-coalescer. applyLevels runs
+// applyScratch is the per-call working set of applyLevels: a selection
+// mask and the key-coalescer for fractional samplers. applyLevels runs
 // concurrently on disjoint level ranges of the same Stream, so scratch
 // cannot live on s; a sync.Pool keeps the allocations off the per-batch
 // path instead.
@@ -154,46 +213,51 @@ var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
 // the caller's responsibility. Level-major order keeps one level's sketch
 // slabs hot in cache across the whole batch.
 //
-// Per level the three samplers run over the whole fingerprint-key column
-// through the 4-lane Bernoulli kernel (SampleN); each substream's
-// selected ops are then COALESCED by key — deltas summed, payloads
-// summed delta-scaled, one output row per distinct key — and fed to
-// Storing.UpdateKeyedScaledN. At coarse levels a whole batch collapses
+// Each substream's selected ops are COALESCED by key — deltas summed,
+// payloads summed delta-scaled, one output row per distinct key — and fed
+// to Storing.UpdateKeyedScaledN. At coarse levels a whole batch collapses
 // to a handful of cell rows, so the sketch pays one slab visit and one
-// row-hash evaluation per distinct cell instead of per op. Sketch state
-// is an exact linear sum, so both the coalescing and the write schedule
-// UpdateScaledN picks are bit-identical to the per-op Insert/Delete
-// replay (TestApplyMatchesPerOp, FuzzCoalescedIngestMatchesSerial,
+// row-hash evaluation per distinct cell instead of per op. A rate-1
+// sampler selects every op, so its rows are the batch's shared rate-1
+// column (batch.rateOne), coalesced once for every such sampler of the
+// ensemble; a fractional sampler runs over the fingerprint-key column
+// through the 4-lane Bernoulli kernel (SampleN) and coalesces its own
+// selection. Both give the same rows in the same first-occurrence order.
+// Sketch state is an exact linear sum, so both the coalescing and the
+// write schedule UpdateScaledN picks are bit-identical to the per-op
+// Insert/Delete replay (TestApplyMatchesPerOp,
+// TestRateOneColumnsMatchPerOp, FuzzCoalescedIngestMatchesSerial,
 // FuzzForkMerge).
 func (s *Stream) applyLevels(b *batch, lo, hi int) {
-	g := s.g
-	L, dim := g.L, g.Dim
-	n := len(b.ops)
+	L := b.L
 	sc := applyScratchPool.Get().(*applyScratch)
 	defer applyScratchPool.Put(sc)
-	sel := growBool(sc.sel, 3*n)
-	sc.sel = sel
-	selH, selHp, selHat := sel[0:n], sel[n:2*n], sel[2*n:3*n]
+	sc.sel = growBool(sc.sel, len(b.ops))
 	// Coalesce tallies per substream (h, hp, hat); the ops-in sum is the
 	// sampled sketch update count, added once per shard.
 	var coIn, coOut [3]int64
-	for i := lo; i <= hi; i++ {
-		sh := uint(L - i)
-		if i <= L-1 {
-			s.hSamp[i].SampleN(selH, b.fkey)
-			coIn[0] += sc.co.coalesceCells(b, selH, i, L, dim, sh)
-			s.hStore[i].UpdateKeyedScaledN(sc.co.keys, sc.co.scaled, nil, nil, sc.co.deltas)
-			coOut[0] += int64(len(sc.co.deltas))
+	rows := func(k int, samp *hashing.Bernoulli, c int) *coalescer {
+		co := &sc.co
+		if samp.Phi() >= 1 {
+			co = b.rateOne(c)
+		} else {
+			samp.SampleN(sc.sel, b.fkey)
+			co.coalesce(b, sc.sel, c)
 		}
-		s.hpSamp[i].SampleN(selHp, b.fkey)
-		coIn[1] += sc.co.coalesceCells(b, selHp, i, L, dim, sh)
-		s.hpStore[i].UpdateKeyedScaledN(sc.co.keys, sc.co.scaled, nil, nil, sc.co.deltas)
-		coOut[1] += int64(len(sc.co.deltas))
+		coIn[k] += co.in
+		coOut[k] += int64(len(co.deltas))
+		return co
+	}
+	for i := lo; i <= hi; i++ {
+		if i <= L-1 {
+			co := rows(0, s.hSamp[i], i)
+			s.hStore[i].UpdateKeyedScaledN(co.keys, co.scaled, nil, nil, co.deltas)
+		}
+		co := rows(1, s.hpSamp[i], i)
+		s.hpStore[i].UpdateKeyedScaledN(co.keys, co.scaled, nil, nil, co.deltas)
 
-		s.hatSamp[i].SampleN(selHat, b.fkey)
-		coIn[2] += sc.co.coalescePoints(b, selHat, dim)
-		s.hatStore[i].UpdateKeyedScaledN(nil, nil, sc.co.keys, sc.co.scaled, sc.co.deltas)
-		coOut[2] += int64(len(sc.co.deltas))
+		co = rows(2, s.hatSamp[i], L+1)
+		s.hatStore[i].UpdateKeyedScaledN(nil, nil, co.keys, co.scaled, co.deltas)
 	}
 	mSketchUpdates.Add(coIn[0] + coIn[1] + coIn[2])
 	if obs.Enabled() {
@@ -217,14 +281,14 @@ func growBool(s []bool, n int) []bool {
 // UpdateKeyedScaledN reproduce the un-coalesced sketch state bit for
 // bit. The table is open-addressed (linear probing at load ≤ 1/2) over
 // generation-stamped slots, so resetting between substreams is one
-// counter bump, not a memset; all buffers are reused across calls via
-// the applyScratch pool.
+// counter bump, not a memset; all buffers are reused across calls.
 type coalescer struct {
 	gen     uint32
 	slotGen []uint32 // stamp per table slot; != gen means empty
 	slot    []int32  // table slot -> row index in the output columns
 	mask    uint64
 
+	in     int64    // input rows consumed since reset (the coalesce-ratio numerator)
 	keys   []uint64 // distinct keys, first-occurrence order
 	scaled []int64  // delta-scaled payload sums, payload-dim words per row
 	deltas []int64  // summed deltas per row
@@ -247,6 +311,7 @@ func (c *coalescer) reset(n int) {
 		c.gen = 1
 	}
 	c.mask = uint64(len(c.slot) - 1)
+	c.in = 0
 	c.keys = c.keys[:0]
 	c.scaled = c.scaled[:0]
 	c.deltas = c.deltas[:0]
@@ -275,18 +340,29 @@ func (c *coalescer) slotOf(key uint64, dim int) int {
 	}
 }
 
-// coalesceCells aggregates one level's selected cell updates: key is the
-// precomputed level-i cell key, payload the level-i index (base index
-// shifted down by sh), delta the op sign. Returns the number of ops
-// consumed (the coalesce-ratio numerator).
-func (c *coalescer) coalesceCells(b *batch, sel []bool, level, L, dim int, sh uint) int64 {
+// coalesce aggregates the ops sel selects (every op when sel is nil)
+// into column col of the batch: level-col cells for col ≤ L, points
+// for L+1.
+func (c *coalescer) coalesce(b *batch, sel []bool, col int) {
+	if col > b.L {
+		c.coalescePoints(b, sel)
+	} else {
+		c.coalesceCells(b, sel, col)
+	}
+}
+
+// coalesceCells aggregates one level's selected cell updates (every op
+// when sel is nil): key is the precomputed level-i cell key, payload the
+// level-i index (base index shifted down by L − i), delta the op sign.
+func (c *coalescer) coalesceCells(b *batch, sel []bool, level int) {
 	c.reset(len(b.ops))
-	var in int64
+	L, dim := b.L, b.dim
+	sh := uint(L - level)
 	for t := range b.ops {
-		if !sel[t] {
+		if sel != nil && !sel[t] {
 			continue
 		}
-		in++
+		c.in++
 		si := c.slotOf(b.cellKey[t*(L+1)+level], dim)
 		sign := b.sign[t]
 		c.deltas[si] += sign
@@ -302,19 +378,19 @@ func (c *coalescer) coalesceCells(b *batch, sel []bool, level, L, dim int, sh ui
 			}
 		}
 	}
-	return in
 }
 
 // coalescePoints aggregates the selected point updates of the ĥ
-// substream: key is the op's fingerprint key, payload its coordinates.
-func (c *coalescer) coalescePoints(b *batch, sel []bool, dim int) int64 {
+// substream (every op when sel is nil): key is the op's fingerprint key,
+// payload its coordinates.
+func (c *coalescer) coalescePoints(b *batch, sel []bool) {
 	c.reset(len(b.ops))
-	var in int64
+	dim := b.dim
 	for t := range b.ops {
-		if !sel[t] {
+		if sel != nil && !sel[t] {
 			continue
 		}
-		in++
+		c.in++
 		si := c.slotOf(b.fkey[t], dim)
 		sign := b.sign[t]
 		c.deltas[si] += sign
@@ -330,21 +406,27 @@ func (c *coalescer) coalescePoints(b *batch, sel []bool, dim int) int64 {
 			}
 		}
 	}
-	return in
+}
+
+// levelApplier is sketch state split by grid level that a batch can be
+// applied to one level range at a time, with disjoint ranges touching
+// disjoint state: a guess instance (Stream) or the cost bound.
+type levelApplier interface {
+	applyLevels(b *batch, lo, hi int)
 }
 
 // shard is one unit of parallel batch application: a level range of one
-// guess instance.
+// guess instance or of the cost bound.
 type shard struct {
-	s      *Stream
+	u      levelApplier
 	lo, hi int
 }
 
-// applyShards applies the batch to every (stream × level-range) shard with
-// a worker pool sized to the machine. Shards partition the sketch state —
-// no two shards write the same sketch — so no synchronization beyond the
-// final barrier is needed, and linearity makes the outcome independent of
-// the schedule.
+// applyShards applies the batch to every shard with a worker pool sized
+// to the machine, claiming shards in list order. Shards partition the
+// sketch state — no two shards write the same sketch — so no
+// synchronization beyond the final barrier is needed, and linearity
+// makes the outcome independent of the schedule.
 func applyShards(b *batch, shards []shard) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(shards) {
@@ -352,7 +434,7 @@ func applyShards(b *batch, shards []shard) {
 	}
 	if workers <= 1 {
 		for _, sh := range shards {
-			sh.s.applyLevels(b, sh.lo, sh.hi)
+			sh.u.applyLevels(b, sh.lo, sh.hi)
 		}
 		return
 	}
@@ -368,22 +450,18 @@ func applyShards(b *batch, shards []shard) {
 					return
 				}
 				sh := shards[i]
-				sh.s.applyLevels(b, sh.lo, sh.hi)
+				sh.u.applyLevels(b, sh.lo, sh.hi)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// levelShards appends the shards for one stream, splitting its L+1 levels
-// into chunks of at most chunk levels.
-func levelShards(dst []shard, s *Stream, chunk int) []shard {
-	for lo := 0; lo <= s.g.L; lo += chunk {
-		hi := lo + chunk - 1
-		if hi > s.g.L {
-			hi = s.g.L
-		}
-		dst = append(dst, shard{s: s, lo: lo, hi: hi})
+// levelShards appends the shards for u, splitting its levels 0..L into
+// chunks of at most chunk levels.
+func levelShards(dst []shard, u levelApplier, L, chunk int) []shard {
+	for lo := 0; lo <= L; lo += chunk {
+		dst = append(dst, shard{u: u, lo: lo, hi: min(lo+chunk-1, L)})
 	}
 	return dst
 }

@@ -17,7 +17,6 @@ package stream
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -235,6 +234,7 @@ func (s *Stream) Apply(ops []Op) {
 	if len(ops) == 0 {
 		return
 	}
+	checkDims(ops, s.g.Dim)
 	countBatch(ops)
 	if s.b == nil {
 		s.b = new(batch)
@@ -269,9 +269,7 @@ func countBatch(ops []Op) {
 }
 
 func (s *Stream) update(p geo.Point, del bool) {
-	if len(p) != s.g.Dim {
-		panic(fmt.Sprintf("stream: point dim %d != %d", len(p), s.g.Dim))
-	}
+	checkDim(p, s.g.Dim)
 	if del {
 		s.n--
 	} else {

@@ -312,6 +312,49 @@ func TestDimMismatchPanics(t *testing.T) {
 	s.Insert(geo.Point{1, 2, 3})
 }
 
+// TestApplyBadDimLeavesStateUntouched: a batch with one malformed op
+// must panic on the caller's goroutine before any state moves — the
+// reservoir and cost bound included — so a recovered caller still holds
+// the state it had before the call.
+func TestApplyBadDimLeavesStateUntouched(t *testing.T) {
+	bad := []Op{{P: geo.Point{5, 6}}, {P: geo.Point{7}}, {P: geo.Point{8, 9}}}
+	good := []Op{{P: geo.Point{1, 2}}, {P: geo.Point{3, 4}}}
+	mustPanic := func(label string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: malformed batch did not panic", label)
+			}
+		}()
+		f()
+	}
+
+	a, err := NewAuto(Config{Dim: 2, Delta: 16, Params: coreset.Params{K: 2, Seed: 1}}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Apply(good)
+	digest, n, cbN := a.StateDigest(), a.n, a.costBound.N()
+	mustPanic("Auto.Apply", func() { a.Apply(bad) })
+	mustPanic("Auto.Insert", func() { a.Insert(geo.Point{7}) })
+	mustPanic("Auto.Delete", func() { a.Delete(geo.Point{1, 2, 3}) })
+	if a.StateDigest() != digest || a.n != n || a.costBound.N() != cbN {
+		t.Fatalf("Auto state moved: digest %x→%x, N %d→%d, cost bound N %d→%d",
+			digest, a.StateDigest(), n, a.n, cbN, a.costBound.N())
+	}
+
+	s, err := New(Config{Dim: 2, Delta: 16, O: 4, Params: coreset.Params{K: 2, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Apply(good)
+	digest, n = s.StateDigest(), s.N()
+	mustPanic("Stream.Apply", func() { s.Apply(bad) })
+	if s.StateDigest() != digest || s.N() != n {
+		t.Fatalf("Stream state moved: digest %x→%x, N %d→%d", digest, s.StateDigest(), n, s.N())
+	}
+}
+
 func TestAutoSelectsWorkingGuess(t *testing.T) {
 	ps, truec := testMixture(9, 2000)
 	a, err := NewAuto(Config{
