@@ -120,6 +120,18 @@ func (sr *SparseRecovery) useOrdered(n int) bool {
 // s nonzero keys with failure probability ≈ δ. payloadDim is the length of
 // the payload vector attached to each key (0 for none).
 func NewSparseRecovery(rng *rand.Rand, s int, delta float64, payloadDim int) *SparseRecovery {
+	sr := drawSparseRecovery(rng, s, delta, payloadDim)
+	sr.allocSlab()
+	return sr
+}
+
+// allocSlab gives a drawn sketch its zeroed bucket state.
+func (sr *SparseRecovery) allocSlab() { sr.slab = make([]int64, sr.rows*sr.width*sr.stride) }
+
+// drawSparseRecovery is NewSparseRecovery without the slab: it draws the
+// hash functions from rng — every draw the sketch takes — and sizes the
+// table, but allocates no bucket state.
+func drawSparseRecovery(rng *rand.Rand, s int, delta float64, payloadDim int) *SparseRecovery {
 	if s < 1 {
 		s = 1
 	}
@@ -147,7 +159,6 @@ func NewSparseRecovery(rng *rand.Rand, s int, delta float64, payloadDim int) *Sp
 	for r := 0; r < rows; r++ {
 		sr.rowHash[r] = hashing.NewKWise(rng, 2)
 	}
-	sr.slab = make([]int64, rows*sr.width*sr.stride)
 	return sr
 }
 

@@ -170,6 +170,28 @@ func NewStoring(rng *rand.Rand, g *grid.Grid, level, alpha, beta int, delta floa
 // bound is unchanged (it is per pair of distinct points, union-bounded the
 // same way).
 func NewStoringShared(rng *rand.Rand, g *grid.Grid, level, alpha, beta int, delta float64, fp *hashing.Fingerprint) *Storing {
+	st := drawStoring(rng, g, level, alpha, beta, delta, fp)
+	if st.cells != nil {
+		st.cells.allocSlab()
+	}
+	if st.points != nil {
+		st.points.allocSlab()
+	}
+	return st
+}
+
+// SkipStoring consumes from rng exactly the draws NewStoringShared would
+// take for the same arguments, and allocates no sketch state. A caller
+// that lets one instance stand in for another it would have built uses
+// it, so that every instance drawn after the skipped one keeps the hash
+// functions it would otherwise have had.
+func SkipStoring(rng *rand.Rand, g *grid.Grid, alpha, beta int, delta float64, fp *hashing.Fingerprint) {
+	drawStoring(rng, g, 0, alpha, beta, delta, fp)
+}
+
+// drawStoring is NewStoringShared without the slabs: the hash functions
+// are drawn, in NewStoringShared's order, but no bucket state exists.
+func drawStoring(rng *rand.Rand, g *grid.Grid, level, alpha, beta int, delta float64, fp *hashing.Fingerprint) *Storing {
 	if fp == nil {
 		fp = hashing.NewFingerprint(rng)
 	}
@@ -181,10 +203,10 @@ func NewStoringShared(rng *rand.Rand, g *grid.Grid, level, alpha, beta int, delt
 		fp:    fp,
 	}
 	if alpha > 0 {
-		st.cells = NewSparseRecovery(rng, alpha, delta/2, g.Dim)
+		st.cells = drawSparseRecovery(rng, alpha, delta/2, g.Dim)
 	}
 	if beta > 0 {
-		st.points = NewSparseRecovery(rng, beta, delta/2, g.Dim)
+		st.points = drawSparseRecovery(rng, beta, delta/2, g.Dim)
 	}
 	return st
 }

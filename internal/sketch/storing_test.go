@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"streambalance/internal/geo"
@@ -269,6 +270,52 @@ func TestStoringSharedFingerprintSharesPointKeys(t *testing.T) {
 	}
 	if a.PointKey(p) != fp.Key(p) {
 		t.Fatal("PointKey must be the shared fingerprint key")
+	}
+}
+
+// TestSkipStoringConsumesDraws: SkipStoring must leave rng exactly where
+// NewStoringShared leaves it — for cell-only, point-only and two-sided
+// instances, with a supplied or a private fingerprint and a δ that adds
+// rows — so a sketch drawn after a skipped one is the sketch drawn after
+// a built one. A skip allocates no slab (the s=4096 point side alone is
+// 4·8192·5 words = 1.25 MiB).
+func TestSkipStoringConsumesDraws(t *testing.T) {
+	g := buildGrid(t, 1<<6, 2, 71)
+	fp := hashing.NewFingerprint(rand.New(rand.NewSource(72)))
+	cases := []struct {
+		alpha, beta int
+		delta       float64
+		fp          *hashing.Fingerprint
+	}{
+		{64, 0, 0.01, fp}, {0, 4096, 0.01, fp}, {32, 32, 0.0001, fp}, {16, 16, 0.01, nil},
+	}
+	for _, c := range cases {
+		built, skipped := rand.New(rand.NewSource(73)), rand.New(rand.NewSource(73))
+		NewStoringShared(built, g, 3, c.alpha, c.beta, c.delta, c.fp)
+		SkipStoring(skipped, g, c.alpha, c.beta, c.delta, c.fp)
+		after := NewStoringShared(built, g, 3, c.alpha, c.beta, c.delta, c.fp)
+		twin := NewStoringShared(skipped, g, 3, c.alpha, c.beta, c.delta, c.fp)
+		for i := 0; i < 20; i++ {
+			p := geo.Point{int64(i), int64(3 * i)}
+			after.Insert(p)
+			twin.Insert(p)
+		}
+		if after.Digest() != twin.Digest() {
+			t.Fatalf("α=%d β=%d δ=%v: the sketch drawn after a skip differs from the one drawn after a build", c.alpha, c.beta, c.delta)
+		}
+		if built.Int63() != skipped.Int63() {
+			t.Fatalf("α=%d β=%d δ=%v: SkipStoring left rng at a different position", c.alpha, c.beta, c.delta)
+		}
+	}
+	rng := rand.New(rand.NewSource(74))
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < 8; i++ {
+		SkipStoring(rng, g, 0, 4096, 0.01, fp)
+	}
+	runtime.ReadMemStats(&ms1)
+	if b := ms1.TotalAlloc - ms0.TotalAlloc; b > 64<<10 {
+		t.Fatalf("8 skips allocated %d bytes; a skip must allocate no slab", b)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"streambalance/internal/grid"
 	"streambalance/internal/hashing"
 	"streambalance/internal/obs"
+	"streambalance/internal/sketch"
 )
 
 // Auto runs the guess enumeration of Theorem 4.5: one Stream instance per
@@ -31,12 +32,24 @@ type Auto struct {
 	// cell-key fingerprint) and one sampling/point fingerprint, so the
 	// ingestion pipeline computes each op's key column once for the whole
 	// ensemble. Each instance keeps private samplers and sketch hash
-	// functions; the per-instance guarantees of Theorem 4.5 are marginal
-	// over those, so sharing the grid only correlates failures across
-	// guesses — it never changes any single instance's distribution.
+	// functions, except that guesses sampling a (substream, level) at
+	// rate 1 share one Storing there (newShared): a rate-1 substream is
+	// the whole stream, the same vector for all of them. The
+	// per-instance guarantees of Theorem 4.5 are marginal over each
+	// instance's own randomness, so sharing the grid or a sketch only
+	// correlates failures across guesses — it never changes any single
+	// instance's distribution (DESIGN.md §4).
 	g  *grid.Grid
 	fp *hashing.Fingerprint
 	b  *batch // reusable columnar buffer for Apply (not goroutine-safe)
+
+	// units lists every distinct sketch of the ensemble once: the rate-1
+	// units first (rateOne of them, each under its owner), then the
+	// fractional ones, in ascending guess order. Ingest, accounting and
+	// cache upkeep iterate it, so a shared sketch is written and counted
+	// once.
+	units   []unit
+	rateOne int
 
 	reservoir *Reservoir // OPT-estimate sample for guess selection (insert-only)
 	costBound *CostBound // deletion-proof cell-counting bound ([HSYZ18]-style)
@@ -70,18 +83,42 @@ func NewAuto(cfg Config, oFactor float64) (*Auto, error) {
 		params:    cfg.Params,
 		delta:     cfg.Delta,
 	}
+	owners := make(rateOneOwners)
 	for o, i := 1.0, 0; o <= upper; o, i = o*oFactor, i+1 {
 		c := cfg
 		c.O = o
 		// Decorrelate instance samplers and sketches while keeping the
 		// whole ensemble reproducible from one seed.
 		c.Params.Seed = cfg.Params.Seed + int64(i)*1_000_003
-		st := newShared(c, a.g, a.fp, rand.New(rand.NewSource(c.Params.Seed)))
+		st := newShared(c, a.g, a.fp, rand.New(rand.NewSource(c.Params.Seed)), owners)
 		a.streams = append(a.streams, st)
 		a.guesses = append(a.guesses, o)
 	}
+	a.units, a.rateOne = ensembleUnits(a.streams)
 	obs.G("stream_guess_instances").SetInt(int64(len(a.streams)))
 	return a, nil
+}
+
+// ensembleUnits lists every distinct unit of the guess instances once:
+// the rate-1 units, then the fractional ones, each in ascending guess
+// order, so a shared Storing is listed under its first guess — its
+// owner. rateOne counts the rate-1 units.
+func ensembleUnits(streams []*Stream) (units []unit, rateOne int) {
+	seen := make(map[*sketch.Storing]bool)
+	var frac []unit
+	for _, s := range streams {
+		s.eachUnit(func(u unit) {
+			switch {
+			case seen[u.st]:
+			case u.samp.Phi() >= 1:
+				units = append(units, u)
+			default:
+				frac = append(frac, u)
+			}
+			seen[u.st] = true
+		})
+	}
+	return append(units, frac...), len(units)
 }
 
 // Guesses returns the guess grid.
@@ -91,14 +128,9 @@ func (a *Auto) Guesses() []float64 { return a.guesses }
 func (a *Auto) Insert(p geo.Point) {
 	checkDim(p, a.g.Dim)
 	mOps.Inc()
-	a.n++
 	a.reservoir.Insert(p)
 	a.costBound.Insert(p)
-	for _, s := range a.streams {
-		// update, not Insert: stream_ops_total counts logical updates at
-		// the public entry point, not once per guess instance.
-		s.update(p, false)
-	}
+	a.update(p, false)
 }
 
 // Delete feeds (p, −) to every guess instance.
@@ -106,23 +138,42 @@ func (a *Auto) Delete(p geo.Point) {
 	checkDim(p, a.g.Dim)
 	mOps.Inc()
 	mDeletes.Inc()
-	a.n--
 	a.reservoir.Delete(p)
 	a.costBound.Delete(p)
-	for _, s := range a.streams {
-		s.update(p, true)
+	a.update(p, true)
+}
+
+// update moves every guess's count and feeds the op to each distinct
+// unit once — the per-op oracle Apply is pinned against.
+func (a *Auto) update(p geo.Point, del bool) {
+	sign := int64(1)
+	if del {
+		sign = -1
 	}
+	a.n += sign
+	for _, s := range a.streams {
+		s.n += sign
+	}
+	key := a.fp.Key(p)
+	var nSel int64
+	for _, u := range a.units {
+		if u.update(p, key, del) {
+			nSel++
+		}
+	}
+	mSketchUpdates.Add(nSel)
 }
 
 // Apply feeds a batch of updates to every guess instance through the
 // shared-key ingestion pipeline (ingest.go): the per-op key columns are
 // computed once — not once per guess — and the sketch work is sharded
-// over (guess × level-range) units across a worker pool sized to the
-// machine. The cost bound's F₀ ladders are level units in the same pool,
-// queued ahead of the guess shards; only the reservoir and the net counts
-// stay on the caller. Linearity of all sketch state makes the
-// result bit-identical to feeding the ops one at a time through
-// Insert/Delete. A malformed op panics before anything changes.
+// over the ensemble's distinct units across a worker pool sized to the
+// machine, so a Storing shared by several guesses takes the batch once.
+// The cost bound's F₀ ladders are level-range shards in the same pool;
+// only the reservoir and the net counts stay on the caller. Linearity
+// of all sketch state makes the result bit-identical to feeding the ops
+// one at a time through Insert/Delete. A malformed op panics before
+// anything changes.
 func (a *Auto) Apply(ops []Op) {
 	if len(ops) == 0 {
 		return
@@ -140,41 +191,51 @@ func (a *Auto) Apply(ops []Op) {
 		}
 	}
 	a.n += net
+	for _, s := range a.streams {
+		s.n += net
+	}
 	if a.b == nil {
 		a.b = new(batch)
 	}
 	a.b.build(a.g, a.fp, ops)
 	a.costBound.keyBatch(a.b)
-	// Chunk each instance's L+1 levels into a few shards so the pool can
-	// balance load even when the instance count is near the core count.
-	L := a.g.L
+	// Claim order: the rate-1 units, which take the whole batch and are
+	// the heaviest shards; the cost bound's levels in a few chunks; then
+	// the fractional units.
+	L := a.costBound.g.L
 	chunk := max((L+4)/4, 1)
-	shards := make([]shard, 0, (len(a.streams)+1)*4)
-	shards = levelShards(shards, a.costBound, a.costBound.g.L, chunk)
-	for _, s := range a.streams {
-		s.n += net
-		shards = levelShards(shards, s, L, chunk)
-	}
-	applyShards(a.b, shards)
+	nCB := L/chunk + 1
+	applyShards(len(a.units)+nCB, func(i int) {
+		switch {
+		case i < a.rateOne:
+			a.units[i].apply(a.b)
+		case i < a.rateOne+nCB:
+			lo := (i - a.rateOne) * chunk
+			a.costBound.applyLevels(a.b, lo, min(lo+chunk-1, L))
+		default:
+			a.units[i-nCB].apply(a.b)
+		}
+	})
 }
 
-// StateDigest folds every guess instance's sketch state and the cost
-// bound's into one 64-bit value (see Stream.StateDigest).
+// StateDigest folds the sketch state of every distinct unit and the
+// cost bound's into one 64-bit value (see Stream.StateDigest).
 func (a *Auto) StateDigest() uint64 {
 	d := hashing.Mix64(uint64(a.n))
 	d = hashing.Mix64(d ^ a.costBound.Digest())
-	for _, s := range a.streams {
-		d = hashing.Mix64(d ^ s.StateDigest())
+	for _, u := range a.units {
+		d = hashing.Mix64(d ^ u.st.Digest())
 	}
 	return d
 }
 
-// Bytes sums the sketch state over all guess instances plus the guess
-// selectors — the full space cost of the enumeration.
+// Bytes sums the sketch state of every distinct unit plus the guess
+// selectors — the full space cost of the enumeration. A Storing shared
+// by several guesses is counted once.
 func (a *Auto) Bytes() int64 {
 	b := a.costBound.Bytes()
-	for _, s := range a.streams {
-		b += s.Bytes()
+	for _, u := range a.units {
+		b += u.st.Bytes()
 	}
 	return b
 }

@@ -3,9 +3,11 @@
 //
 // Extraction — Theorem 4.5's query step (Algorithm 4 steps 4–6) — is a
 // pile of independent sparse-recovery decodes followed by a cheap serial
-// assembly: every (guess × level × substream) Storing sketch peels on its
-// own state only, mirroring the sparse-recovery query structure of
-// Braverman et al. (arXiv:1706.03887), which is embarrassingly parallel.
+// assembly: every distinct Storing sketch of the ensemble — one per
+// (guess × level × substream), except that guesses sampling a substream
+// at rate 1 share one — peels on its own state only, mirroring the
+// sparse-recovery query structure of Braverman et al.
+// (arXiv:1706.03887), which is embarrassingly parallel.
 // The pipeline here exploits that independence:
 //
 //   - Parallel guess scan: Auto.Result's ascending scan over guesses
@@ -33,6 +35,11 @@
 //     skipped outright) and dirtied levels keep their base for the next
 //     splice. Cache memory is derived state, excluded from Bytes
 //     (DESIGN.md §6) and released by DropDecodeCache.
+//
+// A shared Storing serves every guess that consults it: its epoch cache
+// and differential base are one, so the first guess to decode it pays
+// and the others hit the cache, and its mutex serializes scan workers
+// that reach it together.
 //
 // The reservoir-estimate guess, when Auto.Result tries one, runs alone
 // before the scan with Stream.Result's own decode pool.
@@ -271,13 +278,7 @@ func (s *Stream) assemble(part *partition.Partition, pl *coreset.Plan, needLevel
 // it to separate cold and warm extraction cost; it never changes any
 // result, N, Bytes or StateDigest.
 func (s *Stream) DropDecodeCache() {
-	for i := range s.hpStore {
-		if s.hStore[i] != nil {
-			s.hStore[i].DropCache()
-		}
-		s.hpStore[i].DropCache()
-		s.hatStore[i].DropCache()
-	}
+	s.eachUnit(func(u unit) { u.st.DropCache() })
 }
 
 // DecodeCacheBytes reports the memory currently held by decode caches
@@ -285,26 +286,8 @@ func (s *Stream) DropDecodeCache() {
 // Bytes, the Theorem 4.5 space accounting — see DESIGN.md §6.
 func (s *Stream) DecodeCacheBytes() int64 {
 	var b int64
-	for i := range s.hpStore {
-		if s.hStore[i] != nil {
-			b += s.hStore[i].CacheBytes()
-		}
-		b += s.hpStore[i].CacheBytes()
-		b += s.hatStore[i].CacheBytes()
-	}
+	s.eachUnit(func(u unit) { b += u.st.CacheBytes() })
 	return b
-}
-
-// eachStoring calls f on every decode unit of the stream — the h/h′
-// cell sketches and ĥ point sketch of each level.
-func (s *Stream) eachStoring(f func(*sketch.Storing)) {
-	for i := range s.hpStore {
-		if s.hStore[i] != nil {
-			f(s.hStore[i])
-		}
-		f(s.hpStore[i])
-		f(s.hatStore[i])
-	}
 }
 
 // WarmDecodeCache decodes every unit whose cache is not fresh, across
@@ -313,26 +296,26 @@ func (s *Stream) eachStoring(f func(*sketch.Storing)) {
 // answered by differential decodes against the freshly set bases. It
 // never changes any result (decoding is read-only on sketch state).
 func (s *Stream) WarmDecodeCache() {
-	var units []*sketch.Storing
-	s.eachStoring(func(st *sketch.Storing) { units = append(units, st) })
-	warmStorings(units, extractWorkers())
+	var sts []*sketch.Storing
+	s.eachUnit(func(u unit) { sts = append(sts, u.st) })
+	warmStorings(sts, extractWorkers())
 }
 
-// WarmDecodeCache pre-warms every guess instance (see
-// Stream.WarmDecodeCache).
+// WarmDecodeCache pre-warms every distinct unit of the ensemble (see
+// Stream.WarmDecodeCache); a shared Storing is decoded once.
 func (a *Auto) WarmDecodeCache() {
-	var units []*sketch.Storing
-	for _, s := range a.streams {
-		s.eachStoring(func(st *sketch.Storing) { units = append(units, st) })
+	sts := make([]*sketch.Storing, len(a.units))
+	for i, u := range a.units {
+		sts[i] = u.st
 	}
-	warmStorings(units, extractWorkers())
+	warmStorings(sts, extractWorkers())
 }
 
 // CacheStats sums the per-level decode-cache counters (hits, splices,
 // merge keeps/skips, …) over every decode unit of the stream.
 func (s *Stream) CacheStats() sketch.CacheStats {
 	var total sketch.CacheStats
-	s.eachStoring(func(st *sketch.Storing) { total = addCacheStats(total, st.CacheStats()) })
+	s.eachUnit(func(u unit) { total = addCacheStats(total, u.st.CacheStats()) })
 	return total
 }
 
@@ -342,9 +325,9 @@ func (s *Stream) CacheStats() sketch.CacheStats {
 // count. A small dirty/total ratio is exactly the regime where the
 // differential decode turns a query into a handful of residual peels.
 func (s *Stream) DirtyLevels() (dirty, total int) {
-	s.eachStoring(func(st *sketch.Storing) {
+	s.eachUnit(func(u unit) {
 		total++
-		if !st.CacheFresh() {
+		if !u.st.CacheFresh() {
 			dirty++
 		}
 	})
@@ -545,39 +528,44 @@ func (a *Auto) tryEstimateGuess(workers int) *coreset.Coreset {
 	return cs
 }
 
-// DropDecodeCache discards the decode caches of every guess instance
-// (see Stream.DropDecodeCache).
+// DropDecodeCache discards the decode cache of every distinct unit of
+// the ensemble (see Stream.DropDecodeCache).
 func (a *Auto) DropDecodeCache() {
-	for _, s := range a.streams {
-		s.DropDecodeCache()
+	for _, u := range a.units {
+		u.st.DropCache()
 	}
 }
 
-// DecodeCacheBytes sums the decode-cache memory over all guess
-// instances. Deliberately not part of Bytes — caches are derived state.
+// DecodeCacheBytes sums the decode-cache memory over the ensemble's
+// distinct units, a shared Storing's once. Deliberately not part of
+// Bytes — caches are derived state.
 func (a *Auto) DecodeCacheBytes() int64 {
 	var b int64
-	for _, s := range a.streams {
-		b += s.DecodeCacheBytes()
+	for _, u := range a.units {
+		b += u.st.CacheBytes()
 	}
 	return b
 }
 
-// CacheStats sums the decode-cache counters over all guess instances.
+// CacheStats sums the decode-cache counters over the ensemble's
+// distinct units. A shared Storing's counters cover every guess that
+// consulted it, so a cache hit on it by a second guess counts as a hit.
 func (a *Auto) CacheStats() sketch.CacheStats {
 	var total sketch.CacheStats
-	for _, s := range a.streams {
-		total = addCacheStats(total, s.CacheStats())
+	for _, u := range a.units {
+		total = addCacheStats(total, u.st.CacheStats())
 	}
 	return total
 }
 
-// DirtyLevels sums Stream.DirtyLevels over all guess instances.
+// DirtyLevels reports Stream.DirtyLevels over the ensemble's distinct
+// units: a shared Storing counts once.
 func (a *Auto) DirtyLevels() (dirty, total int) {
-	for _, s := range a.streams {
-		d, n := s.DirtyLevels()
-		dirty += d
-		total += n
+	for _, u := range a.units {
+		total++
+		if !u.st.CacheFresh() {
+			dirty++
+		}
 	}
 	return dirty, total
 }

@@ -2,8 +2,6 @@ package stream
 
 import (
 	"testing"
-
-	"streambalance/internal/sketch"
 )
 
 // benchIncrementalExtract times ONLY the query in the alternating
@@ -30,12 +28,10 @@ func benchIncrementalExtract(b *testing.B, cold bool) {
 		}
 		a.Apply(ops[lo:hi])
 		if cold {
-			for _, s := range a.streams {
-				s.eachStoring(func(st *sketch.Storing) {
-					if !st.CacheFresh() {
-						st.DropCache()
-					}
-				})
+			for _, u := range a.units {
+				if !u.st.CacheFresh() {
+					u.st.DropCache()
+				}
 			}
 		}
 		b.StartTimer()

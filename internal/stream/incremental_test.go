@@ -7,11 +7,11 @@ import (
 	"streambalance/internal/sketch"
 )
 
-// collectStorings returns the stream's decode units in eachStoring
+// collectStorings returns the stream's decode units in eachUnit
 // order, so sibling streams can be compared unit-by-unit.
 func collectStorings(s *Stream) []*sketch.Storing {
 	var units []*sketch.Storing
-	s.eachStoring(func(st *sketch.Storing) { units = append(units, st) })
+	s.eachUnit(func(u unit) { units = append(units, u.st) })
 	return units
 }
 

@@ -2,7 +2,9 @@
 // Stream.Apply and Auto.Apply).
 //
 // Every stream update fans out to 3 substreams × (L+1) grid levels — and,
-// under guess enumeration, × G guess instances. The per-op inputs those
+// under guess enumeration, to every guess instance's distinct sketches
+// (guesses that sample a substream at rate 1 share its Storing, so it
+// takes the update once). The per-op inputs those
 // fan-out targets need are all derivable from two quantities: the op's
 // fingerprint key (sampling decisions and point identity) and its cell
 // index per level (cell keys and cell payloads). A batch precomputes both
@@ -22,8 +24,8 @@
 // (and one for points) that the batch builds on first use.
 //
 // Because every sketch is linear over GF(p) and int64 counters — both
-// exact, commutative, associative — applying a batch level-by-level, or
-// sharding levels across goroutines, yields bit-identical sketch state to
+// exact, commutative, associative — applying a batch sketch by sketch,
+// or sharding sketches across goroutines, yields bit-identical state to
 // replaying the ops one at a time in stream order. TestApplyMatchesPerOp
 // enforces this.
 package stream
@@ -38,14 +40,16 @@ import (
 	"streambalance/internal/grid"
 	"streambalance/internal/hashing"
 	"streambalance/internal/obs"
+	"streambalance/internal/sketch"
 )
 
 // Coalesce-ratio telemetry (DESIGN.md §9/§12): per substream, how many
 // sampled ops went into the key-coalescer and how many distinct-key rows
 // came out. The ratio in/out is the slab-write fan-in the coalescer
 // eliminated; it is largest at coarse grid levels, where a whole batch
-// maps to a handful of cells. Tallies are accumulated locally per
-// applyLevels call and added once per substream — nothing per op.
+// maps to a handful of cells. Both count per distinct sketch: a Storing
+// that several guesses share is written, and counted, once. Tallies are
+// added once per unit and batch — nothing per op.
 var (
 	vCoalesceIn  = obs.CV("stream_coalesce_ops_in_total", "substream")
 	vCoalesceOut = obs.CV("stream_coalesce_keys_out_total", "substream")
@@ -195,11 +199,10 @@ func growPts(s []geo.Point, n int) []geo.Point {
 	return s[:n]
 }
 
-// applyScratch is the per-call working set of applyLevels: a selection
-// mask and the key-coalescer for fractional samplers. applyLevels runs
-// concurrently on disjoint level ranges of the same Stream, so scratch
-// cannot live on s; a sync.Pool keeps the allocations off the per-batch
-// path instead.
+// applyScratch is the working set of a fractional unit's apply: a
+// selection mask and the key-coalescer. Units of one batch run
+// concurrently, so scratch cannot live on the unit; a sync.Pool keeps
+// the allocations off the per-batch path instead.
 type applyScratch struct {
 	sel []bool
 	co  coalescer
@@ -207,65 +210,72 @@ type applyScratch struct {
 
 var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
 
-// applyLevels applies the batch to sketch levels lo..hi of s. Distinct
-// level ranges of the same Stream touch disjoint sketch state (each level
-// owns its sketches), so they may run concurrently; the net counter s.n is
-// the caller's responsibility. Level-major order keeps one level's sketch
-// slabs hot in cache across the whole batch.
-//
-// Each substream's selected ops are COALESCED by key — deltas summed,
-// payloads summed delta-scaled, one output row per distinct key — and fed
-// to Storing.UpdateKeyedScaledN. At coarse levels a whole batch collapses
-// to a handful of cell rows, so the sketch pays one slab visit and one
-// row-hash evaluation per distinct cell instead of per op. A rate-1
-// sampler selects every op, so its rows are the batch's shared rate-1
-// column (batch.rateOne), coalesced once for every such sampler of the
-// ensemble; a fractional sampler runs over the fingerprint-key column
-// through the 4-lane Bernoulli kernel (SampleN) and coalesces its own
-// selection. Both give the same rows in the same first-occurrence order.
-// Sketch state is an exact linear sum, so both the coalescing and the
-// write schedule UpdateScaledN picks are bit-identical to the per-op
-// Insert/Delete replay (TestApplyMatchesPerOp,
-// TestRateOneColumnsMatchPerOp, FuzzCoalescedIngestMatchesSerial,
-// FuzzForkMerge).
-func (s *Stream) applyLevels(b *batch, lo, hi int) {
-	L := b.L
-	sc := applyScratchPool.Get().(*applyScratch)
-	defer applyScratchPool.Put(sc)
-	sc.sel = growBool(sc.sel, len(b.ops))
-	// Coalesce tallies per substream (h, hp, hat); the ops-in sum is the
-	// sampled sketch update count, added once per shard.
-	var coIn, coOut [3]int64
-	rows := func(k int, samp *hashing.Bernoulli, c int) *coalescer {
-		co := &sc.co
-		if samp.Phi() >= 1 {
-			co = b.rateOne(c)
-		} else {
-			samp.SampleN(sc.sel, b.fkey)
-			co.coalesce(b, sc.sel, c)
-		}
-		coIn[k] += co.in
-		coOut[k] += int64(len(co.deltas))
-		return co
-	}
-	for i := lo; i <= hi; i++ {
-		if i <= L-1 {
-			co := rows(0, s.hSamp[i], i)
-			s.hStore[i].UpdateKeyedScaledN(co.keys, co.scaled, nil, nil, co.deltas)
-		}
-		co := rows(1, s.hpSamp[i], i)
-		s.hpStore[i].UpdateKeyedScaledN(co.keys, co.scaled, nil, nil, co.deltas)
+// unit is one sketch of a guess instance — the Storing of one
+// (substream, level) — with the sampler that feeds it: the granule of
+// batch application. Distinct units write distinct sketch state, so
+// they may run concurrently. In an Auto ensemble every guess whose
+// sampler has rate 1 at a (substream, level) shares one Storing there,
+// and the ensemble lists that unit once (ensembleUnits).
+type unit struct {
+	st   *sketch.Storing
+	samp *hashing.Bernoulli
+	sub  int // substream: 0 h, 1 h′, 2 ĥ
+	col  int // batch column: the level for h and h′, L+1 for ĥ
+}
 
-		co = rows(2, s.hatSamp[i], L+1)
-		s.hatStore[i].UpdateKeyedScaledN(nil, nil, co.keys, co.scaled, co.deltas)
+// apply writes the batch to u. Its selected ops are COALESCED by key —
+// deltas summed, payloads summed delta-scaled, one output row per
+// distinct key — and fed to Storing.UpdateKeyedScaledN. At coarse levels
+// a whole batch collapses to a handful of cell rows, so the sketch pays
+// one slab visit and one row-hash evaluation per distinct cell instead
+// of per op. A rate-1 sampler selects every op, so its rows are the
+// batch's shared rate-1 column (batch.rateOne), coalesced once for
+// every such unit; a fractional sampler runs over the fingerprint-key
+// column through the 4-lane Bernoulli kernel (SampleN) and coalesces
+// its own selection. Both give the same rows in the same
+// first-occurrence order. Sketch state is an exact linear sum, so both
+// the coalescing and the write schedule UpdateScaledN picks are
+// bit-identical to the per-op Insert/Delete replay
+// (TestApplyMatchesPerOp, TestRateOneColumnsMatchPerOp,
+// FuzzCoalescedIngestMatchesSerial, FuzzForkMerge). The telemetry tallies
+// — sampled ops in, distinct-key rows out — are added once per unit.
+func (u unit) apply(b *batch) {
+	var co *coalescer
+	if u.samp.Phi() >= 1 {
+		co = b.rateOne(u.col)
+	} else {
+		sc := applyScratchPool.Get().(*applyScratch)
+		defer applyScratchPool.Put(sc)
+		sc.sel = growBool(sc.sel, len(b.ops))
+		u.samp.SampleN(sc.sel, b.fkey)
+		co = &sc.co
+		co.coalesce(b, sc.sel, u.col)
 	}
-	mSketchUpdates.Add(coIn[0] + coIn[1] + coIn[2])
+	if u.sub == 2 {
+		u.st.UpdateKeyedScaledN(nil, nil, co.keys, co.scaled, co.deltas)
+	} else {
+		u.st.UpdateKeyedScaledN(co.keys, co.scaled, nil, nil, co.deltas)
+	}
+	mSketchUpdates.Add(co.in)
 	if obs.Enabled() {
-		for k := 0; k < 3; k++ {
-			mCoalesceIn[k].Add(coIn[k])
-			mCoalesceOut[k].Add(coOut[k])
-		}
+		mCoalesceIn[u.sub].Add(co.in)
+		mCoalesceOut[u.sub].Add(int64(len(co.deltas)))
 	}
+}
+
+// update feeds one op to u if u's sampler selects the op's fingerprint
+// key, and reports whether it did — the per-op path Insert/Delete take,
+// and the oracle apply is pinned against.
+func (u unit) update(p geo.Point, key uint64, del bool) bool {
+	if !u.samp.Sample(key) {
+		return false
+	}
+	if del {
+		u.st.Delete(p)
+	} else {
+		u.st.Insert(p)
+	}
+	return true
 }
 
 func growBool(s []bool, n int) []bool {
@@ -408,33 +418,16 @@ func (c *coalescer) coalescePoints(b *batch, sel []bool) {
 	}
 }
 
-// levelApplier is sketch state split by grid level that a batch can be
-// applied to one level range at a time, with disjoint ranges touching
-// disjoint state: a guess instance (Stream) or the cost bound.
-type levelApplier interface {
-	applyLevels(b *batch, lo, hi int)
-}
-
-// shard is one unit of parallel batch application: a level range of one
-// guess instance or of the cost bound.
-type shard struct {
-	u      levelApplier
-	lo, hi int
-}
-
-// applyShards applies the batch to every shard with a worker pool sized
-// to the machine, claiming shards in list order. Shards partition the
+// applyShards runs apply(0), …, apply(n−1) on a worker pool sized to
+// the machine, claiming shard indices in order. Shards partition the
 // sketch state — no two shards write the same sketch — so no
 // synchronization beyond the final barrier is needed, and linearity
 // makes the outcome independent of the schedule.
-func applyShards(b *batch, shards []shard) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(shards) {
-		workers = len(shards)
-	}
+func applyShards(n int, apply func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
-		for _, sh := range shards {
-			sh.u.applyLevels(b, sh.lo, sh.hi)
+		for i := 0; i < n; i++ {
+			apply(i)
 		}
 		return
 	}
@@ -446,22 +439,12 @@ func applyShards(b *batch, shards []shard) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(shards) {
+				if i >= n {
 					return
 				}
-				sh := shards[i]
-				sh.u.applyLevels(b, sh.lo, sh.hi)
+				apply(i)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// levelShards appends the shards for u, splitting its levels 0..L into
-// chunks of at most chunk levels.
-func levelShards(dst []shard, u levelApplier, L, chunk int) []shard {
-	for lo := 0; lo <= L; lo += chunk {
-		dst = append(dst, shard{u: u, lo: lo, hi: min(lo+chunk-1, L)})
-	}
-	return dst
 }

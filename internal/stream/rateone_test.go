@@ -9,6 +9,7 @@ import (
 	"streambalance/internal/geo"
 	"streambalance/internal/hashing"
 	"streambalance/internal/obs"
+	"streambalance/internal/sketch"
 )
 
 // rateOneBatches builds one valid batch per size. Each mixes fresh
@@ -51,19 +52,24 @@ func rateOneBatches(rng *rand.Rand, sizes []int) [][]Op {
 
 // coalesceOracle counts, without the ingest pipeline, what one batch
 // must add to stream_coalesce_{ops_in,keys_out}_total per substream:
-// every sampler's selected ops, and the distinct keys among them.
+// every distinct sketch's selected ops, and the distinct keys among
+// them. A Storing that several guesses share takes the batch once, so
+// it is counted once, under the first guess that holds it.
 func coalesceOracle(a *Auto, ops []Op) (in, out [3]int64) {
 	L := a.g.L
+	counted := map[*sketch.Storing]bool{}
 	for _, s := range a.streams {
 		for i := 0; i <= L; i++ {
 			samps := [3]*hashing.Bernoulli{nil, s.hpSamp[i], s.hatSamp[i]}
+			stores := [3]*sketch.Storing{nil, s.hpStore[i], s.hatStore[i]}
 			if i < L {
-				samps[0] = s.hSamp[i]
+				samps[0], stores[0] = s.hSamp[i], s.hStore[i]
 			}
 			for k, samp := range samps {
-				if samp == nil {
+				if samp == nil || counted[stores[k]] {
 					continue
 				}
+				counted[stores[k]] = true
 				seen := map[uint64]bool{}
 				for _, op := range ops {
 					fkey := a.fp.Key(op.P)
@@ -100,7 +106,8 @@ func coalesceCounts() (in, out [3]int64) {
 // match per-op Insert/Delete replay in StateDigest (cost bound
 // included), Bytes and every guess's Result, FAILs included; and the
 // ingest counters must match the replay's sketch-update count and an
-// independent count of each sampler's selected ops and distinct keys.
+// independent count of each distinct sketch's selected ops and distinct
+// keys — a Storing the rate-1 guesses share counts once.
 // Batch sizes straddle the 4-lane blocks, the ordered-write threshold
 // (64 rows) and width/8 of the cell (1024) and point (2048) sketches.
 func TestRateOneColumnsMatchPerOp(t *testing.T) {

@@ -35,8 +35,8 @@ import (
 // Delete, Apply on Stream and Auto) — never once per guess instance —
 // so stream_ops_total counts what the caller fed in, and
 // stream_sketch_updates_total counts the post-sampling fan-out the
-// sketches absorbed (accumulated locally in applyLevels, one atomic
-// add per shard).
+// distinct sketches absorbed: a Storing shared by several guesses counts
+// once (one atomic add per unit and batch).
 var (
 	mOps           = obs.C("stream_ops_total")
 	mDeletes       = obs.C("stream_deletes_total")
@@ -169,8 +169,12 @@ func New(cfg Config) (*Stream, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Params.Seed))
 	g := grid.New(cfg.Delta, cfg.Dim, rng)
-	return newShared(cfg, g, hashing.NewFingerprint(rng), rng), nil
+	return newShared(cfg, g, hashing.NewFingerprint(rng), rng, nil), nil
 }
+
+// rateOneOwners maps a (substream, level) pair to the Storing that the
+// ensemble's guesses sampling it at rate 1 share.
+type rateOneOwners map[[2]int]*sketch.Storing
 
 // newShared builds a Stream over an externally supplied grid and
 // fingerprint. Auto uses it to make every guess instance share one grid
@@ -178,7 +182,16 @@ func New(cfg Config) (*Stream, error) {
 // each op's fingerprint key and cell keys once and reuse them across all
 // instances. cfg must already be defaulted and have O > 0; rng seeds the
 // instance-private samplers and sketch hash functions.
-func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand) *Stream {
+//
+// With a non-nil owners table, a (substream, level) whose sampler has
+// rate 1 sketches the whole stream — the same vector for every guess
+// sampling it at rate 1 — so the first guess to build it (the owner)
+// records its Storing in owners, and every later one adopts it. An
+// adopting guess still consumes the draws of the sketch it no longer
+// builds (sketch.SkipStoring), so each of its other sketches keeps the
+// hash functions it would have had. A nil table (the standalone New)
+// keeps every sketch private.
+func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand, owners rateOneOwners) *Stream {
 	L := g.L
 	s := &Stream{
 		cfg: cfg, g: g,
@@ -193,6 +206,18 @@ func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand
 		psiP:     make([]float64, L+1),
 		phi:      make([]float64, L+1),
 	}
+	storing := func(sub, i int, samp *hashing.Bernoulli, alpha, beta int) *sketch.Storing {
+		if owners == nil || samp.Phi() < 1 {
+			return sketch.NewStoringShared(rng, g, i, alpha, beta, cfg.FailProb, fp)
+		}
+		if st := owners[[2]int{sub, i}]; st != nil {
+			sketch.SkipStoring(rng, g, alpha, beta, cfg.FailProb, fp)
+			return st
+		}
+		st := sketch.NewStoringShared(rng, g, i, alpha, beta, cfg.FailProb, fp)
+		owners[[2]int{sub, i}] = st
+		return st
+	}
 	p := cfg.Params
 	gamma := p.Gamma(g.Dim, L)
 	lambda := p.Lambda(g.Dim, L)
@@ -205,10 +230,10 @@ func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand
 		s.hpSamp[i] = hashing.NewBernoulli(rng, lambda, s.psiP[i])
 		s.hatSamp[i] = hashing.NewBernoulli(rng, lambda, s.phi[i])
 		if i <= L-1 {
-			s.hStore[i] = sketch.NewStoringShared(rng, g, i, cfg.CellSparsity, 0, cfg.FailProb, fp)
+			s.hStore[i] = storing(0, i, s.hSamp[i], cfg.CellSparsity, 0)
 		}
-		s.hpStore[i] = sketch.NewStoringShared(rng, g, i, cfg.CellSparsity, 0, cfg.FailProb, fp)
-		s.hatStore[i] = sketch.NewStoringShared(rng, g, i, 0, cfg.PointSparsity, cfg.FailProb, fp)
+		s.hpStore[i] = storing(1, i, s.hpSamp[i], cfg.CellSparsity, 0)
+		s.hatStore[i] = storing(2, i, s.hatSamp[i], 0, cfg.PointSparsity)
 	}
 	return s
 }
@@ -240,7 +265,7 @@ func (s *Stream) Apply(ops []Op) {
 		s.b = new(batch)
 	}
 	s.b.build(s.g, s.fp, ops)
-	s.applyLevels(s.b, 0, s.g.L)
+	s.eachUnit(func(u unit) { u.apply(s.b) })
 	for i := range ops {
 		if ops[i].Delete {
 			s.n--
@@ -277,33 +302,25 @@ func (s *Stream) update(p geo.Point, del bool) {
 	}
 	key := s.fp.Key(p)
 	var nSel int64
-	for i := 0; i <= s.g.L; i++ {
-		if i <= s.g.L-1 && s.hSamp[i].Sample(key) {
-			if del {
-				s.hStore[i].Delete(p)
-			} else {
-				s.hStore[i].Insert(p)
-			}
+	s.eachUnit(func(u unit) {
+		if u.update(p, key, del) {
 			nSel++
 		}
-		if s.hpSamp[i].Sample(key) {
-			if del {
-				s.hpStore[i].Delete(p)
-			} else {
-				s.hpStore[i].Insert(p)
-			}
-			nSel++
-		}
-		if s.hatSamp[i].Sample(key) {
-			if del {
-				s.hatStore[i].Delete(p)
-			} else {
-				s.hatStore[i].Insert(p)
-			}
-			nSel++
-		}
-	}
+	})
 	mSketchUpdates.Add(nSel)
+}
+
+// eachUnit calls f on every unit of s, level by level: h_i (levels
+// below L), h′_i, ĥ_i.
+func (s *Stream) eachUnit(f func(unit)) {
+	L := s.g.L
+	for i := 0; i <= L; i++ {
+		if i <= L-1 {
+			f(unit{s.hStore[i], s.hSamp[i], 0, i})
+		}
+		f(unit{s.hpStore[i], s.hpSamp[i], 1, i})
+		f(unit{s.hatStore[i], s.hatSamp[i], 2, L + 1})
+	}
 }
 
 // N returns the exact current number of points.
@@ -353,13 +370,7 @@ func (s *Stream) Merge(fork *Stream) {
 // ingestion pipeline against per-op replay.
 func (s *Stream) StateDigest() uint64 {
 	d := hashing.Mix64(uint64(s.n))
-	for i := 0; i <= s.g.L; i++ {
-		if i <= s.g.L-1 {
-			d = hashing.Mix64(d ^ s.hStore[i].Digest())
-		}
-		d = hashing.Mix64(d ^ s.hpStore[i].Digest())
-		d = hashing.Mix64(d ^ s.hatStore[i].Digest())
-	}
+	s.eachUnit(func(u unit) { d = hashing.Mix64(d ^ u.st.Digest()) })
 	return d
 }
 
@@ -368,13 +379,7 @@ func (s *Stream) StateDigest() uint64 {
 // length.
 func (s *Stream) Bytes() int64 {
 	var b int64
-	for i := 0; i <= s.g.L; i++ {
-		if i <= s.g.L-1 {
-			b += s.hStore[i].Bytes()
-		}
-		b += s.hpStore[i].Bytes()
-		b += s.hatStore[i].Bytes()
-	}
+	s.eachUnit(func(u unit) { b += u.st.Bytes() })
 	return b
 }
 
