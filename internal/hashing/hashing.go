@@ -50,14 +50,21 @@ type KWise struct {
 // NewKWise draws a λ-wise independent hash function using rng. λ must be
 // at least 1; λ = 2 gives the classic pairwise-independent family.
 func NewKWise(rng *rand.Rand, lambda int) *KWise {
+	return &KWise{coeffs: drawCoeffs(rng, lambda, lambda)}
+}
+
+// drawCoeffs draws λ uniform coefficients into a zeroed slice of
+// capacity at least capacity, so a caller may view the zero padding
+// above the leading coefficient.
+func drawCoeffs(rng *rand.Rand, lambda, capacity int) []uint64 {
 	if lambda < 1 {
 		panic("hashing: lambda must be >= 1")
 	}
-	c := make([]uint64, lambda)
+	c := make([]uint64, lambda, max(lambda, capacity))
 	for i := range c {
 		c[i] = randField(rng)
 	}
-	return &KWise{coeffs: c}
+	return c
 }
 
 // randField returns a uniform element of GF(p).
@@ -95,6 +102,7 @@ func (h *KWise) Eval(x uint64) uint64 {
 // line 10 and Algorithm 3 steps 2 and 4.
 type Bernoulli struct {
 	h         *KWise
+	blocks    []uint64 // h's coefficients zero-padded to whole 16-word blocks (SamplePowers)
 	threshold uint64
 	phi       float64
 }
@@ -108,8 +116,12 @@ func NewBernoulli(rng *rand.Rand, lambda int, phi float64) *Bernoulli {
 	if phi > 1 {
 		phi = 1
 	}
+	// The power-column kernel reads the coefficients in whole blocks; the
+	// padding shares h's backing array, so it costs at most 15 words.
+	c := drawCoeffs(rng, lambda, (lambda+powerBlock-1)/powerBlock*powerBlock)
 	return &Bernoulli{
-		h:         NewKWise(rng, lambda),
+		h:         &KWise{coeffs: c},
+		blocks:    c[:cap(c)],
 		threshold: uint64(phi * float64(MersennePrime61)),
 		phi:       phi,
 	}

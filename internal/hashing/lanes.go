@@ -1,7 +1,7 @@
 // Lane-batched GF(p) kernels, p = 2^61 − 1.
 //
 // Every scalar evaluation in this package — Horner polynomial hashing,
-// Bernoulli thresholding, Rabin–Karp fingerprinting — is a chain of
+// Rabin–Karp fingerprinting — is a chain of
 // dependent field multiplies: step i cannot start before step i−1
 // retires, so a single evaluation runs at the *latency* of mulMod, not
 // its throughput. The kernels here evaluate four independent inputs at
@@ -61,40 +61,6 @@ func (h *KWise) EvalN(dst, keys []uint64) {
 	}
 	for ; i < len(keys); i++ {
 		dst[i] = h.Eval(keys[i])
-	}
-}
-
-// SampleN fills dst[i] = b.Sample(keys[i]). The rate-1 and rate-0
-// short-circuits of Sample become whole-column fills; everything else
-// goes through the 4-lane Horner kernel. len(dst) must be at least
-// len(keys).
-func (b *Bernoulli) SampleN(dst []bool, keys []uint64) {
-	if len(dst) < len(keys) {
-		panic("hashing: SampleN dst shorter than keys")
-	}
-	if b.phi >= 1 {
-		for i := range keys {
-			dst[i] = true
-		}
-		return
-	}
-	if b.threshold == 0 {
-		for i := range keys {
-			dst[i] = false
-		}
-		return
-	}
-	th := b.threshold
-	i := 0
-	for ; i+4 <= len(keys); i += 4 {
-		y0, y1, y2, y3 := b.h.Eval4(keys[i], keys[i+1], keys[i+2], keys[i+3])
-		dst[i] = y0 < th
-		dst[i+1] = y1 < th
-		dst[i+2] = y2 < th
-		dst[i+3] = y3 < th
-	}
-	for ; i < len(keys); i++ {
-		dst[i] = b.h.Eval(keys[i]) < th
 	}
 }
 

@@ -48,31 +48,6 @@ func TestEvalNMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestSampleNMatchesScalar covers the interior rate plus both
-// short-circuit boundaries (φ = 0 and φ = 1), which the streaming
-// calibration pins at many levels.
-func TestSampleNMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, phi := range []float64{0, 1e-9, 0.1, 0.5, 0.999, 1} {
-		b := NewBernoulli(rng, 16, phi)
-		keys := make([]uint64, 37)
-		for i := range keys {
-			keys[i] = rng.Uint64() & (MersennePrime61 - 1)
-		}
-		dst := make([]bool, len(keys))
-		// Poison dst so whole-column fills are actually verified.
-		for i := range dst {
-			dst[i] = i%2 == 0
-		}
-		b.SampleN(dst, keys)
-		for i, k := range keys {
-			if want := b.Sample(k); dst[i] != want {
-				t.Fatalf("phi=%g i=%d: SampleN=%v Sample=%v", phi, i, dst[i], want)
-			}
-		}
-	}
-}
-
 // TestKey4MatchesScalar pins the 4-lane fingerprint, including negative
 // coordinates (the cell-index payloads can hold shifted negatives).
 func TestKey4MatchesScalar(t *testing.T) {
@@ -170,7 +145,6 @@ func FuzzEvalLanesMatchScalar(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		lambda := 1 + int(uint(seed)%9)
 		h := NewKWise(rng, lambda)
-		b := NewBernoulli(rng, lambda, float64(uint16(seed))/65535)
 		fp := NewFingerprint(rng)
 
 		keys := make([]uint64, 0, len(raw)/8+1)
@@ -183,8 +157,6 @@ func FuzzEvalLanesMatchScalar(f *testing.F) {
 
 		dst := make([]uint64, len(keys))
 		h.EvalN(dst, keys)
-		sel := make([]bool, len(keys))
-		b.SampleN(sel, keys)
 		pts := make([][]int64, len(keys))
 		for i, k := range keys {
 			pts[i] = []int64{int64(k), int64(k >> 7), -int64(k & 0xffff)}
@@ -195,9 +167,6 @@ func FuzzEvalLanesMatchScalar(f *testing.F) {
 		for i, k := range keys {
 			if want := h.Eval(k); dst[i] != want {
 				t.Fatalf("EvalN[%d]=%d, scalar %d", i, dst[i], want)
-			}
-			if want := b.Sample(k); sel[i] != want {
-				t.Fatalf("SampleN[%d]=%v, scalar %v", i, sel[i], want)
 			}
 			if want := fp.Key(pts[i]); fkeys[i] != want {
 				t.Fatalf("KeyN[%d]=%d, scalar %d", i, fkeys[i], want)

@@ -321,3 +321,84 @@ func FuzzDecodeWorklistMatchesReference(f *testing.F) {
 		itemsEqual(t, "fuzz worklist vs reference", got, want)
 	})
 }
+
+// TestPooledArenaDecodesLikeFresh pins what lets the extraction pipeline
+// keep decode arenas in a pool across queries: an arena that has served
+// a bailed sparse differential peel and a cold decode (one failed, one
+// successful) decodes the next sketch — cold and differentially —
+// exactly as a fresh arena does. The sparse peel's buffers must be back
+// to all-zero after the bail, since it reads them without clearing.
+func TestPooledArenaDecodesLikeFresh(t *testing.T) {
+	const s, pd = 16, 2
+	rng := rand.New(rand.NewSource(51))
+	fill := func(sr *SparseRecovery, from, n int) {
+		for i := 0; i < n; i++ {
+			k := uint64(from + i)
+			sr.Update(k, []int64{int64(k) * 3, -int64(i)}, int64(1+i%3))
+		}
+	}
+	used := NewDecodeArena()
+
+	// A differential peel that bails: ten new keys against an item cap
+	// of three leaves written buckets and queued marks behind.
+	bail := NewSparseRecovery(rng, s, 0.01, pd)
+	fill(bail, 1, 5)
+	snap := bail.RefreshSnapshot(nil)
+	fill(bail, 100, 10)
+	if !bail.DirtySparse() {
+		t.Fatal("expected a sparse journal")
+	}
+	if _, ok := bail.DecodeDeltaWith(used, snap, 3); ok {
+		t.Fatal("expected the capped differential peel to bail")
+	}
+	for i, v := range used.zslab {
+		if v != 0 {
+			t.Fatalf("sparse slab word %d = %d after the bail", i, v)
+		}
+	}
+	for i, m := range used.zmark {
+		if m {
+			t.Fatalf("sparse mark %d left set after the bail", i)
+		}
+	}
+
+	// Cold decodes: an over-full one that FAILs, then one that succeeds,
+	// both leaving junk in the full-peel buffers.
+	over := NewSparseRecovery(rng, s, 0.01, pd)
+	fill(over, 1, 8*s)
+	if _, ok := over.DecodeWith(used); ok {
+		t.Fatal("expected the over-full cold decode to FAIL")
+	}
+	ok1 := NewSparseRecovery(rng, s, 0.01, pd)
+	fill(ok1, 500, s)
+	if _, ok := ok1.DecodeWith(used); !ok {
+		t.Fatal("cold decode failed")
+	}
+
+	// The next sketch, decoded cold and differentially by the used arena
+	// and by fresh ones.
+	next := NewSparseRecovery(rng, s, 0.01, pd)
+	fill(next, 1000, s/2)
+	nsnap := next.RefreshSnapshot(nil)
+	fill(next, 2000, s/2)
+	next.Update(1000, []int64{3000, 0}, -1) // a delta that cancels part of the base
+	if !next.DirtySparse() {
+		t.Fatal("expected a sparse journal")
+	}
+	got, gotOK := next.DecodeDeltaWith(used, nsnap, 2*s)
+	want, wantOK := next.DecodeDeltaWith(NewDecodeArena(), nsnap, 2*s)
+	if gotOK != wantOK || !gotOK {
+		t.Fatalf("differential decode: used arena ok=%v, fresh ok=%v", gotOK, wantOK)
+	}
+	sortItems(got)
+	sortItems(want)
+	itemsEqual(t, "differential", got, want)
+	got, gotOK = next.DecodeWith(used)
+	want, wantOK = next.DecodeWith(NewDecodeArena())
+	if gotOK != wantOK || !gotOK {
+		t.Fatalf("cold decode: used arena ok=%v, fresh ok=%v", gotOK, wantOK)
+	}
+	sortItems(got)
+	sortItems(want)
+	itemsEqual(t, "cold", got, want)
+}

@@ -65,15 +65,27 @@ import (
 // extractWorkers sizes the decode pool to the machine.
 func extractWorkers() int { return runtime.GOMAXPROCS(0) }
 
+// arenaPool keeps decode arenas across queries. An arena's buffers grow
+// to the largest sketch it decoded, and the zero-invariant slab of the
+// sparse differential peel is a full point-sketch slab: a fresh arena
+// per query allocated and zeroed one on the first splice of every query.
+// Reuse cannot change a result — the full peel overwrites the buffers it
+// reads, and the sparse peel restores its all-zero invariant on every
+// exit (sketch.TestPooledArenaDecodesLikeFresh).
+var arenaPool = sync.Pool{New: func() any { return sketch.NewDecodeArena() }}
+
+func getArena() *sketch.DecodeArena  { return arenaPool.Get().(*sketch.DecodeArena) }
+func putArena(a *sketch.DecodeArena) { arenaPool.Put(a) }
+
 // warmStorings decodes the given sketches across a worker pool of the
 // given size, populating each one's epoch-tagged cache. Sketches whose
 // cache is already fresh are skipped, so re-warming after a partial
 // extraction (or a warm periodic call) spawns no goroutines at all.
 // Each sketch is decoded by exactly one worker and decoding touches only
 // that sketch's state, so the pool needs no locks beyond the barrier.
-// Every worker owns one sketch.DecodeArena for the whole drain — the
-// worklist decoder's slab/queue/mark scratch is reused across all the
-// sketches that worker decodes instead of reallocated per decode.
+// Every worker holds one pooled sketch.DecodeArena for the whole drain —
+// the worklist decoder's slab/queue/mark scratch is reused across all
+// the sketches that worker decodes, and across queries.
 func warmStorings(units []*sketch.Storing, workers int) {
 	pending := make([]*sketch.Storing, 0, len(units))
 	for _, st := range units {
@@ -89,7 +101,8 @@ func warmStorings(units []*sketch.Storing, workers int) {
 		workers = len(pending)
 	}
 	if workers <= 1 {
-		arena := sketch.NewDecodeArena()
+		arena := getArena()
+		defer putArena(arena)
 		for _, st := range pending {
 			st.ResultArena(arena)
 		}
@@ -101,7 +114,8 @@ func warmStorings(units []*sketch.Storing, workers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			arena := sketch.NewDecodeArena()
+			arena := getArena()
+			defer putArena(arena)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(pending) {
@@ -138,13 +152,15 @@ func (s *Stream) Result() (*coreset.Coreset, error) { return s.resultWith(extrac
 // resultWith is Result with an explicit decode-pool size; one worker
 // decodes lazily in the calling goroutine.
 func (s *Stream) resultWith(workers int) (*coreset.Coreset, error) {
-	return s.extract(workers, sketch.NewDecodeArena())
+	arena := getArena()
+	defer putArena(arena)
+	return s.extract(workers, arena)
 }
 
 // extract is resultWith running every lazy (cache-miss) decode out of
 // arena, so a caller extracting many instances in one goroutine — a
 // guess-scan worker — reuses one arena across all of them. The warm
-// pools of workers > 1 bring their own per-worker arenas.
+// pools of workers > 1 take their own per-worker arenas from the pool.
 func (s *Stream) extract(workers int, arena *sketch.DecodeArena) (*coreset.Coreset, error) {
 	if s.n < 0 {
 		return nil, errors.New("stream: more deletions than insertions")
@@ -235,7 +251,9 @@ func (s *Stream) plan(arena *sketch.DecodeArena) (*partition.Partition, *coreset
 
 	part, err := partition.BuildLazy(g, p.R, s.cfg.O, counts, partCounts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrSketchFail, err)
+		// Both wrapped: callers match ErrSketchFail and can still
+		// recover which level FAILed (partition.ErrCounts).
+		return nil, nil, fmt.Errorf("%w: %w", ErrSketchFail, err)
 	}
 	pl := coreset.BuildPlan(part, p)
 	if pl.Failed() {
@@ -429,7 +447,7 @@ func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
 // stops the worker. best only falls, so every index below its final
 // value was claimed and ran to completion, and the pass after the pool
 // reads exactly the outcomes the one-worker scan would have produced.
-// Each worker extracts lazily out of one arena it owns for all its
+// Each worker extracts lazily out of one pooled arena for all its
 // guesses.
 func (a *Auto) scan(n, workers int) (*coreset.Coreset, error) {
 	type outcome struct {
@@ -440,7 +458,8 @@ func (a *Auto) scan(n, workers int) (*coreset.Coreset, error) {
 	var next, best atomic.Int64
 	best.Store(int64(n))
 	run := func() {
-		arena := sketch.NewDecodeArena()
+		arena := getArena()
+		defer putArena(arena)
 		for {
 			i := next.Add(1) - 1
 			if i >= best.Load() {
@@ -524,7 +543,9 @@ func (a *Auto) tryEstimateGuess(workers int) *coreset.Coreset {
 	}
 	// A FAIL or weight reject hands selection to the scan, which reports
 	// failures itself.
-	cs, _ := a.attempt(best, workers, sketch.NewDecodeArena())
+	arena := getArena()
+	defer putArena(arena)
+	cs, _ := a.attempt(best, workers, arena)
 	return cs
 }
 

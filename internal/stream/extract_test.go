@@ -1,10 +1,12 @@
 package stream
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"streambalance/internal/coreset"
+	"streambalance/internal/partition"
 	"streambalance/internal/workload"
 )
 
@@ -243,4 +245,52 @@ func TestForkMergeInvalidatesDecodeCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	equalExtraction(t, got, want, "post-merge extraction vs single-pass cold")
+}
+
+// TestPlanFailKeepsLevel pins the plan-stage FAIL error: it matches
+// ErrSketchFail, still carries the partition's ErrCounts so a caller can
+// recover which level FAILed, and names a level that is really
+// undecodable. BuildLazy consults the h levels in ascending order before
+// any h′ level it needs, so every h level above the named one decoded,
+// and the h or h′ sketch at the named level did not.
+func TestPlanFailKeepsLevel(t *testing.T) {
+	ps, _ := testMixture(7, 3000)
+	s, err := New(Config{
+		Dim: 2, Delta: testDelta, O: goodGuess(ps, 3), Params: coreset.Params{K: 3, Seed: 11},
+		CellSparsity: 8, PointSparsity: 4096,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ps {
+		s.Insert(p)
+	}
+	_, err = s.Result()
+	if !errors.Is(err, ErrSketchFail) {
+		t.Fatalf("want a sketch FAIL, got %v", err)
+	}
+	var ce partition.ErrCounts
+	if !errors.As(err, &ce) {
+		t.Fatalf("ErrCounts not reachable through %q", err)
+	}
+	if want := ErrSketchFail.Error() + ": " + ce.Error(); err.Error() != want {
+		t.Fatalf("error text %q, want %q", err, want)
+	}
+	if ce.Level < 0 || ce.Level > s.g.L {
+		t.Fatalf("FAIL level %d outside 0..%d", ce.Level, s.g.L)
+	}
+	for j := 0; j < ce.Level; j++ {
+		if _, ok := s.hStore[j].ResultArena(nil); !ok {
+			t.Fatalf("FAIL named level %d, but h already FAILs at level %d", ce.Level, j)
+		}
+	}
+	_, hOK := s.hpStore[ce.Level].ResultArena(nil)
+	if ce.Level < s.g.L {
+		_, ok := s.hStore[ce.Level].ResultArena(nil)
+		hOK = hOK && ok
+	}
+	if hOK {
+		t.Fatalf("FAIL named level %d, whose h and h′ sketches both decode", ce.Level)
+	}
+	t.Logf("plan FAILs at level %d: %v", ce.Level, err)
 }

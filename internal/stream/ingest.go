@@ -21,7 +21,11 @@
 // application time, only when a sampler actually selects the op, so the
 // batch stores one index vector per op rather than L+1. Samplers at rate
 // φ = 1 select every op; they all read one coalesced column per level
-// (and one for points) that the batch builds on first use.
+// (and one for points) that the batch builds on first use. Fractional
+// samplers all hash the same fingerprint keys, so they share one power
+// column — x⁰…x¹⁶ of each key (hashing.PowersN), also built on first
+// use — and each sampler's degree-λ polynomial becomes dot products over
+// it instead of a Horner chain per op.
 //
 // Because every sketch is linear over GF(p) and int64 counters — both
 // exact, commutative, associative — applying a batch sketch by sketch,
@@ -80,6 +84,13 @@ type batch struct {
 	// needs a column builds it (rate1Once) and every other one reads it.
 	rate1     []coalescer
 	rate1Once []sync.Once
+
+	// Shared power column: pow[t·PowerStride : (t+1)·PowerStride] holds
+	// x⁰…x¹⁶ of x = fkey[t], the operand of every fractional sampler
+	// (hashing.Bernoulli.SamplePowers). The first shard that samples
+	// builds it (powOnce); every other one reads it.
+	pow     []uint64
+	powOnce sync.Once
 }
 
 // build fills the batch's columns for ops. The grid and fingerprint must
@@ -121,6 +132,7 @@ func (b *batch) build(g *grid.Grid, fp *hashing.Fingerprint, ops []Op) {
 	} else {
 		clear(b.rate1Once)
 	}
+	b.powOnce = sync.Once{}
 }
 
 // cellKeyColumns quantizes pts once on g — base[t·d : (t+1)·d] is the
@@ -159,6 +171,16 @@ func (b *batch) rateOne(c int) *coalescer {
 	co := &b.rate1[c]
 	b.rate1Once[c].Do(func() { co.coalesce(b, nil, c) })
 	return co
+}
+
+// powers returns the batch's power column, building it from the
+// fingerprint keys on first use.
+func (b *batch) powers() []uint64 {
+	b.powOnce.Do(func() {
+		b.pow = growUint64(b.pow, hashing.PowerStride*len(b.ops))
+		hashing.PowersN(b.pow, b.fkey)
+	})
+	return b.pow
 }
 
 // checkDims panics, before any state is touched, if an op's point does
@@ -230,15 +252,16 @@ type unit struct {
 // one slab visit and one row-hash evaluation per distinct cell instead
 // of per op. A rate-1 sampler selects every op, so its rows are the
 // batch's shared rate-1 column (batch.rateOne), coalesced once for
-// every such unit; a fractional sampler runs over the fingerprint-key
-// column through the 4-lane Bernoulli kernel (SampleN) and coalesces
-// its own selection. Both give the same rows in the same
-// first-occurrence order. Sketch state is an exact linear sum, so both
-// the coalescing and the write schedule UpdateScaledN picks are
-// bit-identical to the per-op Insert/Delete replay
-// (TestApplyMatchesPerOp, TestRateOneColumnsMatchPerOp,
-// FuzzCoalescedIngestMatchesSerial, FuzzForkMerge). The telemetry tallies
-// — sampled ops in, distinct-key rows out — are added once per unit.
+// every such unit; a fractional sampler evaluates its polynomial as dot
+// products over the batch's shared power column (batch.powers,
+// Bernoulli.SamplePowers) and coalesces its own selection. Both give
+// the same rows in the same first-occurrence order. Sketch state is an
+// exact linear sum, so both the coalescing and the write schedule
+// UpdateScaledN picks are bit-identical to the per-op Insert/Delete
+// replay (TestApplyMatchesPerOp, TestRateOneColumnsMatchPerOp,
+// TestApplyMatchesPerOpAcrossLambda, FuzzCoalescedIngestMatchesSerial,
+// FuzzForkMerge). The telemetry tallies — sampled ops in, distinct-key
+// rows out — are added once per unit.
 func (u unit) apply(b *batch) {
 	var co *coalescer
 	if u.samp.Phi() >= 1 {
@@ -247,7 +270,7 @@ func (u unit) apply(b *batch) {
 		sc := applyScratchPool.Get().(*applyScratch)
 		defer applyScratchPool.Put(sc)
 		sc.sel = growBool(sc.sel, len(b.ops))
-		u.samp.SampleN(sc.sel, b.fkey)
+		u.samp.SamplePowers(sc.sel, b.powers())
 		co = &sc.co
 		co.coalesce(b, sc.sel, u.col)
 	}

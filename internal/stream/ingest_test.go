@@ -224,3 +224,46 @@ func TestAutoApplyWeightSanity(t *testing.T) {
 		t.Fatalf("total weight %v vs n=%d", w, len(ps))
 	}
 }
+
+// TestApplyMatchesPerOpAcrossLambda runs the batched-vs-per-op digest
+// check at hash independence λ = 3 (one partial block of the power-column
+// kernel) and λ = 40 (three blocks chained by Horner's rule in x¹⁶); the
+// default geometry only exercises λ = 16. Batches of unequal length
+// follow each other, so a power column left over from an earlier batch
+// would sample the wrong keys.
+func TestApplyMatchesPerOpAcrossLambda(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ops := shuffledChurnOps(303, 600)
+	for _, lambda := range []int{3, 40} {
+		cfg := Config{Dim: 2, Delta: testDelta,
+			Params:       coreset.Params{K: 3, Seed: 53, HashIndependence: lambda},
+			CellSparsity: 128, PointSparsity: 512}
+		ref, err := NewAuto(cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range ops {
+			if op.Delete {
+				ref.Delete(op.P)
+			} else {
+				ref.Insert(op.P)
+			}
+		}
+		if frac := len(ref.units) - ref.rateOne; frac == 0 {
+			t.Fatalf("lambda=%d: no fractional sampler to exercise", lambda)
+		}
+		a, err := NewAuto(cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, step := 0, 1; i < len(ops); i, step = i+step, step*2+1 {
+			a.Apply(ops[i:min(i+step, len(ops))])
+		}
+		if a.StateDigest() != ref.StateDigest() {
+			t.Fatalf("lambda=%d: batched Auto.Apply state diverged from per-op replay", lambda)
+		}
+		ca, errA := ref.Result()
+		cb, errB := a.Result()
+		sameCoreset(t, ca, cb, errA, errB)
+	}
+}
