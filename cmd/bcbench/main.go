@@ -500,8 +500,9 @@ func benchSketchUpdate(seed int64) float64 {
 // where extraction takes the single-worker lazy path), warm (epoch-cache
 // hits only) and incremental (alternating small-batch
 // ingest and extraction: the query splices the dirty levels onto their
-// cached decode bases instead of re-peeling the whole ensemble). Prints
-// a short report and records it as BENCH_extract.json.
+// cached decode bases instead of re-peeling the whole ensemble), plus
+// the guesses the selection scan tries per cold query (informational).
+// Prints a short report and records it as BENCH_extract.json.
 func benchExtract(scale float64, seed int64) error {
 	start := time.Now()
 	n := int(4096 * scale)
@@ -578,6 +579,26 @@ func benchExtract(scale float64, seed int64) error {
 	serialSec := rounds / elapsed[1].Seconds()
 	warmSec := rounds / elapsed[2].Seconds()
 
+	// Guesses the selection scan tries per cold query, counted in a
+	// separate untimed pass so the timed runs above never pay for
+	// telemetry. Informational: it says how far up the guess grid the
+	// winner sits, and so what the cold and serial rates time.
+	const attemptQueries = 3
+	wasOn := obs.Enabled()
+	obs.Enable()
+	attempts := obs.C("stream_guess_attempts_total")
+	att0 := attempts.Load()
+	for i := 0; i < attemptQueries; i++ {
+		a.DropDecodeCache()
+		if _, err := a.Result(); err != nil {
+			return fmt.Errorf("attempt-count extraction: %w", err)
+		}
+	}
+	attemptsPerQuery := float64(attempts.Load()-att0) / attemptQueries
+	if !wasOn {
+		obs.Disable()
+	}
+
 	// Mixed ingest + query — the serving pattern the differential decode
 	// targets. Each round re-ingests a small batch of the original ops
 	// (same keys, so the sketch support never grows and every level stays
@@ -630,6 +651,7 @@ func benchExtract(scale float64, seed int64) error {
 		"extracts_per_sec_warm":    warmSec,
 		"warm_speedup_over_cold":   warmSec / coldSec,
 		"cold_speedup_over_serial": coldSec / serialSec,
+		"attempts_per_query":       attemptsPerQuery,
 
 		"extracts_per_sec_incremental":  incrSec,
 		"incremental_speedup_over_cold": incrSec / coldSec,
@@ -638,7 +660,7 @@ func benchExtract(scale float64, seed int64) error {
 	}
 	fmt.Printf("stream extract (n=%d points, %d guesses, GOMAXPROCS=%d)\n", n, len(a.Guesses()), runtime.GOMAXPROCS(0))
 	fmt.Printf("  cold    : %12.2f extracts/sec  (%.2fx over serial)\n", coldSec, coldSec/serialSec)
-	fmt.Printf("  serial  : %12.2f extracts/sec\n", serialSec)
+	fmt.Printf("  serial  : %12.2f extracts/sec  (%.1f guess attempts per query)\n", serialSec, attemptsPerQuery)
 	fmt.Printf("  warm    : %12.2f extracts/sec  (%.2fx over cold)\n", warmSec, warmSec/coldSec)
 	fmt.Printf("  incr    : %12.2f extracts/sec  (%.2fx over cold; batch=%d ops, %.4f dirty-level ratio)\n",
 		incrSec, incrSec/coldSec, incrBatch, dirtyRatio)

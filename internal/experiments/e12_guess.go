@@ -13,19 +13,20 @@ import (
 	"streambalance/internal/stream"
 )
 
-// E12GuessSelection compares the three guess-selection mechanisms the
-// repository implements for Theorem 4.5's o (the paper assumes a
-// streaming 2-approximation of OPT as a black box):
+// E12GuessSelection compares three guess-selection mechanisms for
+// Theorem 4.5's o (the paper assumes a streaming 2-approximation of OPT
+// as a black box):
 //
 //	offline:    k-means++ + Lloyd on the full data (the reference),
 //	reservoir:  the same estimator on a 1000-point reservoir sample
-//	            (exact for insertion-only streams),
+//	            (exact for insertion-only streams only, so stream.Auto
+//	            does not use it),
 //	cell-count: the deletion-proof F₀ cell-counting upper bound.
 //
 // For each selected o the table reports the resulting coreset size and
 // cost fidelity — showing how guess quality trades coreset size for
 // nothing until o approaches OPT from below, and why the cell-count
-// bound is used only as a pruning cap.
+// bound is used only as a pruning cap on Auto's ascending scan.
 func E12GuessSelection(c Cfg) *metrics.Table {
 	sp := obs.StartSpan("exp.E12")
 	c = c.withDefaults()
@@ -42,13 +43,20 @@ func E12GuessSelection(c Cfg) *metrics.Table {
 
 	offline := streamGuessAt(ps, k, c.Seed, delta)
 
-	// Reservoir estimate (as Auto computes it on an insert-only stream).
-	rv := stream.NewReservoir(1000, c.Seed)
-	for _, p := range ps {
-		rv.Insert(p)
+	// Reservoir estimate: the same estimator on a one-pass uniform sample
+	// (classic reservoir sampling, as baseline.ThreePass's first pass).
+	const reservoirSize = 1000
+	rrng := rand.New(rand.NewSource(c.Seed))
+	sample := make(geo.PointSet, 0, reservoirSize)
+	for i, p := range ps {
+		if len(sample) < reservoirSize {
+			sample = append(sample, p)
+		} else if j := rrng.Int63n(int64(i + 1)); j < reservoirSize {
+			sample[j] = p
+		}
 	}
 	// The sample's clustering cost is ≈ (sample/n)·OPT; rescale.
-	resEst := streamGuessAt(rv.Sample(), k, c.Seed, delta) * float64(n) / float64(len(rv.Sample()))
+	resEst := streamGuessAt(sample, k, c.Seed, delta) * float64(n) / float64(len(sample))
 
 	// Cell-count bound.
 	gcb := grid.New(delta, 2, rand.New(rand.NewSource(c.Seed+3)))

@@ -133,6 +133,20 @@ type CacheStats struct {
 	Splices, SpliceFallbacks, MergeKeeps, MergeSkips  int64
 }
 
+// Add adds o's counters to c, field by field.
+func (c *CacheStats) Add(o CacheStats) {
+	c.Hits += o.Hits
+	c.Misses += o.Misses
+	c.Stale += o.Stale
+	c.StaleCold += o.StaleCold
+	c.Drops += o.Drops
+	c.MergeDrops += o.MergeDrops
+	c.Splices += o.Splices
+	c.SpliceFallbacks += o.SpliceFallbacks
+	c.MergeKeeps += o.MergeKeeps
+	c.MergeSkips += o.MergeSkips
+}
+
 // CellCount is one recovered non-empty cell.
 type CellCount struct {
 	Key   uint64  // cell key as produced by grid.KeyOf(level, Index)

@@ -402,3 +402,43 @@ func TestPooledArenaDecodesLikeFresh(t *testing.T) {
 	sortItems(want)
 	itemsEqual(t, "cold", got, want)
 }
+
+// TestSparsePeelRezeroesWritesOutsideJournal: a phantom-pure journaled
+// bucket — planted in one row only, so it looks like a single key whose
+// other row buckets were never written — makes the sparse peel subtract
+// that key from buckets outside the journal. The peel must still leave
+// the arena's zero-invariant slab and marks all-zero on exit: its write
+// set, not the journal, is what gets re-zeroed. The key's peel-outs
+// alternate between the journaled bucket and the other rows, so the
+// item-cap bail lands on either side depending on the cap's parity; both
+// are checked.
+func TestSparsePeelRezeroesWritesOutsideJournal(t *testing.T) {
+	const key = 12345
+	for itemCap := 1; itemCap <= 4; itemCap++ {
+		sr := NewSparseRecovery(rand.New(rand.NewSource(61)), 16, 0.01, 2)
+		if sr.rows < 2 {
+			t.Fatalf("%d rows: a one-row sketch has no bucket outside the journal", sr.rows)
+		}
+		snap := sr.RefreshSnapshot(nil) // empty base; starts the journal
+		bi := bucketOf(sr.rowHash[0].Eval(key), sr.width)
+		copy(sr.slab[bi*sr.stride:], []int64{1, key, int64(sr.fpHash.Eval(key)), 7, -3})
+		sr.markDirty(bi)
+		if !sr.DirtySparse() {
+			t.Fatal("expected a sparse journal")
+		}
+		a := NewDecodeArena()
+		if _, ok := sr.DecodeDeltaWith(a, snap, itemCap); ok {
+			t.Fatalf("cap %d: the phantom residual verified", itemCap)
+		}
+		for i, v := range a.zslab {
+			if v != 0 {
+				t.Fatalf("cap %d: sparse slab word %d (bucket %d) = %d after the peel", itemCap, i, i/sr.stride, v)
+			}
+		}
+		for i, m := range a.zmark {
+			if m {
+				t.Fatalf("cap %d: sparse mark %d left set", itemCap, i)
+			}
+		}
+	}
+}

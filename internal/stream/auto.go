@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -17,12 +18,15 @@ import (
 // guess o on a geometric grid covering [1, Δ^d·(√d·Δ)^r] (Algorithm 2
 // line 1), all fed the same updates in parallel. At the end of the stream
 // the smallest guess whose instance succeeds — and whose coreset carries
-// approximately the right total weight — is selected.
+// approximately the right total weight — is selected, among the guesses
+// at most a quarter of the cost bound's certified upper bound on OPT.
 //
 // The paper selects o with a parallel streaming 2-approximation of OPT
-// [HSYZ18]; the weight-sanity rule here is the practical stand-in (a
-// far-too-large o loses points because the root cell is not heavy, a
-// far-too-small o FAILs its sketches), documented in DESIGN.md.
+// [HSYZ18]; the capped weight-sanity scan here is the practical
+// stand-in (a far-too-large o loses points because the root cell is not
+// heavy, a far-too-small o FAILs its sketches). It needs no uniform
+// sample of the live points, so it works on insertion-only and dynamic
+// streams alike (DESIGN.md §4).
 type Auto struct {
 	streams []*Stream
 	guesses []float64
@@ -41,29 +45,31 @@ type Auto struct {
 	// instance's distribution (DESIGN.md §4).
 	g  *grid.Grid
 	fp *hashing.Fingerprint
-	b  *batch // reusable columnar buffer for Apply (not goroutine-safe)
+	b  batch // reusable columnar buffer for Apply (not goroutine-safe)
 
-	// units lists every distinct sketch of the ensemble once: the rate-1
-	// units first (rateOne of them, each under its owner), then the
-	// fractional ones, in ascending guess order. Ingest, accounting and
-	// cache upkeep iterate it, so a shared sketch is written and counted
-	// once.
-	units   []unit
+	// sketchSet lists every distinct sketch of the ensemble once: the
+	// rate-1 units first (rateOne of them, each under its owner), then
+	// the fractional ones, in ascending guess order. Ingest, accounting
+	// and cache upkeep iterate it, so a shared sketch is written and
+	// counted once.
+	sketchSet
 	rateOne int
 
-	reservoir *Reservoir // OPT-estimate sample for guess selection (insert-only)
 	costBound *CostBound // deletion-proof cell-counting bound ([HSYZ18]-style)
 	params    coreset.Params
-	delta     int64
 }
 
 // NewAuto creates the parallel guess grid with ratio oFactor between
 // consecutive guesses (≥ 2; the paper uses 2, 4 halves the instance
-// count with one extra factor of guess slack).
+// count with one extra factor of guess slack). A smaller finite oFactor
+// is raised to 2; NaN and ±Inf are errors.
 func NewAuto(cfg Config, oFactor float64) (*Auto, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	if math.IsNaN(oFactor) || math.IsInf(oFactor, 0) {
+		return nil, fmt.Errorf("stream: oFactor must be finite, got %v", oFactor)
 	}
 	if oFactor < 2 {
 		oFactor = 2
@@ -78,10 +84,8 @@ func NewAuto(cfg Config, oFactor float64) (*Auto, error) {
 	a := &Auto{
 		g:         grid.New(cfg.Delta, cfg.Dim, rngShared),
 		fp:        hashing.NewFingerprint(rngShared),
-		reservoir: NewReservoir(1000, cfg.Params.Seed^0x5eed),
 		costBound: NewCostBound(rngCB, gCB, cfg.Params.R, 256),
 		params:    cfg.Params,
-		delta:     cfg.Delta,
 	}
 	owners := make(rateOneOwners)
 	for o, i := 1.0, 0; o <= upper; o, i = o*oFactor, i+1 {
@@ -107,7 +111,7 @@ func ensembleUnits(streams []*Stream) (units []unit, rateOne int) {
 	seen := make(map[*sketch.Storing]bool)
 	var frac []unit
 	for _, s := range streams {
-		s.eachUnit(func(u unit) {
+		for _, u := range s.units {
 			switch {
 			case seen[u.st]:
 			case u.samp.Phi() >= 1:
@@ -116,7 +120,7 @@ func ensembleUnits(streams []*Stream) (units []unit, rateOne int) {
 				frac = append(frac, u)
 			}
 			seen[u.st] = true
-		})
+		}
 	}
 	return append(units, frac...), len(units)
 }
@@ -125,43 +129,26 @@ func ensembleUnits(streams []*Stream) (units []unit, rateOne int) {
 func (a *Auto) Guesses() []float64 { return a.guesses }
 
 // Insert feeds (p, +) to every guess instance.
-func (a *Auto) Insert(p geo.Point) {
-	checkDim(p, a.g.Dim)
-	mOps.Inc()
-	a.reservoir.Insert(p)
-	a.costBound.Insert(p)
-	a.update(p, false)
-}
+func (a *Auto) Insert(p geo.Point) { a.update(p, false) }
 
 // Delete feeds (p, −) to every guess instance.
-func (a *Auto) Delete(p geo.Point) {
+func (a *Auto) Delete(p geo.Point) { a.update(p, true) }
+
+// update feeds one op to each distinct unit once and to the cost bound,
+// and moves every count — the per-op oracle Apply is pinned against.
+func (a *Auto) update(p geo.Point, del bool) {
 	checkDim(p, a.g.Dim)
-	mOps.Inc()
-	mDeletes.Inc()
-	a.reservoir.Delete(p)
-	a.costBound.Delete(p)
-	a.update(p, true)
+	net := a.sketchSet.update(p, a.fp.Key(p), del)
+	a.costBound.update(p, net)
+	a.addNet(net)
 }
 
-// update moves every guess's count and feeds the op to each distinct
-// unit once — the per-op oracle Apply is pinned against.
-func (a *Auto) update(p geo.Point, del bool) {
-	sign := int64(1)
-	if del {
-		sign = -1
-	}
-	a.n += sign
+// addNet moves the ensemble's and every guess's point count by net.
+func (a *Auto) addNet(net int64) {
+	a.n += net
 	for _, s := range a.streams {
-		s.n += sign
+		s.n += net
 	}
-	key := a.fp.Key(p)
-	var nSel int64
-	for _, u := range a.units {
-		if u.update(p, key, del) {
-			nSel++
-		}
-	}
-	mSketchUpdates.Add(nSel)
 }
 
 // Apply feeds a batch of updates to every guess instance through the
@@ -170,75 +157,35 @@ func (a *Auto) update(p geo.Point, del bool) {
 // over the ensemble's distinct units across a worker pool sized to the
 // machine, so a Storing shared by several guesses takes the batch once.
 // The cost bound's F₀ ladders are level-range shards in the same pool;
-// only the reservoir and the net counts stay on the caller. Linearity
-// of all sketch state makes the result bit-identical to feeding the ops
-// one at a time through Insert/Delete. A malformed op panics before
-// anything changes.
+// only the net counts stay on the caller. Linearity of all sketch state
+// makes the result bit-identical to feeding the ops one at a time
+// through Insert/Delete. A malformed op panics before anything changes.
 func (a *Auto) Apply(ops []Op) {
 	if len(ops) == 0 {
 		return
 	}
-	checkDims(ops, a.g.Dim)
-	countBatch(ops)
-	var net int64
-	for i := range ops {
-		if ops[i].Delete {
-			net--
-			a.reservoir.Delete(ops[i].P)
-		} else {
-			net++
-			a.reservoir.Insert(ops[i].P)
-		}
-	}
-	a.n += net
-	for _, s := range a.streams {
-		s.n += net
-	}
-	if a.b == nil {
-		a.b = new(batch)
-	}
-	a.b.build(a.g, a.fp, ops)
-	a.costBound.keyBatch(a.b)
+	a.addNet(a.b.build(a.g, a.fp, ops))
+	a.costBound.keyBatch(&a.b)
 	// Claim order: the rate-1 units, which take the whole batch and are
 	// the heaviest shards; the cost bound's levels in a few chunks; then
 	// the fractional units.
 	L := a.costBound.g.L
 	chunk := max((L+4)/4, 1)
-	nCB := L/chunk + 1
-	applyShards(len(a.units)+nCB, func(i int) {
-		switch {
-		case i < a.rateOne:
-			a.units[i].apply(a.b)
-		case i < a.rateOne+nCB:
-			lo := (i - a.rateOne) * chunk
-			a.costBound.applyLevels(a.b, lo, min(lo+chunk-1, L))
-		default:
-			a.units[i-nCB].apply(a.b)
-		}
+	a.apply(&a.b, a.rateOne, L/chunk+1, func(j int) {
+		a.costBound.applyLevels(&a.b, j*chunk, min(j*chunk+chunk-1, L))
 	})
 }
 
 // StateDigest folds the sketch state of every distinct unit and the
 // cost bound's into one 64-bit value (see Stream.StateDigest).
 func (a *Auto) StateDigest() uint64 {
-	d := hashing.Mix64(uint64(a.n))
-	d = hashing.Mix64(d ^ a.costBound.Digest())
-	for _, u := range a.units {
-		d = hashing.Mix64(d ^ u.st.Digest())
-	}
-	return d
+	return a.digest(hashing.Mix64(hashing.Mix64(uint64(a.n)) ^ a.costBound.Digest()))
 }
 
-// Bytes sums the sketch state of every distinct unit plus the guess
-// selectors — the full space cost of the enumeration. A Storing shared
-// by several guesses is counted once.
-func (a *Auto) Bytes() int64 {
-	b := a.costBound.Bytes()
-	for _, u := range a.units {
-		b += u.st.Bytes()
-	}
-	return b
-}
+// Bytes sums the sketch state of every distinct unit plus the cost
+// bound — the full space cost of the enumeration. A Storing shared by
+// several guesses is counted once.
+func (a *Auto) Bytes() int64 { return a.costBound.Bytes() + a.bytes() }
 
 // ErrNoGuessSucceeded is returned when every guess instance FAILed or
 // produced a weight-inconsistent coreset.

@@ -40,16 +40,12 @@
 // and differential base are one, so the first guess to decode it pays
 // and the others hit the cache, and its mutex serializes scan workers
 // that reach it together.
-//
-// The reservoir-estimate guess, when Auto.Result tries one, runs alone
-// before the scan with Stream.Result's own decode pool.
 package stream
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -59,7 +55,6 @@ import (
 	"streambalance/internal/obs"
 	"streambalance/internal/partition"
 	"streambalance/internal/sketch"
-	"streambalance/internal/solve"
 )
 
 // extractWorkers sizes the decode pool to the machine.
@@ -291,100 +286,87 @@ func (s *Stream) assemble(part *partition.Partition, pl *coreset.Plan, needLevel
 	return cs, nil
 }
 
-// DropDecodeCache discards every level's decode cache, forcing the next
-// extraction to re-decode from the slabs (the cold path). Benchmarks use
-// it to separate cold and warm extraction cost; it never changes any
-// result, N, Bytes or StateDigest.
-func (s *Stream) DropDecodeCache() {
-	s.eachUnit(func(u unit) { u.st.DropCache() })
+// DropDecodeCache discards the decode cache of every unit, forcing the
+// next extraction to re-decode from the slabs (the cold path).
+// Benchmarks use it to separate cold and warm extraction cost; it never
+// changes any result, N, Bytes or StateDigest.
+func (ss *sketchSet) DropDecodeCache() {
+	for _, u := range ss.units {
+		u.st.DropCache()
+	}
 }
 
 // DecodeCacheBytes reports the memory currently held by decode caches
-// and differential-decode bases. This is derived state — excluded from
-// Bytes, the Theorem 4.5 space accounting — see DESIGN.md §6.
-func (s *Stream) DecodeCacheBytes() int64 {
-	var b int64
-	s.eachUnit(func(u unit) { b += u.st.CacheBytes() })
+// and differential-decode bases, a shared Storing's once. This is
+// derived state — excluded from Bytes, the Theorem 4.5 space accounting
+// — see DESIGN.md §6.
+func (ss *sketchSet) DecodeCacheBytes() (b int64) {
+	for _, u := range ss.units {
+		b += u.st.CacheBytes()
+	}
 	return b
 }
 
 // WarmDecodeCache decodes every unit whose cache is not fresh, across
 // the worker pool — the serving pre-warm: after it returns, a query
 // that consults any unit gets a cache hit, and the next dirty batch is
-// answered by differential decodes against the freshly set bases. It
-// never changes any result (decoding is read-only on sketch state).
-func (s *Stream) WarmDecodeCache() {
-	var sts []*sketch.Storing
-	s.eachUnit(func(u unit) { sts = append(sts, u.st) })
-	warmStorings(sts, extractWorkers())
-}
-
-// WarmDecodeCache pre-warms every distinct unit of the ensemble (see
-// Stream.WarmDecodeCache); a shared Storing is decoded once.
-func (a *Auto) WarmDecodeCache() {
-	sts := make([]*sketch.Storing, len(a.units))
-	for i, u := range a.units {
+// answered by differential decodes against the freshly set bases. A
+// shared Storing is decoded once. It never changes any result (decoding
+// is read-only on sketch state).
+func (ss *sketchSet) WarmDecodeCache() {
+	sts := make([]*sketch.Storing, len(ss.units))
+	for i, u := range ss.units {
 		sts[i] = u.st
 	}
 	warmStorings(sts, extractWorkers())
 }
 
-// CacheStats sums the per-level decode-cache counters (hits, splices,
-// merge keeps/skips, …) over every decode unit of the stream.
-func (s *Stream) CacheStats() sketch.CacheStats {
-	var total sketch.CacheStats
-	s.eachUnit(func(u unit) { total = addCacheStats(total, u.st.CacheStats()) })
+// CacheStats sums the decode-cache counters (hits, splices, merge
+// keeps/skips, …) over every unit. A shared Storing's counters cover
+// every guess that consulted it, so a cache hit on it by a second guess
+// counts as a hit.
+func (ss *sketchSet) CacheStats() (total sketch.CacheStats) {
+	for _, u := range ss.units {
+		total.Add(u.st.CacheStats())
+	}
 	return total
 }
 
-// DirtyLevels reports how many of the stream's decode units
-// (level × substream sketches) no longer have a fresh cached decode —
-// the units the next extraction has to touch — against the total unit
-// count. A small dirty/total ratio is exactly the regime where the
-// differential decode turns a query into a handful of residual peels.
-func (s *Stream) DirtyLevels() (dirty, total int) {
-	s.eachUnit(func(u unit) {
-		total++
+// DirtyLevels reports how many units (level × substream sketches, a
+// shared Storing once) no longer have a fresh cached decode — the units
+// the next extraction has to touch — against the total unit count. A
+// small dirty/total ratio is exactly the regime where the differential
+// decode turns a query into a handful of residual peels.
+func (ss *sketchSet) DirtyLevels() (dirty, total int) {
+	for _, u := range ss.units {
 		if !u.st.CacheFresh() {
 			dirty++
 		}
-	})
-	return dirty, total
+	}
+	return dirty, len(ss.units)
 }
 
-// addCacheStats is the field-wise sum of two CacheStats.
-func addCacheStats(a, b sketch.CacheStats) sketch.CacheStats {
-	a.Hits += b.Hits
-	a.Misses += b.Misses
-	a.Stale += b.Stale
-	a.StaleCold += b.StaleCold
-	a.Drops += b.Drops
-	a.MergeDrops += b.MergeDrops
-	a.Splices += b.Splices
-	a.SpliceFallbacks += b.SpliceFallbacks
-	a.MergeKeeps += b.MergeKeeps
-	a.MergeSkips += b.MergeSkips
-	return a
-}
-
-// Result selects a guess. On insertion-only streams the reservoir gives
-// a constant-factor OPT estimate, and the largest guess ≤ estimate/4 is
-// tried first — the selection rule Theorem 4.5 prescribes. If that guess
-// fails (or deletions dirtied the reservoir), selection falls back to
-// the smallest guess whose Result succeeds with a coreset total weight
-// within 30% of the exact point count (both far-off-OPT failure modes
-// break this: sketch FAIL below, lost mass above).
+// Result selects a guess: the smallest one whose Result succeeds with
+// a coreset total weight within 30% of the exact point count (both
+// far-off-OPT failure modes break this: sketch FAIL below, lost mass
+// above), scanning upward from the smallest guess. Guesses above a
+// quarter of the cost bound's certified upper bound on OPT are never
+// tried — they exceed OPT by at least the bound's looseness and can
+// only lose quality. The smallest surviving guess wins: o ≤ OPT is the
+// side the analysis needs (Lemma 3.17); a too-small o merely enlarges
+// the coreset.
 //
-// The fallback scan runs its guesses in parallel: a pool of
-// min(GOMAXPROCS, guesses) workers claims guesses in ascending order,
-// each extracting lazily — decoding only the sketches that guess's plan
-// consults — and none claims a guess above the smallest weight-sane
-// success found so far. The selected guess, its coreset and the error
-// text are those of the one-worker scan; the only extra work is the
-// guesses above the winner that other workers claimed before the
-// winner's extraction finished, which count as attempts.
+// The scan runs its guesses in parallel: a pool of min(GOMAXPROCS,
+// guesses) workers claims guesses in ascending order, each extracting
+// lazily — decoding only the sketches that guess's plan consults — and
+// none claims a guess above the smallest weight-sane success found so
+// far. The selected guess, its coreset and the error text are those of
+// the one-worker scan; the only extra work is the guesses above the
+// winner that other workers claimed before the winner's extraction
+// finished, which count as attempts.
 func (a *Auto) Result() (*coreset.Coreset, error) { return a.resultWith(extractWorkers()) }
 
+// resultWith is Result with an explicit scan-pool size.
 func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
 	if a.n < 0 {
 		return nil, errors.New("stream: more deletions than insertions")
@@ -398,22 +380,6 @@ func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
 		}
 		sp.End()
 	}()
-	if a.reservoir.Clean() && len(a.reservoir.Sample()) >= 32 {
-		if cs := a.tryEstimateGuess(workers); cs != nil {
-			sp.Attr("via", "estimate")
-			sp.AttrFloat("o", cs.O)
-			mGuessSelected.Set(cs.O)
-			markGuess(cs.O, "selected")
-			return cs, nil
-		}
-	}
-	// Fallback (deletions dirtied the reservoir, or the estimate guess
-	// failed): ascending scan with weight-sanity, pruned from above by
-	// the deletion-proof cell-count bound — guesses beyond UpperBound/4
-	// exceed OPT by at least the bound's looseness and can only lose
-	// quality, so they are never considered. The smallest surviving guess
-	// wins: o ≤ OPT is the side the analysis needs (Lemma 3.17); a
-	// too-small o merely enlarges the coreset.
 	guessCap := math.Inf(1)
 	if upper, ok := a.costBound.UpperBound(a.params.K, 0); ok && upper > 0 {
 		guessCap = upper / 4
@@ -465,7 +431,7 @@ func (a *Auto) scan(n, workers int) (*coreset.Coreset, error) {
 			if i >= best.Load() {
 				return
 			}
-			cs, err := a.attempt(int(i), 1, arena)
+			cs, err := a.attempt(int(i), arena)
 			out[i] = outcome{cs, err}
 			if cs != nil {
 				for b := best.Load(); i < b && !best.CompareAndSwap(b, i); b = best.Load() {
@@ -497,14 +463,15 @@ func (a *Auto) scan(n, workers int) (*coreset.Coreset, error) {
 	return nil, nil
 }
 
-// attempt extracts guess i's coreset and records the attempt and its
-// outcome. It returns the coreset only when it is weight-sane; a FAIL
-// returns its error, and a weight reject returns neither.
-func (a *Auto) attempt(i, workers int, arena *sketch.DecodeArena) (*coreset.Coreset, error) {
+// attempt extracts guess i's coreset lazily out of arena and records
+// the attempt and its outcome. It returns the coreset only when it is
+// weight-sane; a FAIL returns its error, and a weight reject returns
+// neither.
+func (a *Auto) attempt(i int, arena *sketch.DecodeArena) (*coreset.Coreset, error) {
 	o := a.guesses[i]
 	mGuessAttempts.Inc()
 	markGuess(o, "attempt")
-	cs, err := a.streams[i].extract(workers, arena)
+	cs, err := a.streams[i].extract(1, arena)
 	if err != nil {
 		mGuessFails.Inc()
 		markGuess(o, "fail")
@@ -522,71 +489,4 @@ func (a *Auto) attempt(i, workers int, arena *sketch.DecodeArena) (*coreset.Core
 // (plus one) of the live point count n.
 func weightSane(w float64, n int64) bool {
 	return math.Abs(w-float64(n)) <= 0.3*float64(n)+1
-}
-
-// tryEstimateGuess picks the guess from the reservoir's OPT estimate and
-// returns its coreset if it succeeds and is weight-sane; nil otherwise.
-func (a *Auto) tryEstimateGuess(workers int) *coreset.Coreset {
-	sample := a.reservoir.Sample()
-	rng := rand.New(rand.NewSource(a.params.Seed ^ 0x0e57))
-	est := solve.EstimateOPT(rng, geo.UnitWeights(sample), a.params.K, a.params.R, a.delta, 2) *
-		float64(a.n) / float64(len(sample))
-	target := est / 4
-	best := -1
-	for i, o := range a.guesses {
-		if o <= target {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	// A FAIL or weight reject hands selection to the scan, which reports
-	// failures itself.
-	arena := getArena()
-	defer putArena(arena)
-	cs, _ := a.attempt(best, workers, arena)
-	return cs
-}
-
-// DropDecodeCache discards the decode cache of every distinct unit of
-// the ensemble (see Stream.DropDecodeCache).
-func (a *Auto) DropDecodeCache() {
-	for _, u := range a.units {
-		u.st.DropCache()
-	}
-}
-
-// DecodeCacheBytes sums the decode-cache memory over the ensemble's
-// distinct units, a shared Storing's once. Deliberately not part of
-// Bytes — caches are derived state.
-func (a *Auto) DecodeCacheBytes() int64 {
-	var b int64
-	for _, u := range a.units {
-		b += u.st.CacheBytes()
-	}
-	return b
-}
-
-// CacheStats sums the decode-cache counters over the ensemble's
-// distinct units. A shared Storing's counters cover every guess that
-// consulted it, so a cache hit on it by a second guess counts as a hit.
-func (a *Auto) CacheStats() sketch.CacheStats {
-	var total sketch.CacheStats
-	for _, u := range a.units {
-		total = addCacheStats(total, u.st.CacheStats())
-	}
-	return total
-}
-
-// DirtyLevels reports Stream.DirtyLevels over the ensemble's distinct
-// units: a shared Storing counts once.
-func (a *Auto) DirtyLevels() (dirty, total int) {
-	for _, u := range a.units {
-		total++
-		if !u.st.CacheFresh() {
-			dirty++
-		}
-	}
-	return dirty, total
 }

@@ -7,11 +7,13 @@ import (
 	"streambalance/internal/sketch"
 )
 
-// collectStorings returns the stream's decode units in eachUnit
-// order, so sibling streams can be compared unit-by-unit.
+// collectStorings returns the stream's decode units in list order, so
+// sibling streams can be compared unit-by-unit.
 func collectStorings(s *Stream) []*sketch.Storing {
-	var units []*sketch.Storing
-	s.eachUnit(func(u unit) { units = append(units, u.st) })
+	units := make([]*sketch.Storing, len(s.units))
+	for i, u := range s.units {
+		units[i] = u.st
+	}
 	return units
 }
 

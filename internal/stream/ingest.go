@@ -93,7 +93,8 @@ type batch struct {
 	powOnce sync.Once
 }
 
-// build fills the batch's columns for ops. The grid and fingerprint must
+// build validates ops (checkDims), meters the batch, fills its columns
+// and returns the batch's net point count. The grid and fingerprint must
 // be the ones every consuming Stream shares.
 //
 // The two field-arithmetic columns — fingerprint keys and per-level cell
@@ -103,7 +104,8 @@ type batch struct {
 // multiply latency of one chain. The ragged tail (< 4 ops) takes the
 // scalar path; both paths are bit-identical, so batch boundaries cannot
 // change any key.
-func (b *batch) build(g *grid.Grid, fp *hashing.Fingerprint, ops []Op) {
+func (b *batch) build(g *grid.Grid, fp *hashing.Fingerprint, ops []Op) (net int64) {
+	checkDims(ops, g.Dim)
 	n, L := len(ops), g.L
 	b.ops, b.L, b.dim = ops, L, g.Dim
 	b.pts = growPts(b.pts, n)
@@ -115,7 +117,14 @@ func (b *batch) build(g *grid.Grid, fp *hashing.Fingerprint, ops []Op) {
 		} else {
 			b.sign[t] = +1
 		}
+		net += b.sign[t]
 		b.pts[t] = ops[t].P
+	}
+	if obs.Enabled() { // a handful of atomic bumps per batch, nothing per op
+		mBatches.Inc()
+		mBatchOps.Observe(int64(n))
+		mOps.Add(int64(n))
+		mDeletes.Add((int64(n) - net) / 2)
 	}
 	t := 0
 	for ; t+4 <= n; t += 4 {
@@ -133,6 +142,7 @@ func (b *batch) build(g *grid.Grid, fp *hashing.Fingerprint, ops []Op) {
 		clear(b.rate1Once)
 	}
 	b.powOnce = sync.Once{}
+	return net
 }
 
 // cellKeyColumns quantizes pts once on g — base[t·d : (t+1)·d] is the
@@ -185,9 +195,9 @@ func (b *batch) powers() []uint64 {
 
 // checkDims panics, before any state is touched, if an op's point does
 // not have dim coordinates. Apply validates the whole batch up front so
-// a malformed op leaves every sketch, counter and selector as it was —
-// and so the panic happens on the caller's goroutine, not in a pool
-// worker.
+// a malformed op leaves every sketch, counter and the cost bound as it
+// was — and so the panic happens on the caller's goroutine, not in a
+// pool worker.
 func checkDims(ops []Op, dim int) {
 	for i := range ops {
 		checkDim(ops[i].P, dim)
@@ -286,19 +296,74 @@ func (u unit) apply(b *batch) {
 	}
 }
 
-// update feeds one op to u if u's sampler selects the op's fingerprint
-// key, and reports whether it did — the per-op path Insert/Delete take,
-// and the oracle apply is pinned against.
-func (u unit) update(p geo.Point, key uint64, del bool) bool {
-	if !u.samp.Sample(key) {
-		return false
-	}
+// sketchSet is a list of distinct units — a Stream's own sketches, or
+// an Auto ensemble's with a shared Storing listed once — and the
+// ingest, accounting and decode-cache upkeep both front-ends run over
+// it. Stream and Auto embed it, so the exported cache methods
+// (extract.go) are written once for both.
+type sketchSet struct {
+	units []unit
+}
+
+// update meters one op and feeds it to every unit whose sampler selects
+// its fingerprint key — the per-op path Insert and Delete take, and the
+// oracle Apply is pinned against. It returns the op's net count: +1 for
+// an insertion, −1 for a deletion.
+func (ss *sketchSet) update(p geo.Point, key uint64, del bool) (net int64) {
+	mOps.Inc()
+	net = 1
 	if del {
-		u.st.Delete(p)
-	} else {
-		u.st.Insert(p)
+		mDeletes.Inc()
+		net = -1
 	}
-	return true
+	var nSel int64
+	for _, u := range ss.units {
+		if !u.samp.Sample(key) {
+			continue
+		}
+		if del {
+			u.st.Delete(p)
+		} else {
+			u.st.Insert(p)
+		}
+		nSel++
+	}
+	mSketchUpdates.Add(nSel)
+	return net
+}
+
+// apply writes a built batch to every unit on the shard pool
+// (applyShards). nSide extra shards, side(0), …, side(nSide−1), join
+// the same pool and are claimed right after the first lead units — Auto
+// slots its cost-bound levels in behind its rate-1 units, the heaviest
+// shards.
+func (ss *sketchSet) apply(b *batch, lead, nSide int, side func(j int)) {
+	applyShards(len(ss.units)+nSide, func(i int) {
+		switch {
+		case i < lead:
+			ss.units[i].apply(b)
+		case i < lead+nSide:
+			side(i - lead)
+		default:
+			ss.units[i-nSide].apply(b)
+		}
+	})
+}
+
+// digest folds every unit's sketch state into d, in list order.
+func (ss *sketchSet) digest(d uint64) uint64 {
+	for _, u := range ss.units {
+		d = hashing.Mix64(d ^ u.st.Digest())
+	}
+	return d
+}
+
+// bytes sums the sketch state of the units.
+func (ss *sketchSet) bytes() (b int64) {
+	for _, u := range ss.units {
+		b += u.st.Bytes()
+	}
+	return b
 }
 
 func growBool(s []bool, n int) []bool {

@@ -11,9 +11,9 @@ import (
 // the guess the one-worker scan selects, with the bitwise-same coreset,
 // and on a stream where no guess succeeds it must report the same error
 // — the lowest guess's failure. Each stream is checked through
-// resultWith (which may take the reservoir-estimate path on insert-only
-// input) and through scan itself, cold and warm. Pools of 2, 4 and 8
-// workers run regardless of GOMAXPROCS, so `make check` races them.
+// resultWith (the scan capped by the cost bound) and through the
+// uncapped scan itself, cold and warm. Pools of 2, 4 and 8 workers run
+// regardless of GOMAXPROCS, so `make check` races them.
 func TestAutoScanParallelMatchesSerial(t *testing.T) {
 	ps, _ := testMixture(91, 1500)
 	insertOnly := make([]Op, len(ps))

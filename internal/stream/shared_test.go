@@ -27,13 +27,6 @@ func newPrivateAuto(t *testing.T, cfg Config, oFactor float64) *Auto {
 	return a
 }
 
-// guessUnits lists one guess's units in eachUnit order.
-func guessUnits(s *Stream) []unit {
-	var us []unit
-	s.eachUnit(func(u unit) { us = append(us, u) })
-	return us
-}
-
 // TestSharedRateOneMatchesPrivate: sharing one Storing among the guesses
 // that sample a (substream, level) at rate 1 must change no result.
 // Against a private ensemble with the same seed, fed the same stream:
@@ -97,7 +90,7 @@ func TestSharedRateOneMatchesPrivate(t *testing.T) {
 			owned := map[*sketch.Storing]bool{}
 			var adopted, fractional int
 			for gi := range shared.streams {
-				su, pu := guessUnits(shared.streams[gi]), guessUnits(private.streams[gi])
+				su, pu := shared.streams[gi].units, private.streams[gi].units
 				for j := range su {
 					switch {
 					case owned[su[j].st]:
@@ -188,7 +181,7 @@ func TestAutoAccountingCountsSharedOnce(t *testing.T) {
 	for st := range distinct {
 		bytes += st.Bytes()
 		cache += st.CacheBytes()
-		stats = addCacheStats(stats, st.CacheStats())
+		stats.Add(st.CacheStats())
 		if !st.CacheFresh() {
 			stale++
 		}

@@ -151,9 +151,13 @@ type Stream struct {
 	hpStore  []*sketch.Storing // cell counts for part masses, levels 0..L
 	hatStore []*sketch.Storing // point recovery, levels 0..L
 
+	// sketchSet lists the units above once, level by level: h_i (levels
+	// below L), h′_i, ĥ_i (linkUnits).
+	sketchSet
+
 	psi, psiP, phi []float64
 
-	b *batch // reusable columnar buffer for Apply (not goroutine-safe)
+	b batch // reusable columnar buffer for Apply (not goroutine-safe)
 }
 
 // New creates a streaming coreset instance. cfg.O must be a positive
@@ -235,92 +239,46 @@ func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand
 		s.hpStore[i] = storing(1, i, s.hpSamp[i], cfg.CellSparsity, 0)
 		s.hatStore[i] = storing(2, i, s.hatSamp[i], 0, cfg.PointSparsity)
 	}
+	s.linkUnits()
 	return s
 }
 
-// Insert processes (p, +).
-func (s *Stream) Insert(p geo.Point) {
-	mOps.Inc()
-	s.update(p, false)
+// linkUnits lists s's sketches as units, level by level: h_i (levels
+// below L), h′_i, ĥ_i. Every fold over them (StateDigest) and the
+// ensemble's unit list (ensembleUnits) follow this order.
+func (s *Stream) linkUnits() {
+	L := s.g.L
+	s.units = make([]unit, 0, 3*L+2)
+	for i := 0; i <= L; i++ {
+		if i < L {
+			s.units = append(s.units, unit{s.hStore[i], s.hSamp[i], 0, i})
+		}
+		s.units = append(s.units, unit{s.hpStore[i], s.hpSamp[i], 1, i}, unit{s.hatStore[i], s.hatSamp[i], 2, L + 1})
+	}
 }
 
+// Insert processes (p, +).
+func (s *Stream) Insert(p geo.Point) { s.update(p, false) }
+
 // Delete processes (p, −).
-func (s *Stream) Delete(p geo.Point) {
-	mOps.Inc()
-	mDeletes.Inc()
-	s.update(p, true)
-}
+func (s *Stream) Delete(p geo.Point) { s.update(p, true) }
 
 // Apply processes a batch of updates through the columnar ingestion
 // pipeline (ingest.go): per-op keys are computed once and reused across
-// the h/h′/ĥ sketches of every level. All sketch state is linear, so the
-// result is bit-identical to replaying the ops through Insert/Delete.
+// the h/h′/ĥ sketches of every level, which take the batch in parallel
+// (sketchSet.apply). All sketch state is linear, so the result is
+// bit-identical to replaying the ops through Insert/Delete.
 func (s *Stream) Apply(ops []Op) {
 	if len(ops) == 0 {
 		return
 	}
-	checkDims(ops, s.g.Dim)
-	countBatch(ops)
-	if s.b == nil {
-		s.b = new(batch)
-	}
-	s.b.build(s.g, s.fp, ops)
-	s.eachUnit(func(u unit) { u.apply(s.b) })
-	for i := range ops {
-		if ops[i].Delete {
-			s.n--
-		} else {
-			s.n++
-		}
-	}
-}
-
-// countBatch meters one Apply batch: a handful of atomic bumps per
-// batch, nothing per op.
-func countBatch(ops []Op) {
-	if !obs.Enabled() {
-		return
-	}
-	mBatches.Inc()
-	mBatchOps.Observe(int64(len(ops)))
-	mOps.Add(int64(len(ops)))
-	var dels int64
-	for i := range ops {
-		if ops[i].Delete {
-			dels++
-		}
-	}
-	mDeletes.Add(dels)
+	s.n += s.b.build(s.g, s.fp, ops)
+	s.apply(&s.b, 0, 0, nil)
 }
 
 func (s *Stream) update(p geo.Point, del bool) {
 	checkDim(p, s.g.Dim)
-	if del {
-		s.n--
-	} else {
-		s.n++
-	}
-	key := s.fp.Key(p)
-	var nSel int64
-	s.eachUnit(func(u unit) {
-		if u.update(p, key, del) {
-			nSel++
-		}
-	})
-	mSketchUpdates.Add(nSel)
-}
-
-// eachUnit calls f on every unit of s, level by level: h_i (levels
-// below L), h′_i, ĥ_i.
-func (s *Stream) eachUnit(f func(unit)) {
-	L := s.g.L
-	for i := 0; i <= L; i++ {
-		if i <= L-1 {
-			f(unit{s.hStore[i], s.hSamp[i], 0, i})
-		}
-		f(unit{s.hpStore[i], s.hpSamp[i], 1, i})
-		f(unit{s.hatStore[i], s.hatSamp[i], 2, L + 1})
-	}
+	s.n += s.sketchSet.update(p, s.fp.Key(p), del)
 }
 
 // N returns the exact current number of points.
@@ -347,6 +305,7 @@ func (s *Stream) Fork() *Stream {
 		cp.hpStore[i] = s.hpStore[i].CloneEmpty()
 		cp.hatStore[i] = s.hatStore[i].CloneEmpty()
 	}
+	cp.linkUnits()
 	return cp
 }
 
@@ -354,12 +313,8 @@ func (s *Stream) Fork() *Stream {
 // created by s.Fork() (or share its hash functions transitively);
 // mismatched shapes panic.
 func (s *Stream) Merge(fork *Stream) {
-	for i := range s.hStore {
-		if s.hStore[i] != nil {
-			s.hStore[i].Merge(fork.hStore[i])
-		}
-		s.hpStore[i].Merge(fork.hpStore[i])
-		s.hatStore[i].Merge(fork.hatStore[i])
+	for i, u := range s.units {
+		u.st.Merge(fork.units[i].st)
 	}
 	s.n += fork.n
 }
@@ -368,20 +323,12 @@ func (s *Stream) Merge(fork *Stream) {
 // with identical configuration and seed have equal digests iff their
 // sketch states are bit-identical — the equivalence check for the batched
 // ingestion pipeline against per-op replay.
-func (s *Stream) StateDigest() uint64 {
-	d := hashing.Mix64(uint64(s.n))
-	s.eachUnit(func(u unit) { d = hashing.Mix64(d ^ u.st.Digest()) })
-	return d
-}
+func (s *Stream) StateDigest() uint64 { return s.digest(hashing.Mix64(uint64(s.n))) }
 
 // Bytes returns the total sketch state in bytes — the streaming space
 // Theorem 4.5 bounds by poly(ε⁻¹η⁻¹kd log Δ), independent of the stream
 // length.
-func (s *Stream) Bytes() int64 {
-	var b int64
-	s.eachUnit(func(u unit) { b += u.st.Bytes() })
-	return b
-}
+func (s *Stream) Bytes() int64 { return s.bytes() }
 
 // ErrSketchFail is returned when a Storing subroutine FAILs (too many
 // non-empty cells or sampled points for the configured sketch budgets) —

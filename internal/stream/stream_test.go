@@ -314,7 +314,7 @@ func TestDimMismatchPanics(t *testing.T) {
 
 // TestApplyBadDimLeavesStateUntouched: a batch with one malformed op
 // must panic on the caller's goroutine before any state moves — the
-// reservoir and cost bound included — so a recovered caller still holds
+// cost bound included — so a recovered caller still holds
 // the state it had before the call.
 func TestApplyBadDimLeavesStateUntouched(t *testing.T) {
 	bad := []Op{{P: geo.Point{5, 6}}, {P: geo.Point{7}}, {P: geo.Point{8, 9}}}
@@ -511,53 +511,11 @@ func TestParallelForkMergeIngestion(t *testing.T) {
 	}
 }
 
-func TestReservoirBasics(t *testing.T) {
-	rv := NewReservoir(100, 1)
-	for i := 0; i < 1000; i++ {
-		rv.Insert(geo.Point{int64(i%32 + 1), 1})
-	}
-	if !rv.Clean() || rv.Seen() != 1000 || len(rv.Sample()) != 100 {
-		t.Fatalf("clean=%v seen=%d sample=%d", rv.Clean(), rv.Seen(), len(rv.Sample()))
-	}
-	rv.Delete(geo.Point{1, 1})
-	if rv.Clean() {
-		t.Fatal("deletion must dirty the reservoir")
-	}
-	// A dirty reservoir is never consulted again: the first delete
-	// releases the sample, and later inserts are counted but neither
-	// sampled nor cloned.
-	if len(rv.Sample()) != 0 {
-		t.Fatalf("dirty reservoir kept %d sampled points", len(rv.Sample()))
-	}
-	for i := 0; i < 50; i++ {
-		rv.Insert(geo.Point{int64(i + 1), 2})
-		rv.Delete(geo.Point{int64(i + 1), 2})
-	}
-	if rv.Clean() || rv.Seen() != 1050 || len(rv.Sample()) != 0 {
-		t.Fatalf("after churn: clean=%v seen=%d sample=%d, want false/1050/0",
-			rv.Clean(), rv.Seen(), len(rv.Sample()))
-	}
-}
-
-func TestReservoirUniformish(t *testing.T) {
-	// Insert 0..999; the sample mean index should be near 500.
-	rv := NewReservoir(200, 2)
-	for i := 0; i < 1000; i++ {
-		rv.Insert(geo.Point{int64(i + 1), 1})
-	}
-	var sum float64
-	for _, p := range rv.Sample() {
-		sum += float64(p[0])
-	}
-	mean := sum / float64(len(rv.Sample()))
-	if mean < 400 || mean > 600 {
-		t.Fatalf("sample mean %v suggests bias", mean)
-	}
-}
-
-func TestAutoEstimateGuessSelection(t *testing.T) {
-	// Insert-only stream: the reservoir estimate should drive Auto to a
-	// near-ideal guess (within the grid factor of the offline choice).
+// TestAutoInsertOnlyGuessSelection: on an insert-only stream Auto.Result
+// must select the smallest guess at most a quarter of the cost bound's
+// upper bound whose own extraction is weight-sane — recomputed here
+// guess by guess — and that coreset must keep the clustering cost.
+func TestAutoInsertOnlyGuessSelection(t *testing.T) {
 	ps, truec := testMixture(30, 2500)
 	a, err := NewAuto(Config{
 		Dim: 2, Delta: testDelta, Params: coreset.Params{K: 3, Seed: 31},
@@ -573,9 +531,22 @@ func TestAutoEstimateGuessSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal := goodGuess(ps, 3)
-	if cs.O > ideal*16 || cs.O < ideal/64 {
-		t.Fatalf("auto-selected o=%v far from the estimate-driven ideal %v", cs.O, ideal)
+	upper, ok := a.costBound.UpperBound(3, 0)
+	if !ok || upper <= 0 {
+		t.Fatalf("cost bound gave no upper bound (%v, %v)", upper, ok)
+	}
+	want := math.NaN()
+	for i, o := range a.guesses {
+		if o > upper/4 {
+			break
+		}
+		if gc, err := a.streams[i].resultWith(1); err == nil && weightSane(gc.TotalWeight(), a.n) {
+			want = o
+			break
+		}
+	}
+	if cs.O != want {
+		t.Fatalf("auto-selected o=%v, want the smallest weight-sane guess ≤ %v: %v", cs.O, upper/4, want)
 	}
 	ws := geo.UnitWeights(ps)
 	full := assign.UnconstrainedCost(ws, truec, 2)

@@ -90,7 +90,8 @@ func BuildCoreset(points []Point, p Params) (*Coreset, error) {
 func NewStream(cfg StreamConfig) (*Stream, error) { return stream.New(cfg) }
 
 // NewAutoStream creates the parallel guess-enumeration variant; oFactor
-// is the ratio between consecutive guesses (≥ 2).
+// is the ratio between consecutive guesses (≥ 2; a smaller finite value
+// is raised to 2, and NaN or ±Inf is an error).
 func NewAutoStream(cfg StreamConfig, oFactor float64) (*AutoStream, error) {
 	return stream.NewAuto(cfg, oFactor)
 }

@@ -154,6 +154,42 @@ func TestGuessFromEstimate(t *testing.T) {
 	}
 }
 
+// TestNewAutoStreamOFactor: a non-finite guess ratio must be rejected
+// up front — it would otherwise build a one-guess ensemble whose Result
+// is a bare ErrNoGuessSucceeded — while a finite ratio below 2 is raised
+// to 2.
+func TestNewAutoStreamOFactor(t *testing.T) {
+	cfg := streambalance.StreamConfig{Dim: 2, Delta: 16, Params: streambalance.Params{K: 2, Seed: 1}}
+	two, err := streambalance.NewAutoStream(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		oFactor float64
+		wantErr bool
+		guesses int // 0: not checked
+	}{
+		{oFactor: math.NaN(), wantErr: true},
+		{oFactor: math.Inf(1), wantErr: true},
+		{oFactor: math.Inf(-1), wantErr: true},
+		{oFactor: -3, guesses: len(two.Guesses())},
+		{oFactor: 0.5, guesses: len(two.Guesses())},
+		{oFactor: 4},
+	} {
+		a, err := streambalance.NewAutoStream(cfg, tc.oFactor)
+		switch {
+		case tc.wantErr && err == nil:
+			t.Fatalf("oFactor %v: no error, %d guesses", tc.oFactor, len(a.Guesses()))
+		case !tc.wantErr && err != nil:
+			t.Fatalf("oFactor %v: %v", tc.oFactor, err)
+		case !tc.wantErr && len(a.Guesses()) < 2:
+			t.Fatalf("oFactor %v: %d guesses", tc.oFactor, len(a.Guesses()))
+		case tc.guesses != 0 && len(a.Guesses()) != tc.guesses:
+			t.Fatalf("oFactor %v: %d guesses, want %d (raised to 2)", tc.oFactor, len(a.Guesses()), tc.guesses)
+		}
+	}
+}
+
 func TestEstimateOPTErrors(t *testing.T) {
 	if _, err := streambalance.EstimateOPT(nil, 2, 2, 1); err == nil {
 		t.Fatal("empty input must error")
