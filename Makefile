@@ -9,10 +9,12 @@ GIT_REV   := $(shell git -C $(CURDIR) rev-parse HEAD 2>/dev/null || echo unknown
 GIT_DIRTY := $(shell test -n "$$(git -C $(CURDIR) status --porcelain 2>/dev/null)" && echo true || echo false)
 STAMP_LDFLAGS := -X main.buildRevision=$(GIT_REV) -X main.buildDirty=$(GIT_DIRTY)
 
-# Fast pre-gate: vet, build, then the whole suite in -short mode (fuzz
-# seed corpora replay in plain go test). CI runs it before check so a
-# broken build or an obvious equivalence failure fails in a minute or two.
+# Fast pre-gate: gofmt, vet, build, then the whole suite in -short mode
+# (fuzz seed corpora replay in plain go test). CI runs it before check so
+# an unformatted file, a broken build or an obvious equivalence failure
+# fails in a minute or two.
 check-fast:
+	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go build ./...
 	go test -short ./...

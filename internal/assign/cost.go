@@ -5,7 +5,8 @@
 // rounding of Section 3.3 (cycle elimination leaving at most k−1 split
 // points), the half-space structure of Definitions 2.2/3.7/3.10 with the
 // curved ℓ_r hyperplanes of Section 1.2, and the assignment transfer of
-// Definition 3.11.
+// Definition 3.11. Integral unit-weight solves run on a Solver
+// (BindPoints, SetCenters, Optimal).
 package assign
 
 import (
@@ -59,56 +60,6 @@ func SizeVector(ws []geo.Weighted, pi []int, k int) []float64 {
 		}
 	}
 	return s
-}
-
-// Optimal computes the optimal capacitated assignment of unit-weight (or
-// uniformly weighted) points to centers Z under per-center capacity t
-// (in points), i.e. cost^{(r)}_t(Q, Z). By transportation integrality the
-// min-cost flow solution is integral, so the result is the exact optimum.
-// ok is false when ⌊t⌋·k < |ps| (no feasible partition).
-func Optimal(ps geo.PointSet, Z []geo.Point, t float64, r float64) (Result, bool) {
-	n, k := len(ps), len(Z)
-	if n == 0 {
-		return Result{Assign: nil, Sizes: make([]float64, k)}, true
-	}
-	capPer := math.Floor(t + 1e-9)
-	if capPer*float64(k) < float64(n) {
-		return Infeasible, false
-	}
-	// Nodes: 0 = S, 1..n = points, n+1..n+k = centers, n+k+1 = T.
-	g := flow.NewGraph(n + k + 2)
-	src, sink := 0, n+k+1
-	edgeID := make([][]int, n)
-	for i, p := range ps {
-		g.AddEdge(src, 1+i, 1, 0)
-		edgeID[i] = make([]int, k)
-		for j, z := range Z {
-			edgeID[i][j] = g.AddEdge(1+i, n+1+j, 1, geo.DistR(p, z, r))
-		}
-	}
-	for j := 0; j < k; j++ {
-		g.AddEdge(n+1+j, sink, capPer, 0)
-	}
-	f, cost := g.MinCostFlow(src, sink, float64(n))
-	if f < float64(n)-1e-6 {
-		return Infeasible, false
-	}
-	flows := g.FlowsByID()
-	res := Result{Assign: make([]int, n), Cost: cost, Sizes: make([]float64, k)}
-	for i := 0; i < n; i++ {
-		res.Assign[i] = -1
-		for j := 0; j < k; j++ {
-			if flows[edgeID[i][j]] > 0.5 {
-				res.Assign[i] = j
-				res.Sizes[j]++
-				break
-			}
-		}
-		if res.Assign[i] < 0 {
-			return Infeasible, false // should not happen at full flow
-		}
-	}
-	return res, true
 }
 
 // FractionalCost computes the optimal fractional capacitated assignment

@@ -10,6 +10,15 @@ import (
 
 // bruteForceCapacitated enumerates all k^n assignments respecting the
 // per-center capacity and returns the optimal cost (∞ if infeasible).
+// optimal is one integral solve on a Solver: bind ps, install Z, solve
+// at capacity t.
+func optimal(ps geo.PointSet, Z []geo.Point, t, r float64) (Result, bool) {
+	s := NewSolver()
+	s.BindPoints(ps, r)
+	s.SetCenters(Z)
+	return s.Optimal(t)
+}
+
 func bruteForceCapacitated(ps geo.PointSet, Z []geo.Point, t float64, r float64) float64 {
 	n, k := len(ps), len(Z)
 	best := math.Inf(1)
@@ -63,7 +72,7 @@ func TestOptimalMatchesBruteForce(t *testing.T) {
 		tcap := float64(int(math.Ceil(float64(n)/float64(k))) + rng.Intn(2))
 		for _, r := range []float64{1, 2} {
 			want := bruteForceCapacitated(ps, Z, tcap, r)
-			res, ok := Optimal(ps, Z, tcap, r)
+			res, ok := optimal(ps, Z, tcap, r)
 			if math.IsInf(want, 1) {
 				if ok {
 					t.Fatalf("trial %d: expected infeasible", trial)
@@ -89,10 +98,10 @@ func TestOptimalMatchesBruteForce(t *testing.T) {
 func TestOptimalInfeasible(t *testing.T) {
 	ps := geo.PointSet{{1, 1}, {2, 2}, {3, 3}}
 	Z := []geo.Point{{1, 1}}
-	if _, ok := Optimal(ps, Z, 2, 2); ok {
+	if _, ok := optimal(ps, Z, 2, 2); ok {
 		t.Fatal("3 points, 1 center, capacity 2 must be infeasible")
 	}
-	if _, ok := Optimal(ps, Z, 3, 2); !ok {
+	if _, ok := optimal(ps, Z, 3, 2); !ok {
 		t.Fatal("capacity 3 must be feasible")
 	}
 }
@@ -101,7 +110,7 @@ func TestOptimalUnconstrainedEqualsNearest(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ps := randPts(rng, 30, 3, 100)
 	Z := randPts(rng, 4, 3, 100)
-	res, ok := Optimal(ps, Z, float64(len(ps)), 2)
+	res, ok := optimal(ps, Z, float64(len(ps)), 2)
 	if !ok {
 		t.Fatal("infeasible")
 	}
@@ -122,8 +131,8 @@ func TestTighterCapacityCostsMore(t *testing.T) {
 		ps = append(ps, geo.Point{90 + rng.Int63n(5), 90 + rng.Int63n(5)})
 	}
 	Z := []geo.Point{{3, 3}, {92, 92}}
-	loose, _ := Optimal(ps, Z, 16, 2)
-	tight, ok := Optimal(ps, Z, 8, 2)
+	loose, _ := optimal(ps, Z, 16, 2)
+	tight, ok := optimal(ps, Z, 8, 2)
 	if !ok {
 		t.Fatal("tight capacity infeasible")
 	}
@@ -142,7 +151,7 @@ func TestFractionalLowerBoundsIntegral(t *testing.T) {
 		ps := randPts(rng, n, 2, 60)
 		Z := randPts(rng, k, 2, 60)
 		tcap := 3.0
-		intres, ok := Optimal(ps, Z, tcap, 2)
+		intres, ok := optimal(ps, Z, tcap, 2)
 		if !ok {
 			continue
 		}
@@ -167,7 +176,7 @@ func TestWeightedUnitMatchesOptimal(t *testing.T) {
 		ps := randPts(rng, 10, 2, 40)
 		Z := randPts(rng, 3, 2, 40)
 		tcap := 4.0
-		want, ok := Optimal(ps, Z, tcap, 2)
+		want, ok := optimal(ps, Z, tcap, 2)
 		if !ok {
 			continue
 		}
@@ -253,7 +262,7 @@ func TestCostHelpers(t *testing.T) {
 }
 
 func TestEmptyInputs(t *testing.T) {
-	res, ok := Optimal(nil, []geo.Point{{1, 1}}, 1, 2)
+	res, ok := optimal(nil, []geo.Point{{1, 1}}, 1, 2)
 	if !ok || res.Cost != 0 {
 		t.Fatal("empty Optimal")
 	}

@@ -34,8 +34,9 @@ var (
 //     rewrites arc costs, a new capacity only rewrites sink capacities.
 //
 // Every solve is cold and runs the per-call algorithm over the same cost
-// block, so costs, flows, assignments and sizes are bit-identical to
-// FractionalCost/Weighted/Optimal.
+// block, so costs, flows, assignments and sizes are bit-identical to a
+// fresh Solver per call (FractionalCost, Weighted) and, for Optimal, to
+// a min-cost flow on a freshly built graph (the engine tests' oracle).
 //
 // A Solver must not be shared between goroutines; parallel harnesses
 // keep one per worker.
@@ -118,7 +119,7 @@ func (s *Solver) SetCenters(Z []geo.Point) {
 }
 
 // buildSkeleton (re)builds the bipartite unit-weight network in the
-// arena, in the exact arc order of the per-call Optimal: per point one
+// arena, in the exact arc order of a freshly built graph: per point one
 // source arc then its k center arcs, then the k sink arcs. Sink
 // capacities are installed per solve.
 func (s *Solver) buildSkeleton() {
@@ -217,9 +218,10 @@ func (s *Solver) Weighted(t float64) (Result, bool) {
 
 // Optimal computes the optimal integral capacitated assignment of the
 // bound unit-weight points to the current centers under per-center
-// capacity t (in points) — the same min-cost-flow solve as the
-// package-level Optimal, reusing the arena and the distance block. ok is
-// false when ⌊t⌋·k < |ps| (no feasible partition).
+// capacity t (in points), i.e. cost^{(r)}_t(Q, Z): a min-cost flow on
+// the arena, reusing the distance block. By transportation integrality
+// the flow is integral, so the result is the exact optimum. ok is false
+// when ⌊t⌋·k < |ps| (no feasible partition).
 func (s *Solver) Optimal(t float64) (Result, bool) {
 	if !s.haveZ {
 		panic("assign: Optimal before SetCenters")

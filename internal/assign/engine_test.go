@@ -5,8 +5,61 @@ import (
 	"math/rand"
 	"testing"
 
+	"streambalance/internal/flow"
 	"streambalance/internal/geo"
 )
+
+// freshOptimal is the per-call integral solve the Solver is pinned
+// against: it builds its own flow graph for one center set and computes
+// the optimal capacitated assignment of unit-weight (or uniformly
+// weighted) points to centers Z under per-center capacity t
+// (in points), i.e. cost^{(r)}_t(Q, Z). By transportation integrality the
+// min-cost flow solution is integral, so the result is the exact optimum.
+// ok is false when ⌊t⌋·k < |ps| (no feasible partition).
+func freshOptimal(ps geo.PointSet, Z []geo.Point, t float64, r float64) (Result, bool) {
+	n, k := len(ps), len(Z)
+	if n == 0 {
+		return Result{Assign: nil, Sizes: make([]float64, k)}, true
+	}
+	capPer := math.Floor(t + 1e-9)
+	if capPer*float64(k) < float64(n) {
+		return Infeasible, false
+	}
+	// Nodes: 0 = S, 1..n = points, n+1..n+k = centers, n+k+1 = T.
+	g := flow.NewGraph(n + k + 2)
+	src, sink := 0, n+k+1
+	edgeID := make([][]int, n)
+	for i, p := range ps {
+		g.AddEdge(src, 1+i, 1, 0)
+		edgeID[i] = make([]int, k)
+		for j, z := range Z {
+			edgeID[i][j] = g.AddEdge(1+i, n+1+j, 1, geo.DistR(p, z, r))
+		}
+	}
+	for j := 0; j < k; j++ {
+		g.AddEdge(n+1+j, sink, capPer, 0)
+	}
+	f, cost := g.MinCostFlow(src, sink, float64(n))
+	if f < float64(n)-1e-6 {
+		return Infeasible, false
+	}
+	flows := g.FlowsByID()
+	res := Result{Assign: make([]int, n), Cost: cost, Sizes: make([]float64, k)}
+	for i := 0; i < n; i++ {
+		res.Assign[i] = -1
+		for j := 0; j < k; j++ {
+			if flows[edgeID[i][j]] > 0.5 {
+				res.Assign[i] = j
+				res.Sizes[j]++
+				break
+			}
+		}
+		if res.Assign[i] < 0 {
+			return Infeasible, false // should not happen at full flow
+		}
+	}
+	return res, true
+}
 
 func randWeighted(rng *rand.Rand, n, d int, delta int64) []geo.Weighted {
 	ws := make([]geo.Weighted, n)
@@ -144,7 +197,7 @@ func TestAssignEngineWeightedMatchesFresh(t *testing.T) {
 }
 
 // TestAssignEngineOptimalMatchesFresh pins the integral path: the engine's
-// Optimal must reproduce the package-level Optimal exactly — cost,
+// Optimal must reproduce the fresh-graph oracle freshOptimal exactly — cost,
 // assignment vector, and sizes — since downstream experiments consume the
 // tie-broken assignment itself.
 func TestAssignEngineOptimalMatchesFresh(t *testing.T) {
@@ -162,7 +215,7 @@ func TestAssignEngineOptimalMatchesFresh(t *testing.T) {
 			eng.SetCenters(Z)
 			for _, tCap := range []float64{float64(len(ps)) / float64(k) * 0.8, float64(len(ps))/float64(k) + 1, float64(len(ps))} {
 				got, gotOK := eng.Optimal(tCap)
-				want, wantOK := Optimal(ps, Z, tCap, r)
+				want, wantOK := freshOptimal(ps, Z, tCap, r)
 				if gotOK != wantOK {
 					t.Fatalf("r=%g trial %d t=%g: ok %v, fresh %v", r, trial, tCap, gotOK, wantOK)
 				}

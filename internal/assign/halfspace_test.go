@@ -35,7 +35,7 @@ func TestVerifySeparationOnOptimalAssignments(t *testing.T) {
 		Z := randPts(rng, k, 2, 1000)
 		tcap := math.Ceil(float64(n)/float64(k)) + float64(rng.Intn(3))
 		for _, r := range []float64{1, 2, 3} {
-			res, ok := Optimal(ps, Z, tcap, r)
+			res, ok := optimal(ps, Z, tcap, r)
 			if !ok {
 				continue
 			}
@@ -71,7 +71,7 @@ func TestFromAssignmentRegionsReproduceAssignment(t *testing.T) {
 		ps := randPts(rng, n, 2, 100000)
 		Z := randPts(rng, k, 2, 100000)
 		tcap := 5.0
-		res, ok := Optimal(ps, Z, tcap, 2)
+		res, ok := optimal(ps, Z, tcap, 2)
 		if !ok {
 			continue
 		}
@@ -188,7 +188,7 @@ func TestTransferPreservesCostAndSizesApproximately(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ps := randPts(rng, 30, 2, 1000)
 	Z := randPts(rng, 3, 2, 1000)
-	res, ok := Optimal(ps, Z, 12, 2)
+	res, ok := optimal(ps, Z, 12, 2)
 	if !ok {
 		t.Skip("infeasible draw")
 	}

@@ -34,7 +34,7 @@ func TestLemma312TransferBounds(t *testing.T) {
 			Z[i] = geo.Point{1 + rng.Int63n(2048), 1 + rng.Int63n(2048)}
 		}
 		tcap := math.Ceil(float64(n)/float64(k)) + 1
-		res, ok := Optimal(ps, Z, tcap, r)
+		res, ok := optimal(ps, Z, tcap, r)
 		if !ok {
 			continue
 		}

@@ -65,7 +65,10 @@ func TestAssignmentRuleCostNearOptimal(t *testing.T) {
 
 	// Reference: the optimal capacitated assignment of the FULL data at
 	// the relaxed capacity the rule is allowed.
-	ref, ok := assign.Optimal(ps, truec, MaxSize(sizes)+1, 2)
+	eng := assign.NewSolver()
+	eng.BindPoints(ps, 2)
+	eng.SetCenters(truec)
+	ref, ok := eng.Optimal(MaxSize(sizes) + 1)
 	if !ok {
 		t.Fatal("reference infeasible")
 	}

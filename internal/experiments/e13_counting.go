@@ -85,7 +85,7 @@ func E13AssignmentCounting(c Cfg) *metrics.Table {
 		// flow skeleton is built once per worker and survives the whole
 		// combo sweep (every combo has the same n and k — only arc costs
 		// change), which is the arena's best case. Integral solves stay
-		// cold, so each is bit-identical to the fresh-graph assign.Optimal.
+		// cold, so each is bit-identical to a min-cost flow on a fresh graph.
 		engines := make([]*assign.Solver, c.Workers)
 		forEachWorker(c.Workers, len(combos), func(w, ci int) {
 			if engines[w] == nil {

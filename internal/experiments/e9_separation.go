@@ -62,7 +62,7 @@ func E9Separation(c Cfg) *metrics.Table {
 		// Per-worker engines: the graph arena and solver workspace carry
 		// over between trials (point sets differ, so each trial rebinds,
 		// but the backing storage is reused); cold engine solves are
-		// bit-identical to the fresh-graph assign.Optimal.
+		// bit-identical to a min-cost flow on a fresh graph.
 		engines := make([]*assign.Solver, c.Workers)
 		forEachWorker(c.Workers, trials, func(w, trial int) {
 			if engines[w] == nil {

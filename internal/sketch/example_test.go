@@ -10,23 +10,28 @@ import (
 )
 
 // ExampleStoring shows the Lemma 4.2 contract: after arbitrary
-// insertions and deletions, the sketch reports the surviving cells,
-// counts and points exactly — or FAILs, never lies.
+// insertions and deletions, a cell sketch reports the surviving cells
+// and their counts, and a point sketch the surviving points, exactly —
+// or FAILs, never lies.
 func ExampleStoring() {
 	rng := rand.New(rand.NewSource(1))
 	g := grid.New(64, 2, rng)
-	st := sketch.NewStoring(rng, g, 2, 32, 16, 0.01)
+	cells := sketch.NewStoring(rng, g, 2, sketch.Cells, 32, 0.01, nil)
+	points := sketch.NewStoring(rng, g, 2, sketch.Points, 16, 0.01, nil)
 
-	st.Insert(geo.Point{10, 10})
-	st.Insert(geo.Point{10, 11})
-	st.Insert(geo.Point{50, 50})
-	st.Delete(geo.Point{50, 50}) // cancelled exactly
+	for _, st := range []*sketch.Storing{cells, points} {
+		st.Insert(geo.Point{10, 10})
+		st.Insert(geo.Point{10, 11})
+		st.Insert(geo.Point{50, 50})
+		st.Delete(geo.Point{50, 50}) // cancelled exactly
+	}
 
-	res, ok := st.Result()
-	fmt.Println("decoded:", ok)
-	fmt.Println("surviving points:", len(res.Points))
+	cs, okC := cells.Result()
+	ps, okP := points.Result()
+	fmt.Println("decoded:", okC && okP)
+	fmt.Println("surviving points:", len(ps))
 	var total int64
-	for _, c := range res.Cells {
+	for _, c := range cs {
 		total += c.Count
 	}
 	fmt.Println("cell mass:", total)

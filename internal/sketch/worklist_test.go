@@ -238,9 +238,8 @@ func TestUpdateNMatchesScalar(t *testing.T) {
 // per-op Insert/Delete.
 func TestStoringUpdateKeyedNMatchesScalar(t *testing.T) {
 	g := buildGrid(t, 64, 2, 11)
-	mk := func(seed int64, alpha, beta int) (*Storing, *Storing) {
-		rng := rand.New(rand.NewSource(seed))
-		ref := NewStoring(rng, g, 2, alpha, beta, 0.01)
+	mk := func(seed int64, kind Kind) (*Storing, *Storing) {
+		ref := newStoring(rand.New(rand.NewSource(seed)), g, 2, kind, 32)
 		return ref, ref.CloneEmpty()
 	}
 	const n = 33
@@ -266,10 +265,10 @@ func TestStoringUpdateKeyedNMatchesScalar(t *testing.T) {
 			pointScaled[i*g.Dim+j] = deltas[i] * p[j]
 		}
 	}
-	cellsRef, cellsBat := mk(1, 32, 0)
-	ptsRef, ptsBat := mk(2, 0, 32)
+	cellsRef, cellsBat := mk(1, Cells)
+	ptsRef, ptsBat := mk(2, Points)
 	for i := 0; i < n; i++ {
-		pointKeys[i] = ptsRef.PointKey(pts[i])
+		pointKeys[i] = ptsRef.fp.Key(pts[i])
 		if deltas[i] > 0 {
 			cellsRef.Insert(pts[i])
 			ptsRef.Insert(pts[i])
@@ -278,8 +277,8 @@ func TestStoringUpdateKeyedNMatchesScalar(t *testing.T) {
 			ptsRef.Delete(pts[i])
 		}
 	}
-	cellsBat.UpdateKeyedScaledN(cellKeys, cellScaled, nil, nil, deltas)
-	ptsBat.UpdateKeyedScaledN(nil, nil, pointKeys, pointScaled, deltas)
+	cellsBat.UpdateKeyedScaledN(cellKeys, cellScaled, deltas)
+	ptsBat.UpdateKeyedScaledN(pointKeys, pointScaled, deltas)
 	if cellsRef.Digest() != cellsBat.Digest() {
 		t.Fatal("cell-side UpdateKeyedScaledN digest mismatch")
 	}

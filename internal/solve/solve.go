@@ -298,6 +298,8 @@ func BruteForceCapacitated(ps geo.PointSet, k int, t float64, r float64) (Soluti
 	best := Solution{Cost: math.Inf(1)}
 	found := false
 	idx := make([]int, k)
+	eng := assign.NewSolver()
+	eng.BindPoints(ps, r)
 	var rec func(pos, from int)
 	rec = func(pos, from int) {
 		if pos == k {
@@ -305,7 +307,8 @@ func BruteForceCapacitated(ps geo.PointSet, k int, t float64, r float64) (Soluti
 			for i, id := range idx {
 				Z[i] = ps[id]
 			}
-			res, ok := assign.Optimal(ps, Z, t, r)
+			eng.SetCenters(Z)
+			res, ok := eng.Optimal(t)
 			if ok && res.Cost < best.Cost {
 				best = Solution{Centers: Z, Assign: res.Assign, Cost: res.Cost, Sizes: res.Sizes}
 				found = true

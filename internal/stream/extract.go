@@ -127,10 +127,10 @@ func warmStorings(units []*sketch.Storing, workers int) {
 // partition/plan stage may consult — to dst.
 func (s *Stream) planTargets(dst []*sketch.Storing) []*sketch.Storing {
 	for i := 0; i <= s.g.L; i++ {
-		if i <= s.g.L-1 {
-			dst = append(dst, s.hStore[i])
+		if i < s.g.L {
+			dst = append(dst, s.h[i].st)
 		}
-		dst = append(dst, s.hpStore[i])
+		dst = append(dst, s.hp[i].st)
 	}
 	return dst
 }
@@ -195,9 +195,9 @@ func (s *Stream) extract(workers int, arena *sketch.DecodeArena) (*coreset.Cores
 	// are the large sketches, and the plan has already pruned the rest.
 	if workers > 1 {
 		units := make([]*sketch.Storing, 0, s.g.L+1)
-		for i := 0; i <= s.g.L; i++ {
-			if needLevel[i] && s.phi[i] != 0 {
-				units = append(units, s.hatStore[i])
+		for i, u := range s.hat {
+			if needLevel[i] && u.samp.Phi() != 0 {
+				units = append(units, u.st)
 			}
 		}
 		warmStorings(units, workers)
@@ -220,14 +220,15 @@ func (s *Stream) plan(arena *sketch.DecodeArena) (*partition.Partition, *coreset
 	// a level only while it can still contain heavy or crucial cells, so
 	// on the serial path sketches of levels below the deepest heavy cell
 	// — which can be arbitrarily over-full — are never decoded.
-	decodeCells := func(st *sketch.Storing, rate float64) (map[uint64]partition.CellTau, bool) {
-		res, ok := st.ResultArena(arena)
+	decodeCells := func(u unit) (map[uint64]partition.CellTau, bool) {
+		cells, ok := u.st.ResultArena(arena)
 		if !ok {
 			return nil, false
 		}
-		m := make(map[uint64]partition.CellTau, len(res.Cells))
-		for _, cc := range res.Cells {
-			m[cc.Key] = partition.CellTau{Index: cc.Index, Tau: float64(cc.Count) / rate}
+		rate := u.samp.Phi()
+		m := make(map[uint64]partition.CellTau, len(cells))
+		for _, c := range cells {
+			m[c.Key] = partition.CellTau{Index: c.Payload, Tau: float64(c.Count) / rate}
 		}
 		return m, true
 	}
@@ -235,13 +236,13 @@ func (s *Stream) plan(arena *sketch.DecodeArena) (*partition.Partition, *coreset
 		if level == -1 {
 			return root, true
 		}
-		return decodeCells(s.hStore[level], s.psi[level])
+		return decodeCells(s.h[level])
 	}
 	partCounts := func(level int) (map[uint64]partition.CellTau, bool) {
 		if level == -1 {
 			return root, true
 		}
-		return decodeCells(s.hpStore[level], s.psiP[level])
+		return decodeCells(s.hp[level])
 	}
 
 	part, err := partition.BuildLazy(g, p.R, s.cfg.O, counts, partCounts)
@@ -263,23 +264,22 @@ func (s *Stream) plan(arena *sketch.DecodeArena) (*partition.Partition, *coreset
 func (s *Stream) assemble(part *partition.Partition, pl *coreset.Plan, needLevel []bool, arena *sketch.DecodeArena) (*coreset.Coreset, error) {
 	g := s.g
 	cs := &coreset.Coreset{O: s.cfg.O, Grid: g, Part: part, Plan: pl, Params: s.cfg.Params}
-	for i := 0; i <= g.L; i++ {
-		if !needLevel[i] || s.phi[i] == 0 {
+	for i, u := range s.hat {
+		phi := u.samp.Phi()
+		if !needLevel[i] || phi == 0 {
 			continue
 		}
-		res, ok := s.hatStore[i].ResultArena(arena)
+		pts, ok := u.st.ResultArena(arena)
 		if !ok {
 			return nil, fmt.Errorf("%w: ĥ-substream level %d", ErrSketchFail, i)
 		}
-		for _, pc := range res.Points {
-			id, ok := part.PartAt(pc.P, i)
+		for _, pc := range pts {
+			p := geo.Point(pc.Payload)
+			id, ok := part.PartAt(p, i)
 			if !ok || !pl.Included[id] {
 				continue
 			}
-			cs.Points = append(cs.Points, geo.Weighted{
-				P: pc.P,
-				W: float64(pc.Count) / s.phi[i],
-			})
+			cs.Points = append(cs.Points, geo.Weighted{P: p, W: float64(pc.Count) / phi})
 			cs.Levels = append(cs.Levels, i)
 		}
 	}

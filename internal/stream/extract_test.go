@@ -280,13 +280,13 @@ func TestPlanFailKeepsLevel(t *testing.T) {
 		t.Fatalf("FAIL level %d outside 0..%d", ce.Level, s.g.L)
 	}
 	for j := 0; j < ce.Level; j++ {
-		if _, ok := s.hStore[j].ResultArena(nil); !ok {
+		if _, ok := s.h[j].st.ResultArena(nil); !ok {
 			t.Fatalf("FAIL named level %d, but h already FAILs at level %d", ce.Level, j)
 		}
 	}
-	_, hOK := s.hpStore[ce.Level].ResultArena(nil)
+	_, hOK := s.hp[ce.Level].st.ResultArena(nil)
 	if ce.Level < s.g.L {
-		_, ok := s.hStore[ce.Level].ResultArena(nil)
+		_, ok := s.h[ce.Level].st.ResultArena(nil)
 		hOK = hOK && ok
 	}
 	if hOK {

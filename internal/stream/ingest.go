@@ -284,11 +284,7 @@ func (u unit) apply(b *batch) {
 		co = &sc.co
 		co.coalesce(b, sc.sel, u.col)
 	}
-	if u.sub == 2 {
-		u.st.UpdateKeyedScaledN(nil, nil, co.keys, co.scaled, co.deltas)
-	} else {
-		u.st.UpdateKeyedScaledN(co.keys, co.scaled, nil, nil, co.deltas)
-	}
+	u.st.UpdateKeyedScaledN(co.keys, co.scaled, co.deltas)
 	mSketchUpdates.Add(co.in)
 	if obs.Enabled() {
 		mCoalesceIn[u.sub].Add(co.in)

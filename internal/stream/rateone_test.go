@@ -60,10 +60,10 @@ func coalesceOracle(a *Auto, ops []Op) (in, out [3]int64) {
 	counted := map[*sketch.Storing]bool{}
 	for _, s := range a.streams {
 		for i := 0; i <= L; i++ {
-			samps := [3]*hashing.Bernoulli{nil, s.hpSamp[i], s.hatSamp[i]}
-			stores := [3]*sketch.Storing{nil, s.hpStore[i], s.hatStore[i]}
+			samps := [3]*hashing.Bernoulli{nil, s.hp[i].samp, s.hat[i].samp}
+			stores := [3]*sketch.Storing{nil, s.hp[i].st, s.hat[i].st}
 			if i < L {
-				samps[0], stores[0] = s.hSamp[i], s.hStore[i]
+				samps[0], stores[0] = s.h[i].samp, s.h[i].st
 			}
 			for k, samp := range samps {
 				if samp == nil || counted[stores[k]] {
@@ -129,7 +129,7 @@ func TestRateOneColumnsMatchPerOp(t *testing.T) {
 	for _, s := range a.streams {
 		for i := 0; i < a.g.L; i++ {
 			ones := 0
-			for _, phi := range []float64{s.psi[i], s.psiP[i], s.phi[i]} {
+			for _, phi := range []float64{s.h[i].samp.Phi(), s.hp[i].samp.Phi(), s.hat[i].samp.Phi()} {
 				if phi >= 1 {
 					ones++
 				}

@@ -162,12 +162,10 @@ func TestAutoAccountingCountsSharedOnce(t *testing.T) {
 	distinct := map[*sketch.Storing]bool{}
 	var held int
 	for _, s := range a.streams {
-		for i := range s.hpStore {
-			for _, st := range []*sketch.Storing{s.hStore[i], s.hpStore[i], s.hatStore[i]} {
-				if st != nil {
-					distinct[st] = true
-					held++
-				}
+		for _, us := range [][]unit{s.h, s.hp, s.hat} {
+			for _, u := range us {
+				distinct[u.st] = true
+				held++
 			}
 		}
 	}

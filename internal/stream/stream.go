@@ -17,6 +17,7 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -118,6 +119,22 @@ func (c Config) withDefaults() (Config, error) {
 		d <<= 1
 	}
 	c.Delta = d
+	// Zero selects each default below; a value no default can stand in
+	// for is an error here, before any sketch or sampler is drawn.
+	if c.CellSparsity < 0 || c.PointSparsity < 0 {
+		return c, fmt.Errorf("stream: CellSparsity and PointSparsity must be >= 0, got %d and %d", c.CellSparsity, c.PointSparsity)
+	}
+	for _, r := range []struct {
+		name string
+		v    float64
+	}{{"CountRate", c.CountRate}, {"PartRate", c.PartRate}} {
+		if !(r.v >= 0) || math.IsInf(r.v, 0) {
+			return c, fmt.Errorf("stream: %s must be finite and >= 0, got %v", r.name, r.v)
+		}
+	}
+	if !(c.FailProb >= 0 && c.FailProb < 1) {
+		return c, fmt.Errorf("stream: FailProb must be in [0, 1), got %v", c.FailProb)
+	}
 	if c.CellSparsity == 0 {
 		c.CellSparsity = 2048
 	}
@@ -143,19 +160,17 @@ type Stream struct {
 
 	n int64 // exact net point count (one counter; trivially streamable)
 
-	fp            *hashing.Fingerprint // keys the sampling decisions and point identities
-	hSamp, hpSamp []*hashing.Bernoulli // ψ_i and ψ′_i samplers, levels 0..L
-	hatSamp       []*hashing.Bernoulli // φ_i samplers, levels 0..L
+	fp *hashing.Fingerprint // keys the sampling decisions and point identities
 
-	hStore   []*sketch.Storing // cell counts for heavy marking, levels 0..L−1
-	hpStore  []*sketch.Storing // cell counts for part masses, levels 0..L
-	hatStore []*sketch.Storing // point recovery, levels 0..L
+	// One unit per level and substream: the sampler and the Storing it
+	// feeds. h holds levels 0..L−1 (cell counts for heavy marking), hp
+	// and hat levels 0..L (cell counts for part masses, and point
+	// recovery). A unit's rate ψ_i, ψ′_i or φ_i is its sampler's Phi.
+	h, hp, hat []unit
 
 	// sketchSet lists the units above once, level by level: h_i (levels
 	// below L), h′_i, ĥ_i (linkUnits).
 	sketchSet
-
-	psi, psiP, phi []float64
 
 	b batch // reusable columnar buffer for Apply (not goroutine-safe)
 }
@@ -197,47 +212,39 @@ type rateOneOwners map[[2]int]*sketch.Storing
 // keeps every sketch private.
 func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand, owners rateOneOwners) *Stream {
 	L := g.L
-	s := &Stream{
-		cfg: cfg, g: g,
-		fp:       fp,
-		hSamp:    make([]*hashing.Bernoulli, L+1),
-		hpSamp:   make([]*hashing.Bernoulli, L+1),
-		hatSamp:  make([]*hashing.Bernoulli, L+1),
-		hStore:   make([]*sketch.Storing, L+1),
-		hpStore:  make([]*sketch.Storing, L+1),
-		hatStore: make([]*sketch.Storing, L+1),
-		psi:      make([]float64, L+1),
-		psiP:     make([]float64, L+1),
-		phi:      make([]float64, L+1),
-	}
-	storing := func(sub, i int, samp *hashing.Bernoulli, alpha, beta int) *sketch.Storing {
-		if owners == nil || samp.Phi() < 1 {
-			return sketch.NewStoringShared(rng, g, i, alpha, beta, cfg.FailProb, fp)
+	s := &Stream{cfg: cfg, g: g, fp: fp}
+	newUnit := func(sub, i int, samp *hashing.Bernoulli, kind sketch.Kind, capacity int) unit {
+		u := unit{samp: samp, sub: sub, col: i}
+		if sub == 2 {
+			u.col = L + 1
 		}
-		if st := owners[[2]int{sub, i}]; st != nil {
-			sketch.SkipStoring(rng, g, alpha, beta, cfg.FailProb, fp)
-			return st
+		switch owner := owners[[2]int{sub, i}]; {
+		case owners == nil || samp.Phi() < 1:
+			u.st = sketch.NewStoring(rng, g, i, kind, capacity, cfg.FailProb, fp)
+		case owner != nil:
+			sketch.SkipStoring(rng, g, kind, capacity, cfg.FailProb, fp)
+			u.st = owner
+		default:
+			u.st = sketch.NewStoring(rng, g, i, kind, capacity, cfg.FailProb, fp)
+			owners[[2]int{sub, i}] = u.st
 		}
-		st := sketch.NewStoringShared(rng, g, i, alpha, beta, cfg.FailProb, fp)
-		owners[[2]int{sub, i}] = st
-		return st
+		return u
 	}
 	p := cfg.Params
 	gamma := p.Gamma(g.Dim, L)
 	lambda := p.Lambda(g.Dim, L)
 	for i := 0; i <= L; i++ {
+		// All three samplers of a level are drawn before its sketches;
+		// the level-L h sampler is drawn but unused (h stops at L−1).
 		T := partition.ThresholdT(g, i, cfg.O, p.R)
-		s.psi[i] = math.Min(1, cfg.CountRate/T)
-		s.psiP[i] = math.Min(1, cfg.PartRate/(gamma*T))
-		s.phi[i] = p.Phi(T, g.Dim, L)
-		s.hSamp[i] = hashing.NewBernoulli(rng, lambda, s.psi[i])
-		s.hpSamp[i] = hashing.NewBernoulli(rng, lambda, s.psiP[i])
-		s.hatSamp[i] = hashing.NewBernoulli(rng, lambda, s.phi[i])
-		if i <= L-1 {
-			s.hStore[i] = storing(0, i, s.hSamp[i], cfg.CellSparsity, 0)
+		hSamp := hashing.NewBernoulli(rng, lambda, math.Min(1, cfg.CountRate/T))
+		hpSamp := hashing.NewBernoulli(rng, lambda, math.Min(1, cfg.PartRate/(gamma*T)))
+		hatSamp := hashing.NewBernoulli(rng, lambda, p.Phi(T, g.Dim, L))
+		if i < L {
+			s.h = append(s.h, newUnit(0, i, hSamp, sketch.Cells, cfg.CellSparsity))
 		}
-		s.hpStore[i] = storing(1, i, s.hpSamp[i], cfg.CellSparsity, 0)
-		s.hatStore[i] = storing(2, i, s.hatSamp[i], 0, cfg.PointSparsity)
+		s.hp = append(s.hp, newUnit(1, i, hpSamp, sketch.Cells, cfg.CellSparsity))
+		s.hat = append(s.hat, newUnit(2, i, hatSamp, sketch.Points, cfg.PointSparsity))
 	}
 	s.linkUnits()
 	return s
@@ -251,9 +258,9 @@ func (s *Stream) linkUnits() {
 	s.units = make([]unit, 0, 3*L+2)
 	for i := 0; i <= L; i++ {
 		if i < L {
-			s.units = append(s.units, unit{s.hStore[i], s.hSamp[i], 0, i})
+			s.units = append(s.units, s.h[i])
 		}
-		s.units = append(s.units, unit{s.hpStore[i], s.hpSamp[i], 1, i}, unit{s.hatStore[i], s.hatSamp[i], 2, L + 1})
+		s.units = append(s.units, s.hp[i], s.hat[i])
 	}
 }
 
@@ -292,20 +299,20 @@ func (s *Stream) N() int64 { return s.n }
 func (s *Stream) Fork() *Stream {
 	cp := &Stream{
 		cfg: s.cfg, g: s.g, fp: s.fp,
-		hSamp: s.hSamp, hpSamp: s.hpSamp, hatSamp: s.hatSamp,
-		hStore:   make([]*sketch.Storing, len(s.hStore)),
-		hpStore:  make([]*sketch.Storing, len(s.hpStore)),
-		hatStore: make([]*sketch.Storing, len(s.hatStore)),
-		psi:      s.psi, psiP: s.psiP, phi: s.phi,
-	}
-	for i := range s.hStore {
-		if s.hStore[i] != nil {
-			cp.hStore[i] = s.hStore[i].CloneEmpty()
-		}
-		cp.hpStore[i] = s.hpStore[i].CloneEmpty()
-		cp.hatStore[i] = s.hatStore[i].CloneEmpty()
+		h: cloneUnits(s.h), hp: cloneUnits(s.hp), hat: cloneUnits(s.hat),
 	}
 	cp.linkUnits()
+	return cp
+}
+
+// cloneUnits returns us with every Storing replaced by an empty clone
+// sharing its hash functions.
+func cloneUnits(us []unit) []unit {
+	cp := make([]unit, len(us))
+	for i, u := range us {
+		u.st = u.st.CloneEmpty()
+		cp[i] = u
+	}
 	return cp
 }
 

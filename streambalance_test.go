@@ -282,3 +282,57 @@ func TestSaveLoadCoreset(t *testing.T) {
 		t.Fatal("loaded coreset not solvable")
 	}
 }
+
+// TestStreamConfigRejectsBadSketchValues: a sketch size, sampling rate
+// or failure probability that no default can stand in for is an error
+// at construction — before, negative sparsities built sketches with no
+// recovery side, NaN or negative rates built samplers that select
+// nothing or everything, and an out-of-range FailProb was silently
+// replaced. Zero still selects the default.
+func TestStreamConfigRejectsBadSketchValues(t *testing.T) {
+	base := streambalance.StreamConfig{Dim: 2, Delta: 64, Params: streambalance.Params{K: 2, Seed: 3},
+		CellSparsity: 256, PointSparsity: 512}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		set  func(c *streambalance.StreamConfig)
+		ok   bool
+	}{
+		{"valid", func(c *streambalance.StreamConfig) { c.FailProb, c.CountRate, c.PartRate = 0.05, 128, 32 }, true},
+		{"defaults", func(c *streambalance.StreamConfig) { c.FailProb, c.CountRate, c.PartRate = 0, 0, 0 }, true},
+		{"CellSparsity<0", func(c *streambalance.StreamConfig) { c.CellSparsity = -1 }, false},
+		{"PointSparsity<0", func(c *streambalance.StreamConfig) { c.PointSparsity = -8 }, false},
+		{"FailProb=NaN", func(c *streambalance.StreamConfig) { c.FailProb = nan }, false},
+		{"FailProb=2", func(c *streambalance.StreamConfig) { c.FailProb = 2 }, false},
+		{"FailProb=1", func(c *streambalance.StreamConfig) { c.FailProb = 1 }, false},
+		{"FailProb<0", func(c *streambalance.StreamConfig) { c.FailProb = -0.01 }, false},
+		{"CountRate=-5", func(c *streambalance.StreamConfig) { c.CountRate = -5 }, false},
+		{"CountRate=NaN", func(c *streambalance.StreamConfig) { c.CountRate = nan }, false},
+		{"CountRate=Inf", func(c *streambalance.StreamConfig) { c.CountRate = math.Inf(1) }, false},
+		{"PartRate=NaN", func(c *streambalance.StreamConfig) { c.PartRate = nan }, false},
+		{"PartRate<0", func(c *streambalance.StreamConfig) { c.PartRate = -1 }, false},
+	} {
+		cfg := base
+		tc.set(&cfg)
+		single := cfg
+		single.O = 1
+		_, errS := streambalance.NewStream(single)
+		a, errA := streambalance.NewAutoStream(cfg, 4)
+		if tc.ok {
+			if errS != nil || errA != nil {
+				t.Fatalf("%s: NewStream %v, NewAutoStream %v", tc.name, errS, errA)
+			}
+			rng := rand.New(rand.NewSource(5))
+			for i := 0; i < 300; i++ {
+				a.Insert(streambalance.Point{1 + rng.Int63n(64), 1 + rng.Int63n(64)})
+			}
+			if _, err := a.Result(); err != nil {
+				t.Fatalf("%s: Result: %v", tc.name, err)
+			}
+			continue
+		}
+		if errS == nil || errA == nil {
+			t.Fatalf("%s: NewStream %v, NewAutoStream %v; want errors from both", tc.name, errS, errA)
+		}
+	}
+}
