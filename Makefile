@@ -1,9 +1,9 @@
-.PHONY: check check-fast test bench bench-diff bench-json bcbench profile-extract profile-ingest vet
+.PHONY: check check-fast test bench-diff bench-json bcbench profile-extract profile-ingest vet
 
 # Revision stamp for benchmark binaries: BENCH_*.json meta blocks must
 # identify the commit that produced them, and ReadBuildInfo's vcs.*
 # settings are absent from test binaries and some build modes — so the
-# bench/bcbench targets pass the revision explicitly via -ldflags -X
+# bcbench target passes the revision explicitly via -ldflags -X
 # (cmd/bcbench falls back to ReadBuildInfo when built without these).
 GIT_REV   := $(shell git -C $(CURDIR) rev-parse HEAD 2>/dev/null || echo unknown)
 GIT_DIRTY := $(shell test -n "$$(git -C $(CURDIR) status --porcelain 2>/dev/null)" && echo true || echo false)
@@ -43,33 +43,43 @@ test:
 vet:
 	go vet ./...
 
-# Ingest-, extraction- and assignment-throughput benchmarks
-# (EXPERIMENTS.md records the reference runs).
-bench:
-	go test -run xxx -bench 'Ingest|Extract|AssignSweep' -benchmem ./internal/stream/ .
-
 # Revision-stamped bcbench binary (see STAMP_LDFLAGS above).
 bcbench:
 	go build -ldflags "$(STAMP_LDFLAGS)" -o bin/bcbench ./cmd/bcbench
 
+# The BENCH_*.json records: one go test run per file, piped into
+# bcbench -record, which keeps each benchmark's median, quartiles and
+# run count per unit. Every benchmark runs 5 times, each run after the
+# testing package's warm-up probe and a runtime.GC(). The recorder exits
+# non-zero, writing nothing, when go test reports a failure or no
+# results, so a failed run fails the target.
+BENCH_RUN := go test -run '^$$' -benchmem -count 5
+define bench-record
+	$(BENCH_RUN) -bench 'KWiseEval/lambda=16|BernoulliSample|FingerprintKey|SparseDecode$$' ./internal/hashing ./internal/sketch | ./bin/bcbench -record $(1)/BENCH_hash.json
+	$(BENCH_RUN) -bench 'Ingest(AutoPerOp|AutoApply)$$|SparseUpdateSchedule/ordered' ./internal/stream ./internal/sketch | ./bin/bcbench -record $(1)/BENCH_ingest.json
+	$(BENCH_RUN) -bench 'ExtractAuto(Cold|ColdSerial|Warm|Incremental)$$' ./internal/stream | ./bin/bcbench -record $(1)/BENCH_extract.json
+	$(BENCH_RUN) -bench 'AssignSweep' . | ./bin/bcbench -record $(1)/BENCH_assign.json
+	$(BENCH_RUN) -bench 'DistProtocol' . | ./bin/bcbench -record $(1)/BENCH_dist.json
+endef
+
 # Regenerate every BENCH_*.json with a stamped binary, so the meta block
 # records the producing commit instead of "unknown".
 bench-json: bcbench
-	./bin/bcbench -bench
+	$(call bench-record,.)
 
-# Benchmark regression gate: re-run the bench suite at the same default
-# geometry into BENCH_DIFF_DIR, then diff every committed BENCH_*.json
-# against the fresh record. bcbench -diff exits non-zero when a gated
-# (per_sec / speedup / ns_per / sec_* / _bits) metric falls below
-# BENCH_DIFF_TOL of its committed value; the default 0.35 is loose on
-# purpose — shared CI hosts jitter ±30% and the gate is after 2x-class
-# regressions, not single-digit drift (tighten locally with
-# BENCH_DIFF_TOL=0.6 on quiet hardware).
+# Benchmark regression gate: re-record every BENCH_*.json into
+# BENCH_DIFF_DIR, then diff each committed record against the fresh one.
+# bcbench -diff exits non-zero when a gated median (ns/op, B/op,
+# allocs/op, *-bytes/op, */sec) falls below BENCH_DIFF_TOL of its
+# committed value; the default 0.35 is loose on purpose — shared CI
+# hosts jitter ±30% and the gate is after 2x-class regressions, not
+# single-digit drift (tighten locally with BENCH_DIFF_TOL=0.6 on quiet
+# hardware).
 BENCH_DIFF_DIR ?= /tmp/bcbench-diff
 BENCH_DIFF_TOL ?= 0.35
 bench-diff: bcbench
 	mkdir -p $(BENCH_DIFF_DIR)
-	./bin/bcbench -bench -outdir $(BENCH_DIFF_DIR)
+	$(call bench-record,$(BENCH_DIFF_DIR))
 	@for f in BENCH_*.json; do \
 		./bin/bcbench -diff -tol $(BENCH_DIFF_TOL) $$f $(BENCH_DIFF_DIR)/$$f || exit 1; \
 	done
@@ -77,7 +87,7 @@ bench-diff: bcbench
 # CPU profile of the batched ingest benchmark, for the next pprof-driven
 # optimisation round: `go tool pprof ingest_cpu.pprof`.
 profile-ingest:
-	go test -run xxx -bench 'IngestAutoApply$$' -benchtime 30x -cpuprofile $(CURDIR)/ingest_cpu.pprof ./internal/stream
+	go test -run xxx -bench 'IngestAutoApply$$/unique' -benchtime 30x -cpuprofile $(CURDIR)/ingest_cpu.pprof ./internal/stream
 
 # CPU profile of the periodic (mixed ingest + extraction) benchmark —
 # the serving pattern the differential decode targets — for the next

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -78,139 +77,10 @@ func BenchmarkCoresetBuild(b *testing.B) {
 	b.ReportMetric(float64(len(ps)), "points/op")
 }
 
-// BenchmarkStreamInsert measures the per-update cost of the dynamic
-// streaming sketch (3(L+1) λ-wise hash evaluations + sketch updates).
-func BenchmarkStreamInsert(b *testing.B) {
-	ps := benchPoints(4096)
-	s, err := streambalance.NewStream(streambalance.StreamConfig{
-		Dim: 2, Delta: 1 << 12, O: 1 << 20,
-		Params: streambalance.Params{K: 4, Seed: 1},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Insert(ps[i%len(ps)])
-	}
-}
-
-// BenchmarkStreamIngest is the ingest-throughput headline: the batched
-// shared-key pipeline (Auto.Apply) over the full guess ensemble — per-op
-// key columns computed once for all guesses, sketch work sharded across a
-// worker pool. Compare with BenchmarkStreamIngestPerOp, the serial
-// reference path.
-func BenchmarkStreamIngest(b *testing.B) {
-	ps := benchPoints(4096)
-	a, err := streambalance.NewAutoStream(streambalance.StreamConfig{
-		Dim: 2, Delta: 1 << 12,
-		Params:       streambalance.Params{K: 4, Seed: 1},
-		CellSparsity: 512, PointSparsity: 2048,
-	}, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ops := make([]streambalance.Op, len(ps))
-	for i, p := range ps {
-		ops[i] = streambalance.Op{P: p}
-	}
-	b.ResetTimer()
-	for done := 0; done < b.N; done += len(ops) {
-		n := b.N - done
-		if n > len(ops) {
-			n = len(ops)
-		}
-		a.Apply(ops[:n])
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
-}
-
-// BenchmarkStreamIngestPerOp feeds the same guess ensemble one op at a
-// time — the pre-batching ingest path, kept as the speedup baseline.
-func BenchmarkStreamIngestPerOp(b *testing.B) {
-	ps := benchPoints(4096)
-	a, err := streambalance.NewAutoStream(streambalance.StreamConfig{
-		Dim: 2, Delta: 1 << 12,
-		Params:       streambalance.Params{K: 4, Seed: 1},
-		CellSparsity: 512, PointSparsity: 2048,
-	}, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Insert(ps[i%len(ps)])
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
-}
-
-// BenchmarkStreamExtract is the extraction-throughput headline: guess
-// selection + decode + assembly over the full 25-guess ensemble
-// (DESIGN.md §6). Cold drops the decode caches every iteration, so each
-// extraction re-peels every consulted sketch (in parallel when
-// GOMAXPROCS > 1); Warm re-extracts with unchanged sketches, where every
-// decode is an epoch-cache hit; ColdSerial is Cold at GOMAXPROCS 1,
-// where extraction runs the lazy single-worker path.
-func BenchmarkStreamExtract(b *testing.B) {
-	ps := benchPoints(4096)
-	newEnsemble := func() *streambalance.AutoStream {
-		a, err := streambalance.NewAutoStream(streambalance.StreamConfig{
-			Dim: 2, Delta: 1 << 12,
-			Params:       streambalance.Params{K: 4, Seed: 1},
-			CellSparsity: 512, PointSparsity: 4096,
-		}, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ops := make([]streambalance.Op, len(ps))
-		for i, p := range ps {
-			ops[i] = streambalance.Op{P: p}
-		}
-		a.Apply(ops)
-		if _, err := a.Result(); err != nil {
-			b.Fatal(err)
-		}
-		return a
-	}
-	b.Run("Cold", func(b *testing.B) {
-		a := newEnsemble()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a.DropDecodeCache()
-			if _, err := a.Result(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "extracts/sec")
-	})
-	b.Run("ColdSerial", func(b *testing.B) {
-		a := newEnsemble()
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a.DropDecodeCache()
-			if _, err := a.Result(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "extracts/sec")
-	})
-	b.Run("Warm", func(b *testing.B) {
-		a := newEnsemble()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := a.Result(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "extracts/sec")
-	})
-}
-
 // BenchmarkStreamResult measures end-of-stream decoding on a single
 // stream instance, cold: the epoch cache is dropped every iteration so
-// the decode cost is actually measured (see BenchmarkStreamExtract/Warm
-// for the cached path).
+// the decode cost is actually measured (internal/stream
+// BenchmarkExtractAutoWarm times the cached path).
 func BenchmarkStreamResult(b *testing.B) {
 	ps := benchPoints(8000)
 	est, _ := streambalance.EstimateOPT(ps, 4, 2, 1)

@@ -1,16 +1,13 @@
 // Benchmark regression gate: `bcbench -diff old.json new.json` compares
-// two BENCH_*.json records metric by metric and exits non-zero when a
-// gated metric regressed beyond the tolerance.
+// the medians of two BENCH_*.json records (see record.go) benchmark by
+// benchmark and unit by unit, and exits non-zero when a gated metric
+// regressed beyond the tolerance.
 //
-// The record schema is free-form (each bench writes whatever map it
-// likes), so the gate classifies metrics by key shape instead of a
-// hand-maintained list:
+// The unit decides the direction:
 //
-//	higher-is-better: keys containing "per_sec" or "speedup",
-//	lower-is-better:  keys containing "ns_per", ending in "_ns" or
-//	                  "_bits", or "sec_*" wall-clock seconds,
-//	informational:    everything else (config echoes, seeds, ratios) —
-//	                  reported when changed, never gated.
+//	lower-is-better:  ns/op, B/op, allocs/op and any "*-bytes/op",
+//	higher-is-better: any "*/sec" rate,
+//	informational:    every other unit (counts, ratios) — never gated.
 //
 // A gated metric regresses when its better-direction ratio drops below
 // the tolerance: new/old < tol for higher-is-better, old/new < tol for
@@ -28,69 +25,45 @@ import (
 	"strings"
 )
 
-// flattenBench walks a decoded BENCH record and collects every numeric
-// leaf under a dotted path ("hash.0.ns_per_op_scalar"). Array elements
-// flatten under their index. "meta" subtrees are dropped wholesale.
-func flattenBench(prefix string, v any, out map[string]float64) {
-	switch x := v.(type) {
-	case map[string]any:
-		for k, sub := range x {
-			if k == "meta" {
-				continue
-			}
-			p := k
-			if prefix != "" {
-				p = prefix + "." + k
-			}
-			flattenBench(p, sub, out)
-		}
-	case []any:
-		for i, sub := range x {
-			flattenBench(fmt.Sprintf("%s.%d", prefix, i), sub, out)
-		}
-	case float64:
-		out[prefix] = x
-	}
-}
-
-// metricDirection classifies a flattened key: +1 higher-is-better,
-// -1 lower-is-better, 0 informational (never gated).
+// metricDirection classifies a "benchmark unit" key by its unit: +1
+// higher-is-better, -1 lower-is-better, 0 informational (never gated).
 func metricDirection(key string) int {
-	last := key
-	if i := strings.LastIndexByte(key, '.'); i >= 0 {
-		last = key[i+1:]
-	}
+	unit := key[strings.LastIndexByte(key, ' ')+1:]
 	switch {
-	case strings.Contains(key, "per_sec"), strings.Contains(key, "speedup"):
+	case strings.HasSuffix(unit, "/sec"):
 		return 1
-	case strings.Contains(key, "ns_per"),
-		strings.HasSuffix(key, "_ns"),
-		strings.HasSuffix(key, "_bits"),
-		strings.HasPrefix(last, "sec_"):
+	case unit == "ns/op", unit == "B/op", unit == "allocs/op", strings.HasSuffix(unit, "-bytes/op"):
 		return -1
 	default:
 		return 0
 	}
 }
 
+// loadBench reads a record's medians, keyed "benchmark unit".
 func loadBench(path string) (map[string]float64, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var rec any
+	var rec struct {
+		Benchmarks map[string]benchEntry `json:"benchmarks"`
+	}
 	if err := json.Unmarshal(buf, &rec); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	out := map[string]float64{}
-	flattenBench("", rec, out)
+	for name, e := range rec.Benchmarks {
+		for unit, s := range e.Metrics {
+			out[name+" "+unit] = s.Median
+		}
+	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: no numeric metrics found", path)
+		return nil, fmt.Errorf("%s: no benchmark metrics found", path)
 	}
 	return out, nil
 }
 
-// diffBench compares two flattened records and writes a report. It
+// diffBench compares two records' medians and writes a report. It
 // returns the number of gated metrics that regressed beyond tol.
 func diffBench(w io.Writer, oldM, newM map[string]float64, tol float64) int {
 	keys := make([]string, 0, len(oldM))
@@ -100,14 +73,14 @@ func diffBench(w io.Writer, oldM, newM map[string]float64, tol float64) int {
 	sort.Strings(keys)
 
 	regressions := 0
-	fmt.Fprintf(w, "  %-52s %14s %14s %8s  %s\n", "metric", "old", "new", "ratio", "status")
+	fmt.Fprintf(w, "  %-56s %14s %14s %8s  %s\n", "benchmark unit (median)", "old", "new", "ratio", "status")
 	for _, k := range keys {
 		dir := metricDirection(k)
 		ov := oldM[k]
 		nv, ok := newM[k]
 		if !ok {
 			if dir != 0 {
-				fmt.Fprintf(w, "  %-52s %14.4g %14s %8s  missing in new\n", k, ov, "-", "-")
+				fmt.Fprintf(w, "  %-56s %14.4g %14s %8s  missing in new\n", k, ov, "-", "-")
 			}
 			continue
 		}
@@ -133,11 +106,11 @@ func diffBench(w io.Writer, oldM, newM map[string]float64, tol float64) int {
 		} else if ratio > 1/tol {
 			status = "improved"
 		}
-		fmt.Fprintf(w, "  %-52s %14.4g %14.4g %8.3f  %s\n", k, ov, nv, ratio, status)
+		fmt.Fprintf(w, "  %-56s %14.4g %14.4g %8.3f  %s\n", k, ov, nv, ratio, status)
 	}
 	for k := range newM {
 		if _, ok := oldM[k]; !ok && metricDirection(k) != 0 {
-			fmt.Fprintf(w, "  %-52s %14s %14.4g %8s  new metric\n", k, "-", newM[k], "-")
+			fmt.Fprintf(w, "  %-56s %14s %14.4g %8s  new metric\n", k, "-", newM[k], "-")
 		}
 	}
 	return regressions
@@ -157,7 +130,7 @@ func runDiff(w io.Writer, oldPath, newPath string, tol float64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	fmt.Fprintf(w, "bench diff  %s -> %s  (tol %.2f: gated metrics fail below %.2fx of old)\n",
+	fmt.Fprintf(w, "bench diff  %s -> %s  (tol %.2f: gated medians fail below %.2fx of old)\n",
 		oldPath, newPath, tol, tol)
 	regs := diffBench(w, oldM, newM, tol)
 	if regs > 0 {

@@ -7,22 +7,26 @@ import (
 	"testing"
 )
 
-// benchFixture is a miniature BENCH record with every key-shape class
-// the gate knows: higher-is-better rates and speedups (top-level and
-// nested under arrays), lower-is-better latencies and bit counts, and
-// informational config echoes that must never gate.
+// benchFixture is a miniature record in the -record schema with every
+// unit class the gate knows: higher-is-better rates, lower-is-better
+// ns/op, B/op, allocs/op and wire bytes, and an informational custom
+// unit that must never gate. Only medians are compared; the quartiles
+// and n ride along.
 const benchFixture = `{
-  "meta": {"git_revision": "abc", "wall_clock_sec": 12.5},
-  "bench": "fixture",
-  "n_ops": 16384,
-  "seed": 1,
-  "ops_per_sec_batched": 100000,
-  "speedup": 4.0,
-  "sec_serial": 0.5,
-  "wire_bits": 81920,
-  "hash": [
-    {"kernel": "kwise", "ns_per_op_scalar": 40.0, "ns_per_op_batched": 10.0}
-  ]
+  "meta": {"git_revision": "abc", "wall_clock_sec": 12.5, "gomaxprocs": 2},
+  "benchmarks": {
+    "BenchmarkIngest/unique": {"pkg": "p/stream", "metrics": {
+      "ops/sec":   {"median": 100000, "q1": 95000, "q3": 105000, "n": 5},
+      "ns/op":     {"median": 10000,  "q1": 9500,  "q3": 10500,  "n": 5},
+      "B/op":      {"median": 512,    "q1": 500,   "q3": 530,    "n": 5},
+      "allocs/op": {"median": 4,      "q1": 4,     "q3": 4,      "n": 5}}},
+    "BenchmarkDist/Workers8": {"pkg": "p", "metrics": {
+      "ns/op":            {"median": 5e7,   "q1": 4.8e7, "q3": 5.1e7, "n": 5},
+      "wire-bytes/op":    {"median": 81920, "q1": 81920, "q3": 81920, "n": 5}}},
+    "BenchmarkExtract": {"pkg": "p/stream", "metrics": {
+      "ns/op":            {"median": 40.0, "q1": 39.0, "q3": 41.0, "n": 5},
+      "attempts/query":   {"median": 14,   "q1": 14,   "q3": 14,   "n": 5}}}
+  }
 }`
 
 func writeFixture(t *testing.T, name, content string) string {
@@ -34,9 +38,16 @@ func writeFixture(t *testing.T, name, content string) string {
 	return p
 }
 
+// TestDiffNoRegressionOnIdenticalRecords: the same medians under a
+// different meta block (another revision, another wall time) are clean;
+// meta values never reach the report.
 func TestDiffNoRegressionOnIdenticalRecords(t *testing.T) {
 	old := writeFixture(t, "old.json", benchFixture)
-	nw := writeFixture(t, "new.json", benchFixture)
+	nw := writeFixture(t, "new.json", strings.NewReplacer(
+		`"git_revision": "abc"`, `"git_revision": "def"`,
+		`"wall_clock_sec": 12.5`, `"wall_clock_sec": 99`,
+		`"gomaxprocs": 2`, `"gomaxprocs": 1`,
+	).Replace(benchFixture))
 	var sb strings.Builder
 	regs, err := runDiff(&sb, old, nw, 0.6)
 	if err != nil {
@@ -45,20 +56,27 @@ func TestDiffNoRegressionOnIdenticalRecords(t *testing.T) {
 	if regs != 0 {
 		t.Fatalf("identical records reported %d regressions:\n%s", regs, sb.String())
 	}
-	if !strings.Contains(sb.String(), "no regressions") {
-		t.Fatalf("missing all-clear line:\n%s", sb.String())
+	out := sb.String()
+	if !strings.Contains(out, "no regressions") {
+		t.Fatalf("missing all-clear line:\n%s", out)
+	}
+	for _, key := range []string{"wall_clock_sec", "gomaxprocs", "git_revision"} {
+		if findLine(out, key) != "" {
+			t.Fatalf("meta key %s compared:\n%s", key, out)
+		}
 	}
 }
 
 // TestDiffDetectsTwofoldRegression: the acceptance scenario — a
 // synthetic 2x regression on each metric class must trip the default
-// tolerance, whichever direction "worse" is for that key.
+// tolerance, whichever direction "worse" is for that unit.
 func TestDiffDetectsTwofoldRegression(t *testing.T) {
 	old := writeFixture(t, "old.json", benchFixture)
 	regressed := strings.NewReplacer(
-		`"ops_per_sec_batched": 100000`, `"ops_per_sec_batched": 50000`, // rate halved
-		`"sec_serial": 0.5`, `"sec_serial": 1.0`, // wall-clock doubled
-		`"ns_per_op_scalar": 40.0`, `"ns_per_op_scalar": 80.0`, // latency doubled
+		`"median": 100000`, `"median": 50000`, // rate halved
+		`"median": 5e7`, `"median": 1e8`, // wall time per op doubled
+		`"median": 81920`, `"median": 163840`, // wire bytes doubled
+		`"median": 40.0`, `"median": 80.0`, // latency doubled
 	).Replace(benchFixture)
 	nw := writeFixture(t, "new.json", regressed)
 
@@ -67,22 +85,26 @@ func TestDiffDetectsTwofoldRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if regs != 3 {
-		t.Fatalf("want 3 regressions, got %d:\n%s", regs, sb.String())
+	if regs != 4 {
+		t.Fatalf("want 4 regressions, got %d:\n%s", regs, sb.String())
 	}
 	out := sb.String()
-	for _, key := range []string{"ops_per_sec_batched", "sec_serial", "hash.0.ns_per_op_scalar"} {
-		line := findLine(out, key)
-		if !strings.Contains(line, "REGRESSION") {
+	for _, key := range []string{
+		"BenchmarkIngest/unique ops/sec",
+		"BenchmarkDist/Workers8 ns/op",
+		"BenchmarkDist/Workers8 wire-bytes/op",
+		"BenchmarkExtract ns/op",
+	} {
+		if line := findLine(out, key); !strings.Contains(line, "REGRESSION") {
 			t.Fatalf("%s not flagged:\n%s", key, out)
 		}
 	}
-	// The untouched metrics stay ok; config echoes never appear as gated.
-	if l := findLine(out, "speedup"); !strings.Contains(l, "ok") {
-		t.Fatalf("unchanged speedup flagged:\n%s", out)
+	// The untouched metrics stay ok; informational units never appear.
+	if l := findLine(out, "BenchmarkIngest/unique ns/op"); !strings.Contains(l, "ok") {
+		t.Fatalf("unchanged ns/op flagged:\n%s", out)
 	}
-	if l := findLine(out, "n_ops"); l != "" {
-		t.Fatalf("informational key n_ops gated:\n%s", out)
+	if l := findLine(out, "attempts/query"); l != "" {
+		t.Fatalf("informational unit attempts/query gated:\n%s", out)
 	}
 }
 
@@ -91,7 +113,7 @@ func TestDiffToleranceBoundary(t *testing.T) {
 	// 30% rate drop: ratio 0.7 — inside the default 0.6 tolerance, outside
 	// a strict 0.8 one.
 	nw := writeFixture(t, "new.json", strings.Replace(benchFixture,
-		`"ops_per_sec_batched": 100000`, `"ops_per_sec_batched": 70000`, 1))
+		`"median": 100000`, `"median": 70000`, 1))
 
 	if regs, err := runDiff(&strings.Builder{}, old, nw, 0.6); err != nil || regs != 0 {
 		t.Fatalf("tol 0.6: regs=%d err=%v, want 0 regressions", regs, err)
@@ -105,11 +127,11 @@ func TestDiffToleranceBoundary(t *testing.T) {
 }
 
 // TestDiffSchemaDrift: metrics present on only one side are reported but
-// never counted as regressions — record schemas evolve across commits.
+// never counted as regressions — benchmark sets evolve across commits.
 func TestDiffSchemaDrift(t *testing.T) {
 	old := writeFixture(t, "old.json", benchFixture)
 	drifted := strings.Replace(benchFixture,
-		`"ops_per_sec_batched": 100000`, `"ops_per_sec_renamed": 100000`, 1)
+		`"BenchmarkIngest/unique"`, `"BenchmarkIngest/renamed"`, 1)
 	nw := writeFixture(t, "new.json", drifted)
 
 	var sb strings.Builder
@@ -121,28 +143,33 @@ func TestDiffSchemaDrift(t *testing.T) {
 		t.Fatalf("schema drift counted as regression:\n%s", sb.String())
 	}
 	out := sb.String()
-	if l := findLine(out, "ops_per_sec_batched"); !strings.Contains(l, "missing in new") {
+	if l := findLine(out, "BenchmarkIngest/unique ops/sec"); !strings.Contains(l, "missing in new") {
 		t.Fatalf("dropped metric not reported:\n%s", out)
 	}
-	if l := findLine(out, "ops_per_sec_renamed"); !strings.Contains(l, "new metric") {
+	if l := findLine(out, "BenchmarkIngest/renamed ops/sec"); !strings.Contains(l, "new metric") {
 		t.Fatalf("added metric not reported:\n%s", out)
+	}
+	// A record with no benchmarks (the pre-recorder schema, say) is an
+	// error, not an empty pass.
+	empty := writeFixture(t, "empty.json", `{"meta": {}, "ops_per_sec_batched": 1}`)
+	if _, err := runDiff(&strings.Builder{}, old, empty, 0.6); err == nil {
+		t.Fatal("record without benchmarks accepted")
 	}
 }
 
 func TestMetricDirection(t *testing.T) {
 	cases := map[string]int{
-		"ops_per_sec_batched":        1,
-		"extracts_per_sec_cold":      1,
-		"speedup_workers8":           1,
-		"hash.2.speedup":             1,
-		"hash.0.ns_per_op_scalar":    -1,
-		"decode.1.ns_per_decode_ref": -1,
-		"sec_serial":                 -1,
-		"wire_bits":                  -1,
-		"n_ops":                      0,
-		"seed":                       0,
-		"coalesce_ratio.h":           0,
-		"dirty_level_ratio":          0,
+		"BenchmarkIngestAutoApply/unique ops/sec":           1,
+		"BenchmarkExtractAutoCold extracts/sec":             1,
+		"BenchmarkSparseUpdateSchedule/ordered upd/sec":     1,
+		"BenchmarkKWiseEval/lambda=16/batch ns/op":          -1,
+		"BenchmarkAssignSweep/Engine B/op":                  -1,
+		"BenchmarkAssignSweep/Engine allocs/op":             -1,
+		"BenchmarkDistProtocol/Workers8 wire-bytes/op":      -1,
+		"BenchmarkDistProtocol/Workers8 formula-bytes/op":   -1,
+		"BenchmarkExtractAutoCold attempts/query":           0,
+		"BenchmarkExtractAutoIncremental dirty-level-ratio": 0,
+		"BenchmarkCoresetBuild points/op":                   0,
 	}
 	for key, want := range cases {
 		if got := metricDirection(key); got != want {

@@ -8,6 +8,7 @@ package coreset
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -88,6 +89,26 @@ func (p Params) withDefaults() (Params, error) {
 		return p, errR
 	}
 	return p, nil
+}
+
+// Setting is one zero-means-default sizing or calibration field of a
+// streaming or distributed config, by name.
+type Setting struct {
+	Name  string
+	Value float64
+}
+
+// CheckSettings returns an error for the first setting no default can
+// stand in for: a NaN, infinite or negative value. Zero passes, since it
+// selects the caller's default. The streaming and distributed configs
+// both call it, so their errors read alike.
+func CheckSettings(pkg string, settings ...Setting) error {
+	for _, s := range settings {
+		if !(s.Value >= 0) || math.IsInf(s.Value, 0) {
+			return fmt.Errorf("%s: %s must be finite and >= 0, got %v", pkg, s.Name, s.Value)
+		}
+	}
+	return nil
 }
 
 // d15r computes d^{1.5r}, the dimension factor in all of Algorithm 2's

@@ -120,6 +120,17 @@ func (c Config) withDefaults() (Config, error) {
 		d <<= 1
 	}
 	c.Delta = d
+	// Zero selects each default below; a value no default can stand in
+	// for is an error here, before any sampler is drawn.
+	if err := coreset.CheckSettings("dist",
+		coreset.Setting{Name: "CellCap", Value: float64(c.CellCap)},
+		coreset.Setting{Name: "PointCap", Value: float64(c.PointCap)},
+		coreset.Setting{Name: "CountRate", Value: c.CountRate},
+		coreset.Setting{Name: "PartRate", Value: c.PartRate},
+		coreset.Setting{Name: "SampleSize", Value: float64(c.SampleSize)},
+	); err != nil {
+		return c, err
+	}
 	if c.CellCap == 0 {
 		c.CellCap = 4096
 	}

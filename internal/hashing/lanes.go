@@ -83,23 +83,6 @@ func (f *Fingerprint) Key4(p0, p1, p2, p3 []int64) (k0, k1, k2, k3 uint64) {
 	return addMod(a0, 1), addMod(a1, 1), addMod(a2, 1), addMod(a3, 1)
 }
 
-// KeyN fills dst[t] = f.Key(pts[t]). All vectors must have the same
-// length (the batched ingestion pipeline fingerprints fixed-dimension
-// points); full 4-lane blocks run through Key4, the tail through Key.
-// len(dst) must be at least len(pts).
-func (f *Fingerprint) KeyN(dst []uint64, pts [][]int64) {
-	if len(dst) < len(pts) {
-		panic("hashing: KeyN dst shorter than pts")
-	}
-	t := 0
-	for ; t+4 <= len(pts); t += 4 {
-		dst[t], dst[t+1], dst[t+2], dst[t+3] = f.Key4(pts[t], pts[t+1], pts[t+2], pts[t+3])
-	}
-	for ; t < len(pts); t++ {
-		dst[t] = f.Key(pts[t])
-	}
-}
-
 // KeyTagged4 is KeyTagged over four index vectors of equal length with a
 // shared tag — the kernel behind grid.ParentKeys4, which derives the
 // cell keys of four stream ops per level in one pass.

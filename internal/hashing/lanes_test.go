@@ -71,7 +71,10 @@ func TestKey4MatchesScalar(t *testing.T) {
 	}
 }
 
-// TestKeyNMatchesScalar covers ragged tails of the blocked fingerprint.
+// TestKeyNMatchesScalar covers ragged tails of the blocked fingerprint:
+// n 2-d points keyed the way the ingest batch fills its key column, full
+// 4-lane blocks through Key4 and the tail through Key, must match Key on
+// every point whatever n is modulo 4.
 func TestKeyNMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := NewFingerprint(rng)
@@ -81,10 +84,16 @@ func TestKeyNMatchesScalar(t *testing.T) {
 			pts[t] = []int64{rng.Int63n(1 << 20), rng.Int63n(1 << 20)}
 		}
 		dst := make([]uint64, n)
-		f.KeyN(dst, pts)
+		t2 := 0
+		for ; t2+4 <= n; t2 += 4 {
+			dst[t2], dst[t2+1], dst[t2+2], dst[t2+3] = f.Key4(pts[t2], pts[t2+1], pts[t2+2], pts[t2+3])
+		}
+		for ; t2 < n; t2++ {
+			dst[t2] = f.Key(pts[t2])
+		}
 		for t2, p := range pts {
 			if want := f.Key(p); dst[t2] != want {
-				t.Fatalf("n=%d t=%d: KeyN=%d Key=%d", n, t2, dst[t2], want)
+				t.Fatalf("n=%d t=%d: blocked key=%d Key=%d", n, t2, dst[t2], want)
 			}
 		}
 	}
@@ -121,7 +130,6 @@ func TestLaneKernelsPanicOnShapeMismatch(t *testing.T) {
 		"Key4":       func() { f.Key4([]int64{1, 2}, []int64{1}, []int64{1, 2}, []int64{1, 2}) },
 		"KeyTagged4": func() { f.KeyTagged4(2, []int64{1}, []int64{1, 2}, []int64{1}, []int64{1}) },
 		"EvalN":      func() { h.EvalN(make([]uint64, 2), make([]uint64, 3)) },
-		"KeyN":       func() { f.KeyN(make([]uint64, 1), [][]int64{{1}, {2}}) },
 	} {
 		func() {
 			defer func() {
@@ -161,15 +169,17 @@ func FuzzEvalLanesMatchScalar(f *testing.F) {
 		for i, k := range keys {
 			pts[i] = []int64{int64(k), int64(k >> 7), -int64(k & 0xffff)}
 		}
-		fkeys := make([]uint64, len(pts))
-		fp.KeyN(fkeys, pts)
-
 		for i, k := range keys {
 			if want := h.Eval(k); dst[i] != want {
 				t.Fatalf("EvalN[%d]=%d, scalar %d", i, dst[i], want)
 			}
-			if want := fp.Key(pts[i]); fkeys[i] != want {
-				t.Fatalf("KeyN[%d]=%d, scalar %d", i, fkeys[i], want)
+		}
+		for i := 0; i+4 <= len(pts); i += 4 {
+			k0, k1, k2, k3 := fp.Key4(pts[i], pts[i+1], pts[i+2], pts[i+3])
+			for j, got := range [4]uint64{k0, k1, k2, k3} {
+				if want := fp.Key(pts[i+j]); got != want {
+					t.Fatalf("Key4 lane of key %d = %d, scalar %d", i+j, got, want)
+				}
 			}
 		}
 	})

@@ -83,11 +83,11 @@ func BenchmarkSparseDecodeReference(b *testing.B) {
 }
 
 // BenchmarkSparseUpdateSchedule A/Bs the two write schedules of the
-// UpdateScaledN kernel on the shape bcbench records: 64 s=2048 dim-2
-// sketches (the ingest point-sketch shape) fed 4096-row batches
-// round-robin, so every slab visit starts cold as in the real ingest
-// fan-out. Both schedules are bit-identical; the delta is slab cache
-// locality. The kernel itself picks ordered at this size.
+// UpdateScaledN kernel: 64 s=2048 dim-2 sketches (the ingest
+// point-sketch shape) fed 4096-row batches round-robin, so every slab
+// visit starts cold as in the real ingest fan-out. Both schedules are
+// bit-identical; the delta is slab cache locality. The kernel itself
+// picks ordered at this size, the case BENCH_ingest.json records.
 func BenchmarkSparseUpdateSchedule(b *testing.B) {
 	const s, pd, n, sketches = 2048, 2, 4096, 64
 	rng := rand.New(rand.NewSource(1))

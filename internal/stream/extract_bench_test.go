@@ -4,13 +4,13 @@ import (
 	"testing"
 
 	"streambalance/internal/coreset"
+	"streambalance/internal/obs"
 )
 
 // Extraction benchmarks: cold decode (caches dropped every iteration)
 // vs warm epoch-cached re-extraction, and the serial lazy path, all on
-// the full guess ensemble. EXPERIMENTS.md records the reference numbers;
-// the root-level BenchmarkStreamExtract exercises the same pipeline
-// through the public API.
+// the full guess ensemble. `make bench-json` records them in
+// BENCH_extract.json.
 
 // benchExtractAuto builds the 25-guess ensemble the extraction benchmarks
 // decode. Same geometry as benchAuto, but with ĥ point sketches sized so
@@ -30,30 +30,44 @@ func benchExtractAuto(b *testing.B) *Auto {
 	return a
 }
 
-// BenchmarkExtractAutoCold: every iteration re-decodes the whole
-// ensemble from the slabs (parallel across the pool when GOMAXPROCS>1).
-func BenchmarkExtractAutoCold(b *testing.B) {
+// benchCold times query with the decode caches dropped before every
+// call. Before the timer starts, three untimed queries with telemetry on
+// count the guesses the selection scan tries per cold query, reported as
+// attempts/query: how far up the guess grid the winner sits, and so what
+// a cold query times. The timed loop never pays for telemetry.
+func benchCold(b *testing.B, query func(a *Auto) error) {
 	a := benchExtractAuto(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	const probes = 3
+	obs.Enable()
+	att0 := mGuessAttempts.Load()
+	for i := 0; i < probes; i++ {
 		a.DropDecodeCache()
-		if _, err := a.Result(); err != nil {
+		if err := query(a); err != nil {
 			b.Fatal(err)
 		}
 	}
+	attempts := float64(mGuessAttempts.Load()-att0) / probes
+	obs.Disable()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.DropDecodeCache()
+		if err := query(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(attempts, "attempts/query")
+}
+
+// BenchmarkExtractAutoCold: every iteration re-decodes the whole
+// ensemble from the slabs (parallel across the pool when GOMAXPROCS>1).
+func BenchmarkExtractAutoCold(b *testing.B) {
+	benchCold(b, func(a *Auto) error { _, err := a.Result(); return err })
 }
 
 // BenchmarkExtractAutoColdSerial: the lazy single-worker decode path —
 // the pre-pipeline baseline.
 func BenchmarkExtractAutoColdSerial(b *testing.B) {
-	a := benchExtractAuto(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.DropDecodeCache()
-		if _, err := a.resultWith(1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchCold(b, func(a *Auto) error { _, err := a.resultWith(1); return err })
 }
 
 // BenchmarkExtractAutoWarm: periodic re-extraction with unchanged

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -12,12 +13,19 @@ import (
 // the untimed prelude also drops the decode cache of every dirtied
 // sketch, so the query re-peels exactly those levels from scratch: the
 // cold-decode oracle the splice path is pinned against, as an A/B.
+// Each untimed prelude ends with a runtime.GC(): the ensemble's live
+// heap is large, so a concurrent GC cycle triggered by the scaffolding's
+// garbage would otherwise span several queries and its mark assists
+// would tax allocations inside the timed query, inflating it 3–4×. The
+// share of decode units each batch dirties is reported as
+// dirty-level-ratio.
 func benchIncrementalExtract(b *testing.B, cold bool) {
 	b.Helper()
 	a := benchExtractAuto(b)
 	ops := benchIngestOps(4096)
 	const batch = 16
 	a.WarmDecodeCache()
+	var dirty, total int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -27,6 +35,9 @@ func benchIncrementalExtract(b *testing.B, cold bool) {
 			hi = len(ops)
 		}
 		a.Apply(ops[lo:hi])
+		d, t := a.DirtyLevels()
+		dirty += d
+		total += t
 		if cold {
 			for _, u := range a.units {
 				if !u.st.CacheFresh() {
@@ -34,6 +45,7 @@ func benchIncrementalExtract(b *testing.B, cold bool) {
 				}
 			}
 		}
+		runtime.GC()
 		b.StartTimer()
 		if _, err := a.Result(); err != nil {
 			b.Fatal(err)
@@ -42,6 +54,7 @@ func benchIncrementalExtract(b *testing.B, cold bool) {
 		a.WarmDecodeCache()
 		b.StartTimer()
 	}
+	b.ReportMetric(float64(dirty)/float64(total), "dirty-level-ratio")
 }
 
 func BenchmarkExtractAutoIncremental(b *testing.B) { benchIncrementalExtract(b, false) }

@@ -52,18 +52,33 @@ func BenchmarkIngestAutoPerOp(b *testing.B) {
 // BenchmarkIngestAutoApply is the batched shared-key pipeline over the
 // same guess ensemble: key columns computed once per batch, sketch work
 // sharded over (guess × level-range) units across the worker pool.
+// Batches hold 4,096 ops: unique feeds the 4,096 mixture points in
+// order; dup8 replays every op 8× back to back, the duplicate-heavy
+// shape where coalescing collapses whole batches.
 func BenchmarkIngestAutoApply(b *testing.B) {
-	ops := benchIngestOps(4096)
-	a := benchAuto(b)
-	b.ResetTimer()
-	for done := 0; done < b.N; done += len(ops) {
-		n := b.N - done
-		if n > len(ops) {
-			n = len(ops)
+	unique := benchIngestOps(4096)
+	dup8 := make([]Op, 0, 8*len(unique))
+	for _, op := range unique {
+		for r := 0; r < 8; r++ {
+			dup8 = append(dup8, op)
 		}
-		a.Apply(ops[:n])
 	}
-	reportOpsPerSec(b)
+	for _, c := range []struct {
+		name string
+		ops  []Op
+	}{{"unique", unique}, {"dup8", dup8}} {
+		b.Run(c.name, func(b *testing.B) {
+			a := benchAuto(b)
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				lo := done % len(c.ops)
+				n := min(b.N-done, 4096, len(c.ops)-lo)
+				a.Apply(c.ops[lo : lo+n])
+				done += n
+			}
+			reportOpsPerSec(b)
+		})
+	}
 }
 
 func benchStream(b *testing.B) *Stream {

@@ -121,16 +121,13 @@ func (c Config) withDefaults() (Config, error) {
 	c.Delta = d
 	// Zero selects each default below; a value no default can stand in
 	// for is an error here, before any sketch or sampler is drawn.
-	if c.CellSparsity < 0 || c.PointSparsity < 0 {
-		return c, fmt.Errorf("stream: CellSparsity and PointSparsity must be >= 0, got %d and %d", c.CellSparsity, c.PointSparsity)
-	}
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{{"CountRate", c.CountRate}, {"PartRate", c.PartRate}} {
-		if !(r.v >= 0) || math.IsInf(r.v, 0) {
-			return c, fmt.Errorf("stream: %s must be finite and >= 0, got %v", r.name, r.v)
-		}
+	if err := coreset.CheckSettings("stream",
+		coreset.Setting{Name: "CellSparsity", Value: float64(c.CellSparsity)},
+		coreset.Setting{Name: "PointSparsity", Value: float64(c.PointSparsity)},
+		coreset.Setting{Name: "CountRate", Value: c.CountRate},
+		coreset.Setting{Name: "PartRate", Value: c.PartRate},
+	); err != nil {
+		return c, err
 	}
 	if !(c.FailProb >= 0 && c.FailProb < 1) {
 		return c, fmt.Errorf("stream: FailProb must be in [0, 1), got %v", c.FailProb)

@@ -336,3 +336,54 @@ func TestStreamConfigRejectsBadSketchValues(t *testing.T) {
 		}
 	}
 }
+
+// TestDistConfigRejectsBadSketchValues: the distributed config takes the
+// same zero-means-default sizes and rates as the streaming one, with the
+// same check — before, a NaN or negative CountRate reached the samplers
+// and DistributedCoreset returned a 0-point, 0-weight coreset with no
+// error. Zero still selects the default.
+func TestDistConfigRejectsBadSketchValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	machines := make([][]streambalance.Point, 4)
+	for i := 0; i < 1200; i++ {
+		machines[i%4] = append(machines[i%4], streambalance.Point{1 + rng.Int63n(256), 1 + rng.Int63n(256)})
+	}
+	base := streambalance.DistConfig{Dim: 2, Delta: 256, Params: streambalance.Params{K: 2, Seed: 3}}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		set  func(c *streambalance.DistConfig)
+		ok   bool
+	}{
+		{"valid", func(c *streambalance.DistConfig) {
+			c.CountRate, c.PartRate, c.CellCap, c.PointCap, c.SampleSize = 128, 32, 2048, 4096, 100
+		}, true},
+		{"defaults", func(c *streambalance.DistConfig) {}, true},
+		{"CountRate=NaN", func(c *streambalance.DistConfig) { c.CountRate = nan }, false},
+		{"CountRate<0", func(c *streambalance.DistConfig) { c.CountRate = -5 }, false},
+		{"CountRate=Inf", func(c *streambalance.DistConfig) { c.CountRate = math.Inf(1) }, false},
+		{"PartRate=NaN", func(c *streambalance.DistConfig) { c.PartRate = nan }, false},
+		{"PartRate=-Inf", func(c *streambalance.DistConfig) { c.PartRate = math.Inf(-1) }, false},
+		{"PartRate<0", func(c *streambalance.DistConfig) { c.PartRate = -1 }, false},
+		{"CellCap<0", func(c *streambalance.DistConfig) { c.CellCap = -1 }, false},
+		{"PointCap<0", func(c *streambalance.DistConfig) { c.PointCap = -8 }, false},
+		{"SampleSize<0", func(c *streambalance.DistConfig) { c.SampleSize = -200 }, false},
+	} {
+		cfg := base
+		tc.set(&cfg)
+		rep, err := streambalance.DistributedCoreset(machines, cfg)
+		if !tc.ok {
+			if err == nil {
+				t.Fatalf("%s: DistributedCoreset returned a %d-point, weight %v coreset and no error",
+					tc.name, rep.Coreset.Size(), rep.Coreset.TotalWeight())
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if w := rep.Coreset.TotalWeight(); rep.Coreset.Size() == 0 || w < 600 || w > 1800 {
+			t.Fatalf("%s: %d-point coreset of weight %v for 1200 points", tc.name, rep.Coreset.Size(), w)
+		}
+	}
+}
