@@ -73,8 +73,7 @@ func main() {
 	cfg := streambalance.StreamConfig{Dim: *dim, Delta: *delta, Params: params}
 
 	type sink interface {
-		Insert(streambalance.Point)
-		Delete(streambalance.Point)
+		Apply([]streambalance.Op)
 		Bytes() int64
 		Result() (*streambalance.Coreset, error)
 	}
@@ -92,12 +91,18 @@ func main() {
 		fatal(err)
 	}
 
+	// Updates are ingested in batches through Apply, the columnar path;
+	// sketch state is linear, so batching cannot change the result.
+	const batchSize = 4096
+	batch := make([]streambalance.Op, 0, batchSize)
 	var updates int64
 	err = streamfmt.ReadUpdates(src, *dim, func(u streamfmt.Update) error {
-		if u.Delete {
-			s.Delete(u.P)
-		} else {
-			s.Insert(u.P)
+		if !u.P.InRange(*delta) {
+			return fmt.Errorf("update %d: point %v outside [1, %d]^%d", updates+1, u.P, *delta, *dim)
+		}
+		if batch = append(batch, streambalance.Op{P: u.P, Delete: u.Delete}); len(batch) == batchSize {
+			s.Apply(batch)
+			batch = batch[:0]
 		}
 		updates++
 		return nil
@@ -105,6 +110,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	s.Apply(batch)
 
 	cs, err := s.Result()
 	if err != nil {

@@ -37,7 +37,7 @@ func TestConservativeModeKeepsEverything(t *testing.T) {
 }
 
 func TestConservativePhiSaturates(t *testing.T) {
-	p, err := Params{K: 3, Conservative: true}.Resolve()
+	p, err := Params{K: 3, Conservative: true}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestConservativePhiSaturates(t *testing.T) {
 }
 
 func TestConservativeLambdaCapped(t *testing.T) {
-	p, err := Params{K: 8, Conservative: true}.Resolve()
+	p, err := Params{K: 8, Conservative: true}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}

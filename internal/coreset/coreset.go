@@ -104,34 +104,6 @@ func BuildPlan(part *partition.Partition, p Params) *Plan {
 	return pl
 }
 
-// SamplerSet is the family ĥ_0, ..., ĥ_L of λ-wise independent Bernoulli
-// samplers of Algorithm 2 line 10 (one per level, rate φ_i), keyed by
-// point fingerprints. The streaming algorithm creates the identical
-// family before the stream starts.
-type SamplerSet struct {
-	fp  *hashing.Fingerprint
-	hs  []*hashing.Bernoulli
-	phi []float64
-}
-
-// NewSamplerSet draws the per-level samplers for the given plan.
-func NewSamplerSet(rng *rand.Rand, pl *Plan, lambda int) *SamplerSet {
-	ss := &SamplerSet{fp: hashing.NewFingerprint(rng), phi: pl.Phi}
-	ss.hs = make([]*hashing.Bernoulli, len(pl.Phi))
-	for i, phi := range pl.Phi {
-		ss.hs[i] = hashing.NewBernoulli(rng, lambda, phi)
-	}
-	return ss
-}
-
-// Sampled reports whether point p is selected at level i (ĥ_i(p) = 1).
-func (ss *SamplerSet) Sampled(p geo.Point, level int) bool {
-	return ss.hs[level].Sample(ss.fp.Key(p))
-}
-
-// PhiAt returns φ_i.
-func (ss *SamplerSet) PhiAt(level int) float64 { return ss.phi[level] }
-
 // ErrAllGuessesFailed is returned when no guess o in the enumeration
 // passes Algorithm 2's FAIL checks (possible only on pathological inputs
 // or absurdly tight budgets).
@@ -140,10 +112,8 @@ var ErrAllGuessesFailed = errors.New("coreset: every guess o FAILed")
 // GuessO selects the guess of OPT^{(r)}_{k-clus} the way Theorem 4.5
 // does: obtain a constant-factor estimate Ê ≥ OPT (here k-means++ + Lloyd
 // on a uniform subsample, giving a feasible-solution upper bound) and
-// take o = Ê/4 rounded down to a power of two, so that o ≤ OPT whenever
-// the estimate is within 4× of optimal (k-means++ + Lloyd restarts are
-// comfortably inside that on non-adversarial data; a smaller o only
-// enlarges the coreset, never breaks it). The result is clamped to ≥ 1.
+// apply the guess rule (GuessFromEstimate); k-means++ + Lloyd restarts
+// are comfortably inside its 4× slack on non-adversarial data.
 func GuessO(ps geo.PointSet, p Params, rng *rand.Rand, delta int64) float64 {
 	sample := ps
 	const maxSample = 4000
@@ -156,12 +126,7 @@ func GuessO(ps geo.PointSet, p Params, rng *rand.Rand, delta int64) float64 {
 		}
 		scale = float64(len(ps)) / float64(maxSample)
 	}
-	est := solve.EstimateOPT(rng, geo.UnitWeights(sample), p.K, p.R, delta, 2) * scale
-	o := est / 4
-	if o < 1 {
-		return 1
-	}
-	return math.Exp2(math.Floor(math.Log2(o)))
+	return GuessFromEstimate(solve.EstimateOPT(rng, geo.UnitWeights(sample), p.K, p.R, delta, 2) * scale)
 }
 
 // Build runs the offline algorithm of Theorem 3.19 on point set ps.
@@ -172,16 +137,12 @@ func GuessO(ps geo.PointSet, p Params, rng *rand.Rand, delta int64) float64 {
 // literal enumeration is used: o ∈ {1, 2, 4, ...} up to the trivial bound
 // n·(√d·Δ)^r, returning the smallest non-FAILing guess.
 func Build(ps geo.PointSet, p Params) (*Coreset, error) {
-	p, err := p.withDefaults()
+	p, delta, err := checkInput(ps, p)
 	if err != nil {
 		return nil, err
 	}
-	if len(ps) == 0 {
-		return nil, errors.New("coreset: empty input")
-	}
-	d := ps.Dim()
 	rng := rand.New(rand.NewSource(p.Seed))
-	g := grid.New(geo.MaxCoordRange(ps), d, rng)
+	g := grid.New(delta, ps.Dim(), rng)
 	counts := partition.ExactCounts(g, ps)
 	upper := partition.TrivialUpperBoundO(len(ps), g, p.R)
 
@@ -190,12 +151,14 @@ func Build(ps geo.PointSet, p Params) (*Coreset, error) {
 		start = GuessO(ps, p, rng, g.Delta)
 	}
 	for o := start; o <= 2*upper; o *= 2 {
-		part := partition.Build(partition.Input{Grid: g, R: p.R, O: o, Counts: counts})
-		pl := BuildPlan(part, p)
-		if pl.Failed() {
+		q, err := exactQuery(ps, g, p, o, counts)
+		if err != nil {
+			return nil, err
+		}
+		if q.Plan.Failed() {
 			continue
 		}
-		cs := sampleOffline(ps, g, part, pl, p, rng)
+		cs := sampleOffline(ps, q, p, rng)
 		if cs == nil {
 			continue // no parts covered any point (guess absurdly large)
 		}
@@ -204,17 +167,50 @@ func Build(ps geo.PointSet, p Params) (*Coreset, error) {
 	return nil, ErrAllGuessesFailed
 }
 
+// checkInput resolves p and validates ps: non-empty, one dimension, and
+// every coordinate at least 1. It returns the power-of-two domain bound
+// Δ ≥ every coordinate, so every point lies in the root cell.
+func checkInput(ps geo.PointSet, p Params) (Params, int64, error) {
+	p, err := p.withDefaults()
+	if err != nil {
+		return p, 0, err
+	}
+	if len(ps) == 0 {
+		return p, 0, errors.New("coreset: empty input")
+	}
+	delta := geo.MaxCoordRange(ps)
+	for _, q := range ps {
+		if err := q.Check(ps.Dim(), delta); err != nil {
+			return p, 0, fmt.Errorf("coreset: %w", err)
+		}
+	}
+	return p, delta, nil
+}
+
+// exactQuery runs the plan step for guess o over the exact cell counts
+// of ps (partition.ExactCounts, levels −1..L).
+func exactQuery(ps geo.PointSet, g *grid.Grid, p Params, o float64, counts []map[uint64]partition.CellTau) (*Query, error) {
+	exact := func(level int) (map[uint64]partition.CellTau, bool) { return counts[level+1], true }
+	return PlanQuery(g, p, o, int64(len(ps)), exact, exact)
+}
+
 // sampleOffline executes lines 7–12 of Algorithm 2 given a non-FAILing
 // plan: every point of an included part is kept with probability
 // φ_{level} (λ-wise independently) and weight multiplicity/φ_{level}.
 // Points sharing a location are folded into a single weighted point
 // (footnote 4: duplicate points are equivalent to unique tags; sampling
 // the location and scaling the weight by the multiplicity preserves
-// every cost estimator).
-func sampleOffline(ps geo.PointSet, g *grid.Grid, part *partition.Partition,
-	pl *Plan, p Params, rng *rand.Rand) *Coreset {
-
-	ss := NewSamplerSet(rng, pl, p.Lambda(g.Dim, g.L))
+// every cost estimator). The samplers ĥ_0, …, ĥ_L are keyed by point
+// fingerprints and drawn from rng, fingerprint first.
+func sampleOffline(ps geo.PointSet, q *Query, p Params, rng *rand.Rand) *Coreset {
+	part, pl := q.Part, q.Plan
+	g := part.Grid
+	fp := hashing.NewFingerprint(rng)
+	lambda := p.Lambda(g.Dim, g.L)
+	hat := make([]*hashing.Bernoulli, len(pl.Phi))
+	for i, phi := range pl.Phi {
+		hat[i] = hashing.NewBernoulli(rng, lambda, phi)
+	}
 
 	// Deduplicate locations, tracking multiplicities.
 	type entry struct {
@@ -241,14 +237,10 @@ func sampleOffline(ps geo.PointSet, g *grid.Grid, part *partition.Partition,
 			continue
 		}
 		covered = true
-		if !pl.Included[id] {
+		if !pl.Included[id] || !hat[id.Level].Sample(fp.Key(e.p)) {
 			continue
 		}
-		if !ss.Sampled(e.p, id.Level) {
-			continue
-		}
-		w := float64(e.m) / ss.PhiAt(id.Level)
-		cs.Points = append(cs.Points, geo.Weighted{P: e.p, W: w})
+		cs.Points = append(cs.Points, geo.Weighted{P: e.p, W: float64(e.m) / pl.Phi[id.Level]})
 		cs.Levels = append(cs.Levels, id.Level)
 	}
 	if !covered {
@@ -261,23 +253,20 @@ func sampleOffline(ps geo.PointSet, g *grid.Grid, part *partition.Partition,
 // experiments that sweep the guess). The returned coreset is nil when the
 // guess FAILs.
 func BuildForO(ps geo.PointSet, p Params, o float64) (*Coreset, *Plan, error) {
-	p, err := p.withDefaults()
+	p, delta, err := checkInput(ps, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(ps) == 0 {
-		return nil, nil, errors.New("coreset: empty input")
-	}
 	rng := rand.New(rand.NewSource(p.Seed))
-	g := grid.New(geo.MaxCoordRange(ps), ps.Dim(), rng)
-	counts := partition.ExactCounts(g, ps)
-	part := partition.Build(partition.Input{Grid: g, R: p.R, O: o, Counts: counts})
-	pl := BuildPlan(part, p)
-	if pl.Failed() {
-		return nil, pl, nil
+	g := grid.New(delta, ps.Dim(), rng)
+	q, err := exactQuery(ps, g, p, o, partition.ExactCounts(g, ps))
+	if err != nil {
+		return nil, nil, err
 	}
-	cs := sampleOffline(ps, g, part, pl, p, rng)
-	return cs, pl, nil
+	if q.Plan.Failed() {
+		return nil, q.Plan, nil
+	}
+	return sampleOffline(ps, q, p, rng), q.Plan, nil
 }
 
 // TheoreticalSizeBound evaluates the poly(ε⁻¹η⁻¹kd log Δ) size bound of

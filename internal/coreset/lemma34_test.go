@@ -12,6 +12,21 @@ import (
 	"streambalance/internal/solve"
 )
 
+// exactPart is the offline plan step's partition (r = 2) for guess o
+// over the exact cell counts of ps.
+func exactPart(t *testing.T, ps geo.PointSet, g *grid.Grid, o float64, counts []map[uint64]partition.CellTau) *partition.Partition {
+	t.Helper()
+	p, err := Params{K: 4}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := exactQuery(ps, g, p, o, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q.Part
+}
+
 // TestLemma34SmallPartRemoval verifies the conclusion of Lemma 3.4 on
 // real partitions: let QN be the union of all parts with
 // τ(Q_{i,j}) ≤ 2γ·T_i(o). Then for every capacity t and center set Z,
@@ -23,7 +38,7 @@ import (
 // the one the coreset construction leans on when it drops small parts.
 func TestLemma34SmallPartRemoval(t *testing.T) {
 	ps, truec := mixture(61, 1600)
-	p, err := Params{K: 4, Eps: 0.3, Eta: 0.3, Seed: 5}.Resolve()
+	p, err := Params{K: 4, Eps: 0.3, Eta: 0.3, Seed: 5}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +46,7 @@ func TestLemma34SmallPartRemoval(t *testing.T) {
 	g := grid.New(geo.MaxCoordRange(ps), 2, rng)
 	o := GuessO(ps, p, rng, g.Delta)
 	counts := partition.ExactCounts(g, ps)
-	part := partition.Build(partition.Input{Grid: g, R: 2, O: o, Counts: counts})
+	part := exactPart(t, ps, g, o, counts)
 	// With the real γ, 2γ·T_i(o) sits below one point at every level for
 	// instances of this scale, so the construction removes nothing (the
 	// lemma is vacuously safe). To exercise the lemma's MECHANISM — parts
@@ -120,11 +135,11 @@ func TestLemma33HeavyCellBoundScalesWithO(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := grid.New(geo.MaxCoordRange(ps), 2, rng)
 	counts := partition.ExactCounts(g, ps)
-	p, _ := Params{K: 4, Seed: 3}.Resolve()
+	p, _ := Params{K: 4, Seed: 3}.withDefaults()
 	o := GuessO(ps, p, rng, g.Delta)
 
 	hc := func(oo float64) int {
-		return partition.Build(partition.Input{Grid: g, R: 2, O: oo, Counts: counts}).HeavyCount()
+		return exactPart(t, ps, g, oo, counts).HeavyCount()
 	}
 	base := hc(o)
 	eighth := hc(o / 8)
@@ -144,7 +159,7 @@ func TestFactA1RootHeavyWhenOBelowOPT(t *testing.T) {
 	counts := partition.ExactCounts(g, ps)
 	// A certified lower bound stand-in: any o below n·(min spacing)… use
 	// a tiny o, trivially ≤ OPT for non-degenerate data.
-	part := partition.Build(partition.Input{Grid: g, R: 2, O: 16, Counts: counts})
+	part := exactPart(t, ps, g, 16, counts)
 	if !part.IsHeavy(grid.MinLevel, g.CellKey(ps[0], grid.MinLevel)) {
 		t.Fatal("root not heavy despite o ≪ OPT")
 	}

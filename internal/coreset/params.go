@@ -1,9 +1,11 @@
 // Package coreset implements the strong coreset construction for
 // capacitated k-clustering in ℓ_r: Algorithm 2 of the paper, together
 // with the o-guess enumeration that turns it into the offline algorithm
-// of Theorem 3.19. The streaming (Theorem 4.5) and distributed
-// (Theorem 4.7) constructions in internal/stream and internal/dist reuse
-// the planning logic here.
+// of Theorem 3.19. It also holds Algorithm 4's core (query.go) — the
+// rate rule, the guess rule, the plan step and the assembly — which the
+// streaming (Theorem 4.5) and distributed (Theorem 4.7) constructions in
+// internal/stream and internal/dist run over their own recovered counts
+// and points.
 package coreset
 
 import (
@@ -54,11 +56,6 @@ var (
 	errR   = errors.New("coreset: R must be >= 1")
 )
 
-// Resolve fills zero fields with defaults and validates — the exported
-// form of the resolution Build performs, for packages (streaming,
-// distributed) that need the concrete parameter values up front.
-func (p Params) Resolve() (Params, error) { return p.withDefaults() }
-
 // withDefaults fills zero fields with defaults and validates.
 func (p Params) withDefaults() (Params, error) {
 	if p.R == 0 {
@@ -98,17 +95,33 @@ type Setting struct {
 	Value float64
 }
 
-// CheckSettings returns an error for the first setting no default can
-// stand in for: a NaN, infinite or negative value. Zero passes, since it
-// selects the caller's default. The streaming and distributed configs
-// both call it, so their errors read alike.
-func CheckSettings(pkg string, settings ...Setting) error {
+// ResolveConfig resolves and checks what the streaming and distributed
+// configs share, so their errors read alike: the parameters p, the domain
+// (dim ≥ 1 and delta ≥ 1, returned rounded up to a power of two) and the
+// zero-means-default settings, of which the first that no default can
+// stand in for — a NaN, infinite or negative value — is an error. pkg
+// prefixes every error.
+func ResolveConfig(pkg string, p Params, dim int, delta int64, settings ...Setting) (Params, int64, error) {
+	p, err := p.withDefaults()
+	if err != nil {
+		return p, 0, err
+	}
+	if dim < 1 {
+		return p, 0, fmt.Errorf("%s: Dim must be >= 1", pkg)
+	}
+	if delta < 1 {
+		return p, 0, fmt.Errorf("%s: Delta must be >= 1", pkg)
+	}
+	pow := int64(1)
+	for pow < delta {
+		pow <<= 1
+	}
 	for _, s := range settings {
 		if !(s.Value >= 0) || math.IsInf(s.Value, 0) {
-			return fmt.Errorf("%s: %s must be finite and >= 0, got %v", pkg, s.Name, s.Value)
+			return p, 0, fmt.Errorf("%s: %s must be finite and >= 0, got %v", pkg, s.Name, s.Value)
 		}
 	}
-	return nil
+	return p, pow, nil
 }
 
 // d15r computes d^{1.5r}, the dimension factor in all of Algorithm 2's

@@ -79,16 +79,18 @@ type Config struct {
 	Dim    int
 	Params coreset.Params
 
-	O float64 // optional: fixed guess; 0 = estimate in round 1
+	O float64 // optional: fixed guess, finite and > 0; 0 = estimate in round 1
 
 	// Per-machine, per-level caps (Lemma 4.6's α and β): a machine whose
 	// local message would exceed a cap sends FAIL for that level instead.
 	CellCap  int // default 4096
 	PointCap int // default 8192
 
-	// Sampling calibration, identical to the streaming instance.
-	CountRate float64 // default 256
-	PartRate  float64 // default 64
+	// Sampling calibration, identical to the streaming instance: the
+	// numerators of the h and h′ rates (coreset.Rates). Zero selects
+	// coreset.DefaultCountRate (256) and coreset.DefaultPartRate (64).
+	CountRate float64
+	PartRate  float64
 
 	SampleSize int // round-1 per-machine sample for the OPT estimate (default 200)
 
@@ -104,31 +106,19 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
+	// Zero selects each default below (for O, the round-1 estimate); a
+	// value no default can stand in for is an error here, before any
+	// sampler is drawn.
 	var err error
-	c.Params, err = c.Params.Resolve()
-	if err != nil {
-		return c, err
-	}
-	if c.Dim < 1 {
-		return c, errors.New("dist: Dim must be >= 1")
-	}
-	if c.Delta < 1 {
-		return c, errors.New("dist: Delta must be >= 1")
-	}
-	d := int64(1)
-	for d < c.Delta {
-		d <<= 1
-	}
-	c.Delta = d
-	// Zero selects each default below; a value no default can stand in
-	// for is an error here, before any sampler is drawn.
-	if err := coreset.CheckSettings("dist",
+	c.Params, c.Delta, err = coreset.ResolveConfig("dist", c.Params, c.Dim, c.Delta,
+		coreset.Setting{Name: "O", Value: c.O},
 		coreset.Setting{Name: "CellCap", Value: float64(c.CellCap)},
 		coreset.Setting{Name: "PointCap", Value: float64(c.PointCap)},
 		coreset.Setting{Name: "CountRate", Value: c.CountRate},
 		coreset.Setting{Name: "PartRate", Value: c.PartRate},
 		coreset.Setting{Name: "SampleSize", Value: float64(c.SampleSize)},
-	); err != nil {
+	)
+	if err != nil {
 		return c, err
 	}
 	if c.CellCap == 0 {
@@ -136,12 +126,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.PointCap == 0 {
 		c.PointCap = 8192
-	}
-	if c.CountRate == 0 {
-		c.CountRate = 256
-	}
-	if c.PartRate == 0 {
-		c.PartRate = 64
 	}
 	if c.SampleSize == 0 {
 		c.SampleSize = 200
@@ -189,38 +173,28 @@ func mixSeed(seed, salt int64) int64 {
 
 // shared is the state both sides reconstruct from the round-1 broadcast:
 // the shifted grid hierarchy, the point fingerprint and the per-level
-// samplers, all drawn deterministically from the broadcast seed.
+// samplers of the rate rule (coreset.Rates), all drawn deterministically
+// from the broadcast seed.
 type shared struct {
-	g              *grid.Grid
-	fp             *hashing.Fingerprint
-	lambda         int
-	psi, psiP, phi []float64
-	hSamp          []*hashing.Bernoulli
-	hpSamp         []*hashing.Bernoulli
-	hatSamp        []*hashing.Bernoulli
+	g       *grid.Grid
+	fp      *hashing.Fingerprint
+	hSamp   []*hashing.Bernoulli
+	hpSamp  []*hashing.Bernoulli
+	hatSamp []*hashing.Bernoulli
 }
 
 func newShared(cfg Config, o float64, seed int64) *shared {
-	p := cfg.Params
 	rng := rand.New(rand.NewSource(seed))
 	g := grid.New(cfg.Delta, cfg.Dim, rng)
 	L := g.L
-	gamma := p.Gamma(g.Dim, L)
-	lambda := p.Lambda(g.Dim, L)
 	sh := &shared{
-		g: g, fp: hashing.NewFingerprint(rng), lambda: lambda,
-		psi: make([]float64, L+1), psiP: make([]float64, L+1), phi: make([]float64, L+1),
+		g: g, fp: hashing.NewFingerprint(rng),
 		hSamp: make([]*hashing.Bernoulli, L+1), hpSamp: make([]*hashing.Bernoulli, L+1),
 		hatSamp: make([]*hashing.Bernoulli, L+1),
 	}
+	rates := coreset.NewRates(cfg.Params, g, o, cfg.CountRate, cfg.PartRate)
 	for i := 0; i <= L; i++ {
-		T := partition.ThresholdT(g, i, o, p.R)
-		sh.psi[i] = math.Min(1, cfg.CountRate/T)
-		sh.psiP[i] = math.Min(1, cfg.PartRate/(gamma*T))
-		sh.phi[i] = p.Phi(T, g.Dim, L)
-		sh.hSamp[i] = hashing.NewBernoulli(rng, lambda, sh.psi[i])
-		sh.hpSamp[i] = hashing.NewBernoulli(rng, lambda, sh.psiP[i])
-		sh.hatSamp[i] = hashing.NewBernoulli(rng, lambda, sh.phi[i])
+		sh.hSamp[i], sh.hpSamp[i], sh.hatSamp[i] = rates.Samplers(rng, i)
 	}
 	return sh
 }
@@ -434,7 +408,6 @@ type coordinator struct {
 	total   int64
 	o       float64
 	env     *shared
-	root    map[uint64]partition.CellTau
 
 	failFrames int64 // round-2 FAIL frames seen (span attribute)
 
@@ -521,15 +494,10 @@ func (co *coordinator) finishRound1() ([]byte, error) {
 		return nil, errors.New("dist: empty input")
 	}
 	o := co.cfg.O
-	if o <= 0 {
+	if o == 0 {
 		rng := rand.New(rand.NewSource(mixSeed(p.Seed, 1)))
-		est := solve.EstimateOPT(rng, geo.UnitWeights(sample), p.K, p.R, co.cfg.Delta, 2) *
-			float64(co.total) / float64(len(sample))
-		o = est / 4
-		if o < 1 {
-			o = 1
-		}
-		o = math.Exp2(math.Floor(math.Log2(o)))
+		o = coreset.GuessFromEstimate(solve.EstimateOPT(rng, geo.UnitWeights(sample), p.K, p.R, co.cfg.Delta, 2) *
+			float64(co.total) / float64(len(sample)))
 	}
 	co.o = o
 	co.rep.O = o
@@ -538,10 +506,6 @@ func (co *coordinator) finishRound1() ([]byte, error) {
 	co.env = newShared(co.cfg, o, seed)
 	g := co.env.g
 	L := g.L
-	rootIdx := make([]int64, g.Dim)
-	co.root = map[uint64]partition.CellTau{
-		g.KeyOf(-1, rootIdx): {Index: rootIdx, Tau: float64(co.total)},
-	}
 	co.hAgg = make([]*levelAgg, L+1)
 	co.hpAgg = make([]*levelAgg, L+1)
 	co.hatAgg = make([]*hatAgg, L+1)
@@ -553,7 +517,7 @@ func (co *coordinator) finishRound1() ([]byte, error) {
 
 	// Formula accounting for the broadcast (shift + 3(L+1) hash seeds of λ
 	// field coefficients each + o, per machine) and the exact local sizes.
-	seedBits := int64(co.cfg.Dim)*int64(L) + int64(3*(L+1)*co.env.lambda)*61 + 64
+	seedBits := int64(co.cfg.Dim)*int64(L) + int64(3*(L+1)*p.Lambda(g.Dim, L))*61 + 64
 	co.mu.Lock()
 	co.formulaLocked("round1-broadcast", seedBits*int64(co.s))
 	co.formulaLocked("round2-count", 64*int64(co.s))
@@ -663,12 +627,17 @@ func (co *coordinator) addHat(j int, m hatMsg, frameBytes int) error {
 	return nil
 }
 
+// cellSource is the plan step's count source over the merged h or h′
+// counts aggs, sampled by samps: waitCells at the level's rate.
+func (co *coordinator) cellSource(aggs []*levelAgg, samps []*hashing.Bernoulli) partition.CountSource {
+	return func(level int) (map[uint64]partition.CellTau, bool) {
+		return co.waitCells(aggs, level, samps[level].Phi())
+	}
+}
+
 // waitCells blocks until every machine's frame for (aggs, level) has been
 // merged (or a FAIL/abort), then returns the rate-corrected CellTau map.
 func (co *coordinator) waitCells(aggs []*levelAgg, level int, rate float64) (map[uint64]partition.CellTau, bool) {
-	if level == -1 {
-		return co.root, true
-	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	agg := aggs[level]
@@ -687,22 +656,6 @@ func (co *coordinator) waitCells(aggs []*levelAgg, level int, rate float64) (map
 		}
 	}
 	return agg.final, true
-}
-
-func (co *coordinator) counts(level int) (map[uint64]partition.CellTau, bool) {
-	var rate float64
-	if level >= 0 {
-		rate = co.env.psi[level]
-	}
-	return co.waitCells(co.hAgg, level, rate)
-}
-
-func (co *coordinator) partCounts(level int) (map[uint64]partition.CellTau, bool) {
-	var rate float64
-	if level >= 0 {
-		rate = co.env.psiP[level]
-	}
-	return co.waitCells(co.hpAgg, level, rate)
 }
 
 // waitHat blocks until all s of level's ĥ frames are in (machines always
@@ -781,43 +734,33 @@ func mergeHat(runs [][]wirePoint, yield func(p geo.Point, mult int64)) {
 	}
 }
 
-// buildCoreset runs Algorithms 1–2 over the (possibly still streaming)
-// merged counts and assembles the coreset in deterministic point order:
-// needed levels ascending, each level's merged points alphabetically.
+// buildCoreset runs the plan step (Algorithms 1–2) over the (possibly
+// still streaming) merged counts and assembles the coreset in
+// deterministic point order: needed levels ascending, each level's merged
+// points alphabetically.
 func (co *coordinator) buildCoreset() (*coreset.Coreset, error) {
-	p := co.cfg.Params
-	part, err := partition.BuildLazy(co.env.g, p.R, co.o, co.counts, co.partCounts)
+	env := co.env
+	q, err := coreset.PlanQuery(env.g, co.cfg.Params, co.o, co.total,
+		co.cellSource(co.hAgg, env.hSamp), co.cellSource(co.hpAgg, env.hpSamp))
 	if err != nil {
 		if ce := co.firstErr(); ce != nil {
 			return nil, ce
 		}
 		return nil, fmt.Errorf("dist: %w (a machine exceeded its level cap)", err)
 	}
-	pl := coreset.BuildPlan(part, p)
-	if pl.Failed() {
-		return nil, fmt.Errorf("dist: plan FAILed: %s", pl.FailWhy)
+	if q.Plan.Failed() {
+		return nil, fmt.Errorf("dist: plan FAILed: %s", q.Plan.FailWhy)
 	}
-
-	L := co.env.g.L
-	needLevel := make([]bool, L+1)
-	for id := range pl.Included {
-		needLevel[id.Level] = true
-	}
-	cs := &coreset.Coreset{O: co.o, Grid: co.env.g, Part: part, Plan: pl, Params: p}
-	for i := 0; i <= L; i++ {
-		if !needLevel[i] {
-			continue
-		}
+	cs, err := q.Assemble(func(i int, yield func(geo.Point, int64)) error {
 		runs, err := co.waitHat(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		mergeHat(runs, func(q geo.Point, mult int64) {
-			if id, ok := part.PartAt(q, i); ok && pl.Included[id] {
-				cs.Points = append(cs.Points, geo.Weighted{P: q, W: float64(mult) / co.env.phi[i]})
-				cs.Levels = append(cs.Levels, i)
-			}
-		})
+		mergeHat(runs, yield)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The kept points still alias their decoded frames; copy them into
 	// one compact array so a retained Report does not pin every frame of

@@ -48,6 +48,15 @@ func validate(machines []geo.PointSet, cfg Config) (Config, error) {
 	if len(machines) == 0 {
 		return cfg, errors.New("dist: no machines")
 	}
+	// A point off the grid's domain would count in the root cell's n but
+	// fall outside it, and one of another dimension would not encode.
+	for j, m := range machines {
+		for _, q := range m {
+			if err := q.Check(cfg.Dim, cfg.Delta); err != nil {
+				return cfg, fmt.Errorf("dist: machine %d: %w", j, err)
+			}
+		}
+	}
 	return cfg, nil
 }
 

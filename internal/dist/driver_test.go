@@ -197,3 +197,30 @@ func TestPointCapFailDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinatorFailTexts pins the text of the coordinator's level-cap
+// and plan FAILs on both drivers. (The point-cap FAIL's text is pinned by
+// TestPointCapFailDeterministic.)
+func TestCoordinatorFailTexts(t *testing.T) {
+	ps, _ := testMixture(31, 1000)
+	machines := splitAcross(ps, 3, rand.New(rand.NewSource(32)))
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"level cap", Config{CellCap: 8},
+			"dist: partition: cell counts unavailable for level 2 (a machine exceeded its level cap)"},
+		{"plan", Config{O: 0.25},
+			"dist: plan FAILed: level 10 mass 1000 exceeds budget 474.99999999999994"},
+	} {
+		cfg := tc.cfg
+		cfg.Dim, cfg.Delta, cfg.Params = 2, testDelta, coreset.Params{K: 3, Seed: 33}
+		if _, err := RunSerial(machines, cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("%s, serial: error %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := Run(machines, cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("%s, pipelined: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -218,23 +218,25 @@ func oracleRun(machines []geo.PointSet, cfg Config) (*Report, []oracleFrame, *sh
 		}
 	}
 
-	source := func(aggs []*oracleCells, rates []float64) partition.CountSource {
+	rootIdx := make([]int64, g.Dim)
+	root := map[uint64]partition.CellTau{g.KeyOf(-1, rootIdx): {Index: rootIdx, Tau: float64(co.total)}}
+	source := func(aggs []*oracleCells, samps []*hashing.Bernoulli) partition.CountSource {
 		return func(level int) (map[uint64]partition.CellTau, bool) {
 			if level == -1 {
-				return co.root, true
+				return root, true
 			}
 			if aggs[level].failed {
 				return nil, false
 			}
 			out := make(map[uint64]partition.CellTau, len(aggs[level].cells))
 			for key, c := range aggs[level].cells {
-				out[key] = partition.CellTau{Index: c.idx, Tau: float64(c.count) / rates[level]}
+				out[key] = partition.CellTau{Index: c.idx, Tau: float64(c.count) / samps[level].Phi()}
 			}
 			return out, true
 		}
 	}
 	p := cfg.Params
-	part, err := partition.BuildLazy(g, p.R, co.o, source(hAgg, env.psi), source(hpAgg, env.psiP))
+	part, err := partition.BuildLazy(g, p.R, co.o, source(hAgg, env.hSamp), source(hpAgg, env.hpSamp))
 	if err != nil {
 		return nil, frames, env, fmt.Errorf("dist: %w (a machine exceeded its level cap)", err)
 	}
@@ -266,7 +268,7 @@ func oracleRun(machines []geo.PointSet, cfg Config) (*Report, []oracleFrame, *sh
 			if !ok || id.Level != i || !pl.Included[id] {
 				continue
 			}
-			cs.Points = append(cs.Points, geo.Weighted{P: e.p, W: float64(e.mult) / env.phi[i]})
+			cs.Points = append(cs.Points, geo.Weighted{P: e.p, W: float64(e.mult) / env.hatSamp[i].Phi()})
 			cs.Levels = append(cs.Levels, i)
 		}
 	}

@@ -89,6 +89,18 @@ func (p Point) InRange(delta int64) bool {
 	return true
 }
 
+// Check returns an error unless p has dim coordinates, each in
+// [1, delta]: a point every grid of that domain places in its root cell.
+func (p Point) Check(dim int, delta int64) error {
+	if len(p) != dim {
+		return fmt.Errorf("point %v has dim %d, want %d", p, len(p), dim)
+	}
+	if !p.InRange(delta) {
+		return fmt.Errorf("point %v is outside [1, %d]^%d", p, delta, dim)
+	}
+	return nil
+}
+
 // DistSq returns the squared Euclidean distance between p and q.
 // It panics if the dimensions differ.
 func DistSq(p, q Point) float64 {

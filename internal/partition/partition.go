@@ -15,6 +15,7 @@ package partition
 import (
 	"math"
 	"sort"
+	"strconv"
 
 	"streambalance/internal/geo"
 	"streambalance/internal/grid"
@@ -24,23 +25,6 @@ import (
 type CellTau struct {
 	Index []int64 // cell index vector at the cell's level
 	Tau   float64 // estimated |C ∩ Q|
-}
-
-// Input bundles everything Algorithm 1 needs.
-type Input struct {
-	Grid *grid.Grid
-	R    float64 // the ℓ_r exponent
-	O    float64 // guess of OPT^{(r)}_{k-clus}
-	// Counts[level+1] maps cell key → CellTau for grid level `level`,
-	// level ∈ {−1, 0, ..., L}. Only non-empty cells need entries. These
-	// estimates drive the heavy-cell marking (the h-substream of
-	// Algorithm 4 / step 3 of Algorithm 3).
-	Counts []map[uint64]CellTau
-	// PartCounts, when non-nil, supplies the cell estimates used to
-	// enumerate crucial cells and accumulate part masses τ(Q_{i,j}) — in
-	// the streaming algorithm these come from the independent h′-substream
-	// (Algorithm 3 steps 4–5). Nil means reuse Counts (the offline case).
-	PartCounts []map[uint64]CellTau
 }
 
 // PartID identifies a part Q_{i,j} by its level i and the key of its
@@ -92,48 +76,18 @@ type CountSource func(level int) (map[uint64]CellTau, bool)
 type ErrCounts struct{ Level int }
 
 func (e ErrCounts) Error() string {
-	return "partition: cell counts unavailable for level " + itoa(e.Level)
+	return "partition: cell counts unavailable for level " + strconv.Itoa(e.Level)
 }
 
-func itoa(v int) string {
-	if v < 0 {
-		return "-" + itoa(-v)
-	}
-	if v < 10 {
-		return string(rune('0' + v))
-	}
-	return itoa(v/10) + string(rune('0'+v%10))
-}
-
-// Build runs Algorithm 1 on the given (estimated) cell counts.
-func Build(in Input) *Partition {
-	g := in.Grid
-	L := g.L
-	if len(in.Counts) != L+2 {
-		panic("partition: Counts must cover levels -1..L")
-	}
-	partCounts := in.PartCounts
-	if partCounts == nil {
-		partCounts = in.Counts
-	}
-	if len(partCounts) != L+2 {
-		panic("partition: PartCounts must cover levels -1..L")
-	}
-	p, err := BuildLazy(g, in.R, in.O,
-		func(level int) (map[uint64]CellTau, bool) { return in.Counts[level+1], true },
-		func(level int) (map[uint64]CellTau, bool) { return partCounts[level+1], true },
-	)
-	if err != nil {
-		panic("partition: map-backed sources cannot fail: " + err.Error())
-	}
-	return p
-}
-
-// BuildLazy runs Algorithm 1 with lazily supplied count estimates,
-// consulting each level's source only if that level can still contain
-// heavy or crucial cells. This is how the streaming algorithm avoids
-// decoding (and hence avoids FAILing on) sketches of levels below the
-// deepest heavy cell, whose contents the partition never uses.
+// BuildLazy runs Algorithm 1 for guess o with lazily supplied count
+// estimates for levels −1..L: counts drive the heavy-cell marking (the
+// h-substream of Algorithm 4), partCounts enumerate crucial cells and
+// their part masses τ(Q_{i,j}) (the independent h′-substream; offline,
+// the same exact counts). Each level's source is consulted only if that
+// level can still contain heavy or crucial cells. This is how the
+// streaming algorithm avoids decoding (and hence avoids FAILing on)
+// sketches of levels below the deepest heavy cell, whose contents the
+// partition never uses. coreset.PlanQuery is its caller.
 func BuildLazy(g *grid.Grid, r, o float64, counts, partCounts CountSource) (*Partition, error) {
 	L := g.L
 	p := &Partition{
@@ -267,15 +221,6 @@ func (p *Partition) PartAt(q geo.Point, level int) (PartID, bool) {
 		return PartID{}, false
 	}
 	return PartID{Level: level, Parent: parent}, true
-}
-
-// LevelCount returns the number of parts at each level (diagnostics).
-func (p *Partition) LevelCount() []int {
-	out := make([]int, p.Grid.L+1)
-	for id := range p.Parts {
-		out[id.Level]++
-	}
-	return out
 }
 
 // ExactCounts computes exact per-cell point counts for all levels

@@ -44,6 +44,19 @@ func clamp(v, delta int64) int64 {
 	return v
 }
 
+// exactBuild runs Algorithm 1 (r = 2) over the exact cell counts of ps,
+// for heavy marking and part masses alike — the offline instantiation.
+func exactBuild(t *testing.T, g *grid.Grid, o float64, ps geo.PointSet) *Partition {
+	t.Helper()
+	counts := ExactCounts(g, ps)
+	exact := func(level int) (map[uint64]CellTau, bool) { return counts[level+1], true }
+	p, err := BuildLazy(g, 2, o, exact, exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // optUpper computes a valid uncapacitated k-clustering cost upper bound
 // (k = 2 natural centers), usable as a legitimate o ≤ OPT after division.
 func optUpper(ps geo.PointSet, r float64) float64 {
@@ -84,7 +97,7 @@ func TestEveryPointInExactlyOnePart(t *testing.T) {
 	g := setup(t, 256, 2, 3)
 	ps := clusteredPoints(rng, 600, 256)
 	o := optUpper(ps, 2) / 4 // o ≤ OPT ⇒ root heavy (Fact A.1)
-	p := Build(Input{Grid: g, R: 2, O: o, Counts: ExactCounts(g, ps)})
+	p := exactBuild(t, g, o, ps)
 
 	// Exact per-part point counts via PartOf must match each part's Tau.
 	got := map[PartID]float64{}
@@ -120,7 +133,7 @@ func TestRootHeavyWithValidGuess(t *testing.T) {
 	g := setup(t, 256, 2, 4)
 	ps := clusteredPoints(rng, 400, 256)
 	o := optUpper(ps, 2) / 2
-	p := Build(Input{Grid: g, R: 2, O: o, Counts: ExactCounts(g, ps)})
+	p := exactBuild(t, g, o, ps)
 	rootKey := g.CellKey(ps[0], grid.MinLevel)
 	if !p.IsHeavy(grid.MinLevel, rootKey) {
 		t.Fatal("root cell must be heavy when o ≤ OPT (Fact A.1)")
@@ -131,8 +144,8 @@ func TestHugeGuessFewerHeavyCells(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := setup(t, 256, 2, 5)
 	ps := clusteredPoints(rng, 500, 256)
-	small := Build(Input{Grid: g, R: 2, O: 100, Counts: ExactCounts(g, ps)})
-	huge := Build(Input{Grid: g, R: 2, O: 1e12, Counts: ExactCounts(g, ps)})
+	small := exactBuild(t, g, 100, ps)
+	huge := exactBuild(t, g, 1e12, ps)
 	if huge.HeavyCount() >= small.HeavyCount() {
 		t.Fatalf("heavy cells must shrink with o: %d (o huge) vs %d (o small)",
 			huge.HeavyCount(), small.HeavyCount())
@@ -155,7 +168,7 @@ func TestHeavyCellBoundLemma33(t *testing.T) {
 	ps := clusteredPoints(rng, 800, 256)
 	opt := optUpper(ps, 2) // an upper bound on OPT_2; use o = opt/10 ≤ OPT
 	o := opt / 10
-	p := Build(Input{Grid: g, R: 2, O: o, Counts: ExactCounts(g, ps)})
+	p := exactBuild(t, g, o, ps)
 	k, d, L := 2.0, 2.0, float64(g.L)
 	bound := 20000 * (k + math.Pow(d, 3)) * L // the Algorithm 2 FAIL budget
 	if float64(p.HeavyCount()) > bound {
@@ -170,7 +183,7 @@ func TestCrucialCellsHaveHeavyParentsOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := setup(t, 128, 2, 7)
 	ps := clusteredPoints(rng, 300, 128)
-	p := Build(Input{Grid: g, R: 2, O: optUpper(ps, 2) / 5, Counts: ExactCounts(g, ps)})
+	p := exactBuild(t, g, optUpper(ps, 2)/5, ps)
 	for id, part := range p.Parts {
 		if !p.IsHeavy(id.Level-1, id.Parent) {
 			t.Fatalf("part %+v: parent not heavy", id)
@@ -191,7 +204,7 @@ func TestPartOfAgreesWithPartMembership(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := setup(t, 128, 2, 8)
 	ps := clusteredPoints(rng, 400, 128)
-	p := Build(Input{Grid: g, R: 2, O: optUpper(ps, 2) / 3, Counts: ExactCounts(g, ps)})
+	p := exactBuild(t, g, optUpper(ps, 2)/3, ps)
 	for _, q := range ps {
 		id, ok := p.PartOf(q)
 		if !ok {
@@ -217,7 +230,7 @@ func TestSinglePointInput(t *testing.T) {
 	ps := geo.PointSet{{5, 5}}
 	// o tiny: every cell on the path is heavy (τ = 1 ≥ T for small T), so
 	// the point lands in the level-L part.
-	p := Build(Input{Grid: g, R: 2, O: 1e-6, Counts: ExactCounts(g, ps)})
+	p := exactBuild(t, g, 1e-6, ps)
 	id, ok := p.PartOf(ps[0])
 	if !ok {
 		t.Fatal("point not covered")
@@ -225,16 +238,6 @@ func TestSinglePointInput(t *testing.T) {
 	if id.Level != g.L {
 		t.Fatalf("expected the level-L part, got level %d", id.Level)
 	}
-}
-
-func TestBadCountsLengthPanics(t *testing.T) {
-	g := setup(t, 16, 2, 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Build(Input{Grid: g, R: 2, O: 1, Counts: make([]map[uint64]CellTau, 2)})
 }
 
 func TestTrivialUpperBoundO(t *testing.T) {

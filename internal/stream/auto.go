@@ -137,7 +137,7 @@ func (a *Auto) Delete(p geo.Point) { a.update(p, true) }
 // update feeds one op to each distinct unit once and to the cost bound,
 // and moves every count — the per-op oracle Apply is pinned against.
 func (a *Auto) update(p geo.Point, del bool) {
-	checkDim(p, a.g.Dim)
+	checkPoint(p, a.g)
 	net := a.sketchSet.update(p, a.fp.Key(p), del)
 	a.costBound.update(p, net)
 	a.addNet(net)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"streambalance/internal/coreset"
 	"streambalance/internal/geo"
 	"streambalance/internal/grid"
 	"streambalance/internal/hashing"
@@ -128,14 +129,14 @@ func (cb *CostBound) UpperBound(k int, slack float64) (float64, bool) {
 }
 
 // Guess converts the upper bound into the o a coreset instance should
-// use: UpperBound/4 floored to a power of two, ≥ 1 (the same rule every
-// other selector in this repository applies).
+// use, by the guess rule every selector applies
+// (coreset.GuessFromEstimate).
 func (cb *CostBound) Guess(k int) float64 {
 	u, ok := cb.UpperBound(k, 0)
-	if !ok || u <= 4 {
+	if !ok {
 		return 1
 	}
-	return math.Exp2(math.Floor(math.Log2(u / 4)))
+	return coreset.GuessFromEstimate(u)
 }
 
 // Bytes reports the total F₀ sketch footprint.

@@ -123,25 +123,14 @@ func warmStorings(units []*sketch.Storing, workers int) {
 	wg.Wait()
 }
 
-// planTargets appends the h/h′ cell sketches of s — the decode units the
-// partition/plan stage may consult — to dst.
-func (s *Stream) planTargets(dst []*sketch.Storing) []*sketch.Storing {
-	for i := 0; i <= s.g.L; i++ {
-		if i < s.g.L {
-			dst = append(dst, s.h[i].st)
-		}
-		dst = append(dst, s.hp[i].st)
-	}
-	return dst
-}
-
 // Result decodes the sketches and assembles the coreset (steps 4–6 of
-// Algorithm 4): heavy cells from the h-substream estimates, part masses
-// from the h′-substream, coreset points from the ĥ-substream. It does
-// not modify sketch state (N, Bytes, StateDigest are untouched), so it
-// may be called repeatedly — e.g. periodically during a long stream —
-// and the epoch cache makes such warm calls cost proportional to what
-// changed since the previous extraction, not to total sketch state.
+// Algorithm 4, coreset.PlanQuery and Query.Assemble): heavy cells from
+// the h-substream estimates, part masses from the h′-substream, coreset
+// points from the ĥ-substream. It does not modify sketch state (N,
+// Bytes, StateDigest are untouched), so it may be called repeatedly —
+// e.g. periodically during a long stream — and the epoch cache makes
+// such warm calls cost proportional to what changed since the previous
+// extraction, not to total sketch state.
 func (s *Stream) Result() (*coreset.Coreset, error) { return s.resultWith(extractWorkers()) }
 
 // resultWith is Result with an explicit decode-pool size; one worker
@@ -176,51 +165,59 @@ func (s *Stream) extract(workers int, arena *sketch.DecodeArena) (*coreset.Cores
 		sp.End()
 	}()
 	// Stage 1: decode every cell sketch the partition stage may consult,
-	// in parallel. The serial assembly below decides lazily which levels
+	// in parallel. The plan step below decides lazily which levels
 	// matter; pre-decoding the rest only wastes a bounded peel per sketch
-	// (and caches its FAIL), never changes what the assembly sees.
+	// (and caches its FAIL), never changes what the plan step sees.
 	if workers > 1 {
-		warmStorings(s.planTargets(nil), workers)
+		cells := make([]*sketch.Storing, 0, len(s.units))
+		for _, u := range s.units {
+			if u.sub != 2 {
+				cells = append(cells, u.st)
+			}
+		}
+		warmStorings(cells, workers)
 	}
-	part, pl, err := s.plan(arena)
+	q, err := coreset.PlanQuery(s.g, s.cfg.Params, s.cfg.O, s.n, cellSource(s.h, arena), cellSource(s.hp, arena))
 	if err != nil {
-		return nil, err
+		// Both wrapped: callers match ErrSketchFail and can still
+		// recover which level FAILed (partition.ErrCounts).
+		return nil, fmt.Errorf("%w: %w", ErrSketchFail, err)
 	}
-	// Levels that actually host included parts.
-	needLevel := make([]bool, s.g.L+1)
-	for id := range pl.Included {
-		needLevel[id.Level] = true
+	if q.Plan.Failed() {
+		return nil, fmt.Errorf("%w: %s", ErrPlanFail, q.Plan.FailWhy)
 	}
 	// Stage 2: decode only the ĥ point sketches of needed levels — these
 	// are the large sketches, and the plan has already pruned the rest.
 	if workers > 1 {
 		units := make([]*sketch.Storing, 0, s.g.L+1)
-		for i, u := range s.hat {
-			if needLevel[i] && u.samp.Phi() != 0 {
-				units = append(units, u.st)
+		for i, need := range q.Need {
+			if need {
+				units = append(units, s.hat[i].st)
 			}
 		}
 		warmStorings(units, workers)
 	}
-	return s.assemble(part, pl, needLevel, arena)
+	return q.Assemble(func(i int, yield func(geo.Point, int64)) error {
+		pts, ok := s.hat[i].st.ResultArena(arena)
+		if !ok {
+			return fmt.Errorf("%w: ĥ-substream level %d", ErrSketchFail, i)
+		}
+		for _, pc := range pts {
+			yield(geo.Point(pc.Payload), pc.Count)
+		}
+		return nil
+	})
 }
 
-// plan decodes the h/h′ substreams (lazily, via the epoch caches) and
-// runs Algorithm 1 + Algorithm 2's inclusion plan. Cache-miss decodes
-// run their scratch out of arena.
-func (s *Stream) plan(arena *sketch.DecodeArena) (*partition.Partition, *coreset.Plan, error) {
-	g := s.g
-	p := s.cfg.Params
-
-	rootCell := partition.CellTau{Index: make([]int64, g.Dim), Tau: float64(s.n)}
-	rootKey := g.KeyOf(-1, rootCell.Index)
-	root := map[uint64]partition.CellTau{rootKey: rootCell}
-
-	// Count sources decode each level's sketch lazily: BuildLazy consults
-	// a level only while it can still contain heavy or crucial cells, so
-	// on the serial path sketches of levels below the deepest heavy cell
-	// — which can be arbitrarily over-full — are never decoded.
-	decodeCells := func(u unit) (map[uint64]partition.CellTau, bool) {
+// cellSource is the plan step's count source over the cell sketches us
+// (one per level from 0): a level's decoded cells, each count scaled by
+// the inverse of its sampler's rate, or unavailable when the sketch
+// FAILs. Decoding is lazy — a cache miss peels out of arena — so on the
+// serial path sketches of levels below the deepest heavy cell, which can
+// be arbitrarily over-full, are never decoded.
+func cellSource(us []unit, arena *sketch.DecodeArena) partition.CountSource {
+	return func(level int) (map[uint64]partition.CellTau, bool) {
+		u := us[level]
 		cells, ok := u.st.ResultArena(arena)
 		if !ok {
 			return nil, false
@@ -232,58 +229,6 @@ func (s *Stream) plan(arena *sketch.DecodeArena) (*partition.Partition, *coreset
 		}
 		return m, true
 	}
-	counts := func(level int) (map[uint64]partition.CellTau, bool) {
-		if level == -1 {
-			return root, true
-		}
-		return decodeCells(s.h[level])
-	}
-	partCounts := func(level int) (map[uint64]partition.CellTau, bool) {
-		if level == -1 {
-			return root, true
-		}
-		return decodeCells(s.hp[level])
-	}
-
-	part, err := partition.BuildLazy(g, p.R, s.cfg.O, counts, partCounts)
-	if err != nil {
-		// Both wrapped: callers match ErrSketchFail and can still
-		// recover which level FAILed (partition.ErrCounts).
-		return nil, nil, fmt.Errorf("%w: %w", ErrSketchFail, err)
-	}
-	pl := coreset.BuildPlan(part, p)
-	if pl.Failed() {
-		return nil, nil, fmt.Errorf("%w: %s", ErrPlanFail, pl.FailWhy)
-	}
-	return part, pl, nil
-}
-
-// assemble recovers the ĥ-substream points of every needed level and
-// keeps those landing in included parts, weighted by 1/φ_i. Cache-miss
-// decodes run their scratch out of arena.
-func (s *Stream) assemble(part *partition.Partition, pl *coreset.Plan, needLevel []bool, arena *sketch.DecodeArena) (*coreset.Coreset, error) {
-	g := s.g
-	cs := &coreset.Coreset{O: s.cfg.O, Grid: g, Part: part, Plan: pl, Params: s.cfg.Params}
-	for i, u := range s.hat {
-		phi := u.samp.Phi()
-		if !needLevel[i] || phi == 0 {
-			continue
-		}
-		pts, ok := u.st.ResultArena(arena)
-		if !ok {
-			return nil, fmt.Errorf("%w: ĥ-substream level %d", ErrSketchFail, i)
-		}
-		for _, pc := range pts {
-			p := geo.Point(pc.Payload)
-			id, ok := part.PartAt(p, i)
-			if !ok || !pl.Included[id] {
-				continue
-			}
-			cs.Points = append(cs.Points, geo.Weighted{P: p, W: float64(pc.Count) / phi})
-			cs.Levels = append(cs.Levels, i)
-		}
-	}
-	return cs, nil
 }
 
 // DropDecodeCache discards the decode cache of every unit, forcing the

@@ -294,3 +294,40 @@ func TestPlanFailKeepsLevel(t *testing.T) {
 	}
 	t.Logf("plan FAILs at level %d: %v", ce.Level, err)
 }
+
+// TestQueryFailTexts pins the text of every FAIL the query step reports
+// on one instance, on the lazy one-worker path and the warmed two-worker
+// path alike: a consulted h level that does not decode, Algorithm 2's
+// level-mass budget, and a needed ĥ level that does not decode.
+func TestQueryFailTexts(t *testing.T) {
+	ps, _ := testMixture(7, 1000)
+	o := goodGuess(ps, 3)
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"counts", func(c *Config) { c.CellSparsity = 8 },
+			"stream: sketch decode FAILed: partition: cell counts unavailable for level 1"},
+		{"plan", func(c *Config) { c.O = 0.25 },
+			"stream: coreset plan FAILed: level 10 mass 1000 exceeds budget 474.99999999999994"},
+		{"hat", func(c *Config) { c.PointSparsity = 8 },
+			"stream: sketch decode FAILed: ĥ-substream level 4"},
+	} {
+		cfg := Config{Dim: 2, Delta: testDelta, O: o, Params: coreset.Params{K: 3, Seed: 11}}
+		tc.set(&cfg)
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ps {
+			s.Insert(p)
+		}
+		for _, workers := range []int{1, 2} {
+			s.DropDecodeCache()
+			if _, err := s.resultWith(workers); err == nil || err.Error() != tc.want {
+				t.Errorf("%s, %d workers: error %v, want %q", tc.name, workers, err, tc.want)
+			}
+		}
+	}
+}

@@ -35,7 +35,6 @@
 package stream
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -93,7 +92,7 @@ type batch struct {
 	powOnce sync.Once
 }
 
-// build validates ops (checkDims), meters the batch, fills its columns
+// build validates ops (checkOps), meters the batch, fills its columns
 // and returns the batch's net point count. The grid and fingerprint must
 // be the ones every consuming Stream shares.
 //
@@ -105,7 +104,7 @@ type batch struct {
 // scalar path; both paths are bit-identical, so batch boundaries cannot
 // change any key.
 func (b *batch) build(g *grid.Grid, fp *hashing.Fingerprint, ops []Op) (net int64) {
-	checkDims(ops, g.Dim)
+	checkOps(ops, g)
 	n, L := len(ops), g.L
 	b.ops, b.L, b.dim = ops, L, g.Dim
 	b.pts = growPts(b.pts, n)
@@ -193,20 +192,23 @@ func (b *batch) powers() []uint64 {
 	return b.pow
 }
 
-// checkDims panics, before any state is touched, if an op's point does
-// not have dim coordinates. Apply validates the whole batch up front so
-// a malformed op leaves every sketch, counter and the cost bound as it
-// was — and so the panic happens on the caller's goroutine, not in a
-// pool worker.
-func checkDims(ops []Op, dim int) {
+// checkOps panics, before any state is touched, unless every op's point
+// lies on g's domain (checkPoint). Apply validates the whole batch up
+// front so a malformed op leaves every sketch, counter and the cost
+// bound as it was — and so the panic happens on the caller's goroutine,
+// not in a pool worker.
+func checkOps(ops []Op, g *grid.Grid) {
 	for i := range ops {
-		checkDim(ops[i].P, dim)
+		checkPoint(ops[i].P, g)
 	}
 }
 
-func checkDim(p geo.Point, dim int) {
-	if len(p) != dim {
-		panic(fmt.Sprintf("stream: point dim %d != %d", len(p), dim))
+// checkPoint panics unless p has g's dimension and every coordinate in
+// [1, Δ]. A point off that domain would count in N but fall outside the
+// root cell, so no coreset could carry its weight.
+func checkPoint(p geo.Point, g *grid.Grid) {
+	if err := p.Check(g.Dim, g.Delta); err != nil {
+		panic("stream: " + err.Error())
 	}
 }
 

@@ -296,7 +296,12 @@ func TestSampledCountsDrivePartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := partition.Build(partition.Input{Grid: s.g, R: 2, O: o, Counts: partition.ExactCounts(s.g, ps)})
+	counts := partition.ExactCounts(s.g, ps)
+	exactSource := func(level int) (map[uint64]partition.CellTau, bool) { return counts[level+1], true }
+	exact, err := partition.BuildLazy(s.g, 2, o, exactSource, exactSource)
+	if err != nil {
+		t.Fatal(err)
+	}
 	covered := 0
 	for _, p := range ps {
 		if _, ok := est.PartOf(p); ok {

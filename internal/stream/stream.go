@@ -27,7 +27,6 @@ import (
 	"streambalance/internal/grid"
 	"streambalance/internal/hashing"
 	"streambalance/internal/obs"
-	"streambalance/internal/partition"
 	"streambalance/internal/sketch"
 )
 
@@ -93,9 +92,9 @@ type Config struct {
 	CellSparsity  int
 	PointSparsity int
 
-	// Sampling calibration: ψ_i = min(1, CountRate/T_i(o)) and
-	// ψ′_i = min(1, PartRate/(γ·T_i(o))). Defaults 256 and 64. The paper
-	// uses 10⁶λ′ for both numerators (Algorithm 3).
+	// Sampling calibration: the numerators of the h and h′ rates ψ_i and
+	// ψ′_i (coreset.Rates). Zero selects coreset.DefaultCountRate (256)
+	// and coreset.DefaultPartRate (64).
 	CountRate float64
 	PartRate  float64
 
@@ -103,30 +102,16 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
-	var err error
-	c.Params, err = c.Params.Resolve()
-	if err != nil {
-		return c, err
-	}
-	if c.Dim < 1 {
-		return c, errors.New("stream: Dim must be >= 1")
-	}
-	if c.Delta < 1 {
-		return c, errors.New("stream: Delta must be >= 1")
-	}
-	d := int64(1)
-	for d < c.Delta {
-		d <<= 1
-	}
-	c.Delta = d
 	// Zero selects each default below; a value no default can stand in
 	// for is an error here, before any sketch or sampler is drawn.
-	if err := coreset.CheckSettings("stream",
+	var err error
+	c.Params, c.Delta, err = coreset.ResolveConfig("stream", c.Params, c.Dim, c.Delta,
 		coreset.Setting{Name: "CellSparsity", Value: float64(c.CellSparsity)},
 		coreset.Setting{Name: "PointSparsity", Value: float64(c.PointSparsity)},
 		coreset.Setting{Name: "CountRate", Value: c.CountRate},
 		coreset.Setting{Name: "PartRate", Value: c.PartRate},
-	); err != nil {
+	)
+	if err != nil {
 		return c, err
 	}
 	if !(c.FailProb >= 0 && c.FailProb < 1) {
@@ -137,12 +122,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.PointSparsity == 0 {
 		c.PointSparsity = 4096
-	}
-	if c.CountRate == 0 {
-		c.CountRate = 256
-	}
-	if c.PartRate == 0 {
-		c.PartRate = 64
 	}
 	if c.FailProb == 0 {
 		c.FailProb = 0.01
@@ -180,8 +159,8 @@ func New(cfg Config) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.O <= 0 {
-		return nil, errors.New("stream: cfg.O must be > 0 (use NewAuto for guess enumeration)")
+	if !(cfg.O > 0) || math.IsInf(cfg.O, 1) {
+		return nil, fmt.Errorf("stream: cfg.O must be finite and > 0, got %v (use NewAuto for guess enumeration)", cfg.O)
 	}
 	rng := rand.New(rand.NewSource(cfg.Params.Seed))
 	g := grid.New(cfg.Delta, cfg.Dim, rng)
@@ -197,7 +176,8 @@ type rateOneOwners map[[2]int]*sketch.Storing
 // shift and one per-op key function, so the ingestion pipeline can compute
 // each op's fingerprint key and cell keys once and reuse them across all
 // instances. cfg must already be defaulted and have O > 0; rng seeds the
-// instance-private samplers and sketch hash functions.
+// instance-private samplers, drawn by the rate rule (coreset.Rates), and
+// sketch hash functions.
 //
 // With a non-nil owners table, a (substream, level) whose sampler has
 // rate 1 sketches the whole stream — the same vector for every guess
@@ -227,16 +207,11 @@ func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand
 		}
 		return u
 	}
-	p := cfg.Params
-	gamma := p.Gamma(g.Dim, L)
-	lambda := p.Lambda(g.Dim, L)
+	rates := coreset.NewRates(cfg.Params, g, cfg.O, cfg.CountRate, cfg.PartRate)
 	for i := 0; i <= L; i++ {
 		// All three samplers of a level are drawn before its sketches;
 		// the level-L h sampler is drawn but unused (h stops at L−1).
-		T := partition.ThresholdT(g, i, cfg.O, p.R)
-		hSamp := hashing.NewBernoulli(rng, lambda, math.Min(1, cfg.CountRate/T))
-		hpSamp := hashing.NewBernoulli(rng, lambda, math.Min(1, cfg.PartRate/(gamma*T)))
-		hatSamp := hashing.NewBernoulli(rng, lambda, p.Phi(T, g.Dim, L))
+		hSamp, hpSamp, hatSamp := rates.Samplers(rng, i)
 		if i < L {
 			s.h = append(s.h, newUnit(0, i, hSamp, sketch.Cells, cfg.CellSparsity))
 		}
@@ -281,7 +256,7 @@ func (s *Stream) Apply(ops []Op) {
 }
 
 func (s *Stream) update(p geo.Point, del bool) {
-	checkDim(p, s.g.Dim)
+	checkPoint(p, s.g)
 	s.n += s.sketchSet.update(p, s.fp.Key(p), del)
 }
 

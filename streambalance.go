@@ -235,11 +235,5 @@ func EstimateOPT(points []Point, k int, r float64, seed int64) (float64, error) 
 
 // GuessFromEstimate converts an OPT upper-bound estimate into the guess o
 // a single-guess Stream should be configured with (estimate/4, floored to
-// a power of two, ≥ 1).
-func GuessFromEstimate(estimate float64) float64 {
-	o := estimate / 4
-	if o < 1 {
-		return 1
-	}
-	return math.Exp2(math.Floor(math.Log2(o)))
-}
+// a power of two, ≥ 1) — the rule the auto-guessing paths apply too.
+func GuessFromEstimate(estimate float64) float64 { return coreset.GuessFromEstimate(estimate) }

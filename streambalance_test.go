@@ -2,8 +2,11 @@ package streambalance_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"streambalance"
@@ -386,4 +389,153 @@ func TestDistConfigRejectsBadSketchValues(t *testing.T) {
 			t.Fatalf("%s: %d-point coreset of weight %v for 1200 points", tc.name, rep.Coreset.Size(), w)
 		}
 	}
+}
+
+// TestFacadeRejectsBadInput: input no guess, grid or coreset can stand
+// for is refused at the facade instead of yielding a silently wrong
+// answer. Before, NewStream and DistributedCoreset took a NaN or infinite
+// guess and returned a 0-point coreset; a point outside [1, Δ]^d was
+// counted in N but vanished from the coreset; and BuildCoreset panicked
+// on mixed dimensions. The streaming front-ends panic on a malformed op
+// before any state changes (so the state digest, which folds in N, is
+// untouched); every other entry point returns an error.
+func TestFacadeRejectsBadInput(t *testing.T) {
+	const delta = 256
+	rng := rand.New(rand.NewSource(41))
+	live := make([]streambalance.Point, 300)
+	for i := range live {
+		live[i] = streambalance.Point{1 + rng.Int63n(delta), 1 + rng.Int63n(delta)}
+	}
+	params := streambalance.Params{K: 2, Seed: 7}
+	scfg := streambalance.StreamConfig{Dim: 2, Delta: delta, Params: params, O: 64}
+	dcfg := streambalance.DistConfig{Dim: 2, Delta: delta, Params: params}
+	// machines splits live over two machines and adds extra to machine 1.
+	machines := func(extra streambalance.Point) [][]streambalance.Point {
+		return [][]streambalance.Point{live[:150], append(append([]streambalance.Point{}, live[150:]...), extra)}
+	}
+	// rejects reports nil when op panics and leaves s's state, which
+	// folds in its point count, as it was.
+	rejects := func(s interface{ StateDigest() uint64 }, op func()) (err error) {
+		digest := s.StateDigest()
+		defer func() {
+			if recover() == nil {
+				err = errors.New("accepted")
+			} else if s.StateDigest() != digest {
+				err = errors.New("panicked after changing state")
+			}
+		}()
+		op()
+		return nil
+	}
+	newStream := func() *streambalance.Stream {
+		s, err := streambalance.NewStream(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Apply(inserts(live))
+		return s
+	}
+	newAuto := func() *streambalance.AutoStream {
+		a, err := streambalance.NewAutoStream(scfg, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Apply(inserts(live))
+		return a
+	}
+	wantErr := func(err error, parts ...string) error {
+		if err == nil {
+			return errors.New("no error")
+		}
+		for _, p := range parts {
+			if !strings.Contains(err.Error(), p) {
+				return fmt.Errorf("error %q does not name %q", err, p)
+			}
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"NewStream O=NaN", func() error { c := scfg; c.O = math.NaN(); _, err := streambalance.NewStream(c); return wantErr(err) }},
+		{"NewStream O=+Inf", func() error { c := scfg; c.O = math.Inf(1); _, err := streambalance.NewStream(c); return wantErr(err) }},
+		{"DistributedCoreset O=NaN", func() error {
+			c := dcfg
+			c.O = math.NaN()
+			_, err := streambalance.DistributedCoreset(machines(live[0]), c)
+			return wantErr(err, "O")
+		}},
+		{"DistributedCoreset O=+Inf", func() error {
+			c := dcfg
+			c.O = math.Inf(1)
+			_, err := streambalance.DistributedCoreset(machines(live[0]), c)
+			return wantErr(err, "O")
+		}},
+		{"DistributedCoreset O<0", func() error {
+			c := dcfg
+			c.O = -4
+			_, err := streambalance.DistributedCoreset(machines(live[0]), c)
+			return wantErr(err, "O")
+		}},
+		{"Stream.Apply above Δ", func() error {
+			s := newStream()
+			return rejects(s, func() { s.Apply([]streambalance.Op{{P: live[0]}, {P: streambalance.Point{1000, 2}}}) })
+		}},
+		{"Stream.Insert below 1", func() error {
+			s := newStream()
+			return rejects(s, func() { s.Insert(streambalance.Point{-300, 2}) })
+		}},
+		{"Stream.Delete zero coordinate", func() error {
+			s := newStream()
+			return rejects(s, func() { s.Delete(streambalance.Point{0, 2}) })
+		}},
+		{"AutoStream.Apply above Δ", func() error {
+			a := newAuto()
+			return rejects(a, func() { a.Apply([]streambalance.Op{{P: streambalance.Point{257, 1}}}) })
+		}},
+		{"AutoStream.Insert below 1", func() error {
+			a := newAuto()
+			return rejects(a, func() { a.Insert(streambalance.Point{-300, 2}) })
+		}},
+		{"DistributedCoreset above Δ", func() error {
+			_, err := streambalance.DistributedCoreset(machines(streambalance.Point{1000, 2}), dcfg)
+			return wantErr(err, "machine 1", "(1000,2)")
+		}},
+		{"DistributedCoreset below 1", func() error {
+			_, err := streambalance.DistributedCoreset(machines(streambalance.Point{-300, 2}), dcfg)
+			return wantErr(err, "machine 1", "(-300,2)")
+		}},
+		{"DistributedCoreset wrong dimension", func() error {
+			_, err := streambalance.DistributedCoreset([][]streambalance.Point{live, {{3, 2, 1}}}, dcfg)
+			return wantErr(err, "machine 1", "(3,2,1)")
+		}},
+		{"BuildCoreset mixed dimensions", func() error {
+			_, err := streambalance.BuildCoreset(append(append([]streambalance.Point{}, live...), streambalance.Point{3, 2, 1}), params)
+			return wantErr(err, "(3,2,1)")
+		}},
+		{"BuildCoreset below 1", func() error {
+			_, err := streambalance.BuildCoreset(append(append([]streambalance.Point{}, live...), streambalance.Point{-300, 2}), params)
+			return wantErr(err, "(-300,2)")
+		}},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", tc.name, r)
+				}
+			}()
+			if err := tc.run(); err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+		}()
+	}
+}
+
+func inserts(ps []streambalance.Point) []streambalance.Op {
+	ops := make([]streambalance.Op, len(ps))
+	for i, p := range ps {
+		ops[i] = streambalance.Op{P: p}
+	}
+	return ops
 }
