@@ -189,8 +189,8 @@ func checkInput(ps geo.PointSet, p Params) (Params, int64, error) {
 
 // exactQuery runs the plan step for guess o over the exact cell counts
 // of ps (partition.ExactCounts, levels −1..L).
-func exactQuery(ps geo.PointSet, g *grid.Grid, p Params, o float64, counts []map[uint64]partition.CellTau) (*Query, error) {
-	exact := func(level int) (map[uint64]partition.CellTau, bool) { return counts[level+1], true }
+func exactQuery(ps geo.PointSet, g *grid.Grid, p Params, o float64, counts [][]partition.Cell) (*Query, error) {
+	exact := func(level int) ([]partition.Cell, bool) { return counts[level+1], true }
 	return PlanQuery(g, p, o, int64(len(ps)), exact, exact)
 }
 

@@ -1,8 +1,10 @@
 package coreset
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streambalance/internal/assign"
@@ -14,7 +16,7 @@ import (
 
 // exactPart is the offline plan step's partition (r = 2) for guess o
 // over the exact cell counts of ps.
-func exactPart(t *testing.T, ps geo.PointSet, g *grid.Grid, o float64, counts []map[uint64]partition.CellTau) *partition.Partition {
+func exactPart(t *testing.T, ps geo.PointSet, g *grid.Grid, o float64, counts [][]partition.Cell) *partition.Partition {
 	t.Helper()
 	p, err := Params{K: 4}.withDefaults()
 	if err != nil {
@@ -58,7 +60,9 @@ func TestLemma34SmallPartRemoval(t *testing.T) {
 	// the parent's level) includes the mass that continues into heavy
 	// children — the survivors that make removal cheap.
 	parentMass := func(id partition.PartID) float64 {
-		return counts[id.Level-1+1][id.Parent].Tau
+		cells := counts[id.Level-1+1]
+		i, _ := slices.BinarySearchFunc(cells, id.Parent, func(c partition.Cell, k uint64) int { return cmp.Compare(c.Key, k) })
+		return cells[i].Tau
 	}
 	budget := p.Eta * float64(len(ps)) / float64(p.K)
 	removable := map[partition.PartID]bool{}

@@ -50,13 +50,16 @@ type Params struct {
 }
 
 var (
-	errK   = errors.New("coreset: K must be >= 1")
-	errEps = errors.New("coreset: Eps must be in (0, 0.5)")
-	errEta = errors.New("coreset: Eta must be in (0, 0.5)")
-	errR   = errors.New("coreset: R must be >= 1")
+	errK       = errors.New("coreset: K must be >= 1")
+	errEps     = errors.New("coreset: Eps must be in (0, 0.5)")
+	errEta     = errors.New("coreset: Eta must be in (0, 0.5)")
+	errR       = errors.New("coreset: R must be finite and >= 1")
+	errSamples = errors.New("coreset: SamplesPerPart must be finite and > 0")
+	errLambda  = errors.New("coreset: HashIndependence must be >= 1")
 )
 
-// withDefaults fills zero fields with defaults and validates.
+// withDefaults fills zero fields with defaults and validates. Every
+// range check is written so that NaN fails it.
 func (p Params) withDefaults() (Params, error) {
 	if p.R == 0 {
 		p.R = 2
@@ -76,14 +79,20 @@ func (p Params) withDefaults() (Params, error) {
 	if p.K < 1 {
 		return p, errK
 	}
-	if p.Eps <= 0 || p.Eps >= 0.5 {
+	if !(p.Eps > 0 && p.Eps < 0.5) {
 		return p, errEps
 	}
-	if p.Eta <= 0 || p.Eta >= 0.5 {
+	if !(p.Eta > 0 && p.Eta < 0.5) {
 		return p, errEta
 	}
-	if p.R < 1 {
+	if !(p.R >= 1) || math.IsInf(p.R, 1) {
 		return p, errR
+	}
+	if !(p.SamplesPerPart > 0) || math.IsInf(p.SamplesPerPart, 1) {
+		return p, errSamples
+	}
+	if p.HashIndependence < 1 {
+		return p, errLambda
 	}
 	return p, nil
 }

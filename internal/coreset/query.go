@@ -93,9 +93,9 @@ type Query struct {
 // Algorithm 2 is returned with a nil error and Plan.FailWhy set.
 func PlanQuery(g *grid.Grid, p Params, o float64, n int64, counts, partCounts partition.CountSource) (*Query, error) {
 	rootIdx := make([]int64, g.Dim)
-	root := map[uint64]partition.CellTau{g.KeyOf(-1, rootIdx): {Index: rootIdx, Tau: float64(n)}}
+	root := []partition.Cell{{Key: g.KeyOf(-1, rootIdx), CellTau: partition.CellTau{Index: rootIdx, Tau: float64(n)}}}
 	withRoot := func(src partition.CountSource) partition.CountSource {
-		return func(level int) (map[uint64]partition.CellTau, bool) {
+		return func(level int) ([]partition.Cell, bool) {
 			if level == -1 {
 				return root, true
 			}
@@ -117,14 +117,16 @@ func PlanQuery(g *grid.Grid, p Params, o float64, n int64, counts, partCounts pa
 }
 
 // PointSource hands assembly the recovered ĥ-substream points of one
-// level, each distinct point once with its multiplicity, in the order
-// they enter the coreset. A non-nil error aborts assembly and is
-// returned as is.
-type PointSource func(level int, yield func(p geo.Point, mult int64)) error
+// level i, each distinct point once with its multiplicity and the keys of
+// its level-(i−1) and level-i cells (grid.PointKeys), in the order they
+// enter the coreset. A non-nil error aborts assembly and is returned as
+// is.
+type PointSource func(level int, yield func(p geo.Point, mult int64, parent, key uint64)) error
 
 // Assemble is Algorithm 4 step 6 for a plan that did not FAIL: for each
 // needed level in ascending order, it keeps the source's points whose
-// level-i part is included, at weight multiplicity/φ_i.
+// level-i part is included, at weight multiplicity/φ_i. Membership is
+// decided on the point's two cell keys (Partition.PartAt).
 func (q *Query) Assemble(points PointSource) (*Coreset, error) {
 	part, pl := q.Part, q.Plan
 	cs := &Coreset{O: part.O, Grid: part.Grid, Part: part, Plan: pl, Params: q.params}
@@ -133,8 +135,8 @@ func (q *Query) Assemble(points PointSource) (*Coreset, error) {
 			continue
 		}
 		phi := pl.Phi[i]
-		err := points(i, func(p geo.Point, mult int64) {
-			if id, ok := part.PartAt(p, i); ok && pl.Included[id] {
+		err := points(i, func(p geo.Point, mult int64, parent, key uint64) {
+			if id, ok := part.PartAt(i, parent, key); ok && pl.Included[id] {
 				cs.Points = append(cs.Points, geo.Weighted{P: p, W: float64(mult) / phi})
 				cs.Levels = append(cs.Levels, i)
 			}

@@ -1,0 +1,83 @@
+package coreset
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"streambalance/internal/geo"
+	"streambalance/internal/grid"
+	"streambalance/internal/partition"
+)
+
+// TestAssembleMatchesPartOf: Assemble keeps a point by two lookups on
+// its grid keys; it must keep exactly the points, weights and levels, in
+// order, of an assembly that locates every point with PartOf — over
+// guesses from a fine partition to a light root, with every level's
+// source offering every distinct point.
+func TestAssembleMatchesPartOf(t *testing.T) {
+	ps, _ := mixture(7, 3000)
+	p, err := Params{K: 4}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := grid.New(geo.MaxCoordRange(ps), ps.Dim(), rand.New(rand.NewSource(8)))
+	counts := partition.ExactCounts(g, ps)
+	type entry struct {
+		p geo.Point
+		m int64
+	}
+	seen := map[string]int{}
+	var uniq []entry
+	for _, q := range ps {
+		if i, ok := seen[q.String()]; ok {
+			uniq[i].m++
+			continue
+		}
+		seen[q.String()] = len(uniq)
+		uniq = append(uniq, entry{q, 1})
+	}
+	assembled := 0
+	upper := partition.TrivialUpperBoundO(len(ps), g, p.R)
+	for o := 1.0; o <= 4*upper; o *= 8 {
+		q, err := exactQuery(ps, g, p, o, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Plan.Failed() {
+			continue
+		}
+		got, err := q.Assemble(func(i int, yield func(geo.Point, int64, uint64, uint64)) error {
+			for _, e := range uniq {
+				parent, key := g.PointKeys(e.p, i)
+				yield(e.p, e.m, parent, key)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []geo.Weighted
+		var levels []int
+		for i, need := range q.Need {
+			if !need {
+				continue
+			}
+			for _, e := range uniq {
+				if id, ok := q.Part.PartOf(e.p); ok && id.Level == i && q.Plan.Included[id] {
+					want = append(want, geo.Weighted{P: e.p, W: float64(e.m) / q.Plan.Phi[i]})
+					levels = append(levels, i)
+				}
+			}
+		}
+		if !reflect.DeepEqual(got.Points, want) || !reflect.DeepEqual(got.Levels, levels) {
+			t.Fatalf("o=%v: keyed assembly kept %d points, PartOf assembly %d", o, len(got.Points), len(want))
+		}
+		if len(want) > 0 {
+			assembled++
+		}
+	}
+	if assembled < 2 {
+		t.Fatalf("weak coverage: %d guesses assembled any point", assembled)
+	}
+}

@@ -33,6 +33,7 @@
 package dist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -378,7 +379,7 @@ type levelAgg struct {
 	keys     []uint64         // cell key of each slot
 	idx      []int64          // slot t's index vector at [t·Dim, (t+1)·Dim)
 	count    []int64
-	final    map[uint64]partition.CellTau // built once, on first consult
+	final    []partition.Cell // built once, on first consult
 }
 
 // hatAgg is one level's ĥ payloads, kept as each machine sent them —
@@ -630,14 +631,15 @@ func (co *coordinator) addHat(j int, m hatMsg, frameBytes int) error {
 // cellSource is the plan step's count source over the merged h or h′
 // counts aggs, sampled by samps: waitCells at the level's rate.
 func (co *coordinator) cellSource(aggs []*levelAgg, samps []*hashing.Bernoulli) partition.CountSource {
-	return func(level int) (map[uint64]partition.CellTau, bool) {
+	return func(level int) ([]partition.Cell, bool) {
 		return co.waitCells(aggs, level, samps[level].Phi())
 	}
 }
 
 // waitCells blocks until every machine's frame for (aggs, level) has been
-// merged (or a FAIL/abort), then returns the rate-corrected CellTau map.
-func (co *coordinator) waitCells(aggs []*levelAgg, level int, rate float64) (map[uint64]partition.CellTau, bool) {
+// merged (or a FAIL/abort), then returns the rate-corrected cells sorted
+// by key, each with its parent's key.
+func (co *coordinator) waitCells(aggs []*levelAgg, level int, rate float64) ([]partition.Cell, bool) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	agg := aggs[level]
@@ -648,12 +650,14 @@ func (co *coordinator) waitCells(aggs []*levelAgg, level int, rate float64) (map
 		return nil, false
 	}
 	if agg.final == nil {
-		d := co.cfg.Dim
-		agg.final = make(map[uint64]partition.CellTau, len(agg.keys))
+		d, g := co.cfg.Dim, co.env.g
+		agg.final = make([]partition.Cell, len(agg.keys))
 		for t, key := range agg.keys {
 			idx := agg.idx[t*d : (t+1)*d : (t+1)*d]
-			agg.final[key] = partition.CellTau{Index: idx, Tau: float64(agg.count[t]) / rate}
+			agg.final[t] = partition.Cell{Key: key, Parent: g.ParentKey(level, idx),
+				CellTau: partition.CellTau{Index: idx, Tau: float64(agg.count[t]) / rate}}
 		}
+		slices.SortFunc(agg.final, func(a, b partition.Cell) int { return cmp.Compare(a.Key, b.Key) })
 	}
 	return agg.final, true
 }
@@ -751,12 +755,15 @@ func (co *coordinator) buildCoreset() (*coreset.Coreset, error) {
 	if q.Plan.Failed() {
 		return nil, fmt.Errorf("dist: plan FAILed: %s", q.Plan.FailWhy)
 	}
-	cs, err := q.Assemble(func(i int, yield func(geo.Point, int64)) error {
+	cs, err := q.Assemble(func(i int, yield func(geo.Point, int64, uint64, uint64)) error {
 		runs, err := co.waitHat(i)
 		if err != nil {
 			return err
 		}
-		mergeHat(runs, yield)
+		mergeHat(runs, func(p geo.Point, mult int64) {
+			parent, key := env.g.PointKeys(p, i)
+			yield(p, mult, parent, key)
+		})
 		return nil
 	})
 	if err != nil {

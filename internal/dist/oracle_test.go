@@ -21,6 +21,7 @@ import (
 
 	"streambalance/internal/coreset"
 	"streambalance/internal/geo"
+	"streambalance/internal/grid"
 	"streambalance/internal/hashing"
 	"streambalance/internal/obs"
 	"streambalance/internal/partition"
@@ -219,19 +220,21 @@ func oracleRun(machines []geo.PointSet, cfg Config) (*Report, []oracleFrame, *sh
 	}
 
 	rootIdx := make([]int64, g.Dim)
-	root := map[uint64]partition.CellTau{g.KeyOf(-1, rootIdx): {Index: rootIdx, Tau: float64(co.total)}}
+	root := []partition.Cell{{Key: g.KeyOf(-1, rootIdx), CellTau: partition.CellTau{Index: rootIdx, Tau: float64(co.total)}}}
 	source := func(aggs []*oracleCells, samps []*hashing.Bernoulli) partition.CountSource {
-		return func(level int) (map[uint64]partition.CellTau, bool) {
+		return func(level int) ([]partition.Cell, bool) {
 			if level == -1 {
 				return root, true
 			}
 			if aggs[level].failed {
 				return nil, false
 			}
-			out := make(map[uint64]partition.CellTau, len(aggs[level].cells))
+			out := make([]partition.Cell, 0, len(aggs[level].cells))
 			for key, c := range aggs[level].cells {
-				out[key] = partition.CellTau{Index: c.idx, Tau: float64(c.count) / samps[level].Phi()}
+				out = append(out, partition.Cell{Key: key, Parent: g.KeyOf(level-1, grid.ParentIndex(c.idx)),
+					CellTau: partition.CellTau{Index: c.idx, Tau: float64(c.count) / samps[level].Phi()}})
 			}
+			sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
 			return out, true
 		}
 	}

@@ -175,6 +175,40 @@ func (g *Grid) CellKey(p geo.Point, level int) uint64 {
 	return g.KeyOf(level, g.CellIndex(p, level))
 }
 
+// PointKeys returns the keys of the level-(i−1) and level-i cells that
+// contain p, deriving the parent index from the level-i one by a one-bit
+// shift (the ParentIndex relation). Equal to CellKey(p, level−1),
+// CellKey(p, level); level must be in 0..L. Up to 8 dimensions it
+// allocates nothing.
+func (g *Grid) PointKeys(p geo.Point, level int) (parent, key uint64) {
+	var buf [8]int64
+	idx := buf[:0]
+	if g.Dim > 8 {
+		idx = make([]int64, 0, g.Dim)
+	}
+	idx = g.CellIndexInto(idx, p, level)
+	key = g.KeyOf(level, idx)
+	for j := range idx {
+		idx[j] >>= 1
+	}
+	return g.KeyOf(level-1, idx), key
+}
+
+// ParentKey returns the key of the level-(i−1) parent of the level-i cell
+// with index idx: KeyOf(level−1, ParentIndex(idx)), without allocating up
+// to 8 dimensions. idx is not modified.
+func (g *Grid) ParentKey(level int, idx []int64) uint64 {
+	var buf [8]int64
+	parent := buf[:0]
+	if len(idx) > 8 {
+		parent = make([]int64, 0, len(idx))
+	}
+	for _, v := range idx {
+		parent = append(parent, v>>1)
+	}
+	return g.KeyOf(level-1, parent)
+}
+
 // KeyOf fingerprints an explicit (level, index) pair. It allocates
 // nothing: the level tag (offset by 2 so level −1 is representable as a
 // positive value) is folded into the fingerprint directly.

@@ -345,3 +345,43 @@ func TestParentKeys4MatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+func TestPointKeysAndParentKeyMatchCellKey(t *testing.T) {
+	// The decode-time keying of the sketch layer: a point's two keys and a
+	// cell's parent key must equal the CellKey/KeyOf spellings at every
+	// level 0..L, and allocate nothing up to 8 dimensions.
+	rng := rand.New(rand.NewSource(33))
+	for _, dim := range []int{1, 2, 3, 8, 9} {
+		g := newTestGrid(t, 1<<10, dim, int64(dim))
+		for i := 0; i < 100; i++ {
+			p := randPoint(rng, dim, 1<<10)
+			level := rng.Intn(g.L + 1)
+			parent, key := g.PointKeys(p, level)
+			if parent != g.CellKey(p, level-1) || key != g.CellKey(p, level) {
+				t.Fatalf("dim %d level %d: PointKeys (%d, %d), CellKey (%d, %d)",
+					dim, level, parent, key, g.CellKey(p, level-1), g.CellKey(p, level))
+			}
+			idx := g.CellIndex(p, level)
+			if got := g.ParentKey(level, idx); got != parent {
+				t.Fatalf("dim %d level %d: ParentKey %d, CellKey %d", dim, level, got, parent)
+			}
+			for j, v := range g.CellIndex(p, level) {
+				if idx[j] != v {
+					t.Fatalf("ParentKey modified its index %v", idx)
+				}
+			}
+		}
+		if dim > 8 {
+			continue
+		}
+		p := randPoint(rng, dim, 1<<10)
+		idx := g.CellIndex(p, g.L)
+		var sink uint64
+		if allocs := testing.AllocsPerRun(100, func() {
+			a, b := g.PointKeys(p, g.L)
+			sink += a + b + g.ParentKey(g.L, idx)
+		}); allocs != 0 {
+			t.Fatalf("dim %d: PointKeys+ParentKey allocate %.1f objects/op, want 0", dim, allocs)
+		}
+	}
+}

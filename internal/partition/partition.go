@@ -13,8 +13,9 @@
 package partition
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"streambalance/internal/geo"
@@ -25,6 +26,13 @@ import (
 type CellTau struct {
 	Index []int64 // cell index vector at the cell's level
 	Tau   float64 // estimated |C ∩ Q|
+}
+
+// Cell is one non-empty cell of a level as a CountSource reports it: its
+// key, the key of its level-(i−1) parent, its index and its τ.
+type Cell struct {
+	Key, Parent uint64
+	CellTau
 }
 
 // PartID identifies a part Q_{i,j} by its level i and the key of its
@@ -64,16 +72,24 @@ func ThresholdT(g *grid.Grid, level int, o, r float64) float64 {
 }
 
 // CountSource lazily supplies the (estimated) non-empty cell counts for
-// one grid level. ok = false signals that the estimates for this level
-// are unavailable (a FAILed sketch in the streaming setting); BuildLazy
-// then aborts. A level is only ever requested if it can matter: heavy
-// marking requests level i only while heavy cells still exist above it,
-// and part collection only requests levels with a heavy parent level.
-type CountSource func(level int) (map[uint64]CellTau, bool)
+// one grid level: every non-empty cell once, sorted by ascending Key,
+// each carrying its parent's key, so that BuildLazy hashes, sorts and
+// indexes nothing itself. The slice is read-only. ok = false signals
+// that the estimates for this level are unavailable (a FAILed sketch in
+// the streaming setting); BuildLazy then aborts. A level is only ever
+// requested if it can matter: heavy marking requests level i only while
+// heavy cells still exist above it, and part collection only requests
+// levels with a heavy parent level.
+type CountSource func(level int) ([]Cell, bool)
 
 // ErrCounts is returned by BuildLazy when a consulted CountSource reports
-// failure.
-type ErrCounts struct{ Level int }
+// failure. Heavy tells which source: the heavy-marking counts (the
+// h-substream) or the part-mass counts (h′). The error text names the
+// level only.
+type ErrCounts struct {
+	Level int
+	Heavy bool
+}
 
 func (e ErrCounts) Error() string {
 	return "partition: cell counts unavailable for level " + strconv.Itoa(e.Level)
@@ -101,31 +117,36 @@ func BuildLazy(g *grid.Grid, r, o float64, counts, partCounts CountSource) (*Par
 		p.heavy[i] = map[uint64]bool{}
 	}
 	// Mark heavy cells top-down (lines 4–11 of Algorithm 1), stopping at
-	// the first level that can no longer contain heavy cells.
+	// the first level that can no longer contain heavy cells. A level's
+	// heavy keys are gathered first, so its set is allocated at its size.
+	var marked []uint64
 	for level := -1; level <= L-1; level++ {
 		if level > -1 && len(p.heavy[level]) == 0 {
 			break // no heavy parents ⇒ no heavy cells below
 		}
 		cts, ok := counts(level)
 		if !ok {
-			return nil, ErrCounts{Level: level}
+			return nil, ErrCounts{Level: level, Heavy: true}
 		}
 		th := ThresholdT(g, level, o, r)
-		for key, ct := range cts {
-			if ct.Tau < th {
-				continue
-			}
-			if level == -1 || p.heavy[level][g.KeyOf(level-1, grid.ParentIndex(ct.Index))] {
-				p.heavy[level+1][key] = true
+		marked = marked[:0]
+		for _, c := range cts {
+			if c.Tau >= th && (level == -1 || p.heavy[level][c.Parent]) {
+				marked = append(marked, c.Key)
 			}
 		}
+		heavy := make(map[uint64]bool, len(marked))
+		for _, key := range marked {
+			heavy[key] = true
+		}
+		p.heavy[level+1] = heavy
 	}
 	// Collect crucial cells into parts (lines 9, 12, 14). Part masses may
 	// come from an independent estimate source (streaming h′-substream).
-	// Cells are visited in sorted key order: τ(Q_{i,j}) is a float sum, and
-	// summing in map-iteration order would make the last-ulp value — and
-	// hence any borderline inclusion or FAIL threshold downstream — vary
-	// between otherwise identical runs.
+	// Cells arrive in sorted key order: τ(Q_{i,j}) is a float sum, and
+	// summing in any run-dependent order would make the last-ulp value —
+	// and hence any borderline inclusion or FAIL threshold downstream —
+	// vary between otherwise identical runs.
 	for level := 0; level <= L; level++ {
 		if len(p.heavy[level]) == 0 {
 			continue // no heavy parent level ⇒ no crucial cells here
@@ -134,30 +155,22 @@ func BuildLazy(g *grid.Grid, r, o float64, counts, partCounts CountSource) (*Par
 		if !ok {
 			return nil, ErrCounts{Level: level}
 		}
-		keys := make([]uint64, 0, len(cts))
-		for key := range cts {
-			keys = append(keys, key)
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		for _, key := range keys {
-			ct := cts[key]
-			parentIdx := grid.ParentIndex(ct.Index)
-			parentKey := g.KeyOf(level-1, parentIdx)
-			if !p.heavy[level][parentKey] {
+		for _, c := range cts {
+			if !p.heavy[level][c.Parent] {
 				continue // some ancestor is not heavy
 			}
-			if level <= L-1 && p.heavy[level+1][key] {
+			if level <= L-1 && p.heavy[level+1][c.Key] {
 				continue // heavy itself, not crucial
 			}
-			id := PartID{Level: level, Parent: parentKey}
+			id := PartID{Level: level, Parent: c.Parent}
 			part := p.Parts[id]
 			if part == nil {
 				part = &Part{ID: id}
 				p.Parts[id] = part
 			}
-			part.Cells = append(part.Cells, ct)
-			part.Keys = append(part.Keys, key)
-			part.Tau += ct.Tau
+			part.Cells = append(part.Cells, c.CellTau)
+			part.Keys = append(part.Keys, c.Key)
+			part.Tau += c.Tau
 		}
 	}
 	return p, nil
@@ -201,46 +214,51 @@ func (p *Partition) PartOf(q geo.Point) (PartID, bool) {
 	return PartID{}, false // unreachable
 }
 
-// PartAt answers PartOf for callers that already know the level they
-// want: it returns q's part if that part lies at the given level, and ok
-// = false otherwise. Two lookups suffice — q's level-(i−1) cell is heavy
-// and its level-i cell is not — because BuildLazy marks a cell heavy only
-// under a heavy parent, so a heavy level-(i−1) cell implies every
-// ancestor up to the root is heavy too. Equal to PartOf filtered by
-// id.Level == level, at two cell keys instead of up to L+2.
-func (p *Partition) PartAt(q geo.Point, level int) (PartID, bool) {
-	g := p.Grid
-	if level < 0 || level > g.L {
+// PartAt answers PartOf for a point whose level-(i−1) and level-i cell
+// keys the caller already holds (grid.PointKeys): it returns the point's
+// part if that part lies at the given level, and ok = false otherwise.
+// Two lookups suffice — the level-(i−1) cell is heavy and the level-i
+// cell is not — because BuildLazy marks a cell heavy only under a heavy
+// parent, so a heavy level-(i−1) cell implies every ancestor up to the
+// root is heavy too. Equal to PartOf filtered by id.Level == level.
+func (p *Partition) PartAt(level int, parent, key uint64) (PartID, bool) {
+	if level < 0 || level > p.Grid.L {
 		return PartID{}, false
 	}
-	parent := g.CellKey(q, level-1)
 	if !p.heavy[level][parent] {
 		return PartID{}, false
 	}
-	if level < g.L && p.heavy[level+1][g.CellKey(q, level)] {
+	if level < p.Grid.L && p.heavy[level+1][key] {
 		return PartID{}, false
 	}
 	return PartID{Level: level, Parent: parent}, true
 }
 
 // ExactCounts computes exact per-cell point counts for all levels
-// −1..L — the offline instantiation of the τ estimates (Theorem 3.19's
-// "easy to compute the exact value" remark).
-func ExactCounts(g *grid.Grid, ps geo.PointSet) []map[uint64]CellTau {
-	counts := make([]map[uint64]CellTau, g.L+2)
+// −1..L, each level in CountSource form (index level+1) — the offline
+// instantiation of the τ estimates (Theorem 3.19's "easy to compute the
+// exact value" remark). The root cell's Parent is 0.
+func ExactCounts(g *grid.Grid, ps geo.PointSet) [][]Cell {
+	counts := make([][]Cell, g.L+2)
 	for level := -1; level <= g.L; level++ {
-		counts[level+1] = make(map[uint64]CellTau)
-	}
-	for _, p := range ps {
-		for level := -1; level <= g.L; level++ {
+		slot := make(map[uint64]int)
+		var cells []Cell
+		for _, p := range ps {
 			key := g.CellKey(p, level)
-			ct, ok := counts[level+1][key]
+			t, ok := slot[key]
 			if !ok {
-				ct = CellTau{Index: g.CellIndex(p, level)}
+				t = len(cells)
+				slot[key] = t
+				c := Cell{Key: key, CellTau: CellTau{Index: g.CellIndex(p, level)}}
+				if level >= 0 {
+					c.Parent = g.ParentKey(level, c.Index)
+				}
+				cells = append(cells, c)
 			}
-			ct.Tau++
-			counts[level+1][key] = ct
+			cells[t].Tau++
 		}
+		slices.SortFunc(cells, func(a, b Cell) int { return cmp.Compare(a.Key, b.Key) })
+		counts[level+1] = cells
 	}
 	return counts
 }

@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"streambalance/internal/geo"
@@ -49,7 +51,7 @@ func clamp(v, delta int64) int64 {
 func exactBuild(t *testing.T, g *grid.Grid, o float64, ps geo.PointSet) *Partition {
 	t.Helper()
 	counts := ExactCounts(g, ps)
-	exact := func(level int) (map[uint64]CellTau, bool) { return counts[level+1], true }
+	exact := func(level int) ([]Cell, bool) { return counts[level+1], true }
 	p, err := BuildLazy(g, 2, o, exact, exact)
 	if err != nil {
 		t.Fatal(err)
@@ -248,44 +250,52 @@ func TestTrivialUpperBoundO(t *testing.T) {
 	}
 }
 
-// PartAt must equal PartOf filtered by level, for every level (out-of-
-// range ones included) and every query point — input points, fresh
-// points of the domain, and points outside the root cell — over random
-// BuildLazy partitions whose guesses run from "every level heavy" to "the
-// root is light", with part masses from an independent subsample as in
-// the streaming h′-substream.
+// randomInstance draws one of the random partition instances the
+// oracle tests share: Δ = 2⁴…2⁹, d = 1…3, 50–449 points with duplicates,
+// exact heavy-marking counts, part masses from an independent half (as
+// in the streaming h′-substream), and a guess from "every level heavy"
+// to "the root is light".
+func randomInstance(t *testing.T, rng *rand.Rand, trial int) (g *grid.Grid, ps geo.PointSet, counts, partCounts [][]Cell, o float64) {
+	delta := int64(1) << (4 + rng.Intn(6))
+	dim := 1 + rng.Intn(3)
+	g = setup(t, delta, dim, int64(trial))
+	ps = make(geo.PointSet, 50+rng.Intn(400))
+	for i := range ps {
+		p := make(geo.Point, dim)
+		for j := range p {
+			p[j] = 1 + rng.Int63n(delta)
+		}
+		if i > 0 && rng.Intn(3) == 0 {
+			p = ps[rng.Intn(i)].Clone() // duplicates
+		}
+		ps[i] = p
+	}
+	o = TrivialUpperBoundO(len(ps), g, 2) * math.Pow(2, -float64(rng.Intn(40)))
+	return g, ps, ExactCounts(g, ps), ExactCounts(g, ps[:len(ps)/2]), o
+}
+
+// PartAt over a point's grid keys must equal PartOf filtered by level,
+// and the point-keyed partAtPoint oracle, for every level (out-of-range
+// ones included) and every query point — input points, fresh points of
+// the domain, and points outside the root cell — over random BuildLazy
+// partitions.
 func TestPartAtMatchesPartOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	levelsHit := map[int]bool{}
 	outside := 0
 	for trial := 0; trial < 40; trial++ {
-		delta := int64(1) << (4 + rng.Intn(6))
-		dim := 1 + rng.Intn(3)
-		g := setup(t, delta, dim, int64(trial))
-		ps := make(geo.PointSet, 50+rng.Intn(400))
-		for i := range ps {
-			p := make(geo.Point, dim)
-			for j := range p {
-				p[j] = 1 + rng.Int63n(delta)
-			}
-			if i > 0 && rng.Intn(3) == 0 {
-				p = ps[rng.Intn(i)].Clone() // duplicates
-			}
-			ps[i] = p
-		}
-		counts := ExactCounts(g, ps)
-		partCounts := ExactCounts(g, ps[:len(ps)/2])
-		o := TrivialUpperBoundO(len(ps), g, 2) * math.Pow(2, -float64(rng.Intn(40)))
+		g, ps, counts, partCounts, o := randomInstance(t, rng, trial)
 		part, err := BuildLazy(g, 2, o,
-			func(level int) (map[uint64]CellTau, bool) { return counts[level+1], true },
-			func(level int) (map[uint64]CellTau, bool) { return partCounts[level+1], true },
+			func(level int) ([]Cell, bool) { return counts[level+1], true },
+			func(level int) ([]Cell, bool) { return partCounts[level+1], true },
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
+		delta := g.Delta
 		queries := append(geo.PointSet(nil), ps...)
 		for i := 0; i < 100; i++ {
-			q := make(geo.Point, dim)
+			q := make(geo.Point, g.Dim)
 			for j := range q {
 				q[j] = 1 + rng.Int63n(delta)
 				if i%4 == 0 {
@@ -302,16 +312,87 @@ func TestPartAtMatchesPartOf(t *testing.T) {
 				outside++
 			}
 			for level := -2; level <= g.L+1; level++ {
-				got, ok := part.PartAt(q, level)
+				var parent, key uint64 // out-of-range levels: any keys
+				if level >= 0 && level <= g.L {
+					parent, key = g.PointKeys(q, level)
+				}
+				got, ok := part.PartAt(level, parent, key)
 				match := wantOK && want.Level == level
 				if ok != match || (ok && got != want) {
 					t.Fatalf("trial %d: q=%v level %d: PartAt=(%v,%v), PartOf=(%v,%v)",
 						trial, q, level, got, ok, want, wantOK)
+				}
+				if oid, ook := partAtPoint(part, q, level); ook != ok || oid != got {
+					t.Fatalf("trial %d: q=%v level %d: PartAt=(%v,%v), partAtPoint=(%v,%v)",
+						trial, q, level, got, ok, oid, ook)
 				}
 			}
 		}
 	}
 	if len(levelsHit) < 4 || outside == 0 {
 		t.Fatalf("weak coverage: parts found at levels %v, %d queries outside every part", levelsHit, outside)
+	}
+}
+
+// TestBuildLazyMatchesMapOracle: BuildLazy over key-sorted cell slices
+// with parent keys must build bit-identically the partition of the
+// map-based buildLazyMap oracle — heavy sets, parts, cell order and every
+// τ(Q_{i,j}) bit — and FAIL with the same ErrCounts when a source
+// withholds a level, on random instances. The slices come from
+// ExactCounts, the maps from the slices.
+func TestBuildLazyMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	fails := map[bool]int{}
+	for trial := 0; trial < 60; trial++ {
+		g, _, counts, partCounts, o := randomInstance(t, rng, trial)
+		// Every third trial withholds one level of one source.
+		failSrc, failLevel := -1, 0
+		if trial%3 == 2 {
+			failSrc, failLevel = rng.Intn(2), rng.Intn(g.L+1)
+		}
+		src := func(which int, all [][]Cell) CountSource {
+			return func(level int) ([]Cell, bool) {
+				if which == failSrc && level == failLevel {
+					return nil, false
+				}
+				return all[level+1], true
+			}
+		}
+		mapSrc := func(s CountSource) mapCountSource {
+			return func(level int) (map[uint64]CellTau, bool) {
+				cells, ok := s(level)
+				if !ok {
+					return nil, false
+				}
+				m := make(map[uint64]CellTau, len(cells))
+				for _, c := range cells {
+					m[c.Key] = c.CellTau
+				}
+				return m, true
+			}
+		}
+		hs, hps := src(0, counts), src(1, partCounts)
+		got, err := BuildLazy(g, 2, o, hs, hps)
+		want, wantErr := buildLazyMap(g, 2, o, mapSrc(hs), mapSrc(hps))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("trial %d: error %v, oracle %v", trial, err, wantErr)
+		}
+		if err != nil {
+			var ce ErrCounts
+			if err.Error() != wantErr.Error() || !errors.As(err, &ce) || ce.Heavy != (failSrc == 0) {
+				t.Fatalf("trial %d: error %#v, oracle %v (withheld source %d)", trial, err, wantErr, failSrc)
+			}
+			fails[ce.Heavy]++
+			continue
+		}
+		if !reflect.DeepEqual(got.heavy, want.heavy) {
+			t.Fatalf("trial %d: heavy sets differ", trial)
+		}
+		if !reflect.DeepEqual(got.Parts, want.Parts) {
+			t.Fatalf("trial %d: parts differ", trial)
+		}
+	}
+	if fails[true] == 0 || fails[false] == 0 {
+		t.Fatalf("weak coverage: withheld-level FAILs by source %v", fails)
 	}
 }

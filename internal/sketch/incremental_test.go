@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"streambalance/internal/geo"
+	"streambalance/internal/grid"
 )
 
 // compareIncCold asserts digest + Bytes + Result (including FAIL
@@ -20,15 +21,102 @@ func compareIncCold(t *testing.T, inc, cold *Storing) {
 	if inc.Bytes() != cold.Bytes() {
 		t.Fatal("Bytes diverged between incremental and cold instances")
 	}
-	ri, oki := inc.Result() // spliced when a base exists
-	cold.DropCache()        // also clears the base: force a cold full peel
-	rc, okc := cold.Result()
+	ri, ki, oki := inc.ResultKeyed(nil) // spliced when a base exists
+	cold.DropCache()                    // also clears the base: force a cold full peel
+	rc, kc, okc := cold.ResultKeyed(nil)
 	if oki != okc {
 		t.Fatalf("verdicts diverged: incremental ok=%v, cold ok=%v", oki, okc)
 	}
 	if oki && !reflect.DeepEqual(ri, rc) {
 		t.Fatalf("results diverged:\nincremental %+v\ncold        %+v", ri, rc)
 	}
+	if oki && !reflect.DeepEqual(ki, kc) {
+		t.Fatalf("grid keys diverged:\nincremental %v\ncold        %v", ki, kc)
+	}
+}
+
+// checkGridKeys fails t unless st decodes and every cached grid key
+// equals a fresh grid computation: a point's level-(i−1) and level-i
+// CellKey, a cell's parent KeyOf.
+func checkGridKeys(t *testing.T, st *Storing, label string) {
+	t.Helper()
+	items, keys, ok := st.ResultKeyed(nil)
+	if !ok {
+		t.Fatalf("%s: decode FAILed on in-budget input", label)
+	}
+	w := st.keyStride()
+	if len(keys) != len(items)*w {
+		t.Fatalf("%s: %d keys for %d items, want %d per item", label, len(keys), len(items), w)
+	}
+	g, level := st.g, st.level
+	for i, it := range items {
+		var want []uint64
+		if st.kind == Points {
+			p := geo.Point(it.Payload)
+			want = []uint64{g.CellKey(p, level-1), g.CellKey(p, level)}
+		} else {
+			want = []uint64{g.KeyOf(level-1, grid.ParentIndex(it.Payload))}
+		}
+		if got := keys[i*w : (i+1)*w]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: item %d (payload %v): keys %v, want %v", label, i, it.Payload, got, want)
+		}
+	}
+}
+
+// TestDecodedKeysMatchGrid: the grid keys a Storing caches beside its
+// decoded items must equal fresh grid.CellKey / KeyOf computations after
+// a cold decode, churn splices (delta items land between kept base
+// items), a Merge that keeps its base, on a Fork, and after DropCache —
+// at level 0, whose parents are the root cell, and at a finer level.
+func TestDecodedKeysMatchGrid(t *testing.T) {
+	eachKind(t, func(t *testing.T, kind Kind) {
+		for _, level := range []int{0, 3} {
+			rng := rand.New(rand.NewSource(int64(31 + level)))
+			g := buildGrid(t, 256, 2, 31)
+			st := newStoring(rng, g, level, kind, 256)
+			randPoint := func() geo.Point { return geo.Point{1 + rng.Int63n(256), 1 + rng.Int63n(256)} }
+			var live []geo.Point
+			for i := 0; i < 40; i++ {
+				p := randPoint()
+				st.Insert(p)
+				live = append(live, p)
+			}
+			checkGridKeys(t, st, "cold")
+			for round := 0; round < 8; round++ {
+				for i := 0; i < 3; i++ {
+					p := randPoint()
+					st.Insert(p)
+					live = append(live, p)
+				}
+				for i := 0; i < 2; i++ {
+					j := rng.Intn(len(live))
+					st.Delete(live[j])
+					live = append(live[:j], live[j+1:]...)
+				}
+				checkGridKeys(t, st, "churn splice")
+			}
+			if s := st.CacheStats(); s.Splices == 0 {
+				t.Fatal("churn did not splice")
+			}
+
+			fork := st.CloneEmpty()
+			for i := 0; i < 5; i++ {
+				fork.Insert(randPoint())
+			}
+			checkGridKeys(t, fork, "fork")
+			st.Merge(fork)
+			checkGridKeys(t, st, "merge")
+			if s := st.CacheStats(); s.MergeKeeps == 0 {
+				t.Fatal("merge over a live base did not keep it")
+			}
+
+			st.DropCache()
+			if st.CacheBytes() != 0 {
+				t.Fatal("DropCache kept cache bytes")
+			}
+			checkGridKeys(t, st, "after DropCache")
+		}
+	})
 }
 
 // TestStoringSplicedDecodeMatchesCold drives one instance through

@@ -84,10 +84,14 @@ type Storing struct {
 	// Differential-decode base, valid only after a successful decode:
 	// items is exactly the decode of snap, so splicing a verified
 	// residual delta onto it reproduces the cold decode of the current
-	// slab. A cached success implies a valid base.
+	// slab. A cached success implies a valid base. keys runs parallel to
+	// items, keyStride words per item (see ResultKeyed): the grid keys the
+	// plan step and assembly look up, computed once per decoded item — a
+	// splice carries a base item's keys over and keys only delta items.
 	baseValid bool
 	snap      []int64
 	items     []Item
+	keys      []uint64
 }
 
 // Kind selects the vector a Storing recovers.
@@ -261,13 +265,25 @@ func (st *Storing) Digest() uint64 {
 // concurrently with updates.
 func (st *Storing) Result() ([]Item, bool) { return st.ResultArena(nil) }
 
-// ResultArena is Result running its sparse-recovery decode out of the
+// ResultArena is ResultKeyed without the keys.
+func (st *Storing) ResultArena(a *DecodeArena) ([]Item, bool) {
+	items, _, ok := st.ResultKeyed(a)
+	return items, ok
+}
+
+// ResultKeyed is Result running its sparse-recovery decode out of the
 // caller's DecodeArena (nil allocates transient scratch) — the
 // extraction pipeline's decode pool keeps one arena per worker so cold
 // decode rounds reuse one working slab instead of cloning per sketch.
 // The cached items never alias arena memory (DecodeWith returns freshly
 // allocated items), so arenas and caches have independent lifetimes.
-func (st *Storing) ResultArena(a *DecodeArena) ([]Item, bool) {
+//
+// Beside the items it returns their grid keys, keyStride words per item
+// and read-only like the items: for a Points item t, keys[2t] and
+// keys[2t+1] are the keys of the level-(i−1) and level-i cells holding
+// the point (grid.PointKeys); for a Cells item t, keys[t] is the key of
+// the cell's level-(i−1) parent (grid.ParentKey).
+func (st *Storing) ResultKeyed(a *DecodeArena) ([]Item, []uint64, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.cacheValid && st.cacheEpoch == st.epoch {
@@ -298,13 +314,31 @@ func (st *Storing) ResultArena(a *DecodeArena) ([]Item, bool) {
 	return st.cached()
 }
 
-// cached returns the cached verdict: a success is the base item list.
-// mu must be held.
-func (st *Storing) cached() ([]Item, bool) {
+// cached returns the cached verdict: a success is the base item list
+// and its keys. mu must be held.
+func (st *Storing) cached() ([]Item, []uint64, bool) {
 	if !st.cacheOK {
-		return nil, false
+		return nil, nil, false
 	}
-	return st.items, true
+	return st.items, st.keys, true
+}
+
+// keyStride is the number of grid keys kept per decoded item: a point's
+// two cell keys, or a cell's parent key.
+func (st *Storing) keyStride() int {
+	if st.kind == Points {
+		return 2
+	}
+	return 1
+}
+
+// keyItem writes the keyStride grid keys of it to dst.
+func (st *Storing) keyItem(dst []uint64, it *Item) {
+	if st.kind == Points {
+		dst[0], dst[1] = st.g.PointKeys(geo.Point(it.Payload), st.level)
+	} else {
+		dst[0] = st.g.ParentKey(st.level, it.Payload)
+	}
 }
 
 // decode answers a cache miss or a stale query and reports success, in
@@ -339,7 +373,12 @@ func (st *Storing) decodeCold(a *DecodeArena) bool {
 		return false
 	}
 	sortItemsByKey(items)
-	st.setBase(items)
+	w := st.keyStride()
+	keys := make([]uint64, len(items)*w)
+	for t := range items {
+		st.keyItem(keys[t*w:], &items[t])
+	}
+	st.setBase(items, keys)
 	return true
 }
 
@@ -359,7 +398,7 @@ func (st *Storing) splice(a *DecodeArena) (ok, done bool) {
 	if !ok {
 		return false, false
 	}
-	merged, ok := mergeDecodedItems(st.items, delta)
+	merged, keys, ok := st.mergeDecoded(delta)
 	if !ok {
 		return false, false
 	}
@@ -369,7 +408,7 @@ func (st *Storing) splice(a *DecodeArena) (ok, done bool) {
 		// the budget.
 		return false, true
 	}
-	st.setBase(merged)
+	st.setBase(merged, keys)
 	return true, true
 }
 
@@ -383,16 +422,16 @@ func anyNegative(items []Item) bool {
 	return false
 }
 
-// setBase snapshots the live slab and adopts the given sorted items as
-// the differential base; mu must be held. The snapshot reuses the
-// previous base's buffer — via the sparse journal-guided refresh when
-// one is live, so steady-state splicing copies only the changed buckets
-// and allocates only the delta items. Either way the sketch restarts its
+// setBase snapshots the live slab and adopts the given sorted items and
+// their keys as the differential base; mu must be held. The snapshot
+// reuses the previous base's buffer — via the sparse journal-guided
+// refresh when one is live, so steady-state splicing copies only the
+// changed buckets and allocates only the delta items. Either way the sketch restarts its
 // dirty journal here: from this snapshot on, the journal enumerates
 // exactly the buckets that diverge from it.
-func (st *Storing) setBase(items []Item) {
+func (st *Storing) setBase(items []Item, keys []uint64) {
 	st.snap = st.sr.RefreshSnapshot(st.snap)
-	st.items = items
+	st.items, st.keys = items, keys
 	st.baseValid = true
 }
 
@@ -400,7 +439,7 @@ func (st *Storing) setBase(items []Item) {
 // was tracking against its snapshot; mu must be held.
 func (st *Storing) clearBase() {
 	st.sr.StopDirtyTracking()
-	st.snap, st.items, st.baseValid = nil, nil, false
+	st.snap, st.items, st.keys, st.baseValid = nil, nil, nil, false
 }
 
 // sortItemsByKey puts a decode's items into the canonical key order.
@@ -410,29 +449,40 @@ func sortItemsByKey(items []Item) {
 	sort.Slice(items, func(i, j int) bool { return items[i].Key < items[j].Key })
 }
 
-// mergeDecodedItems combines the base item list (sorted by key) with a
+// mergeDecoded combines the base item list (sorted by key) with a
 // residual delta decode, producing the sorted item list of the summed
 // vector — exactly what a cold peel of the current slab returns, since
-// cur = snapshot + residual by linearity. Keys whose net count cancels
-// to zero vanish (as they do from a cold peel). A key present in both
-// lists must carry a consistent payload: the combined payload sum
-// pc·prevP + dc·deltaP must divide evenly by the combined count, and a
-// mismatch (only possible under a fingerprint collision) returns
-// ok=false so the caller falls back to the cold peel's own verdict.
-func mergeDecodedItems(prev, delta []Item) ([]Item, bool) {
+// cur = snapshot + residual by linearity — and its keys. Keys whose net
+// count cancels to zero vanish (as they do from a cold peel). A key
+// present in both lists must carry a consistent payload: the combined
+// payload sum pc·prevP + dc·deltaP must divide evenly by the combined
+// count, and a mismatch (only possible under a fingerprint collision)
+// returns ok=false so the caller falls back to the cold peel's own
+// verdict. An item kept from the base keeps its grid keys; every item
+// the delta touched is keyed afresh. mu must be held.
+func (st *Storing) mergeDecoded(delta []Item) ([]Item, []uint64, bool) {
+	prev, prevKeys := st.items, st.keys
 	if len(delta) == 0 {
-		return prev, true
+		return prev, prevKeys, true
 	}
 	sortItemsByKey(delta)
+	w := st.keyStride()
 	out := make([]Item, 0, len(prev)+len(delta))
+	keys := make([]uint64, 0, (len(prev)+len(delta))*w)
+	add := func(it Item) {
+		out = append(out, it)
+		keys = append(keys, make([]uint64, w)...)
+		st.keyItem(keys[len(keys)-w:], &out[len(out)-1])
+	}
 	i, j := 0, 0
 	for i < len(prev) || j < len(delta) {
 		switch {
 		case j >= len(delta) || (i < len(prev) && prev[i].Key < delta[j].Key):
 			out = append(out, prev[i])
+			keys = append(keys, prevKeys[i*w:(i+1)*w]...)
 			i++
 		case i >= len(prev) || delta[j].Key < prev[i].Key:
-			out = append(out, delta[j])
+			add(delta[j])
 			j++
 		default: // same key on both sides
 			pc, dc := prev[i].Count, delta[j].Count
@@ -441,25 +491,25 @@ func mergeDecodedItems(prev, delta []Item) ([]Item, bool) {
 				it := Item{Key: prev[i].Key, Count: nc}
 				if pd := len(prev[i].Payload); pd > 0 {
 					if len(delta[j].Payload) != pd {
-						return nil, false
+						return nil, nil, false
 					}
 					p := make([]int64, pd)
 					for x := 0; x < pd; x++ {
 						num := pc*prev[i].Payload[x] + dc*delta[j].Payload[x]
 						if num%nc != 0 {
-							return nil, false
+							return nil, nil, false
 						}
 						p[x] = num / nc
 					}
 					it.Payload = p
 				}
-				out = append(out, it)
+				add(it)
 			}
 			i++
 			j++
 		}
 	}
-	return out, true
+	return out, keys, true
 }
 
 // Merge adds another Storing instance's state into st. Both must have
@@ -565,9 +615,9 @@ func (st *Storing) CacheStats() CacheStats {
 }
 
 // CacheBytes reports the approximate memory held by the decode cache
-// and the differential base: the base item list (which a cached success
-// returns), the slab snapshot and the dirty journal. It is deliberately
-// NOT part of Bytes (and never enters Digest): all of it is derived
+// and the differential base: the base item list and its grid keys (which
+// a cached success returns), the slab snapshot and the dirty journal. It
+// is deliberately NOT part of Bytes (and never enters Digest): all of it is derived
 // state, reconstructible from the slab at any time, not sketch space —
 // the streaming space bound of Theorem 4.5 is about what must be
 // retained to answer future updates, and DropCache returns this gauge
@@ -578,7 +628,7 @@ func (st *Storing) CacheBytes() int64 {
 	if !st.baseValid {
 		return 0
 	}
-	b := int64(len(st.snap))*8 + int64(len(st.items))*40 + st.sr.DirtyJournalBytes()
+	b := int64(len(st.snap)+len(st.keys))*8 + int64(len(st.items))*40 + st.sr.DirtyJournalBytes()
 	for i := range st.items {
 		b += int64(len(st.items[i].Payload)) * 8
 	}

@@ -197,37 +197,54 @@ func (s *Stream) extract(workers int, arena *sketch.DecodeArena) (*coreset.Cores
 		}
 		warmStorings(units, workers)
 	}
-	return q.Assemble(func(i int, yield func(geo.Point, int64)) error {
-		pts, ok := s.hat[i].st.ResultArena(arena)
+	return q.Assemble(func(i int, yield func(geo.Point, int64, uint64, uint64)) error {
+		pts, keys, ok := s.hat[i].st.ResultKeyed(arena)
 		if !ok {
 			return fmt.Errorf("%w: ĥ-substream level %d", ErrSketchFail, i)
 		}
-		for _, pc := range pts {
-			yield(geo.Point(pc.Payload), pc.Count)
+		for t, pc := range pts {
+			yield(geo.Point(pc.Payload), pc.Count, keys[2*t], keys[2*t+1])
 		}
 		return nil
 	})
 }
 
+// heavyFail runs only the heavy marking of s's plan step (the part-mass
+// source is never available, so BuildLazy stops right after it) and
+// reports the level whose h sketch it FAILed on, if it did. It is the
+// FAIL certificate's probe (Auto.certify): it reaches the same verdict
+// as extract's plan step.
+func (s *Stream) heavyFail(arena *sketch.DecodeArena) (int, bool) {
+	never := func(int) ([]partition.Cell, bool) { return nil, false }
+	_, err := coreset.PlanQuery(s.g, s.cfg.Params, s.cfg.O, s.n, cellSource(s.h, arena), never)
+	var ce partition.ErrCounts
+	if errors.As(err, &ce) && ce.Heavy {
+		return ce.Level, true
+	}
+	return 0, false
+}
+
 // cellSource is the plan step's count source over the cell sketches us
-// (one per level from 0): a level's decoded cells, each count scaled by
-// the inverse of its sampler's rate, or unavailable when the sketch
+// (one per level from 0): a level's decoded cells in the decode's key
+// order, with the parent keys cached beside them and each count scaled
+// by the inverse of its sampler's rate, or unavailable when the sketch
 // FAILs. Decoding is lazy — a cache miss peels out of arena — so on the
 // serial path sketches of levels below the deepest heavy cell, which can
 // be arbitrarily over-full, are never decoded.
 func cellSource(us []unit, arena *sketch.DecodeArena) partition.CountSource {
-	return func(level int) (map[uint64]partition.CellTau, bool) {
+	return func(level int) ([]partition.Cell, bool) {
 		u := us[level]
-		cells, ok := u.st.ResultArena(arena)
+		items, parents, ok := u.st.ResultKeyed(arena)
 		if !ok {
 			return nil, false
 		}
 		rate := u.samp.Phi()
-		m := make(map[uint64]partition.CellTau, len(cells))
-		for _, c := range cells {
-			m[c.Key] = partition.CellTau{Index: c.Payload, Tau: float64(c.Count) / rate}
+		cells := make([]partition.Cell, len(items))
+		for t, it := range items {
+			cells[t] = partition.Cell{Key: it.Key, Parent: parents[t],
+				CellTau: partition.CellTau{Index: it.Payload, Tau: float64(it.Count) / rate}}
 		}
-		return m, true
+		return cells, true
 	}
 }
 
@@ -333,7 +350,7 @@ func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
 	for n < len(a.guesses) && a.guesses[n] <= guessCap {
 		n++
 	}
-	cs, err := a.scan(n, workers)
+	cs, _, err := a.scan(n, workers)
 	if cs != nil {
 		sp.Attr("via", "scan")
 		sp.AttrFloat("o", cs.O)
@@ -348,19 +365,29 @@ func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
 	return nil, ErrNoGuessSucceeded
 }
 
-// scan runs the ascending guess scan over the first n guesses on a pool
-// of min(workers, n) goroutines and returns the smallest weight-sane
-// success or, when there is none, the error of the lowest guess that
-// FAILed (nil if every guess was weight-rejected).
+// scan runs the ascending guess scan over the first n guesses and
+// returns the smallest weight-sane success or, when there is none, the
+// error of the lowest guess that FAILed (nil if every guess was
+// weight-rejected), and the number of guesses it skipped as certified
+// FAILs.
 //
-// Workers claim guess indices in ascending order from one counter, and
-// best holds the smallest success index so far; a claim at or above it
-// stops the worker. best only falls, so every index below its final
-// value was claimed and ran to completion, and the pass after the pool
-// reads exactly the outcomes the one-worker scan would have produced.
-// Each worker extracts lazily out of one pooled arena for all its
-// guesses.
-func (a *Auto) scan(n, workers int) (*coreset.Coreset, error) {
+// The smallest guess runs first, alone. When its heavy marking FAILs on
+// a rate-1 h sketch that larger guesses share, it proves a run of them
+// FAILs the same way (certify, DESIGN.md §4); a FAIL of any larger
+// guess proves nothing more, since the smallest guess would have hit
+// it first. The rest runs on a pool of min(workers, n) goroutines from
+// the first guess not yet decided: workers claim guess indices in
+// ascending order from one counter, and best holds the smallest success
+// index so far; a claim at or above it stops the worker. best only
+// falls, so every index below its final value was certified or claimed
+// and ran to completion, and the pass after the pool reads exactly the
+// outcomes the one-worker full scan would have produced — a certified
+// guess's error text is the smallest guess's. Each worker extracts
+// lazily out of one pooled arena for all its guesses.
+func (a *Auto) scan(n, workers int) (*coreset.Coreset, int, error) {
+	if n == 0 {
+		return nil, 0, nil
+	}
 	type outcome struct {
 		cs  *coreset.Coreset
 		err error
@@ -368,6 +395,22 @@ func (a *Auto) scan(n, workers int) (*coreset.Coreset, error) {
 	out := make([]outcome, n)
 	var next, best atomic.Int64
 	best.Store(int64(n))
+	claim := func(i int64, arena *sketch.DecodeArena) {
+		cs, err := a.attempt(int(i), arena)
+		out[i] = outcome{cs, err}
+		if cs != nil {
+			for b := best.Load(); i < b && !best.CompareAndSwap(b, i); b = best.Load() {
+			}
+		}
+	}
+	arena := getArena()
+	claim(0, arena)
+	certified := 1 // guesses below it are decided
+	if level, ok := a.sharedHeavyFail(0, out[0].err); ok {
+		certified = a.certify(level, n, arena) + 1
+	}
+	putArena(arena)
+	next.Store(int64(certified))
 	run := func() {
 		arena := getArena()
 		defer putArena(arena)
@@ -376,12 +419,7 @@ func (a *Auto) scan(n, workers int) (*coreset.Coreset, error) {
 			if i >= best.Load() {
 				return
 			}
-			cs, err := a.attempt(int(i), arena)
-			out[i] = outcome{cs, err}
-			if cs != nil {
-				for b := best.Load(); i < b && !best.CompareAndSwap(b, i); b = best.Load() {
-				}
-			}
+			claim(i, arena)
 		}
 	}
 	if workers = min(workers, n); workers <= 1 {
@@ -397,15 +435,66 @@ func (a *Auto) scan(n, workers int) (*coreset.Coreset, error) {
 		}
 		wg.Wait()
 	}
+	for i := 1; i < certified; i++ {
+		out[i].err = out[0].err
+		markGuess(a.guesses[i], "certified")
+	}
+	mGuessCertified.Add(int64(certified - 1))
 	if b := best.Load(); b < int64(n) {
-		return out[b].cs, nil
+		return out[b].cs, certified - 1, nil
 	}
 	for _, o := range out {
 		if o.err != nil {
-			return nil, o.err
+			return nil, certified - 1, o.err
 		}
 	}
-	return nil, nil
+	return nil, certified - 1, nil
+}
+
+// sharedHeavyFail reports the level at which guess i's heavy marking
+// FAILed, when err says so and guess i shares that level's h sketch
+// with the smallest guess — as every guess sampling it at rate 1 does.
+func (a *Auto) sharedHeavyFail(i int, err error) (int, bool) {
+	var ce partition.ErrCounts
+	if !errors.As(err, &ce) || !ce.Heavy {
+		return 0, false
+	}
+	u := a.streams[i].h[ce.Level]
+	return ce.Level, u.samp.Phi() >= 1 && u.st == a.streams[0].h[ce.Level].st
+}
+
+// certify returns the last guess r < n whose heavy marking FAILs at
+// level, given that the smallest guess's does on the h sketch shared at
+// rate 1. Every guess up to r FAILs there with the same error, and
+// every guess above r does not (DESIGN.md §4):
+//
+//   - ψ_l(o) = min(1, CountRate/T_l(o)) falls with l and with o, so a
+//     guess sharing h_level shares h_0..h_level too, and so does every
+//     smaller guess: they see the same exact counts (rate 1) through the
+//     same Storings, whose decode verdicts the smallest guess has
+//     already drawn.
+//   - T_l(o) grows with o, so on equal counts a smaller guess's heavy
+//     cells contain a larger one's: if a guess's heavy marking reaches
+//     level, every smaller guess's does too, and FAILs there.
+//
+// So the FAIL is a prefix of the sharers of h_level, and a binary search
+// over them finds its end. Each probe (heavyFail) runs only the heavy
+// marking, over decodes already cached, and counts as no attempt.
+func (a *Auto) certify(level, n int, arena *sketch.DecodeArena) int {
+	shared := a.streams[0].h[level].st
+	lo, hi := 0, 1 // lo FAILs at level; hi is past the sharers or does not
+	for hi < n && a.streams[hi].h[level].st == shared {
+		hi++
+	}
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if l, ok := a.streams[mid].heavyFail(arena); ok && l == level {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // attempt extracts guess i's coreset lazily out of arena and records

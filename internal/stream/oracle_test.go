@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -225,13 +226,16 @@ func oracleStream(t *testing.T, seed int64, o float64, ps geo.PointSet) (*Stream
 }
 
 // estimates returns substream sub's level-i cell estimates, sampled
-// count / rate, in the form partition.BuildLazy consumes.
-func (o *countOracle) estimates(sub, level int) map[uint64]partition.CellTau {
+// count / rate, in the form partition.BuildLazy consumes: sorted by key,
+// each with its parent's key.
+func (o *countOracle) estimates(sub, level int) []partition.Cell {
 	u := o.substreams()[sub][level]
-	out := make(map[uint64]partition.CellTau, len(o.counts[sub][level]))
+	out := make([]partition.Cell, 0, len(o.counts[sub][level]))
 	for key, e := range o.counts[sub][level] {
-		out[key] = partition.CellTau{Index: e.payload, Tau: float64(e.count) / u.samp.Phi()}
+		out = append(out, partition.Cell{Key: key, Parent: o.s.g.ParentKey(level, e.payload),
+			CellTau: partition.CellTau{Index: e.payload, Tau: float64(e.count) / u.samp.Phi()}})
 	}
+	slices.SortFunc(out, func(a, b partition.Cell) int { return cmp.Compare(a.Key, b.Key) })
 	return out
 }
 
@@ -256,10 +260,13 @@ func TestLemma41CellEstimatesGood(t *testing.T) {
 	bad, total := 0, 0
 	for level := range s.h {
 		T := partition.ThresholdT(s.g, level, o, 2)
-		est := oc.estimates(0, level)
-		for key, ct := range exact[level+1] {
+		est := map[uint64]float64{}
+		for _, c := range oc.estimates(0, level) {
+			est[c.Key] = c.Tau
+		}
+		for _, ct := range exact[level+1] {
 			total++
-			if !goodCell(est[key].Tau, ct.Tau, T, 0.35) { // zero if never sampled
+			if !goodCell(est[ct.Key], ct.Tau, T, 0.35) { // zero if never sampled
 				bad++
 			}
 		}
@@ -280,12 +287,12 @@ func TestLemma41CellEstimatesGood(t *testing.T) {
 func TestSampledCountsDrivePartition(t *testing.T) {
 	ps, o := oracleFixture(5, 5000)
 	s, oc := oracleStream(t, 6, o, ps)
-	root := func(level int) (map[uint64]partition.CellTau, bool) {
+	root := func(level int) ([]partition.Cell, bool) {
 		idx := make([]int64, s.g.Dim)
-		return map[uint64]partition.CellTau{s.g.KeyOf(-1, idx): {Index: idx, Tau: float64(len(ps))}}, true
+		return []partition.Cell{{Key: s.g.KeyOf(-1, idx), CellTau: partition.CellTau{Index: idx, Tau: float64(len(ps))}}}, true
 	}
 	source := func(sub int) partition.CountSource {
-		return func(level int) (map[uint64]partition.CellTau, bool) {
+		return func(level int) ([]partition.Cell, bool) {
 			if level == -1 {
 				return root(level)
 			}
@@ -297,7 +304,7 @@ func TestSampledCountsDrivePartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := partition.ExactCounts(s.g, ps)
-	exactSource := func(level int) (map[uint64]partition.CellTau, bool) { return counts[level+1], true }
+	exactSource := func(level int) ([]partition.Cell, bool) { return counts[level+1], true }
 	exact, err := partition.BuildLazy(s.g, 2, o, exactSource, exactSource)
 	if err != nil {
 		t.Fatal(err)

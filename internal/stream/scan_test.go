@@ -2,9 +2,14 @@ package stream
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"streambalance/internal/coreset"
+	"streambalance/internal/geo"
+	"streambalance/internal/workload"
 )
 
 // TestAutoScanParallelMatchesSerial: the parallel guess scan must select
@@ -45,7 +50,7 @@ func TestAutoScanParallelMatchesSerial(t *testing.T) {
 			a.Apply(tc.ops)
 
 			csS, errS := a.resultWith(1)
-			scanS, scanErrS := a.scan(len(a.guesses), 1)
+			scanS, _, scanErrS := a.scan(len(a.guesses), 1)
 			switch {
 			case tc.noWinner:
 				if errS == nil || scanErrS == nil {
@@ -83,7 +88,7 @@ func TestAutoScanParallelMatchesSerial(t *testing.T) {
 					if temp == "cold" {
 						a.DropDecodeCache()
 					}
-					scanP, scanErrP := a.scan(len(a.guesses), w)
+					scanP, _, scanErrP := a.scan(len(a.guesses), w)
 					sameOutcome(t, scanP, scanErrP, scanS, scanErrS, label+" scan")
 				}
 			}
@@ -103,5 +108,175 @@ func sameOutcome(t *testing.T, got *coreset.Coreset, gotErr error, want *coreset
 	}
 	if got != nil {
 		equalExtraction(t, got, want, label)
+	}
+}
+
+// fullScan is the guess scan without the FAIL certificate — the oracle
+// for Auto.scan: workers claim every guess in ascending order, none above
+// the smallest weight-sane success found so far, and the result is that
+// success or the error of the lowest guess that FAILed.
+func (a *Auto) fullScan(n, workers int) (*coreset.Coreset, error) {
+	type outcome struct {
+		cs  *coreset.Coreset
+		err error
+	}
+	out := make([]outcome, n)
+	var next, best atomic.Int64
+	best.Store(int64(n))
+	run := func() {
+		arena := getArena()
+		defer putArena(arena)
+		for {
+			i := next.Add(1) - 1
+			if i >= best.Load() {
+				return
+			}
+			cs, err := a.attempt(int(i), arena)
+			out[i] = outcome{cs, err}
+			if cs != nil {
+				for b := best.Load(); i < b && !best.CompareAndSwap(b, i); b = best.Load() {
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < max(1, min(workers, n)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	wg.Wait()
+	if b := best.Load(); b < int64(n) {
+		return out[b].cs, nil
+	}
+	for _, o := range out {
+		if o.err != nil {
+			return nil, o.err
+		}
+	}
+	return nil, nil
+}
+
+// scanFixture is a guess ensemble fed a churn (delPct > 0) or
+// insert-only stream of n clustered points with a fifth of uniform junk,
+// at one of four sketch sizings, from tight (every small guess FAILs its
+// heavy marking on a shared sketch) to roomy.
+func scanFixture(t testing.TB, seed int64, n, delPct, sizing int) *Auto {
+	sizes := [][2]int{{8, 16}, {32, 64}, {128, 512}, {512, 2048}}[sizing%4]
+	a, err := NewAuto(Config{
+		Dim: 2, Delta: testDelta, Params: coreset.Params{K: 3, Seed: seed},
+		CellSparsity: sizes[0], PointSparsity: sizes[1],
+	}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, _ := testMixture(seed, n)
+	rng := rand.New(rand.NewSource(seed ^ 0x5ca))
+	ps = append(ps, workload.UniformBox(rng, n/5, 2, testDelta)...)
+	var ops []Op
+	var live []geo.Point
+	for _, p := range ps {
+		ops = append(ops, Op{P: p})
+		live = append(live, p)
+		if len(live) > 0 && rng.Intn(100) < delPct {
+			j := rng.Intn(len(live))
+			ops = append(ops, Op{P: live[j], Delete: true})
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+	}
+	a.Apply(ops)
+	return a
+}
+
+// FuzzScanMatchesFullScan: the certified scan must select the guess, the
+// coreset points, weights and levels, or the error text of the full
+// ascending scan, on churn and insert-only streams, under every guess
+// cap, at 1, 2 and 4 workers, cold and warm; the one-worker scan's
+// certified run must be exact (checkCertifiedRun). Run for 15 s by
+// `make check`.
+func FuzzScanMatchesFullScan(f *testing.F) {
+	f.Add(int64(1), uint16(300), uint8(30), uint8(0), uint8(20))
+	f.Add(int64(2), uint16(600), uint8(0), uint8(1), uint8(19))
+	f.Add(int64(3), uint16(900), uint8(45), uint8(2), uint8(9))
+	f.Add(int64(4), uint16(120), uint8(10), uint8(3), uint8(4))
+	f.Add(int64(5), uint16(1200), uint8(20), uint8(1), uint8(30))
+	f.Add(int64(6), uint16(800), uint8(0), uint8(0), uint8(40))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, delPct, sizing, capRaw uint8) {
+		a := scanFixture(t, seed, int(nRaw)%1500+1, int(delPct)%60, int(sizing))
+		n := int(capRaw)%len(a.guesses) + 1
+		for _, w := range []int{1, 2, 4} {
+			for _, temp := range []string{"cold", "warm"} {
+				label := fmt.Sprintf("cap %d, %d workers, %s", n, w, temp)
+				if temp == "cold" {
+					a.DropDecodeCache()
+				}
+				want, wantErr := a.fullScan(n, w)
+				if temp == "cold" {
+					a.DropDecodeCache()
+				}
+				got, skipped, gotErr := a.scan(n, w)
+				sameOutcome(t, got, gotErr, want, wantErr, label)
+				if w == 1 {
+					checkCertifiedRun(t, a, n, skipped)
+				}
+			}
+		}
+	})
+}
+
+// checkCertifiedRun asserts that a one-worker scan over the first n
+// guesses that skipped `skipped` of them certified exactly the right
+// run: guesses 0..skipped (the smallest attempted, the rest skipped),
+// each extracted on its own, FAIL their heavy marking on the same shared
+// sketch with the smallest guess's error text, and guess skipped+1 does
+// not FAIL on that sketch.
+func checkCertifiedRun(t *testing.T, a *Auto, n, skipped int) {
+	t.Helper()
+	if skipped == 0 {
+		return
+	}
+	_, err0 := a.streams[0].resultWith(1)
+	level, ok := a.sharedHeavyFail(0, err0)
+	if !ok {
+		t.Fatalf("%d guesses skipped, but the smallest guess's error %v certifies nothing", skipped, err0)
+	}
+	for i := 1; i <= skipped; i++ {
+		_, err := a.streams[i].resultWith(1)
+		if l, ok := a.sharedHeavyFail(i, err); !ok || l != level || err.Error() != err0.Error() {
+			t.Fatalf("certified guess %d: error %v, want %v on the shared sketch", i, err, err0)
+		}
+	}
+	if skipped+1 < n {
+		_, err := a.streams[skipped+1].resultWith(1)
+		if l, ok := a.sharedHeavyFail(skipped+1, err); ok && l == level {
+			t.Fatalf("guess %d above the certified run FAILs on the shared sketch: %v", skipped+1, err)
+		}
+	}
+}
+
+// TestScanCertifiesSharedHeavyFails: on a stream whose small guesses FAIL
+// their heavy marking on a shared rate-1 sketch, the one-worker scan
+// attempts the smallest guess, skips the rest of the certified run, and
+// selects what the full scan selects; the run is exact
+// (checkCertifiedRun).
+func TestScanCertifiesSharedHeavyFails(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		delPct int
+	}{{"churn", 30}, {"insert-only", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := scanFixture(t, 7, 900, tc.delPct, 1)
+			n := len(a.guesses)
+			want, wantErr := a.fullScan(n, 1)
+			got, skipped, gotErr := a.scan(n, 1)
+			sameOutcome(t, got, gotErr, want, wantErr, "one worker")
+			if skipped == 0 {
+				t.Fatal("no guess was certified")
+			}
+			checkCertifiedRun(t, a, n, skipped)
+		})
 	}
 }

@@ -128,13 +128,13 @@ func TestSharedRateOneMatchesPrivate(t *testing.T) {
 				t.Fatalf("%d of %d guesses FAILed on the no-winner stream", fails, len(shared.streams))
 			}
 			want, wantErr := private.resultWith(1)
-			wantScan, wantScanErr := private.scan(len(private.guesses), 1)
+			wantScan, _, wantScanErr := private.scan(len(private.guesses), 1)
 			for _, w := range []int{1, 2, 4, 8} {
 				shared.DropDecodeCache()
 				got, gotErr := shared.resultWith(w)
 				sameOutcome(t, got, gotErr, want, wantErr, fmt.Sprintf("Result at %d workers", w))
 				shared.DropDecodeCache()
-				gotScan, gotScanErr := shared.scan(len(shared.guesses), w)
+				gotScan, _, gotScanErr := shared.scan(len(shared.guesses), w)
 				sameOutcome(t, gotScan, gotScanErr, wantScan, wantScanErr, fmt.Sprintf("scan at %d workers", w))
 			}
 		})

@@ -53,7 +53,10 @@ var (
 	mGuessAttempts = obs.C("stream_guess_attempts_total")
 	mGuessFails    = obs.C("stream_guess_fail_total")
 	mGuessRejects  = obs.C("stream_guess_weight_reject_total")
-	mGuessSelected = obs.G("stream_guess_selected_o")
+	// Guesses the scan skipped because a shared-sketch FAIL certificate
+	// proves they FAIL (Auto.certify); they are not attempts.
+	mGuessCertified = obs.C("stream_guess_certified_total")
+	mGuessSelected  = obs.G("stream_guess_selected_o")
 
 	// Per-guess outcome breakdown of the selection scan. The scalar
 	// mGuess* counters above stay as cheap aggregates; this vector says

@@ -532,6 +532,71 @@ func TestFacadeRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestFacadeRejectsBadParams: a Params value no default can stand in for
+// — a NaN, infinite or negative SamplesPerPart, a NaN Eps, Eta or R, an
+// infinite R, a negative HashIndependence — is an error from every
+// entry point, never a silent NaN-weight or empty coreset or a panic.
+func TestFacadeRejectsBadParams(t *testing.T) {
+	const delta = 256
+	rng := rand.New(rand.NewSource(43))
+	live := make([]streambalance.Point, 300)
+	for i := range live {
+		live[i] = streambalance.Point{1 + rng.Int63n(delta), 1 + rng.Int63n(delta)}
+	}
+	entries := []struct {
+		name string
+		run  func(p streambalance.Params) error
+	}{
+		{"BuildCoreset", func(p streambalance.Params) error {
+			_, err := streambalance.BuildCoreset(live, p)
+			return err
+		}},
+		{"NewStream", func(p streambalance.Params) error {
+			_, err := streambalance.NewStream(streambalance.StreamConfig{Dim: 2, Delta: delta, Params: p, O: 64})
+			return err
+		}},
+		{"NewAutoStream", func(p streambalance.Params) error {
+			_, err := streambalance.NewAutoStream(streambalance.StreamConfig{Dim: 2, Delta: delta, Params: p}, 8)
+			return err
+		}},
+		{"DistributedCoreset", func(p streambalance.Params) error {
+			_, err := streambalance.DistributedCoreset([][]streambalance.Point{live[:150], live[150:]},
+				streambalance.DistConfig{Dim: 2, Delta: delta, Params: p})
+			return err
+		}},
+	}
+	for _, tc := range []struct {
+		name  string
+		field string
+		set   func(p *streambalance.Params)
+	}{
+		{"SamplesPerPart=NaN", "SamplesPerPart", func(p *streambalance.Params) { p.SamplesPerPart = math.NaN() }},
+		{"SamplesPerPart=+Inf", "SamplesPerPart", func(p *streambalance.Params) { p.SamplesPerPart = math.Inf(1) }},
+		{"SamplesPerPart=-Inf", "SamplesPerPart", func(p *streambalance.Params) { p.SamplesPerPart = math.Inf(-1) }},
+		{"SamplesPerPart<0", "SamplesPerPart", func(p *streambalance.Params) { p.SamplesPerPart = -5 }},
+		{"Eps=NaN", "Eps", func(p *streambalance.Params) { p.Eps = math.NaN() }},
+		{"Eta=NaN", "Eta", func(p *streambalance.Params) { p.Eta = math.NaN() }},
+		{"R=NaN", "R", func(p *streambalance.Params) { p.R = math.NaN() }},
+		{"R=+Inf", "R", func(p *streambalance.Params) { p.R = math.Inf(1) }},
+		{"HashIndependence<0", "HashIndependence", func(p *streambalance.Params) { p.HashIndependence = -3 }},
+	} {
+		for _, e := range entries {
+			p := streambalance.Params{K: 2, Seed: 7}
+			tc.set(&p)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s %s: panicked: %v", e.name, tc.name, r)
+					}
+				}()
+				if err := e.run(p); err == nil || !strings.Contains(err.Error(), tc.field) {
+					t.Errorf("%s %s: error %v, want one naming %s", e.name, tc.name, err, tc.field)
+				}
+			}()
+		}
+	}
+}
+
 func inserts(ps []streambalance.Point) []streambalance.Op {
 	ops := make([]streambalance.Op, len(ps))
 	for i, p := range ps {
