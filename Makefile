@@ -25,11 +25,12 @@ check-fast:
 # something with -race on. Then three plain-build steps: the
 # disabled-telemetry overhead budget and its bench smoke (both meaningless
 # under -race, which inflates atomic loads by design; see
-# internal/obs/bench_test.go), and four 15 s fuzz smokes: round 2 of
+# internal/obs/bench_test.go), and five 15 s fuzz smokes: round 2 of
 # the dist protocol against its map-and-sort oracle, batched Apply
 # ingest against per-op Insert/Delete replay, the FAIL-certified guess
-# scan against the full ascending scan, and the power-column sampling
-# kernel against scalar Horner sampling.
+# scan against the full ascending scan, the power-column sampling
+# kernel against scalar Horner sampling, and the copy-on-write splice
+# against the flat merge and a cold decode.
 check:
 	go test -race ./...
 	go test -run OverheadBudget ./internal/obs
@@ -38,6 +39,7 @@ check:
 	go test -run '^$$' -fuzz FuzzCoalescedIngestMatchesSerial -fuzztime 15s ./internal/stream
 	go test -run '^$$' -fuzz FuzzScanMatchesFullScan -fuzztime 15s ./internal/stream
 	go test -run '^$$' -fuzz FuzzSamplePowersMatchesSample -fuzztime 15s ./internal/hashing
+	go test -run '^$$' -fuzz FuzzSpliceMatchesFlatMerge -fuzztime 15s ./internal/sketch
 
 test:
 	go build ./... && go test ./...
@@ -59,7 +61,7 @@ BENCH_RUN := go test -run '^$$' -benchmem -count 5
 define bench-record
 	$(BENCH_RUN) -bench 'KWiseEval/lambda=16|BernoulliSample|FingerprintKey|SparseDecode$$' ./internal/hashing ./internal/sketch | ./bin/bcbench -record $(1)/BENCH_hash.json
 	$(BENCH_RUN) -bench 'Ingest(AutoPerOp|AutoApply)$$|SparseUpdateSchedule/ordered' ./internal/stream ./internal/sketch | ./bin/bcbench -record $(1)/BENCH_ingest.json
-	$(BENCH_RUN) -bench 'ExtractAuto(Cold|ColdSerial|Warm|Incremental|Periodic)$$' ./internal/stream | ./bin/bcbench -record $(1)/BENCH_extract.json
+	$(BENCH_RUN) -bench 'ExtractAuto(Cold|ColdSerial|Warm|Incremental|Periodic)$$|SpliceSmallDelta$$' ./internal/stream ./internal/sketch | ./bin/bcbench -record $(1)/BENCH_extract.json
 	$(BENCH_RUN) -bench 'AssignSweep' . | ./bin/bcbench -record $(1)/BENCH_assign.json
 	$(BENCH_RUN) -bench 'DistProtocol' . | ./bin/bcbench -record $(1)/BENCH_dist.json
 endef

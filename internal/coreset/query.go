@@ -117,29 +117,39 @@ func PlanQuery(g *grid.Grid, p Params, o float64, n int64, counts, partCounts pa
 }
 
 // PointSource hands assembly the recovered ĥ-substream points of one
-// level i, each distinct point once with its multiplicity and the keys of
-// its level-(i−1) and level-i cells (grid.PointKeys), in the order they
-// enter the coreset. A non-nil error aborts assembly and is returned as
+// level i that keep accepts: each distinct point once with its
+// multiplicity, in the order they enter the coreset, when keep.Keep
+// accepts the keys of its level-(i−1) and level-i cells
+// (grid.PointKeys). A non-nil error aborts assembly and is returned as
 // is.
-type PointSource func(level int, yield func(p geo.Point, mult int64, parent, key uint64)) error
+type PointSource func(level int, keep *partition.PartFilter, yield func(p geo.Point, mult int64)) error
 
 // Assemble is Algorithm 4 step 6 for a plan that did not FAIL: for each
 // needed level in ascending order, it keeps the source's points whose
 // level-i part is included, at weight multiplicity/φ_i. Membership is
-// decided on the point's two cell keys (Partition.PartAt).
+// decided on the point's two cell keys by one partition.PartFilter per
+// level, built from the level's included parts (the parent is one of
+// theirs and the cell is not heavy), which the source applies.
 func (q *Query) Assemble(points PointSource) (*Coreset, error) {
 	part, pl := q.Part, q.Plan
 	cs := &Coreset{O: part.O, Grid: part.Grid, Part: part, Plan: pl, Params: q.params}
+	parents := make([][]uint64, len(q.Need))
+	size := 0.0 // expected kept points: Σ φ_i·τ over the included parts
+	for id := range pl.Included {
+		parents[id.Level] = append(parents[id.Level], id.Parent)
+		size += pl.Phi[id.Level] * part.Parts[id].Tau
+	}
+	size += size/8 + 16
+	cs.Points = make([]geo.Weighted, 0, int(size))
+	cs.Levels = make([]int, 0, int(size))
 	for i, need := range q.Need {
 		if !need {
 			continue
 		}
 		phi := pl.Phi[i]
-		err := points(i, func(p geo.Point, mult int64, parent, key uint64) {
-			if id, ok := part.PartAt(i, parent, key); ok && pl.Included[id] {
-				cs.Points = append(cs.Points, geo.Weighted{P: p, W: float64(mult) / phi})
-				cs.Levels = append(cs.Levels, i)
-			}
+		err := points(i, part.Filter(i, parents[i]), func(p geo.Point, mult int64) {
+			cs.Points = append(cs.Points, geo.Weighted{P: p, W: float64(mult) / phi})
+			cs.Levels = append(cs.Levels, i)
 		})
 		if err != nil {
 			return nil, err

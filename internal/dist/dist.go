@@ -755,14 +755,15 @@ func (co *coordinator) buildCoreset() (*coreset.Coreset, error) {
 	if q.Plan.Failed() {
 		return nil, fmt.Errorf("dist: plan FAILed: %s", q.Plan.FailWhy)
 	}
-	cs, err := q.Assemble(func(i int, yield func(geo.Point, int64, uint64, uint64)) error {
+	cs, err := q.Assemble(func(i int, keep *partition.PartFilter, yield func(geo.Point, int64)) error {
 		runs, err := co.waitHat(i)
 		if err != nil {
 			return err
 		}
 		mergeHat(runs, func(p geo.Point, mult int64) {
-			parent, key := env.g.PointKeys(p, i)
-			yield(p, mult, parent, key)
+			if keep.Keep(env.g.PointKeys(p, i)) {
+				yield(p, mult)
+			}
 		})
 		return nil
 	})

@@ -11,15 +11,20 @@ import (
 // cell key, in no order and without parent keys.
 type mapCountSource func(level int) (map[uint64]CellTau, bool)
 
-// buildLazyMap is BuildLazy over map sources, the oracle for the slice
-// form: it derives every parent key from the cell index and sorts each
-// part-mass level's keys itself before summing τ(Q_{i,j}).
-func buildLazyMap(g *grid.Grid, r, o float64, counts, partCounts mapCountSource) (*Partition, error) {
+// mapPartition is buildLazyMap's result: the heavy sets as maps, and the
+// parts.
+type mapPartition struct {
+	heavy []map[uint64]bool // heavy[level+1], levels −1..L−1
+	Parts map[PartID]*Part
+}
+
+// buildLazyMap is BuildLazy over map sources with map heavy sets, the
+// oracle for the slice form and its flat key sets: it derives every
+// parent key from the cell index and sorts each part-mass level's keys
+// itself before summing τ(Q_{i,j}).
+func buildLazyMap(g *grid.Grid, r, o float64, counts, partCounts mapCountSource) (*mapPartition, error) {
 	L := g.L
-	p := &Partition{
-		Grid:  g,
-		R:     r,
-		O:     o,
+	p := &mapPartition{
 		heavy: make([]map[uint64]bool, L+1),
 		Parts: make(map[PartID]*Part),
 	}
@@ -72,8 +77,6 @@ func buildLazyMap(g *grid.Grid, r, o float64, counts, partCounts mapCountSource)
 				part = &Part{ID: id}
 				p.Parts[id] = part
 			}
-			part.Cells = append(part.Cells, ct)
-			part.Keys = append(part.Keys, key)
 			part.Tau += ct.Tau
 		}
 	}
@@ -88,11 +91,28 @@ func partAtPoint(p *Partition, q geo.Point, level int) (PartID, bool) {
 		return PartID{}, false
 	}
 	parent := g.CellKey(q, level-1)
-	if !p.heavy[level][parent] {
+	if !p.heavy[level].has(parent) {
 		return PartID{}, false
 	}
-	if level < g.L && p.heavy[level+1][g.CellKey(q, level)] {
+	if level < g.L && p.heavy[level+1].has(g.CellKey(q, level)) {
 		return PartID{}, false
 	}
 	return PartID{Level: level, Parent: parent}, true
+}
+
+// crucialCells lists the crucial cells of p under each part, in key
+// order, straight from the definition over exact counts (ExactCounts
+// form): a cell of level i ≥ 0 whose parent is heavy and which is not
+// heavy itself.
+func crucialCells(p *Partition, counts [][]Cell) map[PartID][]Cell {
+	out := map[PartID][]Cell{}
+	for level := 0; level <= p.Grid.L; level++ {
+		for _, c := range counts[level+1] {
+			if p.IsHeavy(level-1, c.Parent) && !p.IsHeavy(level, c.Key) {
+				id := PartID{Level: level, Parent: c.Parent}
+				out[id] = append(out[id], c)
+			}
+		}
+	}
+	return out
 }

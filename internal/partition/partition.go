@@ -43,12 +43,12 @@ type PartID struct {
 }
 
 // Part is one part Q_{i,j} of the partition: the crucial cells at level
-// `ID.Level` sharing the heavy parent `ID.Parent`.
+// `ID.Level` sharing the heavy parent `ID.Parent`, summarised by their
+// total count. Its cells are the crucial cells under that parent; a
+// point's part is found from its cell keys (PartOf, PartAt, PartFilter).
 type Part struct {
-	ID    PartID
-	Cells []CellTau // crucial cells composing the part
-	Keys  []uint64  // cell keys parallel to Cells
-	Tau   float64   // Σ τ over the crucial cells ≈ |Q_{i,j}|
+	ID  PartID
+	Tau float64 // Σ τ over the crucial cells ≈ |Q_{i,j}|
 }
 
 // Partition is the output of Algorithm 1.
@@ -56,7 +56,7 @@ type Partition struct {
 	Grid  *grid.Grid
 	R     float64
 	O     float64
-	heavy []map[uint64]bool // heavy[level+1], levels −1..L−1
+	heavy []keySet // heavy[level+1], levels −1..L−1
 	Parts map[PartID]*Part
 }
 
@@ -110,18 +110,15 @@ func BuildLazy(g *grid.Grid, r, o float64, counts, partCounts CountSource) (*Par
 		Grid:  g,
 		R:     r,
 		O:     o,
-		heavy: make([]map[uint64]bool, L+1), // levels −1..L−1
+		heavy: make([]keySet, L+1), // levels −1..L−1
 		Parts: make(map[PartID]*Part),
-	}
-	for i := range p.heavy {
-		p.heavy[i] = map[uint64]bool{}
 	}
 	// Mark heavy cells top-down (lines 4–11 of Algorithm 1), stopping at
 	// the first level that can no longer contain heavy cells. A level's
 	// heavy keys are gathered first, so its set is allocated at its size.
 	var marked []uint64
 	for level := -1; level <= L-1; level++ {
-		if level > -1 && len(p.heavy[level]) == 0 {
+		if level > -1 && p.heavy[level].len() == 0 {
 			break // no heavy parents ⇒ no heavy cells below
 		}
 		cts, ok := counts(level)
@@ -131,13 +128,13 @@ func BuildLazy(g *grid.Grid, r, o float64, counts, partCounts CountSource) (*Par
 		th := ThresholdT(g, level, o, r)
 		marked = marked[:0]
 		for _, c := range cts {
-			if c.Tau >= th && (level == -1 || p.heavy[level][c.Parent]) {
+			if c.Tau >= th && (level == -1 || p.heavy[level].has(c.Parent)) {
 				marked = append(marked, c.Key)
 			}
 		}
-		heavy := make(map[uint64]bool, len(marked))
+		heavy := newKeySet(len(marked))
 		for _, key := range marked {
-			heavy[key] = true
+			heavy.add(key)
 		}
 		p.heavy[level+1] = heavy
 	}
@@ -148,7 +145,7 @@ func BuildLazy(g *grid.Grid, r, o float64, counts, partCounts CountSource) (*Par
 	// and hence any borderline inclusion or FAIL threshold downstream —
 	// vary between otherwise identical runs.
 	for level := 0; level <= L; level++ {
-		if len(p.heavy[level]) == 0 {
+		if p.heavy[level].len() == 0 {
 			continue // no heavy parent level ⇒ no crucial cells here
 		}
 		cts, ok := partCounts(level)
@@ -156,10 +153,10 @@ func BuildLazy(g *grid.Grid, r, o float64, counts, partCounts CountSource) (*Par
 			return nil, ErrCounts{Level: level}
 		}
 		for _, c := range cts {
-			if !p.heavy[level][c.Parent] {
+			if !p.heavy[level].has(c.Parent) {
 				continue // some ancestor is not heavy
 			}
-			if level <= L-1 && p.heavy[level+1][c.Key] {
+			if level <= L-1 && p.heavy[level+1].has(c.Key) {
 				continue // heavy itself, not crucial
 			}
 			id := PartID{Level: level, Parent: c.Parent}
@@ -168,8 +165,6 @@ func BuildLazy(g *grid.Grid, r, o float64, counts, partCounts CountSource) (*Par
 				part = &Part{ID: id}
 				p.Parts[id] = part
 			}
-			part.Cells = append(part.Cells, c.CellTau)
-			part.Keys = append(part.Keys, c.Key)
 			part.Tau += c.Tau
 		}
 	}
@@ -181,8 +176,8 @@ func BuildLazy(g *grid.Grid, r, o float64, counts, partCounts CountSource) (*Par
 // G_{i−1} for i ∈ {0..L}, which is the same total).
 func (p *Partition) HeavyCount() int {
 	n := 0
-	for _, m := range p.heavy {
-		n += len(m)
+	for i := range p.heavy {
+		n += p.heavy[i].len()
 	}
 	return n
 }
@@ -193,7 +188,7 @@ func (p *Partition) IsHeavy(level int, key uint64) bool {
 	if level < -1 || level > p.Grid.L-1 {
 		return false
 	}
-	return p.heavy[level+1][key]
+	return p.heavy[level+1].has(key)
 }
 
 // PartOf locates the part containing point q: the unique level whose cell
@@ -202,12 +197,12 @@ func (p *Partition) IsHeavy(level int, key uint64) bool {
 // large).
 func (p *Partition) PartOf(q geo.Point) (PartID, bool) {
 	g := p.Grid
-	if !p.heavy[0][g.CellKey(q, -1)] {
+	if !p.heavy[0].has(g.CellKey(q, -1)) {
 		return PartID{}, false
 	}
 	for level := 0; level <= g.L; level++ {
 		key := g.CellKey(q, level)
-		if level == g.L || !p.heavy[level+1][key] {
+		if level == g.L || !p.heavy[level+1].has(key) {
 			return PartID{Level: level, Parent: g.CellKey(q, level-1)}, true
 		}
 	}
@@ -225,13 +220,44 @@ func (p *Partition) PartAt(level int, parent, key uint64) (PartID, bool) {
 	if level < 0 || level > p.Grid.L {
 		return PartID{}, false
 	}
-	if !p.heavy[level][parent] {
+	if !p.heavy[level].has(parent) {
 		return PartID{}, false
 	}
-	if level < p.Grid.L && p.heavy[level+1][key] {
+	if level < p.Grid.L && p.heavy[level+1].has(key) {
 		return PartID{}, false
 	}
 	return PartID{Level: level, Parent: parent}, true
+}
+
+// PartFilter tests, from a point's two cell keys, whether the point lies
+// in one of a chosen set of parts of one level — the membership test of
+// Algorithm 2's assembly (coreset.Query.Assemble). Its two sets are
+// flat key sets, so a test costs two probes and no map lookup.
+type PartFilter struct {
+	parents keySet  // parent keys of the chosen parts
+	heavy   *keySet // the level's heavy cells; nil at level L
+}
+
+// Filter returns the PartFilter for the parts of the given level whose
+// parent keys are listed; each must be a part of p.
+func (p *Partition) Filter(level int, parents []uint64) *PartFilter {
+	f := &PartFilter{parents: newKeySet(len(parents))}
+	for _, k := range parents {
+		f.parents.add(k)
+	}
+	if level < p.Grid.L {
+		f.heavy = &p.heavy[level+1]
+	}
+	return f
+}
+
+// Keep reports whether a point whose level-(i−1) and level-i cells have
+// the keys parent and key lies in one of f's parts. It equals PartAt
+// returning one of them: a part exists only under a heavy parent, since
+// BuildLazy creates one only there, so finding the parent among the
+// chosen parts' parents implies PartAt's heavy-parent test.
+func (f *PartFilter) Keep(parent, key uint64) bool {
+	return f.parents.has(parent) && (f.heavy == nil || !f.heavy.has(key))
 }
 
 // ExactCounts computes exact per-cell point counts for all levels

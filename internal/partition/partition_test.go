@@ -186,18 +186,27 @@ func TestCrucialCellsHaveHeavyParentsOnly(t *testing.T) {
 	g := setup(t, 128, 2, 7)
 	ps := clusteredPoints(rng, 300, 128)
 	p := exactBuild(t, g, optUpper(ps, 2)/5, ps)
+	crucial := crucialCells(p, ExactCounts(g, ps))
+	if len(crucial) != len(p.Parts) {
+		t.Fatalf("%d parts, but crucial cells under %d parents", len(p.Parts), len(crucial))
+	}
 	for id, part := range p.Parts {
 		if !p.IsHeavy(id.Level-1, id.Parent) {
 			t.Fatalf("part %+v: parent not heavy", id)
 		}
-		for i, key := range part.Keys {
-			if id.Level <= g.L-1 && p.IsHeavy(id.Level, key) {
+		tau := 0.0
+		for _, c := range crucial[id] {
+			if id.Level <= g.L-1 && p.IsHeavy(id.Level, c.Key) {
 				t.Fatalf("part %+v contains a heavy (non-crucial) cell", id)
 			}
 			// Each crucial cell's parent must be the part's parent.
-			if g.KeyOf(id.Level-1, grid.ParentIndex(part.Cells[i].Index)) != id.Parent {
+			if g.KeyOf(id.Level-1, grid.ParentIndex(c.Index)) != id.Parent {
 				t.Fatalf("part %+v groups a cell with a different parent", id)
 			}
+			tau += c.Tau
+		}
+		if len(crucial[id]) == 0 || tau != part.Tau {
+			t.Fatalf("part %+v: τ %v over %d crucial cells, part says %v", id, tau, len(crucial[id]), part.Tau)
 		}
 	}
 }
@@ -207,6 +216,7 @@ func TestPartOfAgreesWithPartMembership(t *testing.T) {
 	g := setup(t, 128, 2, 8)
 	ps := clusteredPoints(rng, 400, 128)
 	p := exactBuild(t, g, optUpper(ps, 2)/3, ps)
+	crucial := crucialCells(p, ExactCounts(g, ps))
 	for _, q := range ps {
 		id, ok := p.PartOf(q)
 		if !ok {
@@ -214,10 +224,12 @@ func TestPartOfAgreesWithPartMembership(t *testing.T) {
 		}
 		// The crucial cell key of q at id.Level must be listed in the part.
 		key := g.CellKey(q, id.Level)
-		part := p.Parts[id]
+		if p.Parts[id] == nil {
+			t.Fatalf("point %v's part %+v does not exist", q, id)
+		}
 		found := false
-		for _, k := range part.Keys {
-			if k == key {
+		for _, c := range crucial[id] {
+			if c.Key == key {
 				found = true
 			}
 		}
@@ -278,7 +290,8 @@ func randomInstance(t *testing.T, rng *rand.Rand, trial int) (g *grid.Grid, ps g
 // and the point-keyed partAtPoint oracle, for every level (out-of-range
 // ones included) and every query point — input points, fresh points of
 // the domain, and points outside the root cell — over random BuildLazy
-// partitions.
+// partitions. A PartFilter over a chosen set of a level's parts must
+// keep exactly the points PartAt puts in one of them.
 func TestPartAtMatchesPartOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	levelsHit := map[int]bool{}
@@ -291,6 +304,26 @@ func TestPartAtMatchesPartOf(t *testing.T) {
 		)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Per level, a PartFilter over every part and one over a random
+		// half of them (sometimes none).
+		type chosenFilter struct {
+			filter *PartFilter
+			chosen map[PartID]bool
+		}
+		filters := make([][]chosenFilter, g.L+1)
+		for level := range filters {
+			for _, frac := range []float64{1, 0.5} {
+				chosen := map[PartID]bool{}
+				var parents []uint64
+				for id := range part.Parts {
+					if id.Level == level && rng.Float64() < frac {
+						chosen[id] = true
+						parents = append(parents, id.Parent)
+					}
+				}
+				filters[level] = append(filters[level], chosenFilter{part.Filter(level, parents), chosen})
+			}
 		}
 		delta := g.Delta
 		queries := append(geo.PointSet(nil), ps...)
@@ -327,6 +360,16 @@ func TestPartAtMatchesPartOf(t *testing.T) {
 						trial, q, level, got, ok, oid, ook)
 				}
 			}
+			for level := 0; level <= g.L; level++ {
+				parent, key := g.PointKeys(q, level)
+				id, ok := part.PartAt(level, parent, key)
+				for _, f := range filters[level] {
+					if keep := f.filter.Keep(parent, key); keep != (ok && f.chosen[id]) {
+						t.Fatalf("trial %d: q=%v level %d: Keep=%v, PartAt=(%v,%v), chosen=%v",
+							trial, q, level, keep, id, ok, f.chosen[id])
+					}
+				}
+			}
 		}
 	}
 	if len(levelsHit) < 4 || outside == 0 {
@@ -335,9 +378,9 @@ func TestPartAtMatchesPartOf(t *testing.T) {
 }
 
 // TestBuildLazyMatchesMapOracle: BuildLazy over key-sorted cell slices
-// with parent keys must build bit-identically the partition of the
-// map-based buildLazyMap oracle — heavy sets, parts, cell order and every
-// τ(Q_{i,j}) bit — and FAIL with the same ErrCounts when a source
+// with parent keys must build the partition of the map-based buildLazyMap
+// oracle — the same heavy set at every level, compared by membership,
+// and bit-identical parts, every τ(Q_{i,j}) bit included — and FAIL with the same ErrCounts when a source
 // withholds a level, on random instances. The slices come from
 // ExactCounts, the maps from the slices.
 func TestBuildLazyMatchesMapOracle(t *testing.T) {
@@ -385,8 +428,15 @@ func TestBuildLazyMatchesMapOracle(t *testing.T) {
 			fails[ce.Heavy]++
 			continue
 		}
-		if !reflect.DeepEqual(got.heavy, want.heavy) {
-			t.Fatalf("trial %d: heavy sets differ", trial)
+		for l := range want.heavy {
+			if got.heavy[l].len() != len(want.heavy[l]) {
+				t.Fatalf("trial %d: level %d: %d heavy cells, oracle %d", trial, l-1, got.heavy[l].len(), len(want.heavy[l]))
+			}
+			for key := range want.heavy[l] {
+				if !got.heavy[l].has(key) || !got.IsHeavy(l-1, key) {
+					t.Fatalf("trial %d: level %d: oracle's heavy cell %x missing", trial, l-1, key)
+				}
+			}
 		}
 		if !reflect.DeepEqual(got.Parts, want.Parts) {
 			t.Fatalf("trial %d: parts differ", trial)

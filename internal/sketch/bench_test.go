@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"streambalance/internal/geo"
+	"streambalance/internal/grid"
 	"streambalance/internal/testutil"
 )
 
@@ -121,5 +123,48 @@ func BenchmarkSparseUpdateSchedule(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "upd/sec")
 		})
+	}
+}
+
+// BenchmarkSpliceSmallDelta times one serving-shaped spliced query: a
+// Points sketch holding a base of 3,300 decoded points takes a 16-op
+// delta (8 inserts, 8 deletions of the oldest live points, so the base
+// keeps its size) and is queried, which peels the residual and splices
+// it onto the cached base. The copy-on-write base copies the chunks the
+// delta touches; a flat base would copy all 3,300 items and their keys.
+func BenchmarkSpliceSmallDelta(b *testing.B) {
+	const base, half = 3300, 8
+	rng := rand.New(rand.NewSource(7))
+	g := grid.New(1<<16, 2, rng)
+	st := NewStoring(rng, g, 12, Points, 4096, 0.01, nil)
+	point := func() geo.Point { return geo.Point{1 + rng.Int63n(1<<16), 1 + rng.Int63n(1<<16)} }
+	live := make([]geo.Point, 0, base+half*(b.N+1))
+	for i := 0; i < base; i++ {
+		live = append(live, point())
+		st.Insert(live[i])
+	}
+	arena := NewDecodeArena()
+	if _, ok := st.ResultKeyed(arena); !ok {
+		b.Fatal("base decode failed")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < half; j++ {
+			p := point()
+			st.Insert(p)
+			live = append(live, p)
+		}
+		for _, p := range live[:half] {
+			st.Delete(p)
+		}
+		live = live[half:]
+		if _, ok := st.ResultKeyed(arena); !ok {
+			b.Fatal("spliced decode failed")
+		}
+	}
+	b.StopTimer()
+	if s := st.CacheStats(); s.Splices != int64(b.N) {
+		b.Fatalf("%d of %d queries spliced", s.Splices, b.N)
 	}
 }

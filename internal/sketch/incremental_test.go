@@ -21,17 +21,52 @@ func compareIncCold(t *testing.T, inc, cold *Storing) {
 	if inc.Bytes() != cold.Bytes() {
 		t.Fatal("Bytes diverged between incremental and cold instances")
 	}
-	ri, ki, oki := inc.ResultKeyed(nil) // spliced when a base exists
-	cold.DropCache()                    // also clears the base: force a cold full peel
-	rc, kc, okc := cold.ResultKeyed(nil)
+	di, oki := inc.ResultKeyed(nil) // spliced when a base exists
+	cold.DropCache()                // also clears the base: force a cold full peel
+	dc, okc := cold.ResultKeyed(nil)
 	if oki != okc {
 		t.Fatalf("verdicts diverged: incremental ok=%v, cold ok=%v", oki, okc)
 	}
-	if oki && !reflect.DeepEqual(ri, rc) {
+	if !oki {
+		return
+	}
+	checkChunks(t, di)
+	if ri, rc := di.Items(), dc.Items(); !reflect.DeepEqual(ri, rc) {
 		t.Fatalf("results diverged:\nincremental %+v\ncold        %+v", ri, rc)
 	}
-	if oki && !reflect.DeepEqual(ki, kc) {
+	if ki, kc := flatKeys(di), flatKeys(dc); !reflect.DeepEqual(ki, kc) {
 		t.Fatalf("grid keys diverged:\nincremental %v\ncold        %v", ki, kc)
+	}
+}
+
+// flatKeys returns every item's grid keys of d in one slice, in item
+// order.
+func flatKeys(d *Decoded) []uint64 {
+	var out []uint64
+	for c := 0; c < d.Chunks(); c++ {
+		_, keys := d.Chunk(c)
+		out = append(out, keys...)
+	}
+	return out
+}
+
+// checkChunks fails t unless d's chunks are non-empty, hold at most
+// chunkCap items each (a splice re-cuts what it rewrites), carry stride
+// keys per item, and together list strictly ascending keys.
+func checkChunks(t *testing.T, d *Decoded) {
+	t.Helper()
+	var last uint64
+	for c := 0; c < d.Chunks(); c++ {
+		items, keys := d.Chunk(c)
+		if len(items) == 0 || len(items) > chunkCap || len(keys) != len(items)*d.stride {
+			t.Fatalf("chunk %d: %d items, %d keys (stride %d)", c, len(items), len(keys), d.stride)
+		}
+		for i, it := range items {
+			if (c > 0 || i > 0) && it.Key <= last {
+				t.Fatalf("chunk %d item %d: key %x not above %x", c, i, it.Key, last)
+			}
+			last = it.Key
+		}
 	}
 }
 
@@ -40,10 +75,12 @@ func compareIncCold(t *testing.T, inc, cold *Storing) {
 // CellKey, a cell's parent KeyOf.
 func checkGridKeys(t *testing.T, st *Storing, label string) {
 	t.Helper()
-	items, keys, ok := st.ResultKeyed(nil)
+	d, ok := st.ResultKeyed(nil)
 	if !ok {
 		t.Fatalf("%s: decode FAILed on in-budget input", label)
 	}
+	checkChunks(t, d)
+	items, keys := d.Items(), flatKeys(d)
 	w := st.keyStride()
 	if len(keys) != len(items)*w {
 		t.Fatalf("%s: %d keys for %d items, want %d per item", label, len(keys), len(items), w)
@@ -268,18 +305,18 @@ func TestSplicedResultNoArenaAliasing(t *testing.T) {
 		for _, p := range randPoints(rng, 6, 255, 2) {
 			st.Insert(p)
 		}
-		if _, ok := st.ResultArena(arena); !ok {
+		if _, ok := st.ResultKeyed(arena); !ok {
 			t.Fatal("warm decode failed")
 		}
 		st.Insert(geo.Point{11, 12})
-		res, ok := st.ResultArena(arena) // spliced
+		res, ok := st.ResultKeyed(arena) // spliced
 		if !ok {
 			t.Fatal("spliced decode failed")
 		}
 		if st.CacheStats().Splices == 0 {
 			t.Fatal("expected a spliced decode")
 		}
-		snap := deepCopyItems(res)
+		snap := deepCopyItems(res.Items())
 
 		// Churn the arena with decodes of an unrelated, larger sketch, and
 		// keep mutating + splicing st itself.
@@ -287,13 +324,13 @@ func TestSplicedResultNoArenaAliasing(t *testing.T) {
 		for _, p := range randPoints(rng, 40, 255, 2) {
 			other.Insert(p)
 		}
-		other.ResultArena(arena)
+		other.ResultKeyed(arena)
 		st.Insert(geo.Point{13, 14})
-		st.ResultArena(arena)
+		st.ResultKeyed(arena)
 		other.DropCache()
-		other.ResultArena(arena)
+		other.ResultKeyed(arena)
 
-		if !reflect.DeepEqual(snap, deepCopyItems(res)) {
+		if !reflect.DeepEqual(snap, deepCopyItems(res.Items())) {
 			t.Fatal("spliced result mutated by later arena use")
 		}
 	})

@@ -1,8 +1,9 @@
 package sketch
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -68,9 +69,9 @@ type Storing struct {
 	// its verdict tagged with the epoch it decoded at, so repeated
 	// extraction over an unchanged sketch skips the slab peel entirely,
 	// and a stale cache re-decodes differentially: snap holds the slab
-	// as of the last successful decode and items that decode, sorted by
+	// as of the last successful decode and base that decode, sorted by
 	// key, so only the residual cur − snap is peeled and spliced onto
-	// items (DESIGN.md §13). A cached success *is* items. Cache and base
+	// base (DESIGN.md §13). A cached success *is* base. Cache and base
 	// are derived state: excluded from Bytes (see CacheBytes), absent
 	// from Digest. mu serializes concurrent Result calls; updates must
 	// still not run concurrently with anything else.
@@ -82,16 +83,17 @@ type Storing struct {
 	stats      CacheStats // guarded by mu; always counted (query path only)
 
 	// Differential-decode base, valid only after a successful decode:
-	// items is exactly the decode of snap, so splicing a verified
-	// residual delta onto it reproduces the cold decode of the current
-	// slab. A cached success implies a valid base. keys runs parallel to
-	// items, keyStride words per item (see ResultKeyed): the grid keys the
-	// plan step and assembly look up, computed once per decoded item — a
+	// base is exactly the decode of snap, so splicing a verified residual
+	// delta onto it reproduces the cold decode of the current slab. A
+	// cached success implies a valid base, and is it. base holds each
+	// item's grid keys beside it (see ResultKeyed): the keys the plan
+	// step and assembly look up, computed once per decoded item — a
 	// splice carries a base item's keys over and keys only delta items.
+	// A splice builds a new Decoded and never writes to base, which views
+	// handed out earlier may still read (Decoded).
 	baseValid bool
 	snap      []int64
-	items     []Item
-	keys      []uint64
+	base      *Decoded
 }
 
 // Kind selects the vector a Storing recovers.
@@ -259,31 +261,34 @@ func (st *Storing) Digest() uint64 {
 // Decoding is deterministic in the sketch state, so Result memoizes its
 // outcome (success or FAIL) tagged with the current epoch and returns it
 // until the next mutation — periodic extraction over a long stream pays
-// only for levels that changed. The returned items are shared with the
-// cache and must be treated as read-only. Result is safe to call from
-// concurrent goroutines on distinct or identical instances, but not
-// concurrently with updates.
-func (st *Storing) Result() ([]Item, bool) { return st.ResultArena(nil) }
-
-// ResultArena is ResultKeyed without the keys.
-func (st *Storing) ResultArena(a *DecodeArena) ([]Item, bool) {
-	items, _, ok := st.ResultKeyed(a)
-	return items, ok
+// only for levels that changed. The returned slice is a fresh copy of
+// the cached decode; the item payloads are shared with the cache and
+// must be treated as read-only. Result is safe to call from concurrent
+// goroutines on distinct or identical instances, but not concurrently
+// with updates.
+func (st *Storing) Result() ([]Item, bool) {
+	d, ok := st.ResultKeyed(nil)
+	if !ok {
+		return nil, false
+	}
+	return d.Items(), true
 }
 
-// ResultKeyed is Result running its sparse-recovery decode out of the
-// caller's DecodeArena (nil allocates transient scratch) — the
-// extraction pipeline's decode pool keeps one arena per worker so cold
-// decode rounds reuse one working slab instead of cloning per sketch.
-// The cached items never alias arena memory (DecodeWith returns freshly
-// allocated items), so arenas and caches have independent lifetimes.
+// ResultKeyed is Result returning the cached decode itself, as a
+// read-only view that no later splice changes (Decoded), and running its
+// sparse-recovery decode out of the caller's DecodeArena (nil allocates
+// transient scratch) — the extraction pipeline's decode pool keeps one
+// arena per worker so cold decode rounds reuse one working slab instead
+// of cloning per sketch. The cached items never alias arena memory
+// (DecodeWith returns freshly allocated items), so arenas and caches
+// have independent lifetimes. A cache hit returns the same *Decoded.
 //
-// Beside the items it returns their grid keys, keyStride words per item
-// and read-only like the items: for a Points item t, keys[2t] and
-// keys[2t+1] are the keys of the level-(i−1) and level-i cells holding
-// the point (grid.PointKeys); for a Cells item t, keys[t] is the key of
-// the cell's level-(i−1) parent (grid.ParentKey).
-func (st *Storing) ResultKeyed(a *DecodeArena) ([]Item, []uint64, bool) {
+// Beside each item the view holds its grid keys, keyStride words per
+// item: for a Points item t of a chunk, keys[2t] and keys[2t+1] are the
+// keys of the level-(i−1) and level-i cells holding the point
+// (grid.PointKeys); for a Cells item t, keys[t] is the key of the cell's
+// level-(i−1) parent (grid.ParentKey).
+func (st *Storing) ResultKeyed(a *DecodeArena) (*Decoded, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.cacheValid && st.cacheEpoch == st.epoch {
@@ -314,13 +319,13 @@ func (st *Storing) ResultKeyed(a *DecodeArena) ([]Item, []uint64, bool) {
 	return st.cached()
 }
 
-// cached returns the cached verdict: a success is the base item list
-// and its keys. mu must be held.
-func (st *Storing) cached() ([]Item, []uint64, bool) {
+// cached returns the cached verdict: a success is the base decode. mu
+// must be held.
+func (st *Storing) cached() (*Decoded, bool) {
 	if !st.cacheOK {
-		return nil, nil, false
+		return nil, false
 	}
-	return st.items, st.keys, true
+	return st.base, true
 }
 
 // keyStride is the number of grid keys kept per decoded item: a point's
@@ -344,7 +349,7 @@ func (st *Storing) keyItem(dst []uint64, it *Item) {
 // decode answers a cache miss or a stale query and reports success, in
 // which case the base holds the current decode; mu must be held, a may
 // be nil (transient scratch). With a valid base it first attempts the
-// spliced decode — residual peel plus merge onto the base items — and
+// spliced decode — residual peel plus merge onto the base decode — and
 // falls back to the cold full peel only when the splice cannot prove
 // exactness (residual denser than 2s, or a combine mismatch, both of
 // which only occur under fingerprint collisions or genuinely large
@@ -378,14 +383,14 @@ func (st *Storing) decodeCold(a *DecodeArena) bool {
 	for t := range items {
 		st.keyItem(keys[t*w:], &items[t])
 	}
-	st.setBase(items, keys)
+	st.setBase(newDecoded(items, keys, w))
 	return true
 }
 
 // splice is the differential decode (DESIGN.md §13); mu must be held.
 // It peels the residual cur − snap — by linearity, a valid sketch of
 // exactly the updates applied since the base decode — and merges the
-// verified delta onto the base items. done=false means the splice could
+// verified delta onto the base decode (mergeDecoded). done=false means the splice could
 // not prove exactness and the caller must fall back to a cold peel;
 // done=true carries a definitive verdict: either the spliced success,
 // or a deterministic FAIL (combined support past the sparsity budget,
@@ -398,17 +403,17 @@ func (st *Storing) splice(a *DecodeArena) (ok, done bool) {
 	if !ok {
 		return false, false
 	}
-	merged, keys, ok := st.mergeDecoded(delta)
+	merged, neg, ok := st.mergeDecoded(delta)
 	if !ok {
 		return false, false
 	}
-	if len(merged) > st.sr.Sparsity() || anyNegative(merged) {
+	if neg || merged.Len() > st.sr.Sparsity() {
 		// A FAIL verdict keeps the old base: it is still an exact decode
 		// of its snapshot, and deletions may shrink the state back under
 		// the budget.
 		return false, true
 	}
-	st.setBase(merged, keys)
+	st.setBase(merged)
 	return true, true
 }
 
@@ -422,16 +427,16 @@ func anyNegative(items []Item) bool {
 	return false
 }
 
-// setBase snapshots the live slab and adopts the given sorted items and
-// their keys as the differential base; mu must be held. The snapshot
+// setBase snapshots the live slab and adopts the given decode as the
+// differential base; mu must be held. The snapshot
 // reuses the previous base's buffer — via the sparse journal-guided
 // refresh when one is live, so steady-state splicing copies only the
 // changed buckets and allocates only the delta items. Either way the sketch restarts its
 // dirty journal here: from this snapshot on, the journal enumerates
 // exactly the buckets that diverge from it.
-func (st *Storing) setBase(items []Item, keys []uint64) {
+func (st *Storing) setBase(d *Decoded) {
 	st.snap = st.sr.RefreshSnapshot(st.snap)
-	st.items, st.keys = items, keys
+	st.base = d
 	st.baseValid = true
 }
 
@@ -439,77 +444,14 @@ func (st *Storing) setBase(items []Item, keys []uint64) {
 // was tracking against its snapshot; mu must be held.
 func (st *Storing) clearBase() {
 	st.sr.StopDirtyTracking()
-	st.snap, st.items, st.keys, st.baseValid = nil, nil, nil, false
+	st.snap, st.base, st.baseValid = nil, nil, false
 }
 
 // sortItemsByKey puts a decode's items into the canonical key order.
 // Peel order depends on which buckets happened to be pure first; sorting
 // makes cold and spliced decodes emit identical lists.
 func sortItemsByKey(items []Item) {
-	sort.Slice(items, func(i, j int) bool { return items[i].Key < items[j].Key })
-}
-
-// mergeDecoded combines the base item list (sorted by key) with a
-// residual delta decode, producing the sorted item list of the summed
-// vector — exactly what a cold peel of the current slab returns, since
-// cur = snapshot + residual by linearity — and its keys. Keys whose net
-// count cancels to zero vanish (as they do from a cold peel). A key
-// present in both lists must carry a consistent payload: the combined
-// payload sum pc·prevP + dc·deltaP must divide evenly by the combined
-// count, and a mismatch (only possible under a fingerprint collision)
-// returns ok=false so the caller falls back to the cold peel's own
-// verdict. An item kept from the base keeps its grid keys; every item
-// the delta touched is keyed afresh. mu must be held.
-func (st *Storing) mergeDecoded(delta []Item) ([]Item, []uint64, bool) {
-	prev, prevKeys := st.items, st.keys
-	if len(delta) == 0 {
-		return prev, prevKeys, true
-	}
-	sortItemsByKey(delta)
-	w := st.keyStride()
-	out := make([]Item, 0, len(prev)+len(delta))
-	keys := make([]uint64, 0, (len(prev)+len(delta))*w)
-	add := func(it Item) {
-		out = append(out, it)
-		keys = append(keys, make([]uint64, w)...)
-		st.keyItem(keys[len(keys)-w:], &out[len(out)-1])
-	}
-	i, j := 0, 0
-	for i < len(prev) || j < len(delta) {
-		switch {
-		case j >= len(delta) || (i < len(prev) && prev[i].Key < delta[j].Key):
-			out = append(out, prev[i])
-			keys = append(keys, prevKeys[i*w:(i+1)*w]...)
-			i++
-		case i >= len(prev) || delta[j].Key < prev[i].Key:
-			add(delta[j])
-			j++
-		default: // same key on both sides
-			pc, dc := prev[i].Count, delta[j].Count
-			nc := pc + dc
-			if nc != 0 {
-				it := Item{Key: prev[i].Key, Count: nc}
-				if pd := len(prev[i].Payload); pd > 0 {
-					if len(delta[j].Payload) != pd {
-						return nil, nil, false
-					}
-					p := make([]int64, pd)
-					for x := 0; x < pd; x++ {
-						num := pc*prev[i].Payload[x] + dc*delta[j].Payload[x]
-						if num%nc != 0 {
-							return nil, nil, false
-						}
-						p[x] = num / nc
-					}
-					it.Payload = p
-				}
-				add(it)
-			}
-			i++
-			j++
-		}
-	}
-	return out, keys, true
+	slices.SortFunc(items, func(a, b Item) int { return cmp.Compare(a.Key, b.Key) })
 }
 
 // Merge adds another Storing instance's state into st. Both must have
@@ -615,7 +557,7 @@ func (st *Storing) CacheStats() CacheStats {
 }
 
 // CacheBytes reports the approximate memory held by the decode cache
-// and the differential base: the base item list and its grid keys (which
+// and the differential base: the base decode with its grid keys (which
 // a cached success returns), the slab snapshot and the dirty journal. It
 // is deliberately NOT part of Bytes (and never enters Digest): all of it is derived
 // state, reconstructible from the slab at any time, not sketch space —
@@ -628,11 +570,7 @@ func (st *Storing) CacheBytes() int64 {
 	if !st.baseValid {
 		return 0
 	}
-	b := int64(len(st.snap)+len(st.keys))*8 + int64(len(st.items))*40 + st.sr.DirtyJournalBytes()
-	for i := range st.items {
-		b += int64(len(st.items[i].Payload)) * 8
-	}
-	return b
+	return int64(len(st.snap))*8 + st.base.bytes() + st.sr.DirtyJournalBytes()
 }
 
 // NetUpdates returns the net number of surviving stream updates seen.

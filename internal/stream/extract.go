@@ -99,7 +99,7 @@ func warmStorings(units []*sketch.Storing, workers int) {
 		arena := getArena()
 		defer putArena(arena)
 		for _, st := range pending {
-			st.ResultArena(arena)
+			st.ResultKeyed(arena)
 		}
 		return
 	}
@@ -116,7 +116,7 @@ func warmStorings(units []*sketch.Storing, workers int) {
 				if i >= len(pending) {
 					return
 				}
-				pending[i].ResultArena(arena)
+				pending[i].ResultKeyed(arena)
 			}
 		}()
 	}
@@ -138,14 +138,20 @@ func (s *Stream) Result() (*coreset.Coreset, error) { return s.resultWith(extrac
 func (s *Stream) resultWith(workers int) (*coreset.Coreset, error) {
 	arena := getArena()
 	defer putArena(arena)
-	return s.extract(workers, arena)
+	return s.extract(workers, arena, nil)
 }
+
+// errAbandoned is extract's verdict when its abandon check stopped it
+// between the plan step and the assembly.
+var errAbandoned = errors.New("stream: assembly abandoned")
 
 // extract is resultWith running every lazy (cache-miss) decode out of
 // arena, so a caller extracting many instances in one goroutine — a
 // guess-scan worker — reuses one arena across all of them. The warm
 // pools of workers > 1 take their own per-worker arenas from the pool.
-func (s *Stream) extract(workers int, arena *sketch.DecodeArena) (*coreset.Coreset, error) {
+// A non-nil abandon is asked once the plan step has succeeded; when it
+// says so, extract skips the assembly and returns errAbandoned.
+func (s *Stream) extract(workers int, arena *sketch.DecodeArena, abandon func() bool) (*coreset.Coreset, error) {
 	if s.n < 0 {
 		return nil, errors.New("stream: more deletions than insertions")
 	}
@@ -186,6 +192,9 @@ func (s *Stream) extract(workers int, arena *sketch.DecodeArena) (*coreset.Cores
 	if q.Plan.Failed() {
 		return nil, fmt.Errorf("%w: %s", ErrPlanFail, q.Plan.FailWhy)
 	}
+	if abandon != nil && abandon() {
+		return nil, errAbandoned
+	}
 	// Stage 2: decode only the ĥ point sketches of needed levels — these
 	// are the large sketches, and the plan has already pruned the rest.
 	if workers > 1 {
@@ -197,13 +206,18 @@ func (s *Stream) extract(workers int, arena *sketch.DecodeArena) (*coreset.Cores
 		}
 		warmStorings(units, workers)
 	}
-	return q.Assemble(func(i int, yield func(geo.Point, int64, uint64, uint64)) error {
-		pts, keys, ok := s.hat[i].st.ResultKeyed(arena)
+	return q.Assemble(func(i int, keep *partition.PartFilter, yield func(geo.Point, int64)) error {
+		d, ok := s.hat[i].st.ResultKeyed(arena)
 		if !ok {
 			return fmt.Errorf("%w: ĥ-substream level %d", ErrSketchFail, i)
 		}
-		for t, pc := range pts {
-			yield(geo.Point(pc.Payload), pc.Count, keys[2*t], keys[2*t+1])
+		for c := 0; c < d.Chunks(); c++ {
+			pts, keys := d.Chunk(c)
+			for t := range pts {
+				if keep.Keep(keys[2*t], keys[2*t+1]) {
+					yield(geo.Point(pts[t].Payload), pts[t].Count)
+				}
+			}
 		}
 		return nil
 	})
@@ -230,22 +244,58 @@ func (s *Stream) heavyFail(arena *sketch.DecodeArena) (int, bool) {
 // by the inverse of its sampler's rate, or unavailable when the sketch
 // FAILs. Decoding is lazy — a cache miss peels out of arena — so on the
 // serial path sketches of levels below the deepest heavy cell, which can
-// be arbitrarily over-full, are never decoded.
+// be arbitrarily over-full, are never decoded. The cells are built once
+// per decode (cellMemo), however many guesses and certify probes read
+// them.
 func cellSource(us []unit, arena *sketch.DecodeArena) partition.CountSource {
 	return func(level int) ([]partition.Cell, bool) {
 		u := us[level]
-		items, parents, ok := u.st.ResultKeyed(arena)
+		d, ok := u.st.ResultKeyed(arena)
 		if !ok {
 			return nil, false
 		}
-		rate := u.samp.Phi()
-		cells := make([]partition.Cell, len(items))
-		for t, it := range items {
-			cells[t] = partition.Cell{Key: it.Key, Parent: parents[t],
-				CellTau: partition.CellTau{Index: it.Payload, Tau: float64(it.Count) / rate}}
-		}
-		return cells, true
+		return u.cells.get(d, u.samp.Phi()), true
 	}
+}
+
+// cellMemo holds the cells one cell sketch's current decode yields at
+// one rate. Every unit over the same Storing holds the same memo, and
+// only guesses sampling at rate 1 share a Storing, so the cells are
+// built once per decode for all of them: a decode is a new *Decoded, a
+// cache hit the same one. The cells alias the decode's payloads and are
+// read-only, like the decode.
+type cellMemo struct {
+	mu    sync.Mutex
+	from  *sketch.Decoded
+	rate  float64
+	cells []partition.Cell
+}
+
+// get returns d's cells with counts scaled by 1/rate, building them
+// unless the memo already holds them.
+func (m *cellMemo) get(d *sketch.Decoded, rate float64) []partition.Cell {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.from == d && m.rate == rate {
+		return m.cells
+	}
+	cells := make([]partition.Cell, 0, d.Len())
+	for c := 0; c < d.Chunks(); c++ {
+		items, parents := d.Chunk(c)
+		for t, it := range items {
+			cells = append(cells, partition.Cell{Key: it.Key, Parent: parents[t],
+				CellTau: partition.CellTau{Index: it.Payload, Tau: float64(it.Count) / rate}})
+		}
+	}
+	m.from, m.rate, m.cells = d, rate, cells
+	return cells
+}
+
+// drop releases the memoised cells.
+func (m *cellMemo) drop() {
+	m.mu.Lock()
+	m.from, m.cells = nil, nil
+	m.mu.Unlock()
 }
 
 // DropDecodeCache discards the decode cache of every unit, forcing the
@@ -255,6 +305,9 @@ func cellSource(us []unit, arena *sketch.DecodeArena) partition.CountSource {
 func (ss *sketchSet) DropDecodeCache() {
 	for _, u := range ss.units {
 		u.st.DropCache()
+		if u.cells != nil {
+			u.cells.drop()
+		}
 	}
 }
 
@@ -325,7 +378,8 @@ func (ss *sketchSet) DirtyLevels() (dirty, total int) {
 // far. The selected guess, its coreset and the error text are those of
 // the one-worker scan; the only extra work is the guesses above the
 // winner that other workers claimed before the winner's extraction
-// finished, which count as attempts.
+// finished, which count as attempts. Such a guess whose plan step ends
+// after the winner is known skips its assembly (abandoned).
 func (a *Auto) Result() (*coreset.Coreset, error) { return a.resultWith(extractWorkers()) }
 
 // resultWith is Result with an explicit scan-pool size.
@@ -382,7 +436,9 @@ func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
 // falls, so every index below its final value was certified or claimed
 // and ran to completion, and the pass after the pool reads exactly the
 // outcomes the one-worker full scan would have produced — a certified
-// guess's error text is the smallest guess's. Each worker extracts
+// guess's error text is the smallest guess's. A worker whose guess is
+// above best once its plan step succeeds skips the assembly: the pass
+// never reads that outcome, since best only falls. Each worker extracts
 // lazily out of one pooled arena for all its guesses.
 func (a *Auto) scan(n, workers int) (*coreset.Coreset, int, error) {
 	if n == 0 {
@@ -396,7 +452,7 @@ func (a *Auto) scan(n, workers int) (*coreset.Coreset, int, error) {
 	var next, best atomic.Int64
 	best.Store(int64(n))
 	claim := func(i int64, arena *sketch.DecodeArena) {
-		cs, err := a.attempt(int(i), arena)
+		cs, err := a.attempt(int(i), arena, func() bool { return i > best.Load() })
 		out[i] = outcome{cs, err}
 		if cs != nil {
 			for b := best.Load(); i < b && !best.CompareAndSwap(b, i); b = best.Load() {
@@ -500,12 +556,19 @@ func (a *Auto) certify(level, n int, arena *sketch.DecodeArena) int {
 // attempt extracts guess i's coreset lazily out of arena and records
 // the attempt and its outcome. It returns the coreset only when it is
 // weight-sane; a FAIL returns its error, and a weight reject returns
+// neither. A non-nil abandon is asked once the plan step succeeds, and
+// true skips the assembly: the attempt is then abandoned and returns
 // neither.
-func (a *Auto) attempt(i int, arena *sketch.DecodeArena) (*coreset.Coreset, error) {
+func (a *Auto) attempt(i int, arena *sketch.DecodeArena, abandon func() bool) (*coreset.Coreset, error) {
 	o := a.guesses[i]
 	mGuessAttempts.Inc()
 	markGuess(o, "attempt")
-	cs, err := a.streams[i].extract(1, arena)
+	cs, err := a.streams[i].extract(1, arena, abandon)
+	if errors.Is(err, errAbandoned) {
+		mGuessAbandoned.Inc()
+		markGuess(o, "abandoned")
+		return nil, nil
+	}
 	if err != nil {
 		mGuessFails.Inc()
 		markGuess(o, "fail")

@@ -251,10 +251,11 @@ var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
 // sampler has rate 1 at a (substream, level) shares one Storing there,
 // and the ensemble lists that unit once (ensembleUnits).
 type unit struct {
-	st   *sketch.Storing
-	samp *hashing.Bernoulli
-	sub  int // substream: 0 h, 1 h′, 2 ĥ
-	col  int // batch column: the level for h and h′, L+1 for ĥ
+	st    *sketch.Storing
+	cells *cellMemo // st's decoded cells for the plan step; nil for ĥ
+	samp  *hashing.Bernoulli
+	sub   int // substream: 0 h, 1 h′, 2 ĥ
+	col   int // batch column: the level for h and h′, L+1 for ĥ
 }
 
 // apply writes the batch to u. Its selected ops are COALESCED by key —

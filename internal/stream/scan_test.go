@@ -131,7 +131,7 @@ func (a *Auto) fullScan(n, workers int) (*coreset.Coreset, error) {
 			if i >= best.Load() {
 				return
 			}
-			cs, err := a.attempt(int(i), arena)
+			cs, err := a.attempt(int(i), arena, nil)
 			out[i] = outcome{cs, err}
 			if cs != nil {
 				for b := best.Load(); i < b && !best.CompareAndSwap(b, i); b = best.Load() {
@@ -278,5 +278,50 @@ func TestScanCertifiesSharedHeavyFails(t *testing.T) {
 			}
 			checkCertifiedRun(t, a, n, skipped)
 		})
+	}
+}
+
+// TestAttemptAbandonsOnlyAssembly: an attempt whose abandon check says
+// so after a successful plan step returns neither coreset nor error and
+// decodes no ĥ sketch, and the same guess unabandoned still succeeds; an
+// attempt whose plan step FAILs reports its FAIL without asking.
+func TestAttemptAbandonsOnlyAssembly(t *testing.T) {
+	a := scanFixture(t, 7, 900, 30, 2)
+	want, _, err := a.scan(len(a.guesses), 1)
+	if err != nil || want == nil {
+		t.Fatalf("no winner: %v", err)
+	}
+	win := 0
+	for a.guesses[win] != want.O {
+		win++
+	}
+	arena := getArena()
+	defer putArena(arena)
+	asked := 0
+	always := func() bool { asked++; return true }
+
+	a.DropDecodeCache()
+	cs, err := a.attempt(win, arena, always)
+	if cs != nil || err != nil || asked != 1 {
+		t.Fatalf("abandoned attempt: coreset %v, error %v, asked %d times", cs != nil, err, asked)
+	}
+	for i, u := range a.streams[win].hat {
+		if u.st.CacheFresh() {
+			t.Fatalf("abandoned attempt decoded ĥ level %d", i)
+		}
+	}
+	got, err := a.attempt(win, arena, func() bool { return false })
+	if err != nil || got == nil {
+		t.Fatalf("unabandoned attempt: %v", err)
+	}
+	equalExtraction(t, got, want, "unabandoned attempt")
+
+	_, err0 := a.streams[0].resultWith(1)
+	if err0 == nil {
+		t.Fatal("the smallest guess does not FAIL on this fixture")
+	}
+	asked = 0
+	if _, err := a.attempt(0, arena, always); err == nil || err.Error() != err0.Error() || asked != 0 {
+		t.Fatalf("FAILing attempt: error %v, want %v, asked %d times", err, err0, asked)
 	}
 }

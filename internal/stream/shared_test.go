@@ -3,10 +3,12 @@ package stream
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"streambalance/internal/coreset"
 	"streambalance/internal/obs"
+	"streambalance/internal/partition"
 	"streambalance/internal/sketch"
 )
 
@@ -207,5 +209,68 @@ func TestAutoAccountingCountsSharedOnce(t *testing.T) {
 	}
 	if dirty, _ := a.DirtyLevels(); dirty != 0 {
 		t.Fatalf("%d units still dirty after WarmDecodeCache", dirty)
+	}
+}
+
+// TestCellsBuiltOncePerDecode: the plan step's count source builds a
+// cell sketch's cells once per decode. Guesses sharing a rate-1 h sketch
+// read the very same slice while its decode is cached; after an update
+// the next read is a new slice, equal to the cells of the new decode —
+// never the memo of the old one — and DropDecodeCache drops the memo.
+func TestCellsBuiltOncePerDecode(t *testing.T) {
+	a, err := NewAuto(Config{
+		Dim: 2, Delta: testDelta, Params: coreset.Params{K: 3, Seed: 61},
+		CellSparsity: 512, PointSparsity: 2048,
+	}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Apply(mixedOps(62, 800))
+	level, i, j := -1, 0, 0
+	for l := 0; l < a.g.L && level < 0; l++ {
+		for g := 1; g < len(a.streams); g++ {
+			if a.streams[g].h[l].st == a.streams[0].h[l].st {
+				level, i, j = l, 0, g
+			}
+		}
+	}
+	if level < 0 {
+		t.Fatal("no h sketch is shared")
+	}
+	arena := getArena()
+	defer putArena(arena)
+	read := func(g int) []partition.Cell {
+		cells, ok := cellSource(a.streams[g].h, arena)(level)
+		if !ok || len(cells) == 0 {
+			t.Fatalf("guess %d: level %d cells unavailable", g, level)
+		}
+		return cells
+	}
+	same := func(x, y []partition.Cell) bool { return &x[0] == &y[0] }
+	want := func(cells []partition.Cell) {
+		t.Helper()
+		d, _ := a.streams[i].h[level].st.ResultKeyed(arena)
+		fresh := new(cellMemo).get(d, a.streams[i].h[level].samp.Phi())
+		if !reflect.DeepEqual(cells, fresh) {
+			t.Fatal("memoised cells differ from the current decode's")
+		}
+	}
+	first := read(i)
+	if !same(first, read(j)) || !same(first, read(i)) {
+		t.Fatal("guesses sharing a cached decode read different cell slices")
+	}
+	want(first)
+	a.Apply(mixedOps(63, 40))
+	second := read(j)
+	if same(first, second) {
+		t.Fatal("an update left the old decode's cells in place")
+	}
+	want(second)
+	if !same(second, read(i)) {
+		t.Fatal("guesses sharing a cached decode read different cell slices after an update")
+	}
+	a.DropDecodeCache()
+	if m := a.streams[i].h[level].cells; m.from != nil || m.cells != nil {
+		t.Fatal("DropDecodeCache kept the cell memo")
 	}
 }

@@ -53,6 +53,9 @@ var (
 	mGuessAttempts = obs.C("stream_guess_attempts_total")
 	mGuessFails    = obs.C("stream_guess_fail_total")
 	mGuessRejects  = obs.C("stream_guess_weight_reject_total")
+	// Attempts whose assembly the scan skipped because a smaller guess
+	// had already succeeded (Auto.scan); they are attempts.
+	mGuessAbandoned = obs.C("stream_guess_abandoned_total")
 	// Guesses the scan skipped because a shared-sketch FAIL certificate
 	// proves they FAIL (Auto.certify); they are not attempts.
 	mGuessCertified = obs.C("stream_guess_certified_total")
@@ -170,9 +173,9 @@ func New(cfg Config) (*Stream, error) {
 	return newShared(cfg, g, hashing.NewFingerprint(rng), rng, nil), nil
 }
 
-// rateOneOwners maps a (substream, level) pair to the Storing that the
-// ensemble's guesses sampling it at rate 1 share.
-type rateOneOwners map[[2]int]*sketch.Storing
+// rateOneOwners maps a (substream, level) pair to the unit whose Storing
+// (and cell memo) the ensemble's guesses sampling it at rate 1 share.
+type rateOneOwners map[[2]int]unit
 
 // newShared builds a Stream over an externally supplied grid and
 // fingerprint. Auto uses it to make every guess instance share one grid
@@ -197,16 +200,18 @@ func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand
 		u := unit{samp: samp, sub: sub, col: i}
 		if sub == 2 {
 			u.col = L + 1
+		} else {
+			u.cells = new(cellMemo)
 		}
-		switch owner := owners[[2]int{sub, i}]; {
+		switch owner, owned := owners[[2]int{sub, i}]; {
 		case owners == nil || samp.Phi() < 1:
 			u.st = sketch.NewStoring(rng, g, i, kind, capacity, cfg.FailProb, fp)
-		case owner != nil:
+		case owned:
 			sketch.SkipStoring(rng, g, kind, capacity, cfg.FailProb, fp)
-			u.st = owner
+			u.st, u.cells = owner.st, owner.cells
 		default:
 			u.st = sketch.NewStoring(rng, g, i, kind, capacity, cfg.FailProb, fp)
-			owners[[2]int{sub, i}] = u.st
+			owners[[2]int{sub, i}] = u
 		}
 		return u
 	}
@@ -281,11 +286,14 @@ func (s *Stream) Fork() *Stream {
 }
 
 // cloneUnits returns us with every Storing replaced by an empty clone
-// sharing its hash functions.
+// sharing its hash functions, each cell sketch with a memo of its own.
 func cloneUnits(us []unit) []unit {
 	cp := make([]unit, len(us))
 	for i, u := range us {
 		u.st = u.st.CloneEmpty()
+		if u.cells != nil {
+			u.cells = new(cellMemo)
+		}
 		cp[i] = u
 	}
 	return cp
