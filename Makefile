@@ -59,7 +59,7 @@ bcbench:
 # results, so a failed run fails the target.
 BENCH_RUN := go test -run '^$$' -benchmem -count 5
 define bench-record
-	$(BENCH_RUN) -bench 'KWiseEval/lambda=16|BernoulliSample|FingerprintKey|SparseDecode$$' ./internal/hashing ./internal/sketch | ./bin/bcbench -record $(1)/BENCH_hash.json
+	$(BENCH_RUN) -bench 'KWiseEval/lambda=16|BernoulliSample|HashPowers|FingerprintKey|SparseDecode$$' ./internal/hashing ./internal/sketch | ./bin/bcbench -record $(1)/BENCH_hash.json
 	$(BENCH_RUN) -bench 'Ingest(AutoPerOp|AutoApply)$$|SparseUpdateSchedule/ordered' ./internal/stream ./internal/sketch | ./bin/bcbench -record $(1)/BENCH_ingest.json
 	$(BENCH_RUN) -bench 'ExtractAuto(Cold|ColdSerial|Warm|Incremental|Periodic)$$|SpliceSmallDelta$$' ./internal/stream ./internal/sketch | ./bin/bcbench -record $(1)/BENCH_extract.json
 	$(BENCH_RUN) -bench 'AssignSweep' . | ./bin/bcbench -record $(1)/BENCH_assign.json

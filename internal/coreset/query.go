@@ -11,6 +11,7 @@ package coreset
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"streambalance/internal/geo"
 	"streambalance/internal/grid"
@@ -129,31 +130,53 @@ type PointSource func(level int, keep *partition.PartFilter, yield func(p geo.Po
 // level-i part is included, at weight multiplicity/φ_i. Membership is
 // decided on the point's two cell keys by one partition.PartFilter per
 // level, built from the level's included parts (the parent is one of
-// theirs and the cell is not heavy), which the source applies.
+// theirs and the cell is not heavy), which the source applies. The kept
+// points gather in a pooled buffer and the coreset is allocated once, at
+// their exact count: no estimate bounds it, since the parts' τ counts
+// points with multiplicity while the coreset holds each distinct point
+// once, and a level's decoded candidates are several times what it keeps.
 func (q *Query) Assemble(points PointSource) (*Coreset, error) {
 	part, pl := q.Part, q.Plan
 	cs := &Coreset{O: part.O, Grid: part.Grid, Part: part, Plan: pl, Params: q.params}
 	parents := make([][]uint64, len(q.Need))
-	size := 0.0 // expected kept points: Σ φ_i·τ over the included parts
 	for id := range pl.Included {
 		parents[id.Level] = append(parents[id.Level], id.Parent)
-		size += pl.Phi[id.Level] * part.Parts[id].Tau
 	}
-	size += size/8 + 16
-	cs.Points = make([]geo.Weighted, 0, int(size))
-	cs.Levels = make([]int, 0, int(size))
+	buf := assemblePool.Get().(*assembleBuf)
+	defer buf.release()
 	for i, need := range q.Need {
 		if !need {
 			continue
 		}
 		phi := pl.Phi[i]
 		err := points(i, part.Filter(i, parents[i]), func(p geo.Point, mult int64) {
-			cs.Points = append(cs.Points, geo.Weighted{P: p, W: float64(mult) / phi})
-			cs.Levels = append(cs.Levels, i)
+			buf.points = append(buf.points, geo.Weighted{P: p, W: float64(mult) / phi})
+			buf.levels = append(buf.levels, i)
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
+	cs.Points = append(make([]geo.Weighted, 0, len(buf.points)), buf.points...)
+	cs.Levels = append(make([]int, 0, len(buf.levels)), buf.levels...)
 	return cs, nil
+}
+
+// assembleBuf gathers one assembly's kept points and levels. Assemblies
+// run concurrently (the guess scan's workers), so buffers come from a
+// pool and keep their capacity across queries.
+type assembleBuf struct {
+	points []geo.Weighted
+	levels []int
+}
+
+var assemblePool = sync.Pool{New: func() any { return new(assembleBuf) }}
+
+// release empties b and returns it to the pool. The kept points alias
+// decoded sketch payloads, so they are cleared first: a pooled buffer
+// must not keep a decode alive.
+func (b *assembleBuf) release() {
+	clear(b.points)
+	b.points, b.levels = b.points[:0], b.levels[:0]
+	assemblePool.Put(b)
 }

@@ -66,6 +66,9 @@ func TestAssembleMatchesPartOf(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if cap(got.Points) != len(got.Points) || cap(got.Levels) != len(got.Levels) {
+			t.Fatalf("o=%v: coreset of %d points allocated for %d", o, len(got.Points), cap(got.Points))
+		}
 		oracle, err := q.assembleMap(src)
 		if err != nil {
 			t.Fatal(err)

@@ -86,6 +86,25 @@ func BenchmarkBernoulliSample(b *testing.B) {
 	})
 }
 
+// BenchmarkHashPowers times the power-column kernel alone: one λ = 16
+// polynomial's values over a shared power column, the work an ingest
+// batch does once per sampled (substream, level).
+func BenchmarkHashPowers(b *testing.B) {
+	s := NewBernoulli(rand.New(rand.NewSource(2)), 16, 0.1)
+	keys := make([]uint64, benchChunk)
+	pow := make([]uint64, PowerStride*benchChunk)
+	dst := make([]uint64, benchChunk)
+	for i := range keys {
+		keys[i] = uint64(i) * 0x9e3779b97f4a7c15 & MersennePrime61
+	}
+	PowersN(pow, keys)
+	b.ResetTimer()
+	for i := 0; i < b.N; i += benchChunk {
+		n := min(benchChunk, b.N-i)
+		s.HashPowers(dst[:n], pow[:n*PowerStride])
+	}
+}
+
 func BenchmarkFingerprintKey(b *testing.B) {
 	f := NewFingerprint(rand.New(rand.NewSource(3)))
 	b.Run("scalar", func(b *testing.B) {

@@ -102,7 +102,7 @@ func (h *KWise) Eval(x uint64) uint64 {
 // line 10 and Algorithm 3 steps 2 and 4.
 type Bernoulli struct {
 	h         *KWise
-	blocks    []uint64 // h's coefficients zero-padded to whole 16-word blocks (SamplePowers)
+	blocks    []uint64 // h's coefficients zero-padded to whole 16-word blocks (HashPowers)
 	threshold uint64
 	phi       float64
 }
@@ -110,21 +110,20 @@ type Bernoulli struct {
 // NewBernoulli draws a λ-wise independent Bernoulli(φ) sampler. φ is
 // clamped to [0, 1].
 func NewBernoulli(rng *rand.Rand, lambda int, phi float64) *Bernoulli {
-	if phi < 0 {
-		phi = 0
-	}
-	if phi > 1 {
-		phi = 1
-	}
 	// The power-column kernel reads the coefficients in whole blocks; the
 	// padding shares h's backing array, so it costs at most 15 words.
 	c := drawCoeffs(rng, lambda, (lambda+powerBlock-1)/powerBlock*powerBlock)
-	return &Bernoulli{
-		h:         &KWise{coeffs: c},
-		blocks:    c[:cap(c)],
-		threshold: uint64(phi * float64(MersennePrime61)),
-		phi:       phi,
-	}
+	return (&Bernoulli{h: &KWise{coeffs: c}, blocks: c[:cap(c)]}).AtRate(phi)
+}
+
+// AtRate returns a Bernoulli(φ) sampler over b's polynomial: it selects
+// x iff h(x) < φ·p. Each such sampler is λ-wise independent on its own,
+// and samplers over one polynomial are nested — a key a lower rate
+// selects, every higher rate selects too — so they share one hash column
+// (HashPowers). φ is clamped to [0, 1].
+func (b *Bernoulli) AtRate(phi float64) *Bernoulli {
+	phi = min(max(phi, 0), 1)
+	return &Bernoulli{h: b.h, blocks: b.blocks, threshold: uint64(phi * float64(MersennePrime61)), phi: phi}
 }
 
 // Sample reports whether key x is selected. Rate-1 and rate-0 samplers
@@ -144,6 +143,9 @@ func (b *Bernoulli) Sample(x uint64) bool {
 
 // Phi returns the configured sampling probability.
 func (b *Bernoulli) Phi() float64 { return b.phi }
+
+// Threshold returns ⌊φ·p⌋: the sampler selects x iff h(x) is below it.
+func (b *Bernoulli) Threshold() uint64 { return b.threshold }
 
 // Fingerprint maps points of [Δ]^d to keys in GF(p) by evaluating the
 // Rabin–Karp polynomial Σ coord_i · x^i at a random field element x. Two

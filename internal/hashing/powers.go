@@ -86,15 +86,38 @@ func dot16(c *[powerBlock]uint64, w *[PowerStride]uint64) uint64 {
 	return reduce128(h0+h1+cy, lo)
 }
 
-// SamplePowers fills dst[t] = b.Sample(x_t) for every row t of the power
-// column pow (PowerStride words per key, as PowersN writes it). The hash
-// value of each row is a dot product per block of 16 coefficients,
+// HashPowers fills dst[t] = h(x_t), the value Eval returns, for every
+// row t of the power column pow (PowerStride words per key, as PowersN
+// writes it). Each value is a dot product per block of 16 coefficients,
 // chained from the highest block down by Horner's rule in x¹⁶ = w[16].
 // The coefficients are zero-padded above the leading one to whole blocks
 // (NewBernoulli), where a zero adds nothing, so every λ takes this one
-// path and λ ≤ 16 never enters the chain. The rate-1 and rate-0
-// short-circuits of Sample become whole-column fills. len(dst) must be
-// at least len(pow)/PowerStride.
+// path and λ ≤ 16 never enters the chain. A sampler selects row t iff
+// dst[t] < Threshold(); samplers that share b's polynomial at different
+// rates (AtRate) share one column. len(dst) must be at least
+// len(pow)/PowerStride.
+func (b *Bernoulli) HashPowers(dst, pow []uint64) {
+	n := len(pow) / PowerStride
+	if len(dst) < n {
+		panic("hashing: HashPowers dst shorter than the power column")
+	}
+	blk := b.blocks
+	top := len(blk) - powerBlock
+	hiBlk := (*[powerBlock]uint64)(blk[top:])
+	for t := range dst[:n] {
+		w := (*[PowerStride]uint64)(pow[t*PowerStride:])
+		acc := dot16(hiBlk, w)
+		for s := top - powerBlock; s >= 0; s -= powerBlock {
+			acc = addMod(mulMod(acc, w[powerBlock]), dot16((*[powerBlock]uint64)(blk[s:]), w))
+		}
+		dst[t] = acc
+	}
+}
+
+// SamplePowers fills dst[t] = b.Sample(x_t) for every row t of the power
+// column pow: HashPowers over a chunk of rows at a time, then the
+// threshold. The rate-1 and rate-0 short-circuits of Sample become
+// whole-column fills. len(dst) must be at least len(pow)/PowerStride.
 func (b *Bernoulli) SamplePowers(dst []bool, pow []uint64) {
 	n := len(pow) / PowerStride
 	if len(dst) < n {
@@ -108,15 +131,12 @@ func (b *Bernoulli) SamplePowers(dst []bool, pow []uint64) {
 		}
 		return
 	}
-	th, blk := b.threshold, b.blocks
-	top := len(blk) - powerBlock
-	hiBlk := (*[powerBlock]uint64)(blk[top:])
-	for t := range dst {
-		w := (*[PowerStride]uint64)(pow[t*PowerStride:])
-		acc := dot16(hiBlk, w)
-		for s := top - powerBlock; s >= 0; s -= powerBlock {
-			acc = addMod(mulMod(acc, w[powerBlock]), dot16((*[powerBlock]uint64)(blk[s:]), w))
+	var hv [64]uint64
+	for lo := 0; lo < n; lo += len(hv) {
+		m := min(n-lo, len(hv))
+		b.HashPowers(hv[:m], pow[lo*PowerStride:(lo+m)*PowerStride])
+		for t, h := range hv[:m] {
+			dst[lo+t] = h < b.threshold
 		}
-		dst[t] = acc < th
 	}
 }

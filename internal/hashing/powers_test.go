@@ -7,27 +7,14 @@ import (
 	"testing"
 )
 
-// requirePowersHash checks that SamplePowers evaluates row r of pow to
-// exactly want. A sampler selects x iff h(x) < threshold, so a probe
-// with threshold want+1 must select the row and one with threshold want
-// must not.
+// requirePowersHash checks that HashPowers evaluates row r of pow to
+// exactly want.
 func requirePowersHash(t *testing.T, b *Bernoulli, pow []uint64, r int, want uint64) {
 	t.Helper()
-	row := pow[r*PowerStride : (r+1)*PowerStride]
-	probe := *b
-	probe.phi = 0.5
-	var sel [1]bool
-	probe.threshold = want + 1
-	probe.SamplePowers(sel[:], row)
-	hit := sel[0]
-	miss := false
-	if want > 0 {
-		probe.threshold = want
-		probe.SamplePowers(sel[:], row)
-		miss = sel[0]
-	}
-	if !hit || miss {
-		t.Fatalf("lambda=%d row %d: power-column hash differs from Eval's %d", b.h.Degree(), r, want)
+	var hv [1]uint64
+	b.HashPowers(hv[:], pow[r*PowerStride:(r+1)*PowerStride])
+	if hv[0] != want {
+		t.Fatalf("lambda=%d row %d: power-column hash %d differs from Eval's %d", b.h.Degree(), r, hv[0], want)
 	}
 }
 
@@ -79,7 +66,7 @@ func TestSamplePowersMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, phi := range []float64{0, 1e-9, 0.1, 0.5, 0.999, 1} {
 		b := NewBernoulli(rng, 16, phi)
-		keys := make([]uint64, 37)
+		keys := make([]uint64, 137)
 		for i := range keys {
 			keys[i] = rng.Uint64() & (MersennePrime61 - 1)
 		}
@@ -154,6 +141,7 @@ func TestPowerKernelsPanicOnShortDst(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"PowersN":      func() { PowersN(make([]uint64, PowerStride), make([]uint64, 2)) },
 		"SamplePowers": func() { b.SamplePowers(make([]bool, 1), make([]uint64, 2*PowerStride)) },
+		"HashPowers":   func() { b.HashPowers(make([]uint64, 1), make([]uint64, 2*PowerStride)) },
 	} {
 		func() {
 			defer func() {

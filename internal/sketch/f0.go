@@ -15,11 +15,13 @@ import (
 // finest level that decodes gives the distinct count scaled by 2^{j} —
 // the classic sparse-recovery realization of F₀ estimation under
 // deletions, the primitive the [HSYZ18] streaming cost estimator counts
-// non-empty grid cells with.
+// non-empty grid cells with. One pairwise hash h assigns every key its
+// levels, the usual nested bands: the key reaches level j iff
+// h(key) < p≫j, so level j's keys are a subset of level j−1's.
 type F0 struct {
 	levels  []*SparseRecovery
-	samp    []*hashing.KWise
-	s       int // per-level sparsity
+	samp    *hashing.KWise // the level-assignment hash
+	s       int            // per-level sparsity
 	maxKeys float64
 }
 
@@ -27,8 +29,8 @@ type F0 struct {
 // kept per F0: a ladder set holds one F0 per grid level, and at most one
 // UpdateN per worker runs at a time.
 type f0Scratch struct {
-	rk, sk, he []uint64 // reduced keys, a ladder level's selected keys, hash values
-	dl, sd     []int64  // nonzero deltas, a ladder level's selected deltas
+	rk, he []uint64 // reduced keys and their level-assignment hashes
+	dl     []int64  // nonzero deltas
 }
 
 var f0ScratchPool = sync.Pool{New: func() any { return new(f0Scratch) }}
@@ -43,26 +45,19 @@ func NewF0(rng *rand.Rand, maxKeys int64, s int, delta float64) *F0 {
 	for (int64(1)<<(depth-1))*int64(s)/4 < maxKeys {
 		depth++
 	}
-	f := &F0{s: s, maxKeys: float64(maxKeys)}
+	f := &F0{s: s, maxKeys: float64(maxKeys), samp: hashing.NewKWise(rng, 2)}
 	for j := 0; j < depth; j++ {
 		f.levels = append(f.levels, NewSparseRecovery(rng, s, delta/float64(depth), 0))
-		f.samp = append(f.samp, hashing.NewKWise(rng, 2))
 	}
 	return f
 }
 
-// Update applies a key-count delta.
+// Update applies a key-count delta to every level whose band holds the
+// key's hash: levels 0 through the last j with h(key) < p≫j.
 func (f *F0) Update(key uint64, delta int64) {
 	key = hashing.Reduce64(key)
-	for j := range f.levels {
-		if j > 0 {
-			// Key survives to level j with probability 2^{−j}: its level-
-			// assignment hash must fall in the lowest p/2^j band.
-			h := f.samp[j].Eval(key)
-			if h >= hashing.MersennePrime61>>uint(j) {
-				continue
-			}
-		}
+	h := f.samp.Eval(key)
+	for j := 0; j < len(f.levels) && h < hashing.MersennePrime61>>uint(j); j++ {
 		f.levels[j].Update(key, nil, delta)
 	}
 }
@@ -70,9 +65,11 @@ func (f *F0) Update(key uint64, delta int64) {
 // UpdateN applies a column of key-count deltas — bit-identical to Update
 // of every row, in any order, because each ladder level's state is an
 // exact linear sum. Rows with a zero delta change nothing (there is no
-// payload) and are dropped; each ladder level then evaluates its
-// level-assignment hash over the whole column through the 4-lane kernel
-// (KWise.EvalN) and writes its survivors with one UpdateScaledN.
+// payload) and are dropped. The level-assignment hash runs once over the
+// column through the 4-lane kernel (KWise.EvalN); each level then writes
+// its rows with one UpdateScaledN, and level j's rows are filtered in
+// place from level j−1's survivors, so the column shrinks by half per
+// level instead of being rescanned whole.
 func (f *F0) UpdateN(keys []uint64, deltas []int64) {
 	if len(deltas) != len(keys) {
 		panic("sketch: F0.UpdateN column length mismatch")
@@ -86,27 +83,22 @@ func (f *F0) UpdateN(keys []uint64, deltas []int64) {
 			dl = append(dl, d)
 		}
 	}
-	s.rk, s.dl = rk, dl
-	if len(rk) == 0 {
-		return
-	}
-	f.levels[0].UpdateScaledN(rk, nil, dl)
 	if cap(s.he) < len(rk) {
 		s.he = make([]uint64, len(rk))
 	}
 	he := s.he[:len(rk)]
-	for j := 1; j < len(f.levels); j++ {
-		f.samp[j].EvalN(he, rk)
-		band := hashing.MersennePrime61 >> uint(j)
-		sk, sd := s.sk[:0], s.sd[:0]
+	s.rk, s.dl = rk, dl
+	f.samp.EvalN(he, rk)
+	for j := 0; j < len(f.levels) && len(rk) > 0; j++ {
+		band, m := hashing.MersennePrime61>>uint(j), 0
 		for t, h := range he {
 			if h < band {
-				sk = append(sk, rk[t])
-				sd = append(sd, dl[t])
+				rk[m], dl[m], he[m] = rk[t], dl[t], h
+				m++
 			}
 		}
-		s.sk, s.sd = sk, sd
-		f.levels[j].UpdateScaledN(sk, nil, sd)
+		rk, dl, he = rk[:m], dl[:m], he[:m]
+		f.levels[j].UpdateScaledN(rk, nil, dl)
 	}
 }
 

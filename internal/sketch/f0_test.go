@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"streambalance/internal/hashing"
 )
 
 func TestF0ExactWhenSmall(t *testing.T) {
@@ -82,7 +84,7 @@ func TestF0BytesBounded(t *testing.T) {
 }
 
 // TestF0UpdateNMatchesUpdate: the columnar UpdateN — zero rows dropped,
-// each ladder level sampled over the whole column — must leave the same
+// each ladder level filtered from the previous level's rows — must leave the same
 // state as Update of every row, for columns on both sides of the
 // bucket-ordered write threshold and with zero-delta rows mixed in.
 func TestF0UpdateNMatchesUpdate(t *testing.T) {
@@ -101,5 +103,45 @@ func TestF0UpdateNMatchesUpdate(t *testing.T) {
 		if f.Digest() != ref.Digest() {
 			t.Fatalf("n=%d: UpdateN state diverged from per-row Update", n)
 		}
+	}
+}
+
+// TestF0LevelsNested: one level-assignment hash gives nested bands, so
+// the keys level j holds are exactly level j−1's keys whose hash lies
+// below p≫j — a subset — and each level keeps about half the previous
+// one's. Every level is sized to decode all its keys.
+func TestF0LevelsNested(t *testing.T) {
+	const n = 3000
+	f := NewF0(rand.New(rand.NewSource(8)), 1<<12, 4*n, 0.01)
+	keys := make([]uint64, n)
+	deltas := make([]int64, n)
+	for i := range keys {
+		keys[i] = uint64(i)*0x9e3779b97f4a7c15>>3 + 1
+		deltas[i] = 1
+	}
+	f.UpdateN(keys, deltas)
+	var prev map[uint64]bool
+	for j, l := range f.levels {
+		items, ok := l.Decode()
+		if !ok {
+			t.Fatalf("level %d did not decode", j)
+		}
+		cur := make(map[uint64]bool, len(items))
+		for _, it := range items {
+			cur[it.Key] = true
+			if h := f.samp.Eval(it.Key); h >= hashing.MersennePrime61>>uint(j) {
+				t.Fatalf("level %d holds key %d with hash %d outside its band", j, it.Key, h)
+			}
+			if prev != nil && !prev[it.Key] {
+				t.Fatalf("level %d holds key %d that level %d does not", j, it.Key, j-1)
+			}
+		}
+		if j == 0 && len(cur) != n {
+			t.Fatalf("level 0 holds %d keys, want all %d", len(cur), n)
+		}
+		if j > 0 && len(prev) >= 64 && (len(cur) < len(prev)/4 || len(cur) > 3*len(prev)/4) {
+			t.Fatalf("level %d keeps %d of level %d's %d keys, want about half", j, len(cur), j-1, len(prev))
+		}
+		prev = cur
 	}
 }

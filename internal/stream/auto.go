@@ -35,14 +35,17 @@ type Auto struct {
 	// All guess instances share one grid (hence one random shift and one
 	// cell-key fingerprint) and one sampling/point fingerprint, so the
 	// ingestion pipeline computes each op's key column once for the whole
-	// ensemble. Each instance keeps private samplers and sketch hash
-	// functions, except that guesses sampling a (substream, level) at
-	// rate 1 share one Storing there (newShared): a rate-1 substream is
-	// the whole stream, the same vector for all of them. The
+	// ensemble. At each (substream, level) every instance samples over
+	// one shared λ-wise polynomial at its own rate (newColumns), so the
+	// pipeline hashes each op once there, and a guess's sampled set
+	// contains every larger guess's. Each instance keeps private sketch
+	// hash functions, except that guesses sampling a (substream, level)
+	// at rate 1 share one Storing there (newShared): a rate-1 substream
+	// is the whole stream, the same vector for all of them. The
 	// per-instance guarantees of Theorem 4.5 are marginal over each
-	// instance's own randomness, so sharing the grid or a sketch only
-	// correlates failures across guesses — it never changes any single
-	// instance's distribution (DESIGN.md §4).
+	// instance's own randomness, so sharing the grid, a polynomial or a
+	// sketch only correlates failures across guesses — it never changes
+	// any single instance's distribution (DESIGN.md §4).
 	g  *grid.Grid
 	fp *hashing.Fingerprint
 	b  batch // reusable columnar buffer for Apply (not goroutine-safe)
@@ -87,14 +90,14 @@ func NewAuto(cfg Config, oFactor float64) (*Auto, error) {
 		costBound: NewCostBound(rngCB, gCB, cfg.Params.R, 256),
 		params:    cfg.Params,
 	}
-	owners := make(rateOneOwners)
+	owners, cols := make(rateOneOwners), newColumns(cfg.Params, a.g)
 	for o, i := 1.0, 0; o <= upper; o, i = o*oFactor, i+1 {
 		c := cfg
 		c.O = o
-		// Decorrelate instance samplers and sketches while keeping the
-		// whole ensemble reproducible from one seed.
+		// Decorrelate instance sketches while keeping the whole ensemble
+		// reproducible from one seed; the samplers sample over cols.
 		c.Params.Seed = cfg.Params.Seed + int64(i)*1_000_003
-		st := newShared(c, a.g, a.fp, rand.New(rand.NewSource(c.Params.Seed)), owners)
+		st := newShared(c, a.g, a.fp, rand.New(rand.NewSource(c.Params.Seed)), cols, owners)
 		a.streams = append(a.streams, st)
 		a.guesses = append(a.guesses, o)
 	}

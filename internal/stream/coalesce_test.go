@@ -71,7 +71,7 @@ func TestCoalescedApplyMatchesUncoalesced(t *testing.T) {
 // TestCoalescedAutoApplyMatchesUncoalesced: same contract through the
 // guess-enumerating Auto front-end, whose Apply shards (guess ×
 // level-range) units across the worker pool — under -race this also
-// checks the pooled applyScratch/coalescer never crosses goroutines.
+// checks the pooled coalescer never crosses goroutines.
 // The reference replays every op through Auto.Insert/Delete.
 func TestCoalescedAutoApplyMatchesUncoalesced(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))

@@ -75,16 +75,15 @@ func (cb *CostBound) keyBatch(b *batch) {
 
 // applyLevels applies the batch keyed by keyBatch to the F₀ ladders of
 // levels lo..hi: per level the ops are coalesced by cell key (signs
-// summed) and the distinct keys go to F0.UpdateN, which samples each
-// ladder level over the whole column. Each level owns its ladder, so
+// summed) and the distinct keys go to F0.UpdateN, which hashes the
+// column once and filters each ladder level from the one before. Each level owns its ladder, so
 // distinct level ranges may run concurrently in Auto.Apply's pool. F₀
 // state is an exact linear sum, so the result is bit-identical to
 // Insert/Delete of every op in stream order (TestCostBoundApplyMatchesPerOp).
 func (cb *CostBound) applyLevels(b *batch, lo, hi int) {
 	L := cb.g.L
-	sc := applyScratchPool.Get().(*applyScratch)
-	defer applyScratchPool.Put(sc)
-	co := &sc.co
+	co := coalescerPool.Get().(*coalescer)
+	defer coalescerPool.Put(co)
 	for i := lo; i <= hi; i++ {
 		co.reset(len(b.sign))
 		for t, sg := range b.sign {

@@ -24,8 +24,14 @@
 // (and one for points) that the batch builds on first use. Fractional
 // samplers all hash the same fingerprint keys, so they share one power
 // column — x⁰…x¹⁶ of each key (hashing.PowersN), also built on first
-// use — and each sampler's degree-λ polynomial becomes dot products over
-// it instead of a Horner chain per op.
+// use. Every sampler of one (substream, level) evaluates the same
+// λ-wise polynomial at its own threshold (an Auto ensemble's guesses
+// share it; a standalone Stream has one sampler there), so the batch
+// keeps one hash column per (substream, level), dot products over the
+// power column (hashing.Bernoulli.HashPowers) built on first use, and a
+// sampler selects op t iff its value is below the sampler's threshold.
+// Hash evaluations per op fall from one per fractional sketch to one per
+// sampled (substream, level).
 //
 // Because every sketch is linear over GF(p) and int64 counters — both
 // exact, commutative, associative — applying a batch sketch by sketch,
@@ -85,11 +91,18 @@ type batch struct {
 	rate1Once []sync.Once
 
 	// Shared power column: pow[t·PowerStride : (t+1)·PowerStride] holds
-	// x⁰…x¹⁶ of x = fkey[t], the operand of every fractional sampler
-	// (hashing.Bernoulli.SamplePowers). The first shard that samples
+	// x⁰…x¹⁶ of x = fkey[t], the operand of every sampler polynomial
+	// (hashing.Bernoulli.HashPowers). The first shard that samples
 	// builds it (powOnce); every other one reads it.
 	pow     []uint64
 	powOnce sync.Once
+
+	// Shared hash columns: hash[c][t] is op t's value under the sampler
+	// polynomial of (substream, level) c = sub·(L+1) + i, which every
+	// fractional unit there compares with its own threshold. The first
+	// shard that samples at c builds it (hashOnce[c]).
+	hash     [][]uint64
+	hashOnce []sync.Once
 }
 
 // build validates ops (checkOps), meters the batch, fills its columns
@@ -137,8 +150,11 @@ func (b *batch) build(g *grid.Grid, fp *hashing.Fingerprint, ops []Op) (net int6
 	if len(b.rate1) != L+2 {
 		b.rate1 = make([]coalescer, L+2)
 		b.rate1Once = make([]sync.Once, L+2)
+		b.hash = make([][]uint64, 3*(L+1))
+		b.hashOnce = make([]sync.Once, 3*(L+1))
 	} else {
 		clear(b.rate1Once)
+		clear(b.hashOnce)
 	}
 	b.powOnce = sync.Once{}
 	return net
@@ -178,7 +194,7 @@ func cellKeyColumns(g *grid.Grid, base []int64, keys []uint64, pts []geo.Point) 
 // coalescing the whole batch into it on first use.
 func (b *batch) rateOne(c int) *coalescer {
 	co := &b.rate1[c]
-	b.rate1Once[c].Do(func() { co.coalesce(b, nil, c) })
+	b.rate1Once[c].Do(func() { co.coalesce(b, nil, 0, c) })
 	return co
 }
 
@@ -190,6 +206,18 @@ func (b *batch) powers() []uint64 {
 		hashing.PowersN(b.pow, b.fkey)
 	})
 	return b.pow
+}
+
+// hashes returns hash column c, evaluating samp's polynomial over the
+// power column on first use. Every sampler of one column shares that
+// polynomial (newShared), so whichever builds it, the values are the
+// same.
+func (b *batch) hashes(c int, samp *hashing.Bernoulli) []uint64 {
+	b.hashOnce[c].Do(func() {
+		b.hash[c] = growUint64(b.hash[c], len(b.ops))
+		samp.HashPowers(b.hash[c], b.powers())
+	})
+	return b.hash[c]
 }
 
 // checkOps panics, before any state is touched, unless every op's point
@@ -233,16 +261,11 @@ func growPts(s []geo.Point, n int) []geo.Point {
 	return s[:n]
 }
 
-// applyScratch is the working set of a fractional unit's apply: a
-// selection mask and the key-coalescer. Units of one batch run
-// concurrently, so scratch cannot live on the unit; a sync.Pool keeps
-// the allocations off the per-batch path instead.
-type applyScratch struct {
-	sel []bool
-	co  coalescer
-}
-
-var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
+// coalescerPool holds the key-coalescers of fractional units' applies
+// and of the cost bound's levels. Units of one batch run concurrently,
+// so a coalescer cannot live on the unit; the pool keeps the allocations
+// off the per-batch path instead.
+var coalescerPool = sync.Pool{New: func() any { return new(coalescer) }}
 
 // unit is one sketch of a guess instance — the Storing of one
 // (substream, level) — with the sampler that feeds it: the granule of
@@ -256,6 +279,7 @@ type unit struct {
 	samp  *hashing.Bernoulli
 	sub   int // substream: 0 h, 1 h′, 2 ĥ
 	col   int // batch column: the level for h and h′, L+1 for ĥ
+	hash  int // batch hash column: sub·(L+1) + level
 }
 
 // apply writes the batch to u. Its selected ops are COALESCED by key —
@@ -265,9 +289,9 @@ type unit struct {
 // one slab visit and one row-hash evaluation per distinct cell instead
 // of per op. A rate-1 sampler selects every op, so its rows are the
 // batch's shared rate-1 column (batch.rateOne), coalesced once for
-// every such unit; a fractional sampler evaluates its polynomial as dot
-// products over the batch's shared power column (batch.powers,
-// Bernoulli.SamplePowers) and coalesces its own selection. Both give
+// every such unit; a fractional sampler compares the batch's shared hash
+// column for its (substream, level) with its threshold (batch.hashes)
+// and coalesces its own selection. Both give
 // the same rows in the same first-occurrence order. Sketch state is an
 // exact linear sum, so both the coalescing and the write schedule
 // UpdateScaledN picks are bit-identical to the per-op Insert/Delete
@@ -280,12 +304,9 @@ func (u unit) apply(b *batch) {
 	if u.samp.Phi() >= 1 {
 		co = b.rateOne(u.col)
 	} else {
-		sc := applyScratchPool.Get().(*applyScratch)
-		defer applyScratchPool.Put(sc)
-		sc.sel = growBool(sc.sel, len(b.ops))
-		u.samp.SamplePowers(sc.sel, b.powers())
-		co = &sc.co
-		co.coalesce(b, sc.sel, u.col)
+		co = coalescerPool.Get().(*coalescer)
+		defer coalescerPool.Put(co)
+		co.coalesce(b, b.hashes(u.hash, u.samp), u.samp.Threshold(), u.col)
 	}
 	u.st.UpdateKeyedScaledN(co.keys, co.scaled, co.deltas)
 	mSketchUpdates.Add(co.in)
@@ -365,13 +386,6 @@ func (ss *sketchSet) bytes() (b int64) {
 	return b
 }
 
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
 // coalescer aggregates a substream's sampled (key, payload, delta) rows
 // by key before they hit the sketch: deltas are summed and payloads are
 // summed delta-scaled, exactly, so the output columns applied through
@@ -437,26 +451,26 @@ func (c *coalescer) slotOf(key uint64, dim int) int {
 	}
 }
 
-// coalesce aggregates the ops sel selects (every op when sel is nil)
-// into column col of the batch: level-col cells for col ≤ L, points
-// for L+1.
-func (c *coalescer) coalesce(b *batch, sel []bool, col int) {
+// coalesce aggregates the ops whose hash value is below th — op t is
+// selected iff hv[t] < th, every op when hv is nil — into column col of
+// the batch: level-col cells for col ≤ L, points for L+1.
+func (c *coalescer) coalesce(b *batch, hv []uint64, th uint64, col int) {
 	if col > b.L {
-		c.coalescePoints(b, sel)
+		c.coalescePoints(b, hv, th)
 	} else {
-		c.coalesceCells(b, sel, col)
+		c.coalesceCells(b, hv, th, col)
 	}
 }
 
-// coalesceCells aggregates one level's selected cell updates (every op
-// when sel is nil): key is the precomputed level-i cell key, payload the
-// level-i index (base index shifted down by L − i), delta the op sign.
-func (c *coalescer) coalesceCells(b *batch, sel []bool, level int) {
+// coalesceCells aggregates one level's selected cell updates: key is
+// the precomputed level-i cell key, payload the level-i index (base
+// index shifted down by L − i), delta the op sign.
+func (c *coalescer) coalesceCells(b *batch, hv []uint64, th uint64, level int) {
 	c.reset(len(b.ops))
 	L, dim := b.L, b.dim
 	sh := uint(L - level)
 	for t := range b.ops {
-		if sel != nil && !sel[t] {
+		if hv != nil && hv[t] >= th {
 			continue
 		}
 		c.in++
@@ -478,13 +492,12 @@ func (c *coalescer) coalesceCells(b *batch, sel []bool, level int) {
 }
 
 // coalescePoints aggregates the selected point updates of the ĥ
-// substream (every op when sel is nil): key is the op's fingerprint key,
-// payload its coordinates.
-func (c *coalescer) coalescePoints(b *batch, sel []bool) {
+// substream: key is the op's fingerprint key, payload its coordinates.
+func (c *coalescer) coalescePoints(b *batch, hv []uint64, th uint64) {
 	c.reset(len(b.ops))
 	dim := b.dim
 	for t := range b.ops {
-		if sel != nil && !sel[t] {
+		if hv != nil && hv[t] >= th {
 			continue
 		}
 		c.in++

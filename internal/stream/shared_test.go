@@ -14,16 +14,18 @@ import (
 
 // newPrivateAuto builds the ensemble NewAuto builds for cfg with every
 // sketch private: each guess draws and keeps its own rate-1 Storings.
-// It is the oracle for the shared layout — same seeds, same samplers,
-// and every owner and fractional sketch draws the same hash functions.
+// It is the oracle for the shared layout — same seeds, same samplers
+// over the ensemble's same column polynomials, and every owner and
+// fractional sketch draws the same hash functions.
 func newPrivateAuto(t *testing.T, cfg Config, oFactor float64) *Auto {
 	t.Helper()
 	a, err := NewAuto(cfg, oFactor)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cols := newColumns(a.params, a.g)
 	for i, s := range a.streams {
-		a.streams[i] = newShared(s.cfg, a.g, a.fp, rand.New(rand.NewSource(s.cfg.Params.Seed)), nil)
+		a.streams[i] = newShared(s.cfg, a.g, a.fp, rand.New(rand.NewSource(s.cfg.Params.Seed)), cols, nil)
 	}
 	a.units, a.rateOne = ensembleUnits(a.streams)
 	return a

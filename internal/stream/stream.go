@@ -170,20 +170,48 @@ func New(cfg Config) (*Stream, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Params.Seed))
 	g := grid.New(cfg.Delta, cfg.Dim, rng)
-	return newShared(cfg, g, hashing.NewFingerprint(rng), rng, nil), nil
+	return newShared(cfg, g, hashing.NewFingerprint(rng), rng, nil, nil), nil
 }
 
 // rateOneOwners maps a (substream, level) pair to the unit whose Storing
 // (and cell memo) the ensemble's guesses sampling it at rate 1 share.
 type rateOneOwners map[[2]int]unit
 
+// samplerColumns holds one λ-wise polynomial per (level, substream) —
+// cols[i][sub] — that every guess of an ensemble samples at its own
+// rate (Bernoulli.AtRate), so each op is hashed once per (substream,
+// level) for the whole ensemble (batch.hashes).
+type samplerColumns [][3]*hashing.Bernoulli
+
+// newColumns draws an ensemble's sampler polynomials for p on g, level
+// by level in the order h, h′, ĥ (the level-L h one is drawn but
+// unused, as Rates.Samplers draws it), from an rng stream of their own
+// (p.Seed ^ 0x5c), so no guess's sampler or sketch draws move.
+func newColumns(p coreset.Params, g *grid.Grid) samplerColumns {
+	rng := rand.New(rand.NewSource(p.Seed ^ 0x5c))
+	lambda := p.Lambda(g.Dim, g.L)
+	cols := make(samplerColumns, g.L+1)
+	for i := range cols {
+		for sub := range cols[i] {
+			cols[i][sub] = hashing.NewBernoulli(rng, lambda, 1)
+		}
+	}
+	return cols
+}
+
 // newShared builds a Stream over an externally supplied grid and
 // fingerprint. Auto uses it to make every guess instance share one grid
 // shift and one per-op key function, so the ingestion pipeline can compute
 // each op's fingerprint key and cell keys once and reuse them across all
 // instances. cfg must already be defaulted and have O > 0; rng seeds the
-// instance-private samplers, drawn by the rate rule (coreset.Rates), and
+// samplers, drawn by the rate rule (coreset.Rates), and the instance's
 // sketch hash functions.
+//
+// With non-nil cols, each sampler keeps the rate the rule drew it at
+// but samples over the ensemble's polynomial for its (substream, level)
+// instead of its own; the draws it replaces are still consumed, so the
+// rng sequence is the same either way. Nil cols (the standalone New)
+// keeps every sampler's own polynomial.
 //
 // With a non-nil owners table, a (substream, level) whose sampler has
 // rate 1 sketches the whole stream — the same vector for every guess
@@ -193,11 +221,14 @@ type rateOneOwners map[[2]int]unit
 // builds (sketch.SkipStoring), so each of its other sketches keeps the
 // hash functions it would have had. A nil table (the standalone New)
 // keeps every sketch private.
-func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand, owners rateOneOwners) *Stream {
+func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand, cols samplerColumns, owners rateOneOwners) *Stream {
 	L := g.L
 	s := &Stream{cfg: cfg, g: g, fp: fp}
 	newUnit := func(sub, i int, samp *hashing.Bernoulli, kind sketch.Kind, capacity int) unit {
-		u := unit{samp: samp, sub: sub, col: i}
+		if cols != nil {
+			samp = cols[i][sub].AtRate(samp.Phi())
+		}
+		u := unit{samp: samp, sub: sub, col: i, hash: sub*(L+1) + i}
 		if sub == 2 {
 			u.col = L + 1
 		} else {
