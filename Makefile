@@ -20,7 +20,7 @@ check-fast:
 	go test -short ./...
 
 # Full correctness gate: the whole suite, non-short, under the race
-# detector — the batched-ingest, parallel-extraction, Fork/Merge,
+# detector — the batched-ingest, sharded-replay, parallel-extraction,
 # pipelined-dist and assignment-engine equivalence tests only mean
 # something with -race on. Then three plain-build steps: the
 # disabled-telemetry overhead budget and its bench smoke (both meaningless

@@ -3,9 +3,10 @@
 // integral assignments via min-cost flow, optimal fractional assignments
 // via a k-sink transportation kernel, the fractional-to-integral
 // rounding of Section 3.3 (cycle elimination leaving at most k−1 split
-// points), the half-space structure of Definitions 2.2/3.7/3.10 with the
-// curved ℓ_r hyperplanes of Section 1.2, and the assignment transfer of
-// Definition 3.11. Integral unit-weight solves run on a Solver
+// points) and the half-space structure of Definitions 2.2/3.7/3.10 with
+// the curved ℓ_r hyperplanes of Section 1.2; the assignment transfer of
+// Definition 3.11 is applied per part by coreset.BuildAssignmentRule.
+// Integral unit-weight solves run on a Solver
 // (BindPoints, SetCenters, Optimal).
 package assign
 
@@ -49,17 +50,6 @@ func CostOfAssignment(ws []geo.Weighted, Z []geo.Point, pi []int, r float64) flo
 		c += w.W * geo.DistR(w.P, Z[pi[i]], r)
 	}
 	return c
-}
-
-// SizeVector computes s(π): total assigned weight per center.
-func SizeVector(ws []geo.Weighted, pi []int, k int) []float64 {
-	s := make([]float64, k)
-	for i, w := range ws {
-		if pi[i] >= 0 {
-			s[pi[i]] += w.W
-		}
-	}
-	return s
 }
 
 // FractionalCost computes the optimal fractional capacitated assignment

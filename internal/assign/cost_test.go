@@ -251,9 +251,9 @@ func TestCostHelpers(t *testing.T) {
 	if got := CostOfAssignment(ws, Z, pi, 2); got != 43 {
 		t.Fatalf("CostOfAssignment = %v, want 43", got)
 	}
-	s := SizeVector(ws, pi, 2)
+	s := sizeVector(ws, pi, 2)
 	if s[0] != 1 || s[1] != 2 {
-		t.Fatalf("SizeVector = %v", s)
+		t.Fatalf("sizeVector = %v", s)
 	}
 	// Skipped entries.
 	if got := CostOfAssignment(ws, Z, []int{-1, 0}, 2); got != 25 {
@@ -298,4 +298,15 @@ func TestWeightedForcedSplit(t *testing.T) {
 	if res.Assign[0] < 0 || res.Assign[1] < 0 {
 		t.Fatal("unassigned point")
 	}
+}
+
+// sizeVector computes s(π): total assigned weight per center.
+func sizeVector(ws []geo.Weighted, pi []int, k int) []float64 {
+	s := make([]float64, k)
+	for i, w := range ws {
+		if pi[i] >= 0 {
+			s[pi[i]] += w.W
+		}
+	}
+	return s
 }

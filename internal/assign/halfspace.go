@@ -217,33 +217,3 @@ func CanonicalizeTies(ps geo.PointSet, pi []int, Z []geo.Point, r float64) int {
 		}
 	}
 }
-
-// TransferredAssignment computes the transferred assignment mapping of
-// Definition 3.11 for a weighted part P: given a half-space set H, region
-// weight estimates B = (b_0, ..., b_k) (index 0 = region R_0), a
-// threshold fraction ξ and the part threshold T, each point in a region
-// whose estimate is at least 2ξT keeps its region's center; everything
-// else — including all of R_0 — is sent to the center of the largest
-// region i* = argmax_{i∈[k]} b_i.
-func TransferredAssignment(ws []geo.Weighted, hs *HalfSpaceSet, B []float64, xi, T float64) []int {
-	k := len(hs.Z)
-	if len(B) != k+1 {
-		panic("assign: B must have k+1 entries (region 0 first)")
-	}
-	iStar := 0
-	for i := 1; i < k; i++ {
-		if B[1+i] > B[1+iStar] {
-			iStar = i
-		}
-	}
-	pi := make([]int, len(ws))
-	for idx, w := range ws {
-		reg := hs.Region(w.P)
-		if reg >= 0 && B[1+reg] >= 2*xi*T {
-			pi[idx] = reg
-		} else {
-			pi[idx] = iStar
-		}
-	}
-	return pi
-}

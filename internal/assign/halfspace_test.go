@@ -157,7 +157,7 @@ func TestTransferredAssignmentSmallRegionsCollapse(t *testing.T) {
 	}
 	B := hs.RegionCounts(ws)
 	xi, T := 0.05, 100.0 // 2ξT = 10: regions of weight 1 are "small"
-	pi := TransferredAssignment(ws, hs, B, xi, T)
+	pi := transferredAssignment(ws, hs, B, xi, T)
 	if pi[1] != 1 || pi[2] != 1 {
 		t.Fatalf("large region reassigned: %v", pi)
 	}
@@ -165,7 +165,7 @@ func TestTransferredAssignmentSmallRegionsCollapse(t *testing.T) {
 		t.Fatalf("small regions must collapse to i* = 1: %v", pi)
 	}
 	// With a low threshold nothing collapses.
-	pi2 := TransferredAssignment(ws, hs, B, 0.001, T)
+	pi2 := transferredAssignment(ws, hs, B, 0.001, T)
 	if pi2[0] != 0 || pi2[3] != 2 {
 		t.Fatalf("low threshold must preserve regions: %v", pi2)
 	}
@@ -179,7 +179,7 @@ func TestTransferredAssignmentBadB(t *testing.T) {
 			t.Fatal("expected panic on wrong-length B")
 		}
 	}()
-	TransferredAssignment(nil, hs, []float64{1, 2, 3}, 0.1, 1)
+	transferredAssignment(nil, hs, []float64{1, 2, 3}, 0.1, 1)
 }
 
 func TestTransferPreservesCostAndSizesApproximately(t *testing.T) {
@@ -198,7 +198,7 @@ func TestTransferPreservesCostAndSizesApproximately(t *testing.T) {
 	}
 	ws := geo.UnitWeights(ps)
 	B := hs.RegionCounts(ws)
-	pi := TransferredAssignment(ws, hs, B, 1e-9, float64(len(ps)))
+	pi := transferredAssignment(ws, hs, B, 1e-9, float64(len(ps)))
 	for i := range pi {
 		if pi[i] != res.Assign[i] && hs.Region(ps[i]) == res.Assign[i] {
 			t.Fatalf("transfer changed an interior large-region point %d", i)
@@ -234,4 +234,35 @@ func TestCanonicalizeTiesNoOpOnSeparated(t *testing.T) {
 	if swaps := CanonicalizeTies(ps, pi, Z, 2); swaps != 0 {
 		t.Fatalf("swaps = %d on already-canonical assignment", swaps)
 	}
+}
+
+// transferredAssignment computes the transferred assignment mapping of
+// Definition 3.11 for a weighted part P, the reference Lemma 3.12's
+// tests compare the engine's assignment against: given a half-space set H, region
+// weight estimates B = (b_0, ..., b_k) (index 0 = region R_0), a
+// threshold fraction ξ and the part threshold T, each point in a region
+// whose estimate is at least 2ξT keeps its region's center; everything
+// else — including all of R_0 — is sent to the center of the largest
+// region i* = argmax_{i∈[k]} b_i.
+func transferredAssignment(ws []geo.Weighted, hs *HalfSpaceSet, B []float64, xi, T float64) []int {
+	k := len(hs.Z)
+	if len(B) != k+1 {
+		panic("assign: B must have k+1 entries (region 0 first)")
+	}
+	iStar := 0
+	for i := 1; i < k; i++ {
+		if B[1+i] > B[1+iStar] {
+			iStar = i
+		}
+	}
+	pi := make([]int, len(ws))
+	for idx, w := range ws {
+		reg := hs.Region(w.P)
+		if reg >= 0 && B[1+reg] >= 2*xi*T {
+			pi[idx] = reg
+		} else {
+			pi[idx] = iStar
+		}
+	}
+	return pi
 }

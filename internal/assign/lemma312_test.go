@@ -54,7 +54,7 @@ func TestLemma312TransferBounds(t *testing.T) {
 				B[i] = 0
 			}
 		}
-		piT := TransferredAssignment(ws, hs, B, xi, T)
+		piT := transferredAssignment(ws, hs, B, xi, T)
 
 		costPi := CostOfAssignment(ws, Z, res.Assign, r)
 		costPiT := CostOfAssignment(ws, Z, piT, r)
@@ -66,8 +66,8 @@ func TestLemma312TransferBounds(t *testing.T) {
 				trial, costPiT, bound, costPi)
 		}
 
-		s1 := SizeVector(ws, res.Assign, k)
-		s2 := SizeVector(ws, piT, k)
+		s1 := sizeVector(ws, res.Assign, k)
+		s2 := sizeVector(ws, piT, k)
 		var l1 float64
 		for i := range s1 {
 			l1 += math.Abs(s1[i] - s2[i])

@@ -3,7 +3,6 @@ package coreset
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -267,15 +266,4 @@ func BuildForO(ps geo.PointSet, p Params, o float64) (*Coreset, *Plan, error) {
 		return nil, q.Plan, nil
 	}
 	return sampleOffline(ps, q, p, rng), q.Plan, nil
-}
-
-// TheoreticalSizeBound evaluates the poly(ε⁻¹η⁻¹kd log Δ) size bound of
-// Lemma 3.18 (up to its constant): k⁶·d·(k+d^{1.5r})⁵·L¹⁰·log(kdL) /
-// min(ε,η)⁴ — exposed so experiments can report measured size against the
-// theory's n-independent ceiling.
-func (p Params) TheoreticalSizeBound(d, L int) float64 {
-	k := float64(p.K)
-	m := math.Min(p.Eps, p.Eta)
-	return k * k * k * k * k * k * float64(d) * math.Pow(k+d15r(d, p.R), 5) *
-		math.Pow(float64(L), 10) * math.Log(float64(p.K*d*L)+1) / (m * m * m * m)
 }

@@ -326,13 +326,3 @@ func TestHeavyAndLevelBudgets(t *testing.T) {
 		t.Fatalf("LevelBudget = %v", got)
 	}
 }
-
-func TestTheoreticalSizeBoundPositiveAndMonotone(t *testing.T) {
-	p, _ := Params{K: 3, Eps: 0.3, Eta: 0.3}.withDefaults()
-	b1 := p.TheoreticalSizeBound(2, 10)
-	p2, _ := Params{K: 3, Eps: 0.1, Eta: 0.1}.withDefaults()
-	b2 := p2.TheoreticalSizeBound(2, 10)
-	if b1 <= 0 || b2 <= b1 {
-		t.Fatalf("bounds: %v, %v (tighter ε must give larger bound)", b1, b2)
-	}
-}

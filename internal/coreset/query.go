@@ -19,37 +19,29 @@ import (
 	"streambalance/internal/partition"
 )
 
-// Default numerators of the h and h′ sampling rates (Rates). The paper
-// uses 10⁶λ′ for both (Algorithm 3).
+// The numerators of the h and h′ sampling rates (Rates), shared by the
+// stream and the coordinator. The paper uses 10⁶λ′ for both (Algorithm
+// 3); this is the one place to retune the calibrated values.
 const (
-	DefaultCountRate = 256
-	DefaultPartRate  = 64
+	countRate = 256
+	partRate  = 64
 )
 
 // Rates is Algorithm 4's rate rule for one guess o on one grid: level i's
-// h-substream samples at ψ_i = min(1, CountRate/T_i(o)), its h′-substream
-// at ψ′_i = min(1, PartRate/(γ·T_i(o))) and its ĥ-substream at φ_i
+// h-substream samples at ψ_i = min(1, countRate/T_i(o)), its h′-substream
+// at ψ′_i = min(1, partRate/(γ·T_i(o))) and its ĥ-substream at φ_i
 // (Params.Phi), each λ-wise independently.
 type Rates struct {
-	p           Params
-	g           *grid.Grid
-	o           float64
-	count, part float64
-	gamma       float64
-	lambda      int
+	p      Params
+	g      *grid.Grid
+	o      float64
+	gamma  float64
+	lambda int
 }
 
-// NewRates returns the rate rule for guess o on g. A zero countRate or
-// partRate selects DefaultCountRate or DefaultPartRate.
-func NewRates(p Params, g *grid.Grid, o, countRate, partRate float64) *Rates {
-	if countRate == 0 {
-		countRate = DefaultCountRate
-	}
-	if partRate == 0 {
-		partRate = DefaultPartRate
-	}
-	return &Rates{p: p, g: g, o: o, count: countRate, part: partRate,
-		gamma: p.Gamma(g.Dim, g.L), lambda: p.Lambda(g.Dim, g.L)}
+// NewRates returns the rate rule for guess o on g.
+func NewRates(p Params, g *grid.Grid, o float64) *Rates {
+	return &Rates{p: p, g: g, o: o, gamma: p.Gamma(g.Dim, g.L), lambda: p.Lambda(g.Dim, g.L)}
 }
 
 // Samplers draws level i's samplers from rng in the order h_i, h′_i, ĥ_i.
@@ -57,8 +49,8 @@ func NewRates(p Params, g *grid.Grid, o, countRate, partRate float64) *Rates {
 // randomness of a seed is the same wherever it is reconstructed.
 func (r *Rates) Samplers(rng *rand.Rand, i int) (h, hp, hat *hashing.Bernoulli) {
 	T := partition.ThresholdT(r.g, i, r.o, r.p.R)
-	h = hashing.NewBernoulli(rng, r.lambda, math.Min(1, r.count/T))
-	hp = hashing.NewBernoulli(rng, r.lambda, math.Min(1, r.part/(r.gamma*T)))
+	h = hashing.NewBernoulli(rng, r.lambda, math.Min(1, countRate/T))
+	hp = hashing.NewBernoulli(rng, r.lambda, math.Min(1, partRate/(r.gamma*T)))
 	hat = hashing.NewBernoulli(rng, r.lambda, r.p.Phi(T, r.g.Dim, r.g.L))
 	return h, hp, hat
 }

@@ -87,12 +87,6 @@ type Config struct {
 	CellCap  int // default 4096
 	PointCap int // default 8192
 
-	// Sampling calibration, identical to the streaming instance: the
-	// numerators of the h and h′ rates (coreset.Rates). Zero selects
-	// coreset.DefaultCountRate (256) and coreset.DefaultPartRate (64).
-	CountRate float64
-	PartRate  float64
-
 	SampleSize int // round-1 per-machine sample for the OPT estimate (default 200)
 
 	// Workers bounds how many machines compute concurrently in Run
@@ -115,8 +109,6 @@ func (c Config) withDefaults() (Config, error) {
 		coreset.Setting{Name: "O", Value: c.O},
 		coreset.Setting{Name: "CellCap", Value: float64(c.CellCap)},
 		coreset.Setting{Name: "PointCap", Value: float64(c.PointCap)},
-		coreset.Setting{Name: "CountRate", Value: c.CountRate},
-		coreset.Setting{Name: "PartRate", Value: c.PartRate},
 		coreset.Setting{Name: "SampleSize", Value: float64(c.SampleSize)},
 	)
 	if err != nil {
@@ -193,7 +185,7 @@ func newShared(cfg Config, o float64, seed int64) *shared {
 		hSamp: make([]*hashing.Bernoulli, L+1), hpSamp: make([]*hashing.Bernoulli, L+1),
 		hatSamp: make([]*hashing.Bernoulli, L+1),
 	}
-	rates := coreset.NewRates(cfg.Params, g, o, cfg.CountRate, cfg.PartRate)
+	rates := coreset.NewRates(cfg.Params, g, o)
 	for i := 0; i <= L; i++ {
 		sh.hSamp[i], sh.hpSamp[i], sh.hatSamp[i] = rates.Samplers(rng, i)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"streambalance/internal/assign"
 	"streambalance/internal/geo"
-	"streambalance/internal/metrics"
 	"streambalance/internal/obs"
 	"streambalance/internal/solve"
 	"streambalance/internal/workload"
@@ -55,25 +54,6 @@ func (c Cfg) n(base int) int {
 		v = 16
 	}
 	return v
-}
-
-// All runs every experiment and returns the tables in order.
-func All(c Cfg) []*metrics.Table {
-	return []*metrics.Table{
-		E1CoresetQuality(c),
-		E2CoresetSize(c),
-		E3StreamingSpace(c),
-		E4Deletions(c),
-		E5Distributed(c),
-		E6EndToEnd(c),
-		E7Baselines(c),
-		E8BuildTime(c),
-		E9Separation(c),
-		E10Ablation(c),
-		E11HighDim(c),
-		E12GuessSelection(c),
-		E13AssignmentCounting(c),
-	}
 }
 
 // workloadMixture is the shared mixture spec at an explicit domain size.

@@ -238,9 +238,6 @@ func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
 	return g
 }
 
-// GV returns a gauge family on the Default registry.
-func GV(name string, labels ...string) *GaugeVec { return Default.GaugeVec(name, labels...) }
-
 // With resolves the member gauge for the given label values.
 func (g *GaugeVec) With(vals ...string) *Gauge { return g.v.with(vals) }
 

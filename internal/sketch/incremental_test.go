@@ -103,7 +103,8 @@ func checkGridKeys(t *testing.T, st *Storing, label string) {
 // TestDecodedKeysMatchGrid: the grid keys a Storing caches beside its
 // decoded items must equal fresh grid.CellKey / KeyOf computations after
 // a cold decode, churn splices (delta items land between kept base
-// items), a Merge that keeps its base, on a Fork, and after DropCache —
+// items), on a sibling, after adding the sibling's state, and after
+// DropCache —
 // at level 0, whose parents are the root cell, and at a finer level.
 func TestDecodedKeysMatchGrid(t *testing.T) {
 	eachKind(t, func(t *testing.T, kind Kind) {
@@ -136,15 +137,16 @@ func TestDecodedKeysMatchGrid(t *testing.T) {
 				t.Fatal("churn did not splice")
 			}
 
-			fork := st.CloneEmpty()
+			sib := st.cloneEmpty()
 			for i := 0; i < 5; i++ {
-				fork.Insert(randPoint())
+				sib.Insert(randPoint())
 			}
-			checkGridKeys(t, fork, "fork")
-			st.Merge(fork)
-			checkGridKeys(t, st, "merge")
-			if s := st.CacheStats(); s.MergeKeeps == 0 {
-				t.Fatal("merge over a live base did not keep it")
+			checkGridKeys(t, sib, "sibling")
+			splices := st.CacheStats().Splices
+			addStoring(st, sib)
+			checkGridKeys(t, st, "sibling sum")
+			if s := st.CacheStats(); s.Splices == splices {
+				t.Fatal("a sibling's state added over a live base did not splice")
 			}
 
 			st.DropCache()
@@ -166,7 +168,7 @@ func TestStoringSplicedDecodeMatchesCold(t *testing.T) {
 		rng := rand.New(rand.NewSource(21))
 		g := buildGrid(t, 256, 2, 21)
 		inc := newStoring(rng, g, 3, kind, 8)
-		cold := inc.CloneEmpty()
+		cold := inc.cloneEmpty()
 
 		var live []geo.Point
 		apply := func(p geo.Point, delta int64) {
@@ -211,21 +213,22 @@ func TestStoringSplicedDecodeMatchesCold(t *testing.T) {
 			t.Fatal("shrunken sketch must decode again")
 		}
 
-		// Merge path: a fork's delta splices onto the kept base.
-		forkI, forkC := inc.CloneEmpty(), cold.CloneEmpty()
-		forkI.Insert(geo.Point{9, 9})
-		forkC.Insert(geo.Point{9, 9})
-		inc.Merge(forkI)
-		cold.Merge(forkC)
+		// A sibling's state added in one step splices onto the base.
+		sibI, sibC := inc.cloneEmpty(), cold.cloneEmpty()
+		sibI.Insert(geo.Point{9, 9})
+		sibC.Insert(geo.Point{9, 9})
+		splices := inc.CacheStats().Splices
+		addStoring(inc, sibI)
+		addStoring(cold, sibC)
 		compareIncCold(t, inc, cold)
-		if s := inc.CacheStats(); s.MergeKeeps == 0 {
-			t.Fatal("merge over a live base did not keep it")
+		if s := inc.CacheStats(); s.Splices == splices {
+			t.Fatal("a sibling's state added over a live base did not splice")
 		}
 	})
 }
 
 // FuzzIncrementalDecodeMatchesCold drives random insert / delete /
-// fork-merge / extract interleavings — including unmatched deletions
+// sibling-sum / extract interleavings — including unmatched deletions
 // (negative-count FAILs) and over-full states — and asserts after every
 // extraction that digest, Bytes and Result (success payloads and FAIL
 // verdicts alike) are identical between the incremental instance and a
@@ -245,7 +248,7 @@ func FuzzIncrementalDecodeMatchesCold(f *testing.F) {
 			rng := rand.New(rand.NewSource(seed))
 			g := buildGrid(t, 256, 2, seed^0x5eed)
 			inc := newStoring(rng, g, 3, kind, 8)
-			cold := inc.CloneEmpty()
+			cold := inc.cloneEmpty()
 
 			var live []geo.Point
 			randPoint := func() geo.Point {
@@ -269,16 +272,16 @@ func FuzzIncrementalDecodeMatchesCold(f *testing.F) {
 					}
 					inc.Delete(p)
 					cold.Delete(p)
-				case 2: // fork a sibling pair, update it, merge back
-					forkI, forkC := inc.CloneEmpty(), cold.CloneEmpty()
+				case 2: // update a sibling pair, add each into its instance
+					sibI, sibC := inc.cloneEmpty(), cold.cloneEmpty()
 					for k := rng.Intn(3); k > 0; k-- {
 						p := randPoint()
-						forkI.Insert(p)
-						forkC.Insert(p)
+						sibI.Insert(p)
+						sibC.Insert(p)
 						live = append(live, p)
 					}
-					inc.Merge(forkI) // k may be 0: the pristine-skip path
-					cold.Merge(forkC)
+					addStoring(inc, sibI) // k may be 0: an empty sibling
+					addStoring(cold, sibC)
 				case 3: // extract and compare (incremental vs cold full peel)
 					compareIncCold(t, inc, cold)
 				case 4: // extra incremental extraction: more splice traffic

@@ -10,8 +10,8 @@ import (
 // TestDirtyJournalRefresh checks the dirty-journal invariant directly:
 // after a snapshot, every write path — the one-row Update wrapper, the
 // UpdateScaledN kernel at batch sizes around both schedule thresholds
-// (the 4-lane block width, orderedMinRows, and width/8), and Merge —
-// must journal a superset of the buckets it changes, so the
+// (the 4-lane block width, orderedMinRows, and width/8), and the
+// sibling sum addSlab that the linearity tests splice after — must journal a superset of the buckets it changes, so the
 // journal-guided RefreshSnapshot equals a full SnapshotSlab copy. Batches
 // carry zero-delta rows with non-zero payload, which change only payload
 // words. The slab itself must equal row-at-a-time scalar writes.
@@ -28,7 +28,7 @@ func TestDirtyJournalRefresh(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(s*1000 + n)))
 					sr := NewSparseRecovery(rng, s, 0.01, pd)
-					oracle := sr.CloneEmpty()
+					oracle := sr.cloneEmpty()
 					keys, payload, deltas := randBatch(rng, 2*s, s, pd)
 					scaled := scaleRows(payload, deltas, pd)
 					sr.UpdateScaledN(keys, scaled, deltas)
@@ -55,9 +55,9 @@ func TestDirtyJournalRefresh(t *testing.T) {
 							sr.UpdateScaledN(keys, scaled, deltas)
 							scalarWriteN(oracle, keys, scaled, deltas)
 						case "merge":
-							other := sr.CloneEmpty()
+							other := sr.cloneEmpty()
 							other.UpdateScaledN(keys, scaled, deltas)
-							sr.Merge(other)
+							addSlab(sr, other)
 							scalarWriteN(oracle, keys, scaled, deltas)
 						}
 						if s == 512 && !sr.DirtySparse() {

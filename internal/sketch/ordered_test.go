@@ -43,14 +43,14 @@ func TestUpdateNOrderedMatchesScatter(t *testing.T) {
 			keys, payload, deltas := randBatch(rng, n, 5+rng.Intn(n+1), pd)
 			scaled := scaleRows(payload, deltas, pd)
 
-			perOp := base.CloneEmpty()
+			perOp := base.cloneEmpty()
 			scalarUpdateN(perOp, keys, payload, deltas)
 
-			ordered := base.CloneEmpty()
+			ordered := base.cloneEmpty()
 			ordered.updateOrderedN(keys, scaled, deltas)
-			lanes := base.CloneEmpty()
+			lanes := base.cloneEmpty()
 			lanes.updateLanesN(keys, scaled, deltas)
-			kernel := base.CloneEmpty()
+			kernel := base.cloneEmpty()
 			kernel.UpdateScaledN(keys, scaled, deltas)
 
 			for _, tc := range []struct {
@@ -83,7 +83,7 @@ func TestUpdateScaledNMatchesUpdateN(t *testing.T) {
 		payload = append(payload, 5, 6, 7, 1, 2, 3)
 		deltas = append(deltas, 1, -1)
 
-		raw := base.CloneEmpty()
+		raw := base.cloneEmpty()
 		scalarUpdateN(raw, keys, payload, deltas)
 
 		// Coalesce by key in first-occurrence order, exactly as the ingest
@@ -106,9 +106,9 @@ func TestUpdateScaledNMatchesUpdateN(t *testing.T) {
 			}
 		}
 
-		ordered := base.CloneEmpty()
+		ordered := base.cloneEmpty()
 		ordered.updateOrderedN(cKeys, cScaled, cDeltas)
-		lanes := base.CloneEmpty()
+		lanes := base.cloneEmpty()
 		lanes.updateLanesN(cKeys, cScaled, cDeltas)
 		for _, co := range []*SparseRecovery{ordered, lanes} {
 			if d1, d2 := raw.Digest(), co.Digest(); d1 != d2 {
@@ -136,12 +136,12 @@ func TestUpdateNDuplicateHeavyBatch(t *testing.T) {
 	}
 	scaled := scaleRows(payload, deltas, pd)
 
-	perOp := base.CloneEmpty()
+	perOp := base.cloneEmpty()
 	scalarUpdateN(perOp, keys, payload, deltas)
 	wantItems, wantOK := perOp.Decode()
 
 	for _, ordered := range []bool{true, false} {
-		got := base.CloneEmpty()
+		got := base.cloneEmpty()
 		if ordered {
 			got.updateOrderedN(keys, scaled, deltas)
 		} else {
@@ -168,11 +168,11 @@ func TestUpdateNReusedScratchIndependent(t *testing.T) {
 	k1, p1, d1 := randBatch(rng, 512, 9, pd)
 	k2, p2, d2 := randBatch(rng, orderedMinRows+5, 3, pd)
 
-	seq := base.CloneEmpty()
+	seq := base.cloneEmpty()
 	seq.UpdateScaledN(k1, scaleRows(p1, d1, pd), d1)
 	seq.UpdateScaledN(k2, scaleRows(p2, d2, pd), d2)
 
-	perOp := base.CloneEmpty()
+	perOp := base.cloneEmpty()
 	scalarUpdateN(perOp, k1, p1, d1)
 	scalarUpdateN(perOp, k2, p2, d2)
 	if a, b := seq.Digest(), perOp.Digest(); a != b {

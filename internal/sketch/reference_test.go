@@ -1,12 +1,18 @@
 package sketch
 
-import "streambalance/internal/hashing"
+import (
+	"slices"
+
+	"streambalance/internal/hashing"
+)
 
 // Test oracles for SparseRecovery: a row-at-a-time slab writer the
 // batch kernels are pinned against, and the round-based rescan decoder
 // the worklist decoder replaced. Both are written straight from the
 // bucket layout; they share only the hash functions and bucketOf with
-// the production write and decode paths.
+// the production write and decode paths. Beside them, empty siblings
+// (cloneEmpty) and the slab sum (addSlab, addStoring) that the linearity
+// tests add one sketch into another with.
 
 // scalarWrite adds one pre-scaled row (the UpdateScaledN contract:
 // payload words added verbatim, zero-delta rows applied) to every row
@@ -64,9 +70,51 @@ func scaleRows(payload []int64, deltas []int64, pd int) []int64 {
 	return out
 }
 
+// cloneEmpty returns a zeroed sketch sharing sr's hash functions: a
+// sibling that sketches a second stream, for comparison with sr or for
+// addSlab.
+func (sr *SparseRecovery) cloneEmpty() *SparseRecovery {
+	cp := *sr
+	cp.slab = make([]int64, len(sr.slab))
+	cp.scr = nil
+	cp.track, cp.trackDense, cp.dirty = false, false, nil
+	return &cp
+}
+
+// cloneEmpty returns a zeroed Storing sharing st's hash functions.
+func (st *Storing) cloneEmpty() *Storing {
+	return &Storing{g: st.g, level: st.level, kind: st.kind, fp: st.fp, sr: st.sr.cloneEmpty()}
+}
+
+// addSlab adds a cloneEmpty sibling's buckets into sr, journaling every
+// bucket it changes like any other write. By linearity the sum sketches
+// both streams interleaved.
+func addSlab(sr, other *SparseRecovery) {
+	for i := 0; i < len(sr.slab); i += sr.stride {
+		a, b := sr.slab[i:i+sr.stride], other.slab[i:i+sr.stride]
+		if sr.track && slices.ContainsFunc(b, func(w int64) bool { return w != 0 }) {
+			sr.markDirty(i / sr.stride)
+		}
+		a[0] += b[0]
+		a[1] = int64(hashing.AddMod(uint64(a[1]), uint64(b[1])))
+		a[2] = int64(hashing.AddMod(uint64(a[2]), uint64(b[2])))
+		for j := 3; j < sr.stride; j++ {
+			a[j] += b[j]
+		}
+	}
+}
+
+// addStoring adds a cloneEmpty sibling's state into st as one mutation:
+// the next Result sees it stale and, with a base, splices it.
+func addStoring(st, other *Storing) {
+	addSlab(st.sr, other.sr)
+	st.netUpdates += other.netUpdates
+	st.epoch++
+}
+
 // clone deep-copies the bucket state (hash functions shared).
 func (sr *SparseRecovery) clone() *SparseRecovery {
-	cp := sr.CloneEmpty()
+	cp := sr.cloneEmpty()
 	copy(cp.slab, sr.slab)
 	return cp
 }

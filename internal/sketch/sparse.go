@@ -59,7 +59,7 @@ type SparseRecovery struct {
 	// O(slab). When the journal outgrows dirtyCap the sketch flips to
 	// trackDense — "changed too much to enumerate" — and the splice falls
 	// back to the full-residual peel. The journal is derived state: absent
-	// from Bytes, Digest and clones.
+	// from Bytes and Digest.
 	track      bool
 	trackDense bool
 	dirty      []int32
@@ -69,8 +69,8 @@ type SparseRecovery struct {
 
 // updScratch holds the reusable buffers of the bucket-ordered batch
 // kernel (updateOrderedN). It is private to one SparseRecovery — updates
-// must not run concurrently on one sketch (the Storing contract), and
-// CloneEmpty/clone never share it — so no synchronization is needed.
+// must not run concurrently on one sketch (the Storing contract) — so no
+// synchronization is needed.
 type updScratch struct {
 	rk   []uint64 // reduced keys
 	fe   []uint64 // fingerprint evaluations
@@ -402,46 +402,6 @@ func (sr *SparseRecovery) updateOrderedN(keys []uint64, scaled []int64, deltas [
 			}
 		}
 	}
-}
-
-// Merge adds the state of other into sr. The two sketches must have been
-// created with identical parameters and hash functions (i.e. other must be
-// a Clone sibling); Merge panics on shape mismatch.
-func (sr *SparseRecovery) Merge(other *SparseRecovery) {
-	if sr.rows != other.rows || sr.width != other.width || sr.payloadDim != other.payloadDim {
-		panic("sketch: merge shape mismatch")
-	}
-	for i := 0; i < len(sr.slab); i += sr.stride {
-		a, b := sr.slab[i:i+sr.stride], other.slab[i:i+sr.stride]
-		if sr.track {
-			changed := false
-			for j := 0; j < sr.stride; j++ {
-				if b[j] != 0 {
-					changed = true
-					break
-				}
-			}
-			if changed {
-				sr.markDirty(i / sr.stride)
-			}
-		}
-		a[0] += b[0]
-		a[1] = int64(hashing.AddMod(uint64(a[1]), uint64(b[1])))
-		a[2] = int64(hashing.AddMod(uint64(a[2]), uint64(b[2])))
-		for j := 3; j < sr.stride; j++ {
-			a[j] += b[j]
-		}
-	}
-}
-
-// CloneEmpty returns a fresh sketch sharing sr's hash functions with all
-// buckets zeroed, suitable for later Merge.
-func (sr *SparseRecovery) CloneEmpty() *SparseRecovery {
-	cp := *sr
-	cp.slab = make([]int64, len(sr.slab))
-	cp.scr = nil // batch scratch is per-instance; clones run on other goroutines
-	cp.track, cp.trackDense, cp.dirty = false, false, nil
-	return &cp
 }
 
 // SnapshotSlab copies the current bucket slab into dst (grown if

@@ -154,15 +154,17 @@ func TestSparseRecoveryNegativeCounts(t *testing.T) {
 	}
 }
 
+// TestSparseRecoveryMerge: the sum of two siblings' slabs decodes to
+// the sum of their vectors (linearity).
 func TestSparseRecoveryMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := NewSparseRecovery(rng, 8, 0.01, 1)
-	b := a.CloneEmpty()
+	b := a.cloneEmpty()
 	a.Update(1, []int64{10}, 2)
 	a.Update(2, []int64{20}, 1)
 	b.Update(2, []int64{20}, 3)
 	b.Update(3, []int64{30}, 1)
-	a.Merge(b)
+	addSlab(a, b)
 	items, ok := a.Decode()
 	if !ok {
 		t.Fatal("merged decode failed")
@@ -174,18 +176,6 @@ func TestSparseRecoveryMerge(t *testing.T) {
 	if got[1] != 2 || got[2] != 4 || got[3] != 1 {
 		t.Fatalf("merged counts = %v", got)
 	}
-}
-
-func TestSparseRecoveryMergeShapeMismatchPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	a := NewSparseRecovery(rng, 8, 0.01, 1)
-	b := NewSparseRecovery(rng, 4, 0.01, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	a.Merge(b)
 }
 
 func TestSparseRecoveryBytesScalesWithS(t *testing.T) {

@@ -129,7 +129,7 @@ func FuzzSpliceMatchesFlatMerge(f *testing.F) {
 			rng := rand.New(rand.NewSource(seed))
 			g := buildGrid(t, 1<<10, 2, seed^0x5eed)
 			st := newStoring(rng, g, 7, k.kind, capacity)
-			cold := st.CloneEmpty()
+			cold := st.cloneEmpty()
 			var live []geo.Point
 			randPoint := func() geo.Point { return geo.Point{1 + rng.Int63n(1<<10), 1 + rng.Int63n(1<<10)} }
 			insert := func(p geo.Point) {

@@ -23,11 +23,8 @@ var (
 	mCacheStale           = obs.C("sketch_cache_stale_total")
 	mCacheStaleCold       = obs.C("sketch_cache_stale_cold_total")
 	mCacheDrops           = obs.C("sketch_cache_drops_total")
-	mCacheMergeDrops      = obs.C("sketch_cache_merge_drops_total")
 	mCacheSplices         = obs.C("sketch_cache_splices_total")
 	mCacheSpliceFallbacks = obs.C("sketch_cache_splice_fallbacks_total")
-	mCacheMergeKeeps      = obs.C("sketch_cache_merge_keeps_total")
-	mCacheMergeSkips      = obs.C("sketch_cache_merge_skips_total")
 	mDecodeFail           = obs.C("sketch_decode_fail_total")
 	vDecodeFail           = obs.CV("sketch_decode_fail_total", "level")
 	mDecodeNS             = obs.H("sketch_decode_ns")
@@ -63,10 +60,10 @@ type Storing struct {
 	sr    *SparseRecovery // key: cell or point fingerprint; payload: cell index or coordinates
 	fp    *hashing.Fingerprint
 
-	netUpdates int64 // net insertions − deletions, for sanity checks
+	netUpdates int64 // net insertions − deletions; Digest folds it in
 
-	// epoch counts state mutations (updates and Merge). Result caches
-	// its verdict tagged with the epoch it decoded at, so repeated
+	// epoch counts state mutations (updates). Result caches its
+	// verdict tagged with the epoch it decoded at, so repeated
 	// extraction over an unchanged sketch skips the slab peel entirely,
 	// and a stale cache re-decodes differentially: snap holds the slab
 	// as of the last successful decode and base that decode, sorted by
@@ -116,10 +113,7 @@ const (
 // Result calls answered from the cache, Misses are decodes with no
 // cached entry (cold), Stale are decodes forced because updates advanced
 // the epoch past a cached entry (the invalidation count), Drops counts
-// DropCache calls that actually discarded a cached decode (including
-// Merge's internal drop). MergeDrops is the subset of Drops caused by
-// Merge — the cache churn a Fork/Merge recombination inflicts on the
-// query snapshot; each MergeDrop is also counted in Drops.
+// DropCache calls that actually discarded a cached decode.
 //
 // The incremental-decode counters (DESIGN.md §13): Splices counts stale
 // re-decodes answered differentially (residual peel + merge onto the
@@ -128,18 +122,14 @@ const (
 // exactness and fell back to a cold peel. StaleCold counts the Stale
 // decodes that had no base to splice from — the last decode FAILed, so
 // the re-decode is a full cold peel; a ratio of Splices to Misses plus
-// SpliceFallbacks alone hides them. MergeSkips counts Merge calls
-// skipped entirely because the incoming sibling was pristine (zero
-// slab), leaving a fresh cache fresh; MergeKeeps counts merges of real
-// state that kept the base for the next differential decode instead of
-// dropping the cache.
+// SpliceFallbacks alone hides them.
 //
 // Counting happens on the query path only — never per stream update —
 // so it is always on, independent of the obs.Enabled flag; the same
 // events also feed the global sketch_cache_* counters.
 type CacheStats struct {
-	Hits, Misses, Stale, StaleCold, Drops, MergeDrops int64
-	Splices, SpliceFallbacks, MergeKeeps, MergeSkips  int64
+	Hits, Misses, Stale, StaleCold, Drops int64
+	Splices, SpliceFallbacks              int64
 }
 
 // Add adds o's counters to c, field by field.
@@ -149,11 +139,8 @@ func (c *CacheStats) Add(o CacheStats) {
 	c.Stale += o.Stale
 	c.StaleCold += o.StaleCold
 	c.Drops += o.Drops
-	c.MergeDrops += o.MergeDrops
 	c.Splices += o.Splices
 	c.SpliceFallbacks += o.SpliceFallbacks
-	c.MergeKeeps += o.MergeKeeps
-	c.MergeSkips += o.MergeSkips
 }
 
 // NewStoring creates a Storing instance for grid level `level` of g
@@ -454,77 +441,9 @@ func sortItemsByKey(items []Item) {
 	slices.SortFunc(items, func(a, b Item) int { return cmp.Compare(a.Key, b.Key) })
 }
 
-// Merge adds another Storing instance's state into st. Both must have
-// been created from the same random source position (identical hash
-// functions) — i.e. be CloneEmpty siblings; Merge panics on shape
-// mismatch. Linearity makes the merged sketch equivalent to one that saw
-// both streams interleaved.
-//
-// A pristine sibling (epoch 0: never updated since birth) has
-// an identically zero slab, so merging it is arithmetically a no-op —
-// Merge skips the state mutation entirely and a fresh decode cache
-// stays fresh. This is what keeps a fork that touched k levels from
-// dirtying the other levels' caches on recombination: Stream.Merge
-// calls down here for every level, but only the levels the fork
-// actually wrote pay anything.
-func (st *Storing) Merge(other *Storing) {
-	if st.level != other.level || st.kind != other.kind {
-		panic("sketch: Storing merge shape mismatch")
-	}
-	if other.epoch == 0 {
-		st.mu.Lock()
-		st.stats.MergeSkips++
-		mCacheMergeSkips.Inc()
-		st.mu.Unlock()
-		return
-	}
-	st.sr.Merge(other.sr)
-	st.netUpdates += other.netUpdates
-	st.epoch++
-	st.invalidateForMerge()
-}
-
-// invalidateForMerge is Merge's cache bookkeeping for a real (non-empty)
-// merge. With a valid differential base the cache is merely left stale:
-// the epoch moved, but by linearity the next query's residual
-// cur − snap simply includes the merged-in state, so it splices
-// instead of re-peeling from scratch (MergeKeeps). Without a base — the
-// last decode FAILed — the cached verdict is discarded; the discard
-// counts both as a generic drop and under the merge-specific counters,
-// so the cache churn of merge-at-extraction recombination stays
-// separable from explicit DropCache calls.
-func (st *Storing) invalidateForMerge() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.baseValid {
-		st.stats.MergeKeeps++
-		mCacheMergeKeeps.Inc()
-		return
-	}
-	if st.cacheValid {
-		st.stats.Drops++
-		st.stats.MergeDrops++
-		mCacheDrops.Inc()
-		mCacheMergeDrops.Inc()
-	}
-	st.cacheOK, st.cacheEpoch, st.cacheValid = false, 0, false
-}
-
-// CloneEmpty returns a zeroed Storing sharing st's hash functions, so the
-// clone can sketch a second stream and later be Merged back.
-func (st *Storing) CloneEmpty() *Storing {
-	return &Storing{g: st.g, level: st.level, kind: st.kind, fp: st.fp, sr: st.sr.CloneEmpty()}
-}
-
 // Bytes reports the sketch's memory footprint — the streaming space
 // accounted by Theorem 4.5.
 func (st *Storing) Bytes() int64 { return st.sr.Bytes() }
-
-// Epoch returns the update epoch: a counter bumped by every
-// state-mutating operation (Insert, Delete, UpdateKeyedScaledN, Merge).
-// Result caches are tagged with it, so equal epochs mean the cached
-// decode is current.
-func (st *Storing) Epoch() uint64 { return st.epoch }
 
 // CacheFresh reports whether a decode cached at the current epoch exists
 // — i.e. whether the next Result call is free.
@@ -572,6 +491,3 @@ func (st *Storing) CacheBytes() int64 {
 	}
 	return int64(len(st.snap))*8 + st.base.bytes() + st.sr.DirtyJournalBytes()
 }
-
-// NetUpdates returns the net number of surviving stream updates seen.
-func (st *Storing) NetUpdates() int64 { return st.netUpdates }

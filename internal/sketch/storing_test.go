@@ -134,8 +134,8 @@ func TestStoringInsertDeleteChurn(t *testing.T) {
 			st.Delete(p)
 		}
 		checkExact(t, st, all[len(all)-8:])
-		if st.NetUpdates() != 8 {
-			t.Fatalf("NetUpdates = %d, want 8", st.NetUpdates())
+		if st.netUpdates != 8 {
+			t.Fatalf("netUpdates = %d, want 8", st.netUpdates)
 		}
 	})
 }
@@ -293,8 +293,8 @@ func TestUpdateKeyedMatchesUpdate(t *testing.T) {
 		if perOp.Digest() != keyed.Digest() {
 			t.Fatal("keyed state diverged from per-op Insert/Delete")
 		}
-		if perOp.NetUpdates() != keyed.NetUpdates() {
-			t.Fatalf("net updates %d vs %d", perOp.NetUpdates(), keyed.NetUpdates())
+		if perOp.netUpdates != keyed.netUpdates {
+			t.Fatalf("net updates %d vs %d", perOp.netUpdates, keyed.netUpdates)
 		}
 	})
 }
@@ -303,7 +303,7 @@ func TestDigestDetectsDifference(t *testing.T) {
 	eachKind(t, func(t *testing.T, kind Kind) {
 		g := buildGrid(t, 1<<6, 2, 65)
 		st := newStoring(rand.New(rand.NewSource(66)), g, 2, kind, 16)
-		sib := st.CloneEmpty()
+		sib := st.cloneEmpty()
 		if st.Digest() != sib.Digest() {
 			t.Fatal("empty siblings must have equal digests")
 		}
@@ -337,7 +337,7 @@ func TestStoringSharedFingerprintSharesPointKeys(t *testing.T) {
 	scaled := []int64{2 * 12, 2 * 34, 5, 6}
 	deltas := []int64{2, 1}
 	for _, st := range []*Storing{a, b} {
-		ref := st.CloneEmpty()
+		ref := st.cloneEmpty()
 		for _, p := range pts {
 			ref.Insert(p)
 		}
@@ -409,14 +409,14 @@ func TestStoringEpochAndDecodeCache(t *testing.T) {
 		g := buildGrid(t, 64, 2, 7)
 		st := newStoring(rng, g, 2, kind, 64)
 
-		if st.Epoch() != 0 || st.CacheFresh() {
+		if st.epoch != 0 || st.CacheFresh() {
 			t.Fatal("fresh sketch must have epoch 0 and no cache")
 		}
 		live := []geo.Point{{3, 5}, {9, 9}}
 		st.Insert(live[0])
 		st.Insert(live[1])
-		if st.Epoch() != 2 {
-			t.Fatalf("epoch %d after 2 updates", st.Epoch())
+		if st.epoch != 2 {
+			t.Fatalf("epoch %d after 2 updates", st.epoch)
 		}
 
 		bytes0, dig0 := st.Bytes(), st.Digest()
@@ -446,14 +446,15 @@ func TestStoringEpochAndDecodeCache(t *testing.T) {
 		}
 		checkExact(t, st, live[1:])
 
-		// Merge invalidates and bumps the epoch on the receiver.
-		sib := st.CloneEmpty()
+		// Adding a sibling's state is one mutation: it bumps the epoch and
+		// invalidates the cache.
+		sib := st.cloneEmpty()
 		sib.Insert(geo.Point{17, 23})
 		st.Result()
-		e := st.Epoch()
-		st.Merge(sib)
-		if st.Epoch() != e+1 || st.CacheFresh() {
-			t.Fatal("Merge must bump the epoch and drop the cache")
+		e := st.epoch
+		addStoring(st, sib)
+		if st.epoch != e+1 || st.CacheFresh() {
+			t.Fatal("adding a sibling's state must bump the epoch and invalidate the cache")
 		}
 		checkExact(t, st, []geo.Point{{9, 9}, {17, 23}})
 
@@ -501,9 +502,9 @@ func TestStoringCachesFailedDecode(t *testing.T) {
 // hit, an update in between makes the next Result a stale re-decode —
 // answered differentially (a splice) when a base exists — DropCache
 // counts as a drop (and a drop on an already-empty cache does not), a
-// pristine-fork Merge is skipped outright, and a real Merge over a live
-// base keeps it for the next splice instead of dropping, and a stale
-// re-decode of a cached FAIL counts as StaleCold.
+// sibling's state added over a live base keeps it for the next splice
+// instead of dropping, and a stale re-decode of a cached FAIL counts as
+// StaleCold.
 func TestStoringCacheStats(t *testing.T) {
 	eachKind(t, func(t *testing.T, kind Kind) {
 		rng := rand.New(rand.NewSource(11))
@@ -538,25 +539,17 @@ func TestStoringCacheStats(t *testing.T) {
 		st.Result() // cold again after the drop (the drop cleared the base too)
 		want(CacheStats{Hits: 2, Misses: 2, Stale: 1, Drops: 1, Splices: 1})
 
-		// A pristine fork never updated anything: the merge is a no-op, the
-		// cache stays fresh and only MergeSkips moves.
-		st.Merge(st.CloneEmpty())
-		want(CacheStats{Hits: 2, Misses: 2, Stale: 1, Drops: 1, Splices: 1, MergeSkips: 1})
-		if !st.CacheFresh() {
-			t.Fatal("pristine-fork Merge must leave the cache fresh")
-		}
-
-		// A real merge over a live base keeps it (MergeKeeps, no drop): the
-		// next Result splices the merged-in delta instead of re-peeling.
-		fork := st.CloneEmpty()
-		fork.Insert(geo.Point{9, 9})
-		st.Merge(fork)
-		want(CacheStats{Hits: 2, Misses: 2, Stale: 1, Drops: 1, Splices: 1, MergeKeeps: 1, MergeSkips: 1})
+		// Adding a sibling's state over a live base drops nothing: the
+		// cache goes stale and the next Result splices the added delta.
+		sib := st.cloneEmpty()
+		sib.Insert(geo.Point{9, 9})
+		addStoring(st, sib)
+		want(CacheStats{Hits: 2, Misses: 2, Stale: 1, Drops: 1, Splices: 1})
 		if st.CacheFresh() {
-			t.Fatal("real Merge must leave the cache stale")
+			t.Fatal("adding a sibling's state must leave the cache stale")
 		}
 		st.Result()
-		want(CacheStats{Hits: 2, Misses: 2, Stale: 2, Drops: 1, Splices: 2, MergeKeeps: 1, MergeSkips: 1})
+		want(CacheStats{Hits: 2, Misses: 2, Stale: 2, Drops: 1, Splices: 2})
 
 		// A cached FAIL keeps no base, so its stale re-decode is a full cold
 		// peel: Stale and StaleCold both move, Splices does not.
@@ -575,54 +568,47 @@ func TestStoringCacheStats(t *testing.T) {
 	})
 }
 
-// TestStoringMergeDropCounter pins the obs counters behind CacheStats's
-// merge fields: a Merge over a live base moves
-// sketch_cache_merge_keeps_total and leaves the merge-drop counter
-// alone; a Merge over a cached FAIL (no base) discards the cached
-// verdict and moves sketch_cache_merge_drops_total exactly once — not
-// on merges into an undecoded receiver, and not on explicit DropCache
-// calls.
+// TestStoringMergeDropCounter pins the obs counters behind CacheStats
+// when a sibling's state is added into a Storing (addStoring): the sum
+// discards no cache, so sketch_cache_drops_total stays put, whether the
+// receiver was never decoded, holds a live base (the next Result moves
+// sketch_cache_splices_total) or a cached FAIL (the next Result re-peels
+// cold and moves sketch_cache_stale_cold_total). Only an explicit
+// DropCache of a cached decode moves the drop counter.
 func TestStoringMergeDropCounter(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	drops := obs.C("sketch_cache_merge_drops_total")
-	keeps := obs.C("sketch_cache_merge_keeps_total")
+	drops := obs.C("sketch_cache_drops_total")
+	splices := obs.C("sketch_cache_splices_total")
+	staleCold := obs.C("sketch_cache_stale_cold_total")
 
 	eachKind(t, func(t *testing.T, kind Kind) {
 		rng := rand.New(rand.NewSource(12))
 		g := buildGrid(t, 1024, 2, 12)
 		st := newStoring(rng, g, 4, kind, 256)
 		st.Insert(geo.Point{3, 3})
+		add := func(st *Storing, p geo.Point) {
+			sib := st.cloneEmpty()
+			sib.Insert(p)
+			addStoring(st, sib)
+		}
 
-		fork := st.CloneEmpty()
-		fork.Insert(geo.Point{7, 7})
-
-		// No cached decode on the receiver: the merge invalidates nothing.
+		// No cached decode on the receiver.
 		before := drops.Load()
-		st.Merge(fork)
-		if got := drops.Load(); got != before {
-			t.Fatalf("merge into undecoded receiver moved the counter: %d -> %d", before, got)
-		}
+		add(st, geo.Point{7, 7})
 
-		// A live base: kept, not dropped.
+		// A live base: kept, and the next Result splices.
 		st.Result()
-		keepsBefore := keeps.Load()
-		fork2 := st.CloneEmpty()
-		fork2.Insert(geo.Point{9, 9})
-		st.Merge(fork2)
-		if got := drops.Load(); got != before {
-			t.Fatalf("merge over a spliceable base moved the drop counter: %d -> %d", before, got)
-		}
-		if got := keeps.Load(); got != keepsBefore+1 {
-			t.Fatalf("merge over a spliceable base: keeps %d -> %d, want +1", keepsBefore, got)
-		}
-		if s := st.CacheStats(); s.MergeKeeps != 1 || s.MergeDrops != 0 {
-			t.Fatalf("CacheStats = %+v, want MergeKeeps 1, MergeDrops 0", s)
+		splicesBefore := splices.Load()
+		add(st, geo.Point{9, 9})
+		st.Result()
+		if got := splices.Load(); got != splicesBefore+1 {
+			t.Fatalf("sum over a live base: splices %d -> %d, want +1", splicesBefore, got)
 		}
 
-		// A cached FAIL has no base to splice from: the merge discards the
-		// verdict and counts exactly one merge drop. Four points in four
-		// distinct cells overflow a capacity-2 sketch.
+		// A cached FAIL has no base to splice from: the next Result is a
+		// cold re-peel. Four points in four distinct cells overflow a
+		// capacity-2 sketch.
 		full := newStoring(rng, g, 4, kind, 2)
 		for _, p := range []geo.Point{{3, 3}, {300, 3}, {3, 300}, {300, 300}} {
 			full.Insert(p)
@@ -630,21 +616,20 @@ func TestStoringMergeDropCounter(t *testing.T) {
 		if _, ok := full.Result(); ok {
 			t.Fatal("over-full sketch must FAIL")
 		}
-		fork3 := full.CloneEmpty()
-		fork3.Insert(geo.Point{11, 11})
-		full.Merge(fork3)
-		if got := drops.Load(); got != before+1 {
-			t.Fatalf("merge over a cached FAIL: counter %d -> %d, want +1", before, got)
+		coldBefore := staleCold.Load()
+		add(full, geo.Point{11, 11})
+		full.Result()
+		if got := staleCold.Load(); got != coldBefore+1 {
+			t.Fatalf("sum over a cached FAIL: stale cold %d -> %d, want +1", coldBefore, got)
 		}
-		if s := full.CacheStats(); s.MergeDrops != 1 || s.MergeKeeps != 0 {
-			t.Fatalf("CacheStats = %+v, want MergeDrops 1, MergeKeeps 0", s)
+		if got := drops.Load(); got != before {
+			t.Fatalf("adding a sibling's state moved the drop counter: %d -> %d", before, got)
 		}
 
-		// An explicit DropCache is a plain drop, never a merge drop.
-		st.Result()
+		// An explicit DropCache of a cached decode is a drop.
 		st.DropCache()
 		if got := drops.Load(); got != before+1 {
-			t.Fatalf("DropCache moved the merge-drop counter: %d -> %d", before+1, got)
+			t.Fatalf("DropCache: drop counter %d -> %d, want +1", before, got)
 		}
 	})
 }

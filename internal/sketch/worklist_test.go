@@ -207,8 +207,8 @@ func TestUpdateNMatchesScalar(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 4, 5, 8, 127} {
 		rng := rand.New(rand.NewSource(int64(n) + 1))
 		ref := NewSparseRecovery(rng, 16, 0.01, 2)
-		bat := ref.CloneEmpty()
-		one := ref.CloneEmpty()
+		bat := ref.cloneEmpty()
+		one := ref.cloneEmpty()
 		keys := make([]uint64, n)
 		payload := make([]int64, 2*n)
 		deltas := make([]int64, n)
@@ -240,7 +240,7 @@ func TestStoringUpdateKeyedNMatchesScalar(t *testing.T) {
 	g := buildGrid(t, 64, 2, 11)
 	mk := func(seed int64, kind Kind) (*Storing, *Storing) {
 		ref := newStoring(rand.New(rand.NewSource(seed)), g, 2, kind, 32)
-		return ref, ref.CloneEmpty()
+		return ref, ref.cloneEmpty()
 	}
 	const n = 33
 	rng := rand.New(rand.NewSource(12))
@@ -285,8 +285,8 @@ func TestStoringUpdateKeyedNMatchesScalar(t *testing.T) {
 	if ptsRef.Digest() != ptsBat.Digest() {
 		t.Fatal("point-side UpdateKeyedScaledN digest mismatch")
 	}
-	if cellsRef.NetUpdates() != cellsBat.NetUpdates() {
-		t.Fatalf("netUpdates %d vs %d", cellsBat.NetUpdates(), cellsRef.NetUpdates())
+	if cellsRef.netUpdates != cellsBat.netUpdates {
+		t.Fatalf("netUpdates %d vs %d", cellsBat.netUpdates, cellsRef.netUpdates)
 	}
 }
 

@@ -95,19 +95,14 @@ func (cb *CostBound) applyLevels(b *batch, lo, hi int) {
 
 // UpperBound returns a certified-style upper bound on the optimal
 // uncapacitated ℓ_r k-clustering cost of the surviving points: the
-// finest level whose estimated non-empty cell count is at most
-// slack·k (slack < 1 absorbs the F₀ estimation error) yields
-// n·(√d·g_level)^r. When no level qualifies, the trivial domain-level
-// bound is returned. ok is false when the sketches cannot even bound the
-// cell counts (undersized F₀ ladders).
-func (cb *CostBound) UpperBound(k int, slack float64) (float64, bool) {
+// finest level whose estimated non-empty cell count is at most k yields
+// n·(√d·g_level)^r. F₀ is exact whenever the count fits the ladder's
+// base level, and the counts compared here are O(k). When no level
+// qualifies, or the coarsest level is already too populous to count,
+// the trivial domain-level bound is returned; an empty stream gives 0.
+func (cb *CostBound) UpperBound(k int) float64 {
 	if cb.n <= 0 {
-		return 0, true
-	}
-	if slack <= 0 {
-		// F₀ is exact whenever the count fits the ladder's base level, and
-		// the counts relevant here are O(k); no sub-1 slack needed.
-		slack = 1.0
+		return 0
 	}
 	best := -1 // grid.MinLevel: the trivial bound
 	for i := 0; i <= cb.g.L; i++ {
@@ -117,25 +112,21 @@ func (cb *CostBound) UpperBound(k int, slack float64) (float64, bool) {
 			// denser still; stop.
 			break
 		}
-		if c <= slack*float64(k)+0.5 {
+		if c <= float64(k)+0.5 {
 			best = i
 		} else {
 			break // cell counts only grow with depth
 		}
 	}
 	diam := math.Sqrt(float64(cb.g.Dim)) * float64(cb.g.SideLen(best))
-	return float64(cb.n) * geo.PowR(diam, cb.r), true
+	return float64(cb.n) * geo.PowR(diam, cb.r)
 }
 
 // Guess converts the upper bound into the o a coreset instance should
 // use, by the guess rule every selector applies
 // (coreset.GuessFromEstimate).
 func (cb *CostBound) Guess(k int) float64 {
-	u, ok := cb.UpperBound(k, 0)
-	if !ok {
-		return 1
-	}
-	return coreset.GuessFromEstimate(u)
+	return coreset.GuessFromEstimate(cb.UpperBound(k))
 }
 
 // Bytes reports the total F₀ sketch footprint.

@@ -30,10 +30,7 @@ func TestCostBoundUpperBoundsOPT(t *testing.T) {
 			d, _ := geo.DistToSet(p, truec)
 			ref += d * d
 		}
-		u, ok := cb.UpperBound(3, 0)
-		if !ok {
-			t.Fatalf("seed %d: no bound", seed)
-		}
+		u := cb.UpperBound(3)
 		// The bound is certified from above (OPT ≤ u) but can be loose by
 		// (g/σ)^r. Sanity band: not below a quarter of the true-center
 		// cost, not uselessly astronomical.
@@ -63,15 +60,15 @@ func TestCostBoundDeletions(t *testing.T) {
 	for _, p := range blob {
 		cb.Insert(p)
 	}
-	withBlobOnly, _ := NewCostBoundSnapshot(cb)
+	withBlobOnly := cb.UpperBound(2)
 	for _, p := range ghost {
 		cb.Insert(p)
 	}
-	withGhost, _ := cb.UpperBound(2, 0)
+	withGhost := cb.UpperBound(2)
 	for _, p := range ghost {
 		cb.Delete(p)
 	}
-	afterDelete, _ := cb.UpperBound(2, 0)
+	afterDelete := cb.UpperBound(2)
 
 	if withGhost <= withBlobOnly {
 		t.Fatalf("ghost must raise the bound: %v vs %v", withGhost, withBlobOnly)
@@ -83,18 +80,12 @@ func TestCostBoundDeletions(t *testing.T) {
 	}
 }
 
-// NewCostBoundSnapshot evaluates the current bound (helper isolating the
-// double evaluation in the deletion test).
-func NewCostBoundSnapshot(cb *CostBound) (float64, bool) {
-	return cb.UpperBound(2, 0)
-}
-
 func TestCostBoundEmptyAndTrivial(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := grid.New(1<<8, 2, rng)
 	cb := NewCostBound(rng, g, 2, 64)
-	if u, ok := cb.UpperBound(2, 0); !ok || u != 0 {
-		t.Fatalf("empty: %v %v", u, ok)
+	if u := cb.UpperBound(2); u != 0 {
+		t.Fatalf("empty: %v", u)
 	}
 	if cb.Guess(2) != 1 {
 		t.Fatal("empty guess must be 1")
@@ -102,11 +93,7 @@ func TestCostBoundEmptyAndTrivial(t *testing.T) {
 	// A single point: some level isolates it; the bound must collapse to
 	// a fine level (cost ≈ cell diameter^r, tiny).
 	cb.Insert(geo.Point{17, 33})
-	u, ok := cb.UpperBound(2, 0)
-	if !ok {
-		t.Fatal("no bound for single point")
-	}
-	if u > 8 { // n=1 × (√2·1)² = 2 at the unit level
+	if u := cb.UpperBound(2); u > 8 { // n=1 × (√2·1)² = 2 at the unit level
 		t.Fatalf("single-point bound %v not at the unit level", u)
 	}
 }
@@ -158,9 +145,7 @@ func TestCostBoundApplyMatchesPerOp(t *testing.T) {
 			t.Fatalf("batch of %d: state diverged from per-op replay (N %d vs %d)", len(ops), cb.N(), ref.N())
 		}
 	}
-	u, okU := cb.UpperBound(3, 0)
-	v, okV := ref.UpperBound(3, 0)
-	if u != v || okU != okV {
-		t.Fatalf("UpperBound %v/%v vs %v/%v", u, okU, v, okV)
+	if u, v := cb.UpperBound(3), ref.UpperBound(3); u != v {
+		t.Fatalf("UpperBound %v vs %v", u, v)
 	}
 }

@@ -30,11 +30,9 @@
 //     long stream touches only levels whose state changed since the last
 //     extraction, and a changed level re-peels only the residual against
 //     its cached base — splicing the delta onto the cached item lists —
-//     instead of the whole slab (DESIGN.md §13). Merging a fork dirties
-//     only the levels the fork actually wrote (pristine levels are
-//     skipped outright) and dirtied levels keep their base for the next
-//     splice. Cache memory is derived state, excluded from Bytes
-//     (DESIGN.md §6) and released by DropDecodeCache.
+//     instead of the whole slab (DESIGN.md §13). Cache memory is
+//     derived state, excluded from Bytes (DESIGN.md §6) and released by
+//     DropDecodeCache.
 //
 // A shared Storing serves every guess that consults it: its epoch cache
 // and differential base are one, so the first guess to decode it pays
@@ -322,24 +320,9 @@ func (ss *sketchSet) DecodeCacheBytes() (b int64) {
 	return b
 }
 
-// WarmDecodeCache decodes every unit whose cache is not fresh, across
-// the worker pool — the serving pre-warm: after it returns, a query
-// that consults any unit gets a cache hit, and the next dirty batch is
-// answered by differential decodes against the freshly set bases. A
-// shared Storing is decoded once. It never changes any result (decoding
-// is read-only on sketch state).
-func (ss *sketchSet) WarmDecodeCache() {
-	sts := make([]*sketch.Storing, len(ss.units))
-	for i, u := range ss.units {
-		sts[i] = u.st
-	}
-	warmStorings(sts, extractWorkers())
-}
-
-// CacheStats sums the decode-cache counters (hits, splices, merge
-// keeps/skips, …) over every unit. A shared Storing's counters cover
-// every guess that consulted it, so a cache hit on it by a second guess
-// counts as a hit.
+// CacheStats sums the decode-cache counters (hits, splices, …) over
+// every unit. A shared Storing's counters cover every guess that
+// consulted it, so a cache hit on it by a second guess counts as a hit.
 func (ss *sketchSet) CacheStats() (total sketch.CacheStats) {
 	for _, u := range ss.units {
 		total.Add(u.st.CacheStats())
@@ -397,7 +380,7 @@ func (a *Auto) resultWith(workers int) (*coreset.Coreset, error) {
 		sp.End()
 	}()
 	guessCap := math.Inf(1)
-	if upper, ok := a.costBound.UpperBound(a.params.K, 0); ok && upper > 0 {
+	if upper := a.costBound.UpperBound(a.params.K); upper > 0 {
 		guessCap = upper / 4
 	}
 	n := 0
@@ -524,7 +507,7 @@ func (a *Auto) sharedHeavyFail(i int, err error) (int, bool) {
 // rate 1. Every guess up to r FAILs there with the same error, and
 // every guess above r does not (DESIGN.md §4):
 //
-//   - ψ_l(o) = min(1, CountRate/T_l(o)) falls with l and with o, so a
+//   - ψ_l(o) = min(1, 256/T_l(o)) falls with l and with o, so a
 //     guess sharing h_level shares h_0..h_level too, and so does every
 //     smaller guess: they see the same exact counts (rate 1) through the
 //     same Storings, whose decode verdicts the smallest guess has

@@ -3,7 +3,22 @@ package stream
 import (
 	"runtime"
 	"testing"
+
+	"streambalance/internal/sketch"
 )
+
+// warmDecodeCache decodes every unit whose cache is not fresh, across
+// the worker pool — the serving pre-warm: after it returns, a query
+// that consults any unit gets a cache hit, and the next dirty batch is
+// answered by differential decodes against the freshly set bases. A
+// shared Storing is decoded once.
+func (ss *sketchSet) warmDecodeCache() {
+	sts := make([]*sketch.Storing, len(ss.units))
+	for i, u := range ss.units {
+		sts[i] = u.st
+	}
+	warmStorings(sts, extractWorkers())
+}
 
 // benchIncrementalExtract times ONLY the query in the alternating
 // small-batch-ingest / extract serving loop: the batch and the
@@ -24,7 +39,7 @@ func benchIncrementalExtract(b *testing.B, cold bool) {
 	a := benchExtractAuto(b)
 	ops := benchIngestOps(4096)
 	const batch = 16
-	a.WarmDecodeCache()
+	a.warmDecodeCache()
 	var dirty, total int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,7 +66,7 @@ func benchIncrementalExtract(b *testing.B, cold bool) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		a.WarmDecodeCache()
+		a.warmDecodeCache()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(dirty)/float64(total), "dirty-level-ratio")

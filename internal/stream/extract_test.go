@@ -201,52 +201,6 @@ func TestExtractWarmMatchesCold(t *testing.T) {
 	equalExtraction(t, warm2, cold2, "post-update warm vs cold")
 }
 
-// TestForkMergeInvalidatesDecodeCache: Merge folds new state into warm
-// sketches; their caches must not survive, or the next extraction would
-// report the pre-merge stream.
-func TestForkMergeInvalidatesDecodeCache(t *testing.T) {
-	ps, _ := testMixture(81, 2000)
-	o := goodGuess(ps, 3)
-	cfg := Config{Dim: 2, Delta: testDelta, O: o, Params: coreset.Params{K: 3, Seed: 82}}
-
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range ps[:1000] {
-		s.Insert(p)
-	}
-	if _, err := s.Result(); err != nil { // warm the caches pre-merge
-		t.Fatal(err)
-	}
-
-	fork := s.Fork()
-	for _, p := range ps[1000:] {
-		fork.Insert(p)
-	}
-	s.Merge(fork)
-
-	got, err := s.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range ps {
-		ref.Insert(p)
-	}
-	if s.StateDigest() != ref.StateDigest() {
-		t.Fatal("fork/merge state diverged from single pass")
-	}
-	want, err := ref.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalExtraction(t, got, want, "post-merge extraction vs single-pass cold")
-}
-
 // TestPlanFailKeepsLevel pins the plan-stage FAIL error: it matches
 // ErrSketchFail, still carries the partition's ErrCounts so a caller can
 // recover which level FAILed, and names a level that is really

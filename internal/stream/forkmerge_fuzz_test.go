@@ -9,13 +9,14 @@ import (
 )
 
 // FuzzForkMerge: random op sequences — interleaved insertions and
-// deletions of previously-inserted points — split round-robin across
-// Fork siblings, applied per fork in chunks and Merged back must
-// recombine to sketch state and extraction results bit-identical to a
-// serial Apply of the same ops. Round-robin routing lets a point's
-// deletion land on a different fork than its insertion, so a fork's own
-// state (and N) may be "negative" until the merge; linearity makes that
-// irrelevant to the merged result. Plain `go test` replays the seed
+// deletions of previously-inserted points — split round-robin into
+// shards, as a fork per shard would take them, and replayed shard after
+// shard, in chunks, into one instance must reach sketch state and
+// extraction results bit-identical to a serial Apply of the same ops.
+// The replay reorders the ops, and round-robin routing lets a point's
+// deletion arrive before its insertion, so the state (and N) may be
+// "negative" until the insertion's shard is replayed; linearity makes
+// that irrelevant to the end state. Plain `go test` replays the seed
 // corpus.
 func FuzzForkMerge(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(3), uint8(30), uint8(64))
@@ -24,8 +25,7 @@ func FuzzForkMerge(f *testing.F) {
 	f.Add(int64(4), uint16(64), uint8(5), uint8(50), uint8(1))
 	f.Add(int64(5), uint16(1000), uint8(2), uint8(10), uint8(128))
 	// Nearly every insert is followed at once by its delete, so with two
-	// forks one fork holds the inserts and the other the deletes (its N
-	// is about −150 before the merge).
+	// shards one shard holds the inserts and the other the deletes.
 	f.Add(int64(6), uint16(300), uint8(1), uint8(255), uint8(7))
 
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, shardsRaw, delPct, chunkRaw uint8) {
@@ -71,21 +71,19 @@ func FuzzForkMerge(f *testing.F) {
 			parts[i%shards] = append(parts[i%shards], op)
 		}
 		for _, part := range parts {
-			fork := s.Fork()
 			for i := 0; i < len(part); i += chunk {
-				fork.Apply(part[i:min(i+chunk, len(part))])
+				s.Apply(part[i:min(i+chunk, len(part))])
 			}
-			s.Merge(fork)
 		}
 
 		if s.N() != ref.N() {
 			t.Fatalf("N %d vs %d (shards=%d chunk=%d)", s.N(), ref.N(), shards, chunk)
 		}
 		if s.StateDigest() != ref.StateDigest() {
-			t.Fatalf("merged state diverged from serial Apply (shards=%d chunk=%d)", shards, chunk)
+			t.Fatalf("replayed state diverged from serial Apply (shards=%d chunk=%d)", shards, chunk)
 		}
 		// Result equality including the FAIL side: the tiny sketch budgets
-		// make over-full decodes common in fuzzed inputs, and the merged
+		// make over-full decodes common in fuzzed inputs, and the replayed
 		// path must FAIL exactly when the serial one does.
 		ca, errA := ref.Result()
 		cb, errB := s.Result()

@@ -17,123 +17,106 @@ func collectStorings(s *Stream) []*sketch.Storing {
 	return units
 }
 
-// TestMergeFineGrainedInvalidation: merging a fork that touched only k
-// of the stream's decode units must leave the other units' cache
-// entries live (pristine levels are skipped outright) and keep the
-// dirtied units' bases for differential decode — no merge drops at all
-// on this path. The spliced post-merge state must still be bit-identical
-// to a serial stream that saw both op sequences.
-func TestMergeFineGrainedInvalidation(t *testing.T) {
+// TestApplyFineGrainedInvalidation: a batch that touches only some of
+// the stream's decode units must leave the other units' cache entries
+// live, and each dirtied unit with a base must splice at the next query
+// (one whose last decode FAILed re-peels cold). The spliced result must
+// match a cold decode of a serial stream that saw the same ops.
+func TestApplyFineGrainedInvalidation(t *testing.T) {
 	ops := shuffledChurnOps(606, 400)
 	// O large enough that the fine levels' sampling rates drop below 1
-	// (ψ_i = min(1, CountRate/T_i), T_i ∝ O): a one-op fork then dirties
+	// (ψ_i = min(1, 256/T_i), T_i ∝ O): a one-op batch then dirties
 	// only the levels whose samplers keep the point.
 	cfg := Config{Dim: 2, Delta: testDelta, O: 1 << 20,
 		Params: coreset.Params{K: 3, Seed: 66}, CellSparsity: 256, PointSparsity: 1024}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	newStream := func() *Stream {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+	s := newStream()
 	s.Apply(ops)
 	// Warm every decode unit's cache (success and FAIL verdicts alike).
 	// Units that decode successfully gain a differential base; FAILed
 	// units cache only the verdict.
-	decodeOK := make(map[*sketch.Storing]bool)
-	for _, st := range collectStorings(s) {
-		_, ok := st.Result()
-		decodeOK[st] = ok
+	units := collectStorings(s)
+	decodeOK := make([]bool, len(units))
+	for i, st := range units {
+		_, decodeOK[i] = st.Result()
 	}
 
-	// Find a fork op some levels drop: sampling is a deterministic hash
-	// of the point, so scan candidates until the touched set is a proper
-	// subset of the units.
-	fork := s.Fork()
-	var forkOps []Op
-	units, forkUnits := collectStorings(s), collectStorings(fork)
-	touched := 0
+	// Find an op some levels drop: sampling is a deterministic hash of
+	// the point, so scan candidates, each on a fresh sibling stream,
+	// until the units it changes are a proper subset.
+	pristine := collectStorings(newStream())
+	var batch []Op
+	var touched []bool
 	for _, op := range ops {
-		probe := s.Fork()
+		probe := newStream()
 		probe.Apply([]Op{{P: op.P}})
+		touched = make([]bool, len(units))
 		n := 0
-		for _, fu := range collectStorings(probe) {
-			if fu.Epoch() > 0 {
+		for i, st := range collectStorings(probe) {
+			if st.Digest() != pristine[i].Digest() {
+				touched[i] = true
 				n++
 			}
 		}
-		if n > 0 && n < len(forkUnits) {
-			forkOps = []Op{{P: op.P}}
-			fork, forkUnits, touched = probe, collectStorings(probe), n
+		if n > 0 && n < len(units) {
+			batch = []Op{{P: op.P}}
 			break
 		}
 	}
-	if forkOps == nil {
-		t.Fatalf("no candidate op touched a proper subset of the %d units", len(forkUnits))
+	if batch == nil {
+		t.Fatalf("no candidate op touched a proper subset of the %d units", len(units))
 	}
 
-	s.Merge(fork)
-	splicable := 0
-	for i, fu := range forkUnits {
-		st := units[i]
-		stats := st.CacheStats()
-		if fu.Epoch() == 0 {
-			// Untouched level: the merge is skipped outright and the live
-			// cache entry (success or FAIL verdict) stays fresh.
+	s.Apply(batch)
+	clean, splicable := 0, 0
+	for i, st := range units {
+		switch {
+		case !touched[i]:
+			clean++
 			if !st.CacheFresh() {
-				t.Fatalf("unit %d: pristine fork level lost its live cache entry", i)
+				t.Fatalf("unit %d: untouched level lost its live cache entry", i)
 			}
-			if stats.MergeSkips == 0 {
-				t.Fatalf("unit %d: pristine fork merge not counted as a skip", i)
-			}
-			if stats.MergeDrops != 0 {
-				t.Fatalf("unit %d: pristine fork merge dropped a cache entry", i)
-			}
-			continue
-		}
-		if st.CacheFresh() {
+		case st.CacheFresh():
 			t.Fatalf("unit %d: dirtied level still reports a fresh cache", i)
-		}
-		if decodeOK[st] {
-			// A successful decode has a base: the merge keeps it for the
-			// next splice instead of dropping.
+		case decodeOK[i]:
 			splicable++
-			if stats.MergeKeeps == 0 || stats.MergeDrops != 0 {
-				t.Fatalf("unit %d: dirtied level with a base: stats %+v, want a keep and no drop", i, stats)
-			}
-		} else if stats.MergeDrops != 1 {
-			// A cached FAIL has no base to splice from; the merge discards
-			// the verdict as before.
-			t.Fatalf("unit %d: dirtied FAILed level: MergeDrops=%d, want 1", i, stats.MergeDrops)
 		}
 	}
 	if splicable == 0 {
-		t.Fatal("no dirtied unit had a live base; the keep path went unexercised")
+		t.Fatal("no dirtied unit had a live base; the splice path went unexercised")
 	}
 
-	// Re-warm: clean units hit, dirtied units with a base splice.
+	// Re-warm: clean units hit, dirtied units with a base splice, dirtied
+	// FAILed units re-peel cold.
 	before := s.CacheStats()
 	for _, st := range units {
 		st.Result()
 	}
 	after := s.CacheStats()
-	if hits := after.Hits - before.Hits; hits != int64(len(units)-touched) {
-		t.Fatalf("clean units: %d cache hits, want %d", hits, len(units)-touched)
+	if hits := after.Hits - before.Hits; hits != int64(clean) {
+		t.Fatalf("clean units: %d cache hits, want %d", hits, clean)
 	}
 	if splices := after.Splices - before.Splices; splices != int64(splicable) {
-		t.Fatalf("dirtied units: %d splices, want %d", after.Splices-before.Splices, splicable)
+		t.Fatalf("dirtied units: %d splices, want %d", splices, splicable)
+	}
+	if cold := after.StaleCold - before.StaleCold; cold != int64(len(units)-clean-splicable) {
+		t.Fatalf("dirtied FAILed units: %d cold re-peels, want %d", cold, len(units)-clean-splicable)
 	}
 
-	// The spliced state must match a serial stream bit-for-bit.
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The spliced result must match a cold decode of the same ops.
+	ref := newStream()
 	ref.Apply(ops)
-	ref.Apply(forkOps)
+	ref.Apply(batch)
 	if s.StateDigest() != ref.StateDigest() {
-		t.Fatal("merged state diverged from serial replay")
+		t.Fatal("state diverged from serial replay")
 	}
 	ca, errA := s.Result()
-	ref.DropDecodeCache()
 	cb, errB := ref.resultWith(1)
 	sameCoreset(t, ca, cb, errA, errB)
 }

@@ -296,8 +296,8 @@ type unit struct {
 // exact linear sum, so both the coalescing and the write schedule
 // UpdateScaledN picks are bit-identical to the per-op Insert/Delete
 // replay (TestApplyMatchesPerOp, TestRateOneColumnsMatchPerOp,
-// TestApplyMatchesPerOpAcrossLambda, FuzzCoalescedIngestMatchesSerial,
-// FuzzForkMerge). The telemetry tallies — sampled ops in, distinct-key
+// TestApplyMatchesPerOpAcrossLambda, FuzzCoalescedIngestMatchesSerial).
+// The telemetry tallies — sampled ops in, distinct-key
 // rows out — are added once per unit.
 func (u unit) apply(b *batch) {
 	var co *coalescer

@@ -149,7 +149,7 @@ func TestSharedRateOneMatchesPrivate(t *testing.T) {
 // accounting must count a Storing that several guesses share once.
 // Bytes, DecodeCacheBytes, CacheStats and DirtyLevels are checked
 // against sums over the distinct Storings the guesses hold, and a
-// WarmDecodeCache must decode each stale distinct Storing exactly once.
+// warmDecodeCache must decode each stale distinct Storing exactly once.
 func TestAutoAccountingCountsSharedOnce(t *testing.T) {
 	a, err := NewAuto(Config{Dim: 2, Delta: testDelta, Params: coreset.Params{K: 3, Seed: 101},
 		CellSparsity: 512, PointSparsity: 2048}, 4)
@@ -205,12 +205,12 @@ func TestAutoAccountingCountsSharedOnce(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	d0 := mExtractDecodes.Load()
-	a.WarmDecodeCache()
+	a.warmDecodeCache()
 	if got := mExtractDecodes.Load() - d0; got != int64(stale) {
-		t.Fatalf("WarmDecodeCache decoded %d Storings, want the %d stale distinct ones", got, stale)
+		t.Fatalf("warmDecodeCache decoded %d Storings, want the %d stale distinct ones", got, stale)
 	}
 	if dirty, _ := a.DirtyLevels(); dirty != 0 {
-		t.Fatalf("%d units still dirty after WarmDecodeCache", dirty)
+		t.Fatalf("%d units still dirty after warmDecodeCache", dirty)
 	}
 }
 

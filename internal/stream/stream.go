@@ -97,14 +97,6 @@ type Config struct {
 	// calibrated defaults keep the same FAIL-never-wrong contract.
 	CellSparsity  int
 	PointSparsity int
-
-	// Sampling calibration: the numerators of the h and h′ rates ψ_i and
-	// ψ′_i (coreset.Rates). Zero selects coreset.DefaultCountRate (256)
-	// and coreset.DefaultPartRate (64).
-	CountRate float64
-	PartRate  float64
-
-	FailProb float64 // δ for the sketches (default 0.01)
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -114,23 +106,15 @@ func (c Config) withDefaults() (Config, error) {
 	c.Params, c.Delta, err = coreset.ResolveConfig("stream", c.Params, c.Dim, c.Delta,
 		coreset.Setting{Name: "CellSparsity", Value: float64(c.CellSparsity)},
 		coreset.Setting{Name: "PointSparsity", Value: float64(c.PointSparsity)},
-		coreset.Setting{Name: "CountRate", Value: c.CountRate},
-		coreset.Setting{Name: "PartRate", Value: c.PartRate},
 	)
 	if err != nil {
 		return c, err
-	}
-	if !(c.FailProb >= 0 && c.FailProb < 1) {
-		return c, fmt.Errorf("stream: FailProb must be in [0, 1), got %v", c.FailProb)
 	}
 	if c.CellSparsity == 0 {
 		c.CellSparsity = 2048
 	}
 	if c.PointSparsity == 0 {
 		c.PointSparsity = 4096
-	}
-	if c.FailProb == 0 {
-		c.FailProb = 0.01
 	}
 	return c, nil
 }
@@ -199,6 +183,9 @@ func newColumns(p coreset.Params, g *grid.Grid) samplerColumns {
 	return cols
 }
 
+// failProb is δ of every Storing sketch newShared builds (Lemma 4.2).
+const failProb = 0.01
+
 // newShared builds a Stream over an externally supplied grid and
 // fingerprint. Auto uses it to make every guess instance share one grid
 // shift and one per-op key function, so the ingestion pipeline can compute
@@ -236,17 +223,17 @@ func newShared(cfg Config, g *grid.Grid, fp *hashing.Fingerprint, rng *rand.Rand
 		}
 		switch owner, owned := owners[[2]int{sub, i}]; {
 		case owners == nil || samp.Phi() < 1:
-			u.st = sketch.NewStoring(rng, g, i, kind, capacity, cfg.FailProb, fp)
+			u.st = sketch.NewStoring(rng, g, i, kind, capacity, failProb, fp)
 		case owned:
-			sketch.SkipStoring(rng, g, kind, capacity, cfg.FailProb, fp)
+			sketch.SkipStoring(rng, g, kind, capacity, failProb, fp)
 			u.st, u.cells = owner.st, owner.cells
 		default:
-			u.st = sketch.NewStoring(rng, g, i, kind, capacity, cfg.FailProb, fp)
+			u.st = sketch.NewStoring(rng, g, i, kind, capacity, failProb, fp)
 			owners[[2]int{sub, i}] = u
 		}
 		return u
 	}
-	rates := coreset.NewRates(cfg.Params, g, cfg.O, cfg.CountRate, cfg.PartRate)
+	rates := coreset.NewRates(cfg.Params, g, cfg.O)
 	for i := 0; i <= L; i++ {
 		// All three samplers of a level are drawn before its sketches;
 		// the level-L h sampler is drawn but unused (h stops at L−1).
@@ -301,44 +288,6 @@ func (s *Stream) update(p geo.Point, del bool) {
 
 // N returns the exact current number of points.
 func (s *Stream) N() int64 { return s.n }
-
-// Fork returns a zeroed Stream sharing s's configuration, grid and hash
-// functions. A fork can process a disjoint shard of the stream (e.g. on
-// another goroutine or machine) and be merged back with Merge — the
-// linearity of every sketch makes the merged state identical to one pass
-// over the interleaved stream.
-func (s *Stream) Fork() *Stream {
-	cp := &Stream{
-		cfg: s.cfg, g: s.g, fp: s.fp,
-		h: cloneUnits(s.h), hp: cloneUnits(s.hp), hat: cloneUnits(s.hat),
-	}
-	cp.linkUnits()
-	return cp
-}
-
-// cloneUnits returns us with every Storing replaced by an empty clone
-// sharing its hash functions, each cell sketch with a memo of its own.
-func cloneUnits(us []unit) []unit {
-	cp := make([]unit, len(us))
-	for i, u := range us {
-		u.st = u.st.CloneEmpty()
-		if u.cells != nil {
-			u.cells = new(cellMemo)
-		}
-		cp[i] = u
-	}
-	return cp
-}
-
-// Merge folds a fork's state back into s. The fork must have been
-// created by s.Fork() (or share its hash functions transitively);
-// mismatched shapes panic.
-func (s *Stream) Merge(fork *Stream) {
-	for i, u := range s.units {
-		u.st.Merge(fork.units[i].st)
-	}
-	s.n += fork.n
-}
 
 // StateDigest folds every sketch's state into one 64-bit value. Streams
 // with identical configuration and seed have equal digests iff their

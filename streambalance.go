@@ -31,6 +31,7 @@ package streambalance
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -223,14 +224,25 @@ func UnconstrainedCost(ws []Weighted, centers []Point, r float64) float64 {
 
 // EstimateOPT returns an upper bound on the optimal uncapacitated ℓ_r
 // cost (k-means++ + Lloyd), the quantity the streaming guess o is derived
-// from.
+// from. k and r follow the Params rules for K and R (r = 0 selects 2),
+// and every point must have the dimension of the first.
 func EstimateOPT(points []Point, k int, r float64, seed int64) (float64, error) {
 	if len(points) == 0 {
 		return 0, errors.New("streambalance: empty input")
 	}
+	dim := len(points[0])
+	p, _, err := coreset.ResolveConfig("streambalance", Params{K: k, R: r}, dim, 1)
+	if err != nil {
+		return 0, err
+	}
+	for i, q := range points {
+		if len(q) != dim {
+			return 0, fmt.Errorf("streambalance: point %d has dimension %d, want %d", i, len(q), dim)
+		}
+	}
 	rng := rand.New(rand.NewSource(seed))
 	delta := geo.MaxCoordRange(geo.PointSet(points))
-	return solve.EstimateOPT(rng, geo.UnitWeights(geo.PointSet(points)), k, r, delta, 3), nil
+	return solve.EstimateOPT(rng, geo.UnitWeights(geo.PointSet(points)), k, p.R, delta, 3), nil
 }
 
 // GuessFromEstimate converts an OPT upper-bound estimate into the guess o

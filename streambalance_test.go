@@ -193,9 +193,33 @@ func TestNewAutoStreamOFactor(t *testing.T) {
 	}
 }
 
+// TestEstimateOPTErrors: input no estimate can stand for — an empty or
+// mixed-dimension point set, k < 1, or r that is not finite and ≥ 1 —
+// is an error, not a panic or a meaningless number.
 func TestEstimateOPTErrors(t *testing.T) {
-	if _, err := streambalance.EstimateOPT(nil, 2, 2, 1); err == nil {
-		t.Fatal("empty input must error")
+	pts := []streambalance.Point{{1, 1}, {5, 9}, {12, 3}, {7, 7}}
+	for _, tc := range []struct {
+		name   string
+		points []streambalance.Point
+		k      int
+		r      float64
+	}{
+		{"empty", nil, 2, 2},
+		{"k=0", pts, 0, 2},
+		{"k<0", pts, -1, 2},
+		{"mixed dimensions", []streambalance.Point{{1, 1}, {2}}, 1, 2},
+		{"zero dimensions", []streambalance.Point{{}, {}}, 1, 2},
+		{"R=NaN", pts, 2, math.NaN()},
+		{"R=+Inf", pts, 2, math.Inf(1)},
+		{"R=-1", pts, 2, -1},
+		{"R=0.5", pts, 2, 0.5},
+	} {
+		if est, err := streambalance.EstimateOPT(tc.points, tc.k, tc.r, 1); err == nil {
+			t.Fatalf("%s: estimate %v, no error", tc.name, est)
+		}
+	}
+	if est, err := streambalance.EstimateOPT(pts, 2, 1, 1); err != nil || !(est > 0) || math.IsInf(est, 0) {
+		t.Fatalf("valid input: estimate %v, error %v", est, err)
 	}
 }
 
@@ -286,34 +310,22 @@ func TestSaveLoadCoreset(t *testing.T) {
 	}
 }
 
-// TestStreamConfigRejectsBadSketchValues: a sketch size, sampling rate
-// or failure probability that no default can stand in for is an error
-// at construction — before, negative sparsities built sketches with no
-// recovery side, NaN or negative rates built samplers that select
-// nothing or everything, and an out-of-range FailProb was silently
-// replaced. Zero still selects the default.
+// TestStreamConfigRejectsBadSketchValues: a sketch size that no default
+// can stand in for is an error at construction — before, negative
+// sparsities built sketches with no recovery side. Zero still selects
+// the default.
 func TestStreamConfigRejectsBadSketchValues(t *testing.T) {
 	base := streambalance.StreamConfig{Dim: 2, Delta: 64, Params: streambalance.Params{K: 2, Seed: 3},
 		CellSparsity: 256, PointSparsity: 512}
-	nan := math.NaN()
 	for _, tc := range []struct {
 		name string
 		set  func(c *streambalance.StreamConfig)
 		ok   bool
 	}{
-		{"valid", func(c *streambalance.StreamConfig) { c.FailProb, c.CountRate, c.PartRate = 0.05, 128, 32 }, true},
-		{"defaults", func(c *streambalance.StreamConfig) { c.FailProb, c.CountRate, c.PartRate = 0, 0, 0 }, true},
+		{"valid", func(c *streambalance.StreamConfig) { c.PointSparsity = 1024 }, true},
+		{"defaults", func(c *streambalance.StreamConfig) { c.CellSparsity, c.PointSparsity = 0, 0 }, true},
 		{"CellSparsity<0", func(c *streambalance.StreamConfig) { c.CellSparsity = -1 }, false},
 		{"PointSparsity<0", func(c *streambalance.StreamConfig) { c.PointSparsity = -8 }, false},
-		{"FailProb=NaN", func(c *streambalance.StreamConfig) { c.FailProb = nan }, false},
-		{"FailProb=2", func(c *streambalance.StreamConfig) { c.FailProb = 2 }, false},
-		{"FailProb=1", func(c *streambalance.StreamConfig) { c.FailProb = 1 }, false},
-		{"FailProb<0", func(c *streambalance.StreamConfig) { c.FailProb = -0.01 }, false},
-		{"CountRate=-5", func(c *streambalance.StreamConfig) { c.CountRate = -5 }, false},
-		{"CountRate=NaN", func(c *streambalance.StreamConfig) { c.CountRate = nan }, false},
-		{"CountRate=Inf", func(c *streambalance.StreamConfig) { c.CountRate = math.Inf(1) }, false},
-		{"PartRate=NaN", func(c *streambalance.StreamConfig) { c.PartRate = nan }, false},
-		{"PartRate<0", func(c *streambalance.StreamConfig) { c.PartRate = -1 }, false},
 	} {
 		cfg := base
 		tc.set(&cfg)
@@ -340,11 +352,10 @@ func TestStreamConfigRejectsBadSketchValues(t *testing.T) {
 	}
 }
 
-// TestDistConfigRejectsBadSketchValues: the distributed config takes the
-// same zero-means-default sizes and rates as the streaming one, with the
-// same check — before, a NaN or negative CountRate reached the samplers
-// and DistributedCoreset returned a 0-point, 0-weight coreset with no
-// error. Zero still selects the default.
+// TestDistConfigRejectsBadSketchValues: the distributed config takes
+// zero-means-default sizes like the streaming one, with the same check;
+// a negative cap or sample size is an error. Zero still selects the
+// default.
 func TestDistConfigRejectsBadSketchValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	machines := make([][]streambalance.Point, 4)
@@ -352,22 +363,15 @@ func TestDistConfigRejectsBadSketchValues(t *testing.T) {
 		machines[i%4] = append(machines[i%4], streambalance.Point{1 + rng.Int63n(256), 1 + rng.Int63n(256)})
 	}
 	base := streambalance.DistConfig{Dim: 2, Delta: 256, Params: streambalance.Params{K: 2, Seed: 3}}
-	nan := math.NaN()
 	for _, tc := range []struct {
 		name string
 		set  func(c *streambalance.DistConfig)
 		ok   bool
 	}{
 		{"valid", func(c *streambalance.DistConfig) {
-			c.CountRate, c.PartRate, c.CellCap, c.PointCap, c.SampleSize = 128, 32, 2048, 4096, 100
+			c.CellCap, c.PointCap, c.SampleSize = 2048, 4096, 100
 		}, true},
 		{"defaults", func(c *streambalance.DistConfig) {}, true},
-		{"CountRate=NaN", func(c *streambalance.DistConfig) { c.CountRate = nan }, false},
-		{"CountRate<0", func(c *streambalance.DistConfig) { c.CountRate = -5 }, false},
-		{"CountRate=Inf", func(c *streambalance.DistConfig) { c.CountRate = math.Inf(1) }, false},
-		{"PartRate=NaN", func(c *streambalance.DistConfig) { c.PartRate = nan }, false},
-		{"PartRate=-Inf", func(c *streambalance.DistConfig) { c.PartRate = math.Inf(-1) }, false},
-		{"PartRate<0", func(c *streambalance.DistConfig) { c.PartRate = -1 }, false},
 		{"CellCap<0", func(c *streambalance.DistConfig) { c.CellCap = -1 }, false},
 		{"PointCap<0", func(c *streambalance.DistConfig) { c.PointCap = -8 }, false},
 		{"SampleSize<0", func(c *streambalance.DistConfig) { c.SampleSize = -200 }, false},
